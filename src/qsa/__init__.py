@@ -7,7 +7,7 @@ moves). See the README for the file format and the `qsa` command line tool.
 """
 
 from .presentation import (
-    QsaError, Arrow, Path, Walk, RelationTerm, Quiver, AlgebraPresentation,
+    QsaError, Arrow, Path, RelationTerm, Quiver, AlgebraPresentation,
     ValidationReport, parse_presentation, serialize_presentation, validate,
     underlying_graph, is_tree, path_basis, presentations_isomorphic, opposite,
 )
@@ -34,7 +34,7 @@ from .cli import run_cli
 __version__ = "0.1.0"
 
 __all__ = [
-    "QsaError", "Arrow", "Path", "Walk", "RelationTerm", "Quiver",
+    "QsaError", "Arrow", "Path", "RelationTerm", "Quiver",
     "AlgebraPresentation", "ValidationReport", "parse_presentation",
     "serialize_presentation", "validate", "underlying_graph", "is_tree",
     "path_basis", "presentations_isomorphic", "opposite",

@@ -3,9 +3,12 @@
 Matrices are lists of lists of Fraction, vectors are lists of Fraction.
 Everything that decides something downstream (ranks, kernels, positivity)
 runs on exact arithmetic; sizes stay small (a few dozen rows), so the cubic
-algorithms here are fine.
+algorithms here are fine.  Row reduction gives ranks, kernels and inverses;
+the sign of a symmetric form, and a negative vector when there is one, come
+from a single congruence elimination.
 """
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -26,23 +29,6 @@ def identity(n):
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[ZERO] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for k in range(m):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                row = out[i]
-                for j in range(p):
-                    row[j] += x * bk[j]
-    return out
 
 
 def mat_vec(a, x):
@@ -98,16 +84,6 @@ def reduce_vec(v, basis, pivots):
     return v
 
 
-def in_span(v, basis, pivots):
-    return not any(reduce_vec(v, basis, pivots))
-
-
-def span_equal(rows_a, rows_b):
-    ea, pa = rref(rows_a)
-    eb, pb = rref(rows_b)
-    return pa == pb and ea == eb
-
-
 def nullspace(a):
     """Basis of {x : a·x = 0}, one vector per free column of a."""
     if not a:
@@ -125,21 +101,6 @@ def nullspace(a):
     return out
 
 
-def solve(a, b):
-    """One solution of a·x = b, or None."""
-    if not a:
-        return [] if not any(b) else None
-    ncols = len(a[0])
-    aug = [list(map(fr, row)) + [fr(bi)] for row, bi in zip(a, b)]
-    basis, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for row, p in zip(basis, pivots):
-        x[p] = row[-1]
-    return x
-
-
 def inverse(a):
     n = len(a)
     aug = [list(map(fr, row)) + ident_row for row, ident_row in zip(a, identity(n))]
@@ -152,63 +113,25 @@ def inverse(a):
 # --- symmetric forms -------------------------------------------------------
 
 
-def charpoly(a):
-    """Coefficients [1, c1, ..., cn] of det(t*I - a), by Faddeev-LeVerrier."""
-    n = len(a)
-    coeffs = [ONE]
-    m = None
-    for k in range(1, n + 1):
-        if m is None:
-            m = [row[:] for row in frac_matrix(a)]
-        else:
-            for i in range(n):
-                m[i][i] += coeffs[-1]
-            m = mat_mul(frac_matrix(a), m)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    return coeffs
+def _congruence(sym):
+    """(semidefinite, definite, witness) for a symmetric rational matrix M.
 
-
-def psd_flags(sym):
-    """(semidefinite, definite) for a symmetric rational matrix.
-
-    det(t*I - M) = sum_k (-1)^k e_k t^(n-k) with e_k the k-th principal minor
-    sum; all eigenvalues are real, so M is PSD iff every e_k >= 0 and PD iff
-    every e_k > 0.
-    """
-    coeffs = charpoly(sym)
-    minor_sums = [((-1) ** k) * coeffs[k] for k in range(1, len(coeffs))]
-    return all(e >= 0 for e in minor_sums), all(e > 0 for e in minor_sums)
-
-
-def negative_vector(sym):
-    """A vector x with x^T M x < 0 for symmetric M, or None if M is PSD.
-
-    Symmetric congruence elimination, tracking the basis change so the
-    returned vector is exact; scaled to integers.
+    Symmetric congruence elimination: pivot on the first positive diagonal
+    entry and clear its row and column, tracking the basis change.  A
+    negative diagonal entry, or a zero diagonal block with a nonzero
+    off-diagonal entry, gives a vector x with x^T M x < 0, returned as a
+    primitive integer vector.  M is semidefinite exactly when no such
+    vector turns up, and definite when every row was pivoted on a positive
+    diagonal entry.
     """
     n = len(sym)
-    a = [row[:] for row in frac_matrix(sym)]
+    a = frac_matrix(sym)
     basis = identity(n)
     remaining = list(range(n))
-
-    def finish(v):
-        scale = 1
-        for x in v:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-        out = [int(x * scale) for x in v]
-        g = 0
-        for x in out:
-            g = _gcd(g, abs(x))
-        if g > 1:
-            out = [x // g for x in out]
-        assert vec_dot(out, mat_vec(frac_matrix(sym), list(map(fr, out)))) < 0
-        return out
-
     while remaining:
         neg = next((k for k in remaining if a[k][k] < 0), None)
         if neg is not None:
-            return finish(basis[neg])
+            return False, False, _primitive(basis[neg])
         pos = next((k for k in remaining if a[k][k] > 0), None)
         if pos is None:
             for j in remaining:
@@ -216,8 +139,8 @@ def negative_vector(sym):
                     if l > j and a[j][l]:
                         s = ONE if a[j][l] > 0 else -ONE
                         v = [basis[j][t] - s * basis[l][t] for t in range(n)]
-                        return finish(v)
-            return None
+                        return False, False, _primitive(v)
+            return True, False, None
         remaining.remove(pos)
         piv = a[pos][pos]
         for j in remaining:
@@ -228,10 +151,25 @@ def negative_vector(sym):
                     a[j][l] -= f * a[pos][l]
                 for l in range(n):
                     a[l][j] -= f * a[l][pos]
-    return None
+    return True, True, None
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _primitive(v):
+    """v times the lcm of its denominators: a primitive integer vector.
+
+    Primitive because v has a coordinate 1 (at its own, unpivoted index) and,
+    for each prime p of the lcm, the entry with the most factors p in its
+    denominator scales to an integer prime to p.
+    """
+    scale = math.lcm(*(x.denominator for x in v))
+    return [int(x * scale) for x in v]
+
+
+def psd_flags(sym):
+    """(semidefinite, definite) for a symmetric rational matrix."""
+    return _congruence(sym)[:2]
+
+
+def negative_vector(sym):
+    """A primitive integer x with x^T M x < 0 for symmetric M, or None if M is PSD."""
+    return _congruence(sym)[2]

@@ -76,8 +76,6 @@ def euler_matrix(a):
     """Inverse transpose of the Cartan matrix, as exact fractions."""
     c = cartan_matrix(a)
     inv = inverse(frac_matrix(c.entries))
-    if inv is None:
-        raise QsaError("Cartan matrix is singular")
     rows = tuple(tuple(row) for row in transpose(inv))
     return EulerData(c.vertices, rows)
 
@@ -97,11 +95,10 @@ def euler_eval(e, x):
 def is_nonnegative_form(e):
     """Decide whether x^T E x >= 0 for all real x, exactly.
 
-    The answer depends only on the symmetric part M of E.  M is positive
-    semidefinite exactly when every coefficient of its characteristic
-    polynomial has the alternating sign pattern; when that fails, a
-    congruence elimination on M produces an explicit integer vector with
-    negative value.
+    The answer depends only on the symmetric part M of E.  A congruence
+    elimination on M either pivots through (M is positive semidefinite,
+    and definite when every pivot is positive) or stops at an explicit
+    integer vector with negative value, which is re-evaluated on E here.
     """
     m = e.symmetric_part()
     psd, pd = psd_flags(m)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import _linalg
 
 __all__ = [
-    "QsaError", "Arrow", "Path", "Walk", "RelationTerm", "Quiver",
+    "QsaError", "Arrow", "Path", "RelationTerm", "Quiver",
     "AlgebraPresentation", "ValidationReport", "parse_presentation",
     "serialize_presentation", "validate", "underlying_graph", "is_tree",
     "path_basis", "presentations_isomorphic", "opposite", "natural_key",
@@ -56,16 +56,6 @@ class Path(NamedTuple):
 
     def __len__(self):
         return len(self.arrows)
-
-
-class Walk(NamedTuple):
-    """A reduced walk in the underlying graph: signed arrow steps."""
-    source: str
-    target: str
-    steps: tuple  # of (arrow_name, +1 | -1)
-
-    def __len__(self):
-        return len(self.steps)
 
 
 # --- quiver ----------------------------------------------------------------
@@ -298,7 +288,11 @@ def _parse_combination(tokens, where):
             i += 1
         coef = Fraction(1)
         if i < len(tokens) and _COEF_RE.match(tokens[i]):
-            coef = Fraction(tokens[i])
+            try:
+                coef = Fraction(tokens[i])
+            except ZeroDivisionError:
+                raise QsaError(
+                    f"{where}: zero denominator in {tokens[i]!r}") from None
             i += 1
         if i >= len(tokens) or tokens[i] != "(":
             raise QsaError(f"{where}: expected '(' before a path")

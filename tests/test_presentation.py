@@ -59,6 +59,9 @@ def test_parse_binomial_with_coefficients():
     ("quiver x\nvertices: 1 2\narrow a: 1 -> 2\nrelations:\nb a\n", "unknown"),
     ("quiver x\nvertices: 1 2 3\narrow a: 1 -> 2\narrow b: 1 -> 3\n"
      "relations:\na b\n", "compose"),
+    ("quiver x\nvertices: 1 2 3 4\narrow p: 1 -> 2\narrow q: 2 -> 4\n"
+     "arrow r: 1 -> 3\narrow s: 3 -> 4\nrelations:\n1/0 ( p q ) - ( r s )\n",
+     "line 8: zero denominator"),
 ])
 def test_parse_rejects_bad_input(text, fragment):
     with pytest.raises(QsaError) as err:
