@@ -16,16 +16,6 @@ from ._linalg import ZERO, ONE, fr, rref, reduce_vec
 from .presentation import QsaError, validate
 
 
-def _contains_factor(path, monomials):
-    for m in monomials:
-        k = len(m)
-        if k <= len(path):
-            for i in range(len(path) - k + 1):
-                if path[i:i + k] == m:
-                    return True
-    return False
-
-
 class TruncatedAlgebra:
     """Basis, normal forms and products for a certified quotient algebra."""
 
@@ -47,7 +37,6 @@ class TruncatedAlgebra:
     def _build(self):
         a = self.presentation
         q = self.quiver
-        monomials = a.monomials
         m = self.bound
 
         # pruned paths, grouped by (source, target), ordered by degree
@@ -61,7 +50,7 @@ class TruncatedAlgebra:
             for src, tgt, path in level:
                 for ar in q.out_arrows(tgt):
                     new = path + (ar.name,)
-                    if _contains_factor(new, monomials):
+                    if not a.relation_free(new):
                         continue
                     per_block[(src, ar.target)].append(new)
                     nxt.append((src, ar.target, new))

@@ -9,7 +9,7 @@ string algebra and every vertex is gentle or exceptional.
 
 from typing import NamedTuple
 
-from .presentation import QsaError, natural_key, validate
+from .presentation import QsaError, natural_key, _is_connected
 
 __all__ = [
     "VertexClass", "VertexClassification", "QuadraticStringReport",
@@ -45,6 +45,12 @@ class VertexClassification(NamedTuple):
     @property
     def exceptional_vertices(self):
         out = [v for v, c in self.classes.items() if c.kind == EXCEPTIONAL]
+        return tuple(sorted(out, key=natural_key))
+
+    @property
+    def ordinary_vertices(self):
+        """Vertices marked ordinary by some exceptional class."""
+        out = {v for vs in self.ordinary.values() for v in vs}
         return tuple(sorted(out, key=natural_key))
 
     @property
@@ -158,8 +164,8 @@ def _class_witness(a, rel, x, j):
     q = a.quiver
     ins = q.in_arrows(x)
     outs = q.out_arrows(x)
-    src = {ar.name: ar.source for ar in q.arrows}
-    tgt = {ar.name: ar.target for ar in q.arrows}
+    src = {ar.name: ar.source for ar in ins}
+    tgt = {ar.name: ar.target for ar in outs}
 
     def distinct(*vs):
         return len(set(vs)) == len(vs)
@@ -237,8 +243,7 @@ def _exceptional_witness(a, rel, x):
 
 def classify_vertices(a):
     """Classify every vertex as gentle, exceptional (class 1..6), or neither."""
-    rep = validate(a)
-    if not rep.connected:
+    if not _is_connected(a.quiver):
         raise QsaError("classification needs a connected quiver")
     rel = _quadratic_pairs(a)
     q = a.quiver
@@ -289,20 +294,24 @@ def is_gqs(a):
     return classify_vertices(a).gqs
 
 
+def _is_special(a, v):
+    """At most one arrow in, one out, and their composite not a relation."""
+    q = a.quiver
+    if not q.has_vertex(v):
+        return False
+    ins = q.in_arrows(v)
+    outs = q.out_arrows(v)
+    if len(ins) > 1 or len(outs) > 1:
+        return False
+    if ins and outs and (ins[0].name, outs[0].name) in a.monomials:
+        return False
+    return True
+
+
 def special_vertices(a):
     """Vertices with at most one arrow in, at most one out, composite surviving."""
-    rel = _quadratic_pairs(a)
-    q = a.quiver
-    special = []
-    for v in q.vertices:
-        ins = q.in_arrows(v)
-        outs = q.out_arrows(v)
-        if len(ins) > 1 or len(outs) > 1:
-            continue
-        if ins and outs and (ins[0].name, outs[0].name) in rel:
-            continue
-        special.append(v)
-    cls = classify_vertices(a)
-    ordinary = sorted({v for vs in cls.ordinary.values() for v in vs}, key=natural_key)
-    special_not_ordinary = [v for v in special if v not in set(ordinary)]
-    return SpecialVertices(tuple(special), tuple(ordinary), tuple(special_not_ordinary))
+    _quadratic_pairs(a)  # shape errors come before the connectivity check
+    special = [v for v in a.quiver.vertices if _is_special(a, v)]
+    ordinary = classify_vertices(a).ordinary_vertices
+    special_not_ordinary = [v for v in special if v not in ordinary]
+    return SpecialVertices(tuple(special), ordinary, tuple(special_not_ordinary))

@@ -11,7 +11,7 @@ NotQuadraticString verdict otherwise.
 
 from .presentation import QsaError, validate, is_tree
 from .classify import OTHER, classify_vertices, is_quadratic_string
-from .transform import certificate_payload, reduce_to_skewed_gentle
+from .transform import certificate_payload, _reduce_classified
 from .euler import euler_matrix, is_nonnegative_form
 from .covering import detect_local_wild_pattern, find_wild_witness
 
@@ -107,7 +107,7 @@ def decide_derived_type(a, witness_radius=None, witness_size=None):
     if a.is_monomial and a.is_quadratic:
         cls = classify_vertices(a)
         if cls.gqs:
-            cert = reduce_to_skewed_gentle(a)
+            cert = _reduce_classified(a, cls)
             n = len(cert.steps)
             noun = "vertex" if n == 1 else "vertices"
             return Verdict(TAME, GQS_CYCLES,

@@ -12,8 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._linalg import (
-    frac_matrix, fr, inverse, transpose, mat_vec, vec_dot,
-    psd_flags, negative_vector,
+    frac_matrix, fr, inverse, transpose, mat_vec, vec_dot, _congruence,
 )
 from .presentation import QsaError, path_basis, _has_directed_cycle
 
@@ -101,10 +100,9 @@ def is_nonnegative_form(e):
     integer vector with negative value, which is re-evaluated on E here.
     """
     m = e.symmetric_part()
-    psd, pd = psd_flags(m)
+    psd, pd, w = _congruence(m)
     if psd:
         return NonnegativityReport(True, pd, (), None)
-    w = negative_vector(m)
     if w is None:
         raise QsaError("form is not semidefinite but no witness was found")
     val = euler_eval(e, w)

@@ -9,7 +9,9 @@ either recognizes the algebra outright as a blow-up of a smaller one
 (classes 3 and 5) or rewrites the neighbourhood of the exceptional
 vertex the way a sink mutation followed by a source mutation would
 (classes 1, 2, 4, 6), recording which vertex becomes special.  Classes
-5 and 6 are handled by passing to the opposite algebra.
+1, 2 and 4 share one rewrite; classes 5 and 6 are handled by passing to
+the opposite algebra.  Each move classifies its result once, and that
+classification drives the next move.
 """
 
 import json
@@ -19,7 +21,7 @@ from .presentation import (
     QsaError, Arrow, Quiver, RelationTerm, AlgebraPresentation,
     opposite, serialize_presentation, natural_key,
 )
-from .classify import classify_vertices, OTHER
+from .classify import classify_vertices, OTHER, _is_special
 
 
 # --- step kinds ---------------------------------------------------------------
@@ -58,27 +60,6 @@ class ReductionCertificate(NamedTuple):
 
 
 # --- blow-up ------------------------------------------------------------------
-
-
-def _is_special(a, v):
-    """At most one arrow in, one out, and their composite not a relation."""
-    q = a.quiver
-    if not q.has_vertex(v):
-        return False
-    ins = q.in_arrows(v)
-    outs = q.out_arrows(v)
-    if len(ins) > 1 or len(outs) > 1:
-        return False
-    if ins and outs and (ins[0].name, outs[0].name) in a.monomials:
-        return False
-    return True
-
-
-def _ordinary_vertices(classification):
-    out = set()
-    for vs in classification.ordinary.values():
-        out.update(vs)
-    return out
 
 
 def blow_up(a, blown, name=None):
@@ -203,16 +184,20 @@ def _survivor_relations(a, removed_arrows):
     return out
 
 
-def _case_one_two(a, x, case, witness):
-    """Classes 1 and 2: drop the marked source, rewire through the sink."""
+def _rewire(a, x, case, witness):
+    """Classes 1, 2 and 4: drop the marked source, rewire through the sink.
+
+    Class 4 has no second out-arrow, so only in2 and out1 are rerouted.
+    """
     q = a.quiver
-    in1, in2 = witness["in1"], witness["in2"]
-    out1, out2 = witness["out1"], witness["out2"]
+    in1, in2, out1 = witness["in1"], witness["in2"], witness["out1"]
+    out2 = witness.get("out2")
     v1 = q.arrow(in1).source
     v2 = q.arrow(in2).source
     v4 = q.arrow(out1).target
-    v5 = q.arrow(out2).target
-    removed = {in1, in2, out1, out2}
+    removed = {in1, in2, out1}
+    if out2:
+        removed.add(out2)
     survivors = [ar for ar in q.arrows if ar.name not in removed]
     taken = {ar.name for ar in survivors}
 
@@ -220,60 +205,25 @@ def _case_one_two(a, x, case, witness):
     taken.add(in2t)
     out1t = _fresh_name(out1, taken)
     taken.add(out1t)
-    out2t = _fresh_name(out2, taken)
-    new_arrows = (
-        Arrow(in2t, v2, v4),
-        Arrow(out1t, v4, x),
-        Arrow(out2t, x, v5),
-    )
+    new_arrows = [Arrow(in2t, v2, v4), Arrow(out1t, v4, x)]
+    if out2:
+        out2t = _fresh_name(out2, taken)
+        new_arrows.append(Arrow(out2t, x, q.arrow(out2).target))
 
     relations = _survivor_relations(a, removed)
     for r in a.relations:
         p, w = r.terms[0][1]
         if w == in2 and p not in removed:
             relations.append([(1, [p, in2t])])
-        if p == out2 and w not in removed:
+        if out2 and p == out2 and w not in removed:
             relations.append([(1, [out2t, w])])
     if case == 2:
         relations.append([(1, [out2t, in2t])])
 
     vertices = [v for v in q.vertices if v != v1]
-    quiver = Quiver(a.name, vertices, survivors + list(new_arrows))
+    quiver = Quiver(a.name, vertices, survivors + new_arrows)
     b = AlgebraPresentation(quiver, relations)
     step = dict(kind=CASE_REWRITE, case=case, vertex=x, witness=witness,
-                removed_vertex=v1, removed_arrows=tuple(sorted(removed)),
-                new_arrows=tuple((ar.name, ar.source, ar.target)
-                                 for ar in new_arrows),
-                special_added=x)
-    return b, step
-
-
-def _case_four(a, x, witness):
-    """Class 4: drop the marked source, reattach the sink behind x."""
-    q = a.quiver
-    in1, in2, out1 = witness["in1"], witness["in2"], witness["out1"]
-    v1 = q.arrow(in1).source
-    v2 = q.arrow(in2).source
-    v4 = q.arrow(out1).target
-    removed = {in1, in2, out1}
-    survivors = [ar for ar in q.arrows if ar.name not in removed]
-    taken = {ar.name for ar in survivors}
-
-    in2t = _fresh_name(in2, taken)
-    taken.add(in2t)
-    out1t = _fresh_name(out1, taken)
-    new_arrows = (Arrow(in2t, v2, v4), Arrow(out1t, v4, x))
-
-    relations = _survivor_relations(a, removed)
-    for r in a.relations:
-        p, w = r.terms[0][1]
-        if w == in2 and p not in removed:
-            relations.append([(1, [p, in2t])])
-
-    vertices = [v for v in q.vertices if v != v1]
-    quiver = Quiver(a.name, vertices, survivors + list(new_arrows))
-    b = AlgebraPresentation(quiver, relations)
-    step = dict(kind=CASE_REWRITE, case=4, vertex=x, witness=witness,
                 removed_vertex=v1, removed_arrows=tuple(sorted(removed)),
                 new_arrows=tuple((ar.name, ar.source, ar.target)
                                  for ar in new_arrows),
@@ -311,7 +261,7 @@ def _case_dual(a, x, case, witness):
     if case == 5:
         res_op, step = _case_three(b_op, x, vc.witness)
     else:
-        res_op, step = _case_four(b_op, x, vc.witness)
+        res_op, step = _rewire(b_op, x, 4, vc.witness)
     b = opposite(res_op)
     q = b.quiver
     step = dict(step)
@@ -323,9 +273,8 @@ def _case_dual(a, x, case, witness):
     return b, step
 
 
-def _check_special(a, ds, classification=None):
-    c = classification or classify_vertices(a)
-    ordinary = _ordinary_vertices(c)
+def _check_special(a, ds, classification):
+    ordinary = classification.ordinary_vertices
     for d in ds:
         if not _is_special(a, d):
             raise QsaError(f"vertex {d!r} is not special")
@@ -333,13 +282,8 @@ def _check_special(a, ds, classification=None):
             raise QsaError(f"vertex {d!r} is special but ordinary")
 
 
-def reduce_step(a, special=()):
-    """One reduction move at the smallest exceptional vertex.
-
-    Returns (smaller presentation, ReductionStep).  `special` is the set
-    of vertices already carried along; it is revalidated before and
-    after the move.
-    """
+def _gqs_classification(a):
+    """classify_vertices(a), refusing presentations that are not gqs."""
     c = classify_vertices(a)
     if not c.is_quadratic_string:
         raise QsaError("not a quadratic string algebra: "
@@ -348,6 +292,14 @@ def reduce_step(a, special=()):
         bad = [v for v, vc in c.classes.items() if vc.kind == OTHER]
         raise QsaError("vertices neither gentle nor exceptional: "
                        + ", ".join(sorted(bad, key=natural_key)))
+    return c
+
+
+def _move(a, c, special):
+    """One reduction move on `a`, whose gqs classification is `c`.
+
+    Returns (smaller presentation, ReductionStep, its classification).
+    """
     exc = c.exceptional_vertices
     if not exc:
         raise QsaError("no exceptional vertex to reduce")
@@ -356,12 +308,10 @@ def reduce_step(a, special=()):
     x = exc[0]
     vc = c.classes[x]
     case = vc.exceptional_class
-    if case in (1, 2):
-        b, meta = _case_one_two(a, x, case, vc.witness)
-    elif case == 3:
+    if case == 3:
         b, meta = _case_three(a, x, vc.witness)
-    elif case == 4:
-        b, meta = _case_four(a, x, vc.witness)
+    elif case in (1, 2, 4):
+        b, meta = _rewire(a, x, case, vc.witness)
     else:
         b, meta = _case_dual(a, x, case, vc.witness)
 
@@ -376,6 +326,17 @@ def reduce_step(a, special=()):
 
     step = ReductionStep(before=serialize_presentation(a),
                          after=serialize_presentation(b), **meta)
+    return b, step, cb
+
+
+def reduce_step(a, special=()):
+    """One reduction move at the smallest exceptional vertex.
+
+    Returns (smaller presentation, ReductionStep).  `special` is the set
+    of vertices already carried along; it is revalidated before and
+    after the move.
+    """
+    b, step, _ = _move(a, _gqs_classification(a), special)
     return b, step
 
 
@@ -387,23 +348,16 @@ def reduce_to_skewed_gentle(a, special=()):
     algebra up at them recovers something derived equivalent to the
     input.
     """
-    c = classify_vertices(a)
-    if not c.is_quadratic_string:
-        raise QsaError("not a quadratic string algebra: "
-                       + "; ".join(c.violations))
-    if not c.gqs:
-        bad = [v for v, vc in c.classes.items() if vc.kind == OTHER]
-        raise QsaError("vertices neither gentle nor exceptional: "
-                       + ", ".join(sorted(bad, key=natural_key)))
+    return _reduce_classified(a, _gqs_classification(a), special)
 
+
+def _reduce_classified(a, c, special=()):
+    """reduce_to_skewed_gentle for `a` whose gqs classification is `c`."""
     cur = a
     ds = tuple(sorted(set(special), key=natural_key))
     steps = []
-    while True:
-        cc = classify_vertices(cur)
-        if not cc.exceptional_vertices:
-            break
-        cur, step = reduce_step(cur, ds)
+    while c.exceptional_vertices:
+        cur, step, c = _move(cur, c, ds)
         ds = tuple(sorted(set(ds) | {step.special_added}, key=natural_key))
         steps.append(step)
     return ReductionCertificate(initial=a, final=cur,

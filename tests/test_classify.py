@@ -88,6 +88,15 @@ def test_special_vertices_on_cycle_empty():
     assert special_vertices(load_fixture("gentle-cycle")).special == ()
 
 
+def test_special_vertices_rejects_non_quadratic_before_connectivity():
+    # disconnected, with a relation of length three: the shape error wins
+    text = ("quiver c\nvertices: 1 2 3 4 5\n"
+            "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
+            "relations:\na b c\n")
+    with pytest.raises(QsaError, match="quadratic relations"):
+        special_vertices(parse_presentation(text))
+
+
 def test_special_not_ordinary_excludes_marked_vertices():
     sp = special_vertices(load_fixture("twelve-vertex-gqs"))
     assert set(sp.special_not_ordinary) <= set(sp.special)

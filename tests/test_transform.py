@@ -1,13 +1,16 @@
 """Blow-ups, sink/source mutations, and the reduction to a gentle form."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
 from qsa.presentation import (
-    QsaError, parse_presentation, presentations_isomorphic,
+    QsaError, opposite, parse_presentation, presentations_isomorphic, validate,
 )
 from qsa.classify import classify_vertices, special_vertices
+from qsa.decide import decide_derived_type
 from qsa.transform import (
     CASE_REWRITE, DIRECT_BLOWUP,
     blow_up, certificate_to_json, mutate_at, reduce_step,
@@ -147,6 +150,61 @@ def test_certificate_steps_replay():
         counts.append(len(classify_vertices(before).exceptional_vertices))
     counts.append(len(classify_vertices(cert.final).exceptional_vertices))
     assert counts == [3, 2, 1, 0]
+
+
+# Certificates are frozen byte for byte.  With their opposites, the three
+# fixtures cover every exceptional class: twelve-vertex-gqs reduces classes
+# 3, 1, 2 (its opposite 5, 1, 2), e3-local class 3 (5), case4-local class 4 (6).
+CERTIFICATE_SHA256 = {
+    ("twelve-vertex-gqs", "as-is"):
+        "0a094e228c7e113c2d38601c5d7dcd668b7950bf8ddeaa8680c0e2e9b098405a",
+    ("twelve-vertex-gqs", "opposite"):
+        "a7e973f42589e89571090f2f71d17307f20948accea43ca9abc98ef46b1e94e9",
+    ("e3-local", "as-is"):
+        "08de37828d613deed6c3fa90f27eb1592ee90306c648c57490176ea625853dfe",
+    ("e3-local", "opposite"):
+        "47c42176956e5ec35e0ac0bce3f7f8d5b3d576516b53f90d0b6f322dc9ea71fd",
+    ("case4-local", "as-is"):
+        "784e15a8a4f1a4dae05c226d32410538245bfa7b08c925d3374e7f7c91dafbfc",
+    ("case4-local", "opposite"):
+        "835e013f8006a10cd05bef3b2c5f54d92182f12a5309610720cdc8bcdf382d0c",
+}
+
+
+@pytest.mark.parametrize("name,side", sorted(CERTIFICATE_SHA256))
+def test_certificate_digest_is_frozen(name, side):
+    a = load_fixture(name)
+    cert = reduce_to_skewed_gentle(opposite(a) if side == "opposite" else a)
+    digest = hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
+    assert digest == CERTIFICATE_SHA256[(name, side)]
+
+
+def _count_calls(monkeypatch, func):
+    """Count calls to `func` made through any qsa module that imported it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "qsa" or mod_name.startswith("qsa."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_reduction_classifies_each_presentation_once(monkeypatch):
+    a = load_fixture("twelve-vertex-gqs")
+    classified = _count_calls(monkeypatch, classify_vertices)
+    cert = reduce_to_skewed_gentle(a)
+    assert len(cert.steps) == 3
+    assert len(classified) <= len(cert.steps) + 1
+
+    validated = _count_calls(monkeypatch, validate)
+    assert decide_derived_type(a).tame
+    assert len(validated) == 1
 
 
 # --- sink/source mutations -----------------------------------------------------
