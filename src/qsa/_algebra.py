@@ -1,19 +1,22 @@
-"""Exact arithmetic in a finite-dimensional graded quotient of a path algebra.
+"""Exact arithmetic in a finite-dimensional quotient of a path algebra.
 
 Elements live in blocks e_u A e_v, one block per ordered vertex pair,
-coordinatized by the paths from u to v that avoid every monomial
-relation.  Non-monomial relations are handled linearly: the degree-d
-component of the ideal inside a block is spanned by the products
-(left path) * (relation) * (right path), and vectors are kept reduced
-against an echelon basis of those spans.  This only works when every
-relation is length-homogeneous and the algebra is certified
-finite-dimensional; the constructor refuses anything else.
+coordinatized by the relation-free paths from u to v shorter than the
+nilpotency bound.  Non-monomial relations are handled linearly: the
+ideal inside a block is spanned by the products (left path) *
+(relation) * (right path), and vectors are kept reduced against an
+echelon basis of those spans.  The paths and the spans come from the
+path table in `presentation`, which the graded admissibility scan uses
+too.  The constructor accepts what `validate` certifies finite-
+dimensional and admissible: monomial ideals, length-homogeneous ideals
+with a vanishing graded component, and any relations on an acyclic
+quiver, non-homogeneous ones such as ( d e ) - ( a b c ) included.
 """
 
-from fractions import Fraction
+from itertools import islice
 
-from ._linalg import ZERO, ONE, fr, rref, reduce_vec
-from .presentation import QsaError, validate
+from ._linalg import ZERO, ONE, rref, reduce_vec
+from .presentation import QsaError, validate, _ideal_rows, _relation_free_levels
 
 
 class TruncatedAlgebra:
@@ -36,27 +39,11 @@ class TruncatedAlgebra:
 
     def _build(self):
         a = self.presentation
-        q = self.quiver
-        m = self.bound
-
-        # pruned paths, grouped by (source, target), ordered by degree
-        per_block = {(u, v): [] for u in q.vertices for v in q.vertices}
-        for v in q.vertices:
-            per_block[(v, v)].append(())
-        # breadth-first extension by out-arrows, dropping monomial factors
-        level = [(v, v, ()) for v in q.vertices]
-        for _ in range(1, m):
-            nxt = []
+        vs = self.quiver.vertices
+        per_block = {(u, v): [] for u in vs for v in vs}
+        for level in islice(_relation_free_levels(a), self.bound):
             for src, tgt, path in level:
-                for ar in q.out_arrows(tgt):
-                    new = path + (ar.name,)
-                    if not a.relation_free(new):
-                        continue
-                    per_block[(src, ar.target)].append(new)
-                    nxt.append((src, ar.target, new))
-            if not nxt:
-                break
-            level = nxt
+                per_block[(src, tgt)].append(path)
 
         self._paths = {}
         self._index = {}
@@ -69,27 +56,8 @@ class TruncatedAlgebra:
         combos = [r for r in a.relations if not r.is_monomial]
         self._rows = {}
         self._pivots = {}
-        for (u, v), paths in self._paths.items():
-            rows = []
-            n = len(paths)
-            if n and combos:
-                for rel in combos:
-                    rs, rt = rel.source, rel.target
-                    rlen = len(rel.terms[0][1])
-                    for left in self._paths.get((u, rs), ()):
-                        for right in self._paths.get((rt, v), ()):
-                            if len(left) + rlen + len(right) >= self.bound:
-                                continue
-                            row = [ZERO] * n
-                            hit = False
-                            for coef, term in rel.terms:
-                                full = left + tuple(term) + right
-                                i = self._index[(u, v)].get(full)
-                                if i is not None:
-                                    row[i] += fr(coef)
-                                    hit = True
-                            if hit and any(row):
-                                rows.append(row)
+        for (u, v), index in self._index.items():
+            rows = _ideal_rows(combos, self._paths, u, v, index, self.bound)
             basis, pivots = rref(rows) if rows else ([], [])
             self._rows[(u, v)] = basis
             self._pivots[(u, v)] = pivots

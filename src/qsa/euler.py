@@ -1,11 +1,12 @@
 """Homological bilinear form of an acyclic monomial presentation.
 
-The Cartan matrix counts relation-free paths between vertices.  Its
-inverse transpose gives the bilinear form on dimension vectors whose
-value at (x, x) is the alternating sum of Hom and Ext dimensions.  For
-acyclic monomial presentations that sum is finite, the matrix has
-integer entries only after clearing the inverse, so entries are kept as
-exact fractions throughout.
+The Cartan matrix counts relation-free paths between vertices, read off
+the presentation's path table in one pass.  Its inverse transpose gives
+the bilinear form on dimension vectors whose value at (x, x) is the
+alternating sum of Hom and Ext dimensions.  The quiver is acyclic, so
+the Cartan matrix is unitriangular in a topological order of the
+vertices and the Euler matrix E has integer entries; they are computed
+and kept as exact fractions.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from typing import NamedTuple
 from ._linalg import (
     frac_matrix, fr, inverse, transpose, mat_vec, vec_dot, _congruence,
 )
-from .presentation import QsaError, path_basis, _has_directed_cycle
+from .presentation import QsaError, _has_directed_cycle, _relation_free_levels
 
 
 # --- matrices ----------------------------------------------------------------
@@ -64,11 +65,12 @@ def cartan_matrix(a):
     if _has_directed_cycle(a.quiver):
         raise QsaError("Cartan matrix requires an acyclic quiver")
     vs = a.quiver.vertices
-    entries = tuple(
-        tuple(len(path_basis(a, vj, vi)) for vj in vs)
-        for vi in vs
-    )
-    return CartanMatrix(vs, entries)
+    idx = {v: k for k, v in enumerate(vs)}
+    entries = [[0] * len(vs) for _ in vs]
+    for level in _relation_free_levels(a):  # ends: the quiver is acyclic
+        for src, tgt, _ in level:
+            entries[idx[tgt]][idx[src]] += 1
+    return CartanMatrix(vs, tuple(tuple(row) for row in entries))
 
 
 def euler_matrix(a):

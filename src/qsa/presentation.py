@@ -11,7 +11,7 @@ and requires target(a) == source(b).
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 import re
 from typing import NamedTuple
 
@@ -209,6 +209,7 @@ class AlgebraPresentation:
         self.quiver = quiver
         self.relations = tuple(rels)
         self.monomials = frozenset(r.terms[0][1] for r in rels if r.is_monomial)
+        self._report = None  # the ValidationReport, set by the first validate()
 
     @property
     def name(self):
@@ -548,87 +549,97 @@ def _monomial_admissibility(a):
     return True, longest + 1
 
 
+def _relation_free_levels(a, starts=None):
+    """Relation-free paths by length, from `starts` (default: every vertex).
+
+    Yields, for d = 0, 1, 2, ..., the list of (source, target, arrows) of
+    the relation-free paths of length d, and stops after the first empty
+    list.  On a cyclic quiver there may be no empty level, so callers bound
+    the degree themselves.
+    """
+    q = a.quiver
+    level = [(v, v, ()) for v in (q.vertices if starts is None else starts)]
+    while True:
+        yield level
+        if not level:
+            return
+        nxt = []
+        for src, tgt, path in level:
+            for ar in q.out_arrows(tgt):
+                new = path + (ar.name,)
+                if a.relation_free(new):
+                    nxt.append((src, ar.target, new))
+        level = nxt
+
+
+def _ideal_rows(combos, blocks, u, v, index, limit):
+    """Rows spanning the non-monomial relations `combos` inside e_u KQ e_v.
+
+    One row per translate x r y with x in blocks[(u, r.source)], y in
+    blocks[(r.target, v)] and len(x) + len(first term of r) + len(y) <
+    limit; the row holds the coefficients at the positions `index` gives,
+    and translates that hit no indexed path are dropped.  Each block list
+    must be ordered by length.
+    """
+    rows = []
+    if not index:
+        return rows
+    for r in combos:
+        rights = blocks.get((r.target, v), ())
+        for x in blocks.get((u, r.source), ()):
+            room = limit - len(r.terms[0][1]) - len(x)
+            for y in rights:
+                if len(y) >= room:
+                    break
+                row = None
+                for coef, term in r.terms:
+                    i = index.get(x + term + y)
+                    if i is not None:
+                        if row is None:
+                            row = [_linalg.ZERO] * len(index)
+                        row[i] += coef
+                if row is not None:
+                    rows.append(row)
+    return rows
+
+
 def _graded_dimensions(a, cutoff):
     """Dimensions of the graded components, for length-homogeneous ideals.
 
     Returns (dims, certified_bound) where certified_bound is the first degree
     with dimension zero, or None when the scan hits the cutoff first.
     """
-    q = a.quiver
-    hom_gens = []
     for r in a.relations:
-        lens = {len(p) for p in r.paths()}
-        if len(lens) != 1:
+        if len({len(p) for p in r.paths()}) != 1:
             raise QsaError("graded scan needs length-homogeneous relations")
-        if not r.is_monomial:
-            hom_gens.append((r, lens.pop()))
-    dims = {1: len(q.arrows)}
-    for d in range(2, cutoff + 1):
-        paths = _pruned_paths_of_length(a, d)
-        index = {p: i for i, p in enumerate(paths)}
-        span = []
-        for r, glen in hom_gens:
-            for u in _pruned_paths_up_to(a, d - glen):
-                src_ok = (not u) or q.arrow(u[-1]).target == r.source
-                if not src_ok:
-                    continue
-                remainder = d - glen - len(u)
-                for v in _pruned_paths_of_length(a, remainder, start=r.target):
-                    vec = [Fraction(0)] * len(paths)
-                    nonzero = False
-                    for c, p in r.terms:
-                        w = u + p + v
-                        if a.relation_free(w):
-                            vec[index[w]] += c
-                            nonzero = True
-                    if nonzero:
-                        span.append(vec)
-        dim = len(paths) - (_linalg.rank(span) if span else 0)
+    combos = [r for r in a.relations if not r.is_monomial]
+    dims = {1: len(a.quiver.arrows)}
+    blocks = {}
+    for d, level in enumerate(islice(_relation_free_levels(a), cutoff + 1)):
+        degree = {}
+        for src, tgt, path in level:
+            blocks.setdefault((src, tgt), []).append(path)
+            degree.setdefault((src, tgt), []).append(path)
+        if d < 2:
+            continue
+        dim = 0
+        for (u, v), paths in degree.items():
+            rows = _ideal_rows(combos, blocks, u, v,
+                               {p: i for i, p in enumerate(paths)}, d + 1)
+            dim += len(paths) - (_linalg.rank(rows) if rows else 0)
         dims[d] = dim
         if dim == 0:
             return dims, d
     return dims, None
 
 
-def _pruned_paths_of_length(a, d, start=None):
-    q = a.quiver
-    out = []
-
-    def grow(arrows, at):
-        if len(arrows) == d:
-            out.append(arrows)
-            return
-        for ar in q.out_arrows(at):
-            nxt = arrows + (ar.name,)
-            if a.relation_free(nxt):
-                grow(nxt, ar.target)
-
-    starts = [start] if start is not None else list(q.vertices)
-    for v in starts:
-        grow((), v)
-    return out
-
-
-def _pruned_paths_up_to(a, dmax):
-    out = []
-    for d in range(dmax + 1):
-        out.extend(_pruned_paths_of_length(a, d))
-    # length-0 paths appear once per vertex via the start loop; for d = 0 the
-    # empty tuple is repeated, so dedupe while keeping order stable
-    if dmax >= 0:
-        seen = set()
-        deduped = []
-        for p in out:
-            if p == () and p in seen:
-                continue
-            seen.add(p)
-            deduped.append(p)
-        return deduped
-    return out
-
-
 def validate(a):
-    """Structural report: connectivity, relation shape, admissibility bound."""
+    """Structural report: connectivity, relation shape, admissibility bound.
+
+    Presentations are immutable, so the report is computed once and kept.
+    """
+    if a._report is not None:
+        return a._report
     q = a.quiver
     problems = []
     connected = _is_connected(q)
@@ -663,8 +674,9 @@ def validate(a):
             problems.append("admissibility not certified for this cyclic non-monomial ideal")
         else:
             bound = stop
-    return ValidationReport(connected, monomial, quadratic_monomial,
-                            admissible, certified, bound, loop_free, tuple(problems))
+    a._report = ValidationReport(connected, monomial, quadratic_monomial, admissible,
+                                 certified, bound, loop_free, tuple(problems))
+    return a._report
 
 
 def _longest_raw_path(q):
@@ -710,23 +722,15 @@ def path_basis(a, i, j, max_len=None):
     if not q.has_vertex(i) or not q.has_vertex(j):
         raise QsaError("path_basis: unknown vertex")
     if max_len is None:
-        admissible, bound = _monomial_admissibility(a)
-        if not admissible:
+        rep = validate(a)
+        if not rep.admissible:
             raise QsaError("path_basis needs an admissible ideal (or an explicit max_len)")
-        max_len = bound - 1
-    out = []
-
-    def grow(arrows, at):
-        if at == j:
-            out.append(Path(i, j, arrows))
-        if len(arrows) == max_len:
-            return
-        for ar in q.out_arrows(at):
-            nxt = arrows + (ar.name,)
-            if a.relation_free(nxt):
-                grow(nxt, ar.target)
-
-    grow((), i)
+        max_len = rep.nilpotency_bound - 1
+    elif max_len < 0:
+        raise QsaError("path_basis: max_len must be >= 0")
+    out = [Path(i, j, path)
+           for level in islice(_relation_free_levels(a, (i,)), max_len + 1)
+           for _, tgt, path in level if tgt == j]
     out.sort(key=lambda p: _path_sort_key(p.arrows))
     return tuple(out)
 

@@ -21,7 +21,9 @@ from .presentation import (
     QsaError, Arrow, Quiver, RelationTerm, AlgebraPresentation,
     opposite, serialize_presentation, natural_key,
 )
-from .classify import classify_vertices, OTHER, _is_special
+from .classify import (
+    classify_vertices, OTHER, _exceptional_witness, _is_special, _quadratic_pairs,
+)
 
 
 # --- step kinds ---------------------------------------------------------------
@@ -252,16 +254,15 @@ def _case_three(a, x, witness):
 def _case_dual(a, x, case, witness):
     """Classes 5 and 6 via the opposite algebra (duals of 3 and 4)."""
     b_op = opposite(a)
-    c_op = classify_vertices(b_op)
-    vc = c_op.classes[x]
-    if vc.exceptional_class != case - 2:
+    case_op, witness_op, _ = _exceptional_witness(b_op, _quadratic_pairs(b_op), x)
+    if case_op != case - 2:
         raise QsaError(
             f"vertex {x} is class {case} but its opposite is class "
-            f"{vc.exceptional_class}, expected {case - 2}")
+            f"{case_op}, expected {case - 2}")
     if case == 5:
-        res_op, step = _case_three(b_op, x, vc.witness)
+        res_op, step = _case_three(b_op, x, witness_op)
     else:
-        res_op, step = _rewire(b_op, x, 4, vc.witness)
+        res_op, step = _rewire(b_op, x, 4, witness_op)
     b = opposite(res_op)
     q = b.quiver
     step = dict(step)

@@ -42,6 +42,19 @@ def test_commuting_square_identifies_diagonals():
     assert ts.dim_block("1", "4") == 1
 
 
+def test_non_homogeneous_acyclic_relation_is_accepted():
+    a = parse_presentation(
+        "quiver n\nvertices: 1 2 3 4 5\n"
+        "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
+        "arrow d: 1 -> 5\narrow e: 5 -> 4\n"
+        "relations:\n( d e ) - ( a b c )\n")
+    t = TruncatedAlgebra(a)
+    assert t.bound == 4
+    # 5 units + 5 arrows + a b, b c, d e + a b c, less the one relation
+    assert t.dimension() == 13
+    assert t.dim_block("1", "4") == 1
+
+
 def test_cycle_dimension_and_nilpotency_bound():
     tg = TruncatedAlgebra(load_fixture("gentle-cycle"))
     assert tg.dimension() == 6

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import qsa.presentation
 from qsa.presentation import (
     QsaError, opposite, parse_presentation,
 )
@@ -152,3 +153,20 @@ def test_decision_is_opposite_stable():
         vb = decide_derived_type(opposite(a), witness_radius=6, witness_size=8)
         assert va.tag == vb.tag, name
         assert va.branch == vb.branch == GQS_CYCLES, name
+
+
+# --- one validation per presentation ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["two-cycle", "three-vertex-wild", "a5-chain"])
+def test_decide_runs_the_admissibility_automaton_once(monkeypatch, name):
+    automaton = qsa.presentation._monomial_admissibility
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return automaton(a)
+
+    monkeypatch.setattr(qsa.presentation, "_monomial_admissibility", counting)
+    decide_derived_type(load_fixture(name), witness_radius=4, witness_size=6)
+    assert len(calls) == 1

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsa.presentation import QsaError, parse_presentation
+from qsa.presentation import (
+    Arrow, AlgebraPresentation, QsaError, Quiver, parse_presentation, path_basis,
+)
 from qsa.euler import (
     EulerData, cartan_matrix, euler_matrix, euler_eval, is_nonnegative_form,
 )
@@ -109,3 +111,51 @@ def test_negative_witness_is_exact_on_trees(data):
         assert euler_eval(e, x) >= 0
     else:
         assert euler_eval(e, rep.witness) == rep.value < 0
+
+
+# --- independent oracle: brute-force path counts ------------------------------
+
+# Every raw path of a random acyclic quiver, minus those containing a relation
+# of length 2 or 3 as a contiguous factor, counted per (source, target).
+
+
+def _raw_paths(q):
+    out = []
+
+    def walk(src, at, arrows):
+        out.append((src, at, arrows))
+        for ar in q.out_arrows(at):
+            walk(src, ar.target, arrows + (ar.name,))
+
+    for v in q.vertices:
+        walk(v, v, ())
+    return out
+
+
+@st.composite
+def _acyclic_monomial(draw):
+    n = draw(st.integers(1, 6))
+    verts = [str(i + 1) for i in range(n)]
+    pairs = [(s, t) for i, s in enumerate(verts) for t in verts[i + 1:]]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    q = Quiver("gen", verts, [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    long_paths = sorted(p for _, _, p in _raw_paths(q) if len(p) in (2, 3))
+    rels = draw(st.lists(st.sampled_from(long_paths), unique=True, max_size=4)) \
+        if long_paths else []
+    return AlgebraPresentation(q, [[(1, list(p))] for p in rels])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_acyclic_monomial())
+def test_path_counts_match_brute_force(a):
+    rels = [r.terms[0][1] for r in a.relations]
+    counts = {}
+    for src, tgt, p in _raw_paths(a.quiver):
+        if not any(p[k:k + len(m)] == m
+                   for m in rels for k in range(len(p) - len(m) + 1)):
+            counts[(src, tgt)] = counts.get((src, tgt), 0) + 1
+    c = cartan_matrix(a)
+    for i, vi in enumerate(c.vertices):
+        for j, vj in enumerate(c.vertices):
+            assert c.entries[i][j] == counts.get((vj, vi), 0)
+            assert len(path_basis(a, vj, vi)) == counts.get((vj, vi), 0)

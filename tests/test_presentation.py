@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from qsa.presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, parse_presentation,
     serialize_presentation, validate, natural_key, underlying_graph, is_tree,
-    path_basis, presentations_isomorphic, opposite,
+    path_basis, presentations_isomorphic, opposite, _graded_dimensions,
 )
+from qsa._algebra import TruncatedAlgebra
 
 from conftest import load_fixture, all_fixture_names
 
@@ -134,6 +135,48 @@ def test_validate_reports_disconnected():
     a = parse_presentation("quiver two\nvertices: 1 2\n")
     rep = validate(a)
     assert not rep.connected
+
+
+# Cyclic non-monomial ideals go through the graded scan, which certifies the
+# first degree whose component vanishes.
+
+def test_graded_scan_certifies_cyclic_binomial_ideal():
+    a = parse_presentation(
+        "quiver g\nvertices: 1 2\narrow a: 1 -> 2\narrow c: 1 -> 2\n"
+        "arrow b: 2 -> 1\nrelations:\n( a b ) - ( c b )\nb a\nb c\n")
+    rep = validate(a)
+    assert rep.certified and rep.admissible and rep.ok
+    assert rep.nilpotency_bound == 3
+    assert _graded_dimensions(a, 16) == ({1: 3, 2: 1, 3: 0}, 3)
+    # 2 units + 3 arrows + the one class of a b = c b
+    assert TruncatedAlgebra(a).dimension() == 6
+
+
+def test_graded_scan_gives_up_on_infinite_ideal():
+    # the loop keeps every degree alive; each degree has 5 relation-free
+    # paths, and l^k a b = l^k c d leaves 4.  (A branching example such as
+    # b, c: 2 -> 1 after a: 1 -> 2 with ( a b ) - ( a c ) is far slower:
+    # its components double every other degree up to the cutoff.)
+    a = parse_presentation(
+        "quiver g\nvertices: 1 2 3 4\narrow l: 1 -> 1\narrow a: 1 -> 2\n"
+        "arrow b: 2 -> 3\narrow c: 1 -> 4\narrow d: 4 -> 3\n"
+        "relations:\n( a b ) - ( c d )\n")
+    rep = validate(a)
+    assert not rep.certified and not rep.admissible
+    assert rep.problems == (
+        "admissibility not certified for this cyclic non-monomial ideal",)
+    assert _graded_dimensions(a, 16) == (
+        {1: 5, **{d: 4 for d in range(2, 17)}}, None)
+
+
+def test_graded_scan_refuses_non_homogeneous_relation():
+    a = parse_presentation(
+        "quiver g\nvertices: 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 1\n"
+        "arrow d: 1 -> 3\narrow e: 3 -> 2\n"
+        "relations:\n( a b a ) - ( d e b a )\nb a b\n")
+    rep = validate(a)
+    assert not rep.certified
+    assert "graded scan needs length-homogeneous relations" in rep.problems
 
 
 # --- graphs ----------------------------------------------------------------------

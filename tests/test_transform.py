@@ -202,6 +202,13 @@ def test_reduction_classifies_each_presentation_once(monkeypatch):
     assert len(cert.steps) == 3
     assert len(classified) <= len(cert.steps) + 1
 
+    # the opposite reduces classes 5, 1, 2; a class 5 step reads one vertex
+    # of the opposite algebra, not its whole classification
+    del classified[:]
+    cert = reduce_to_skewed_gentle(opposite(a))
+    assert len(cert.steps) == 3
+    assert len(classified) == len(cert.steps) + 1
+
     validated = _count_calls(monkeypatch, validate)
     assert decide_derived_type(a).tame
     assert len(validated) == 1
