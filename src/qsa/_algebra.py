@@ -58,7 +58,7 @@ class TruncatedAlgebra:
         self._pivots = {}
         for (u, v), index in self._index.items():
             rows = _ideal_rows(combos, self._paths, u, v, index, self.bound)
-            basis, pivots = rref(rows) if rows else ([], [])
+            basis, pivots = rref(rows)
             self._rows[(u, v)] = basis
             self._pivots[(u, v)] = pivots
 
@@ -69,9 +69,6 @@ class TruncatedAlgebra:
                 i for i in range(len(paths)) if i not in piv)
 
     # --- inspection -------------------------------------------------------
-
-    def paths(self, u, v):
-        return self._paths[(u, v)]
 
     def dim_block(self, u, v):
         return len(self._free[(u, v)])

@@ -5,15 +5,21 @@ and R_x = [P_x in degree -1 mapped into the sum of P_{s(a)} over the
 arrows a into x].  Morphism spaces between the summands are computed as
 chain maps modulo homotopy in exact arithmetic, the radical of the
 resulting endomorphism algebra is split off with the trace form, and a
-quiver presentation is read back off arrow representatives.  The final
-dimension count is compared against the abstract endomorphism algebra;
-a mismatch is reported rather than papered over.
+quiver presentation is read back off arrow representatives.  Relations
+of length two and three are read in one pass over the new quiver's
+paths, taken from the relation-free path table of `presentation`: in
+each block they are the kernel of path evaluation, and the length-three
+kernel is taken modulo the shifts of the length-two relations.  The
+final dimension count is compared against the abstract endomorphism
+algebra; a mismatch is reported rather than papered over.
 """
 
-from ._linalg import ZERO, ONE, rref, reduce_vec, nullspace
+from itertools import islice
+
+from ._linalg import ZERO, identity, nullspace, reduce_vec, rref, transpose
 from ._algebra import TruncatedAlgebra
 from .presentation import (
-    QsaError, Arrow, Quiver, AlgebraPresentation, natural_key,
+    QsaError, Arrow, Quiver, AlgebraPresentation, _relation_free_levels,
 )
 
 
@@ -78,13 +84,13 @@ class _HomSpace:
         has_dv = bool(eng.degneg(v))
 
         # chain condition: for each degree-0 summand i of O_u, the two
-        # routes from the degree -1 part of O_v into it must agree
-        rows = []
+        # routes from the degree -1 part of O_v into it must agree; one
+        # column per ambient unit vector
+        cols = []
         if has_dv:
-            for k in range(self.ambient_dim):
-                unit = [ZERO] * self.ambient_dim
-                unit[k] = ONE
+            for unit in identity(self.ambient_dim):
                 fulls = self.split(unit)
+                col = []
                 for i in range(len(zu)):
                     acc = alg.zero(zu[i], eng.x)
                     for j in range(len(zv)):
@@ -96,24 +102,9 @@ class _HomSpace:
                         comp = alg.mult(zu[i], eng.x, eng.x,
                                         eng.diff[i], fulls[0])
                         acc = [a - b for a, b in zip(acc, comp)]
-                    rows.append((i, acc, k))
-        mat = []
-        if rows:
-            per_eq = {}
-            for i, acc, k in rows:
-                per_eq.setdefault(i, {})[k] = acc
-            for i, cols in per_eq.items():
-                ncoords = len(cols[0])
-                for r in range(ncoords):
-                    mat.append([cols[k][r] for k in range(self.ambient_dim)])
-        if mat:
-            sol = nullspace(mat)
-        else:
-            sol = []
-            for k in range(self.ambient_dim):
-                unit = [ZERO] * self.ambient_dim
-                unit[k] = ONE
-                sol.append(unit)
+                    col += acc
+                cols.append(col)
+        sol = nullspace(transpose(cols), self.ambient_dim)
 
         # homotopies: maps from the degree-0 part of O_v into the
         # degree -1 part of O_u
@@ -134,14 +125,14 @@ class _HomSpace:
                         fulls[blk] = [a + b for a, b
                                       in zip(fulls[blk], contrib)]
                     images.append(self.join(fulls))
-        self.hrows, self.hpivots = rref(images) if images else ([], [])
+        self.hrows, self.hpivots = rref(images)
 
         reduced = []
         for s in sol:
             r = reduce_vec(list(s), self.hrows, self.hpivots)
             if any(r):
                 reduced.append(r)
-        self.qrows, self.qpivots = rref(reduced) if reduced else ([], [])
+        self.qrows, self.qpivots = rref(reduced)
         self.dim = len(self.qrows)
 
     def nf(self, ambient):
@@ -167,7 +158,6 @@ class _Engine:
     """All hom spaces and compositions for the mutated tilting complex."""
 
     def __init__(self, a, x):
-        self.pres = a
         self.alg = TruncatedAlgebra(a)
         q = a.quiver
         self.x = x
@@ -210,20 +200,6 @@ class _Engine:
                 fulls[blk_r] = acc
         return hr.join(fulls)
 
-    def identity(self, u):
-        alg = self.alg
-        h = self.homs[(u, u)]
-        fulls = [alg.zero(bu, bv) for _, bu, bv in h.blocks]
-        if u == self.x:
-            fulls[0] = alg.unit(self.x)
-            for i, s in enumerate(self.sources):
-                blk = h.block_index("pos", i, i)
-                fulls[blk] = [a + b
-                              for a, b in zip(fulls[blk], alg.unit(s))]
-        else:
-            fulls[0] = alg.unit(u)
-        return h.join(fulls)
-
 
 # --- presentation extraction ----------------------------------------------
 
@@ -232,19 +208,18 @@ def _local_radical(engine, u):
     """Radical of End(O_u) via the trace form of left multiplication."""
     h = engine.homs[(u, u)]
     n = h.dim
-    reps = [h.rep([ONE if i == t else ZERO for i in range(n)])
-            for t in range(n)]
+    reps = [h.rep(c) for c in identity(n)]
     table = [[h.nf(engine.compose(u, u, u, reps[i], reps[j]))
               for j in range(n)] for i in range(n)]
     tau = [sum(table[t][k][k] for k in range(n)) for t in range(n)]
     gram = [[sum(table[i][j][t] * tau[t] for t in range(n))
              for j in range(n)] for i in range(n)]
-    rad = nullspace(gram) if n else []
+    rad = nullspace(gram, n)
     if n - len(rad) != 1:
         raise QsaError(
             f"endomorphism ring at {u!r} does not have scalar quotient; "
             "the summand is not indecomposable over this field")
-    return rad, table
+    return rad
 
 
 def mutate_minus(a, x):
@@ -270,49 +245,40 @@ def mutate_minus(a, x):
     rad = {}
     for u in vs:
         for v in vs:
-            h = eng.homs[(u, v)]
             if u != v:
-                rad[(u, v)] = [[ONE if i == t else ZERO
-                                for i in range(h.dim)]
-                               for t in range(h.dim)]
+                rad[(u, v)] = identity(eng.homs[(u, v)].dim)
             else:
-                rad[(u, v)] = _local_radical(eng, u)[0]
+                rad[(u, v)] = _local_radical(eng, u)
 
-    rad_reps = {
-        key: [eng.homs[key].rep(c) for c in coords]
-        for key, coords in rad.items()
-    }
+    rad_reps = {key: [eng.homs[key].rep(c) for c in coords]
+                for key, coords in rad.items() if coords}
 
     # radical squared, blockwise
     rad2 = {}
-    for u in vs:
+    for (u, k), left in rad_reps.items():
         for v in vs:
-            rows = []
-            for k in vs:
-                for p in rad_reps[(u, k)]:
-                    for w in rad_reps[(k, v)]:
-                        comp = eng.homs[(u, v)].nf(eng.compose(u, k, v, p, w))
-                        if any(comp):
-                            rows.append(comp)
-            rad2[(u, v)] = rref(rows) if rows else ([], [])
+            for w in rad_reps.get((k, v), ()):
+                for p in left:
+                    comp = eng.homs[(u, v)].nf(eng.compose(u, k, v, p, w))
+                    if any(comp):
+                        rad2.setdefault((u, v), []).append(comp)
 
     # arrows: a complement of rad^2 inside rad
     arrows = []
     arrow_reps = {}
-    for u in vs:
-        for v in vs:
-            rrows, rpiv = rad2[(u, v)]
-            kept = []
-            for coords in rad[(u, v)]:
-                red = reduce_vec(list(coords), rrows, rpiv)
-                if any(red):
-                    kept.append(red)
-            basis, _ = rref(kept)
-            base = f"{u}~{v}"
-            for idx, coords in enumerate(basis):
-                name = base if len(basis) == 1 else f"{base}.{idx + 1}"
-                arrows.append(Arrow(name, u, v))
-                arrow_reps[name] = eng.homs[(u, v)].rep(coords)
+    for (u, v), coords_list in rad.items():
+        rrows, rpiv = rref(rad2.get((u, v), []))
+        kept = []
+        for coords in coords_list:
+            red = reduce_vec(list(coords), rrows, rpiv)
+            if any(red):
+                kept.append(red)
+        basis, _ = rref(kept)
+        base = f"{u}~{v}"
+        for idx, coords in enumerate(basis):
+            name = base if len(basis) == 1 else f"{base}.{idx + 1}"
+            arrows.append(Arrow(name, u, v))
+            arrow_reps[name] = eng.homs[(u, v)].rep(coords)
 
     new_q = Quiver(a.name, vs, arrows)
 
@@ -327,78 +293,38 @@ def mutate_minus(a, x):
             cur = ar.target
         return eng.homs[(u, cur)].nf(amb)
 
-    def paths_between(u, v, length):
-        out = []
-        stack = [(u, ())]
-        for _ in range(length):
-            nxt = []
-            for cur, path in stack:
-                for ar in new_q.out_arrows(cur):
-                    nxt.append((ar.target, path + (ar.name,)))
-            stack = nxt
-        return [p for cur, p in stack if cur == v]
+    blocks = {}
+    levels = _relation_free_levels(AlgebraPresentation(new_q, ()))
+    for level in islice(levels, 2, 4):
+        for u, v, path in level:
+            blocks.setdefault((len(path), u, v), []).append(path)
 
     relations = []
-    rel2 = {}
-    for u in vs:
-        for v in vs:
-            paths = paths_between(u, v, 2)
-            if not paths:
-                rel2[(u, v)] = ([], paths)
-                continue
-            cols = [eval_path(p) for p in paths]
-            ncoords = eng.homs[(u, v)].dim
-            mat = [[cols[j][r] for j in range(len(paths))]
-                   for r in range(ncoords)]
-            kernel = nullspace(mat) if mat else [
-                [ONE if i == t else ZERO for i in range(len(paths))]
-                for t in range(len(paths))]
-            rel2[(u, v)] = (kernel, paths)
-            for lam in kernel:
-                combo = [(c, list(p)) for c, p in zip(lam, paths) if c]
-                relations.append(combo)
-
-    for u in vs:
-        for v in vs:
-            paths3 = paths_between(u, v, 3)
-            if not paths3:
-                continue
-            index3 = {p: i for i, p in enumerate(paths3)}
-            shifts = []
-            for k in vs:
-                kern, paths2 = rel2[(u, k)]
-                for lam in kern:
-                    for ar in new_q.out_arrows(k):
-                        if ar.target != v:
-                            continue
-                        row = [ZERO] * len(paths3)
-                        for c, p in zip(lam, paths2):
-                            row[index3[p + (ar.name,)]] += c
-                        shifts.append(row)
-                kern, paths2 = rel2[(k, v)]
-                for lam in kern:
-                    for ar in new_q.in_arrows(k):
-                        if ar.source != u:
-                            continue
-                        row = [ZERO] * len(paths3)
-                        for c, p in zip(lam, paths2):
-                            row[index3[(ar.name,) + p]] += c
-                        shifts.append(row)
-            srows, spiv = rref(shifts) if shifts else ([], [])
-            cols = [eval_path(p) for p in paths3]
-            ncoords = eng.homs[(u, v)].dim
-            mat = [[cols[j][r] for j in range(len(paths3))]
-                   for r in range(ncoords)]
-            kernel = nullspace(mat) if mat else [
-                [ONE if i == t else ZERO for i in range(len(paths3))]
-                for t in range(len(paths3))]
-            for lam in kernel:
-                red = reduce_vec(list(lam), srows, spiv)
-                if any(red):
-                    combo = [(c, list(p))
-                             for c, p in zip(red, paths3) if c]
-                    relations.append(combo)
+    kernels = {}
+    for (d, u, v), paths in blocks.items():
+        # shifts of the shorter relations by one arrow at either end
+        index = {p: i for i, p in enumerate(paths)}
+        sides = [(kernels.get((d - 1, u, ar.source), ()), (), (ar.name,))
+                 for ar in new_q.in_arrows(v)]
+        sides += [(kernels.get((d - 1, ar.target, v), ()), (ar.name,), ())
+                  for ar in new_q.out_arrows(u)]
+        shifts = []
+        for combos, left, right in sides:
+            for combo in combos:
+                row = [ZERO] * len(paths)
+                for c, p in combo:
+                    row[index[left + p + right]] += c
+                shifts.append(row)
+        srows, spiv = rref(shifts)
+        kept = kernels[(d, u, v)] = []
+        cols = [eval_path(p) for p in paths]
+        for lam in nullspace(transpose(cols), len(paths)):
+            red = reduce_vec(lam, srows, spiv)
+            if any(red):
+                kept.append([(c, p) for c, p in zip(red, paths) if c])
+                if d > 2:
                     srows, spiv = rref(srows + [red])
+        relations += kept
 
     result = AlgebraPresentation(new_q, relations)
     expected = sum(eng.homs[(u, v)].dim for u in vs for v in vs)

@@ -84,11 +84,13 @@ def reduce_vec(v, basis, pivots):
     return v
 
 
-def nullspace(a):
-    """Basis of {x : a·x = 0}, one vector per free column of a."""
-    if not a:
-        return []
-    ncols = len(a[0])
+def nullspace(a, ncols):
+    """Basis of {x : a·x = 0} for a with ncols columns.
+
+    One vector per free column c of the echelon form, with a 1 at c and
+    zeros at the other free columns; with no rows every column is free and
+    the basis is identity(ncols).
+    """
     basis, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
     out = []

@@ -99,9 +99,6 @@ class Quiver:
         except KeyError:
             raise QsaError(f"unknown arrow {name!r}") from None
 
-    def has_arrow(self, name):
-        return name in self._by_name
-
     def out_arrows(self, v):
         return tuple(self._out[v])
 
@@ -626,7 +623,7 @@ def _graded_dimensions(a, cutoff):
         for (u, v), paths in degree.items():
             rows = _ideal_rows(combos, blocks, u, v,
                                {p: i for i, p in enumerate(paths)}, d + 1)
-            dim += len(paths) - (_linalg.rank(rows) if rows else 0)
+            dim += len(paths) - _linalg.rank(rows)
         dims[d] = dim
         if dim == 0:
             return dims, d

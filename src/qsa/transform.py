@@ -18,7 +18,7 @@ import json
 from typing import NamedTuple
 
 from .presentation import (
-    QsaError, Arrow, Quiver, RelationTerm, AlgebraPresentation,
+    QsaError, Arrow, Quiver, AlgebraPresentation,
     opposite, serialize_presentation, natural_key,
 )
 from .classify import (

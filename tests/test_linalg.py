@@ -1,11 +1,15 @@
-"""Sign test and negative vector of the symmetric-form kernel, against sympy."""
+"""Kernels, and the sign test and negative vector of symmetric forms, against sympy."""
 
 import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qsa._linalg import negative_vector, psd_flags
+import sympy
+
+from qsa._linalg import (
+    identity, negative_vector, nullspace, psd_flags, rank, rref,
+)
 
 from oracles import sympy_psd
 
@@ -91,3 +95,46 @@ def test_each_branch_on_frozen_cases():
     assert negative_vector([[f(0), f(1, 3)], [f(1, 3), f(0)]]) == [1, -1]
     # negative Schur complement, scaled to a primitive integer vector
     assert negative_vector([[f(2), f(3)], [f(3), f(2)]]) == [-3, 2]
+
+
+# --- kernels -------------------------------------------------------------------
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """(rows, ncols): 0..4 rows, 1..5 columns, some with a zero column or a
+    repeated row."""
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(0, 4))
+    a = [[draw(ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    if a and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for row in a:
+            row[c] = Fraction(0)
+    if a and draw(st.booleans()):
+        a.append(list(draw(st.sampled_from(a))))
+    return a, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangular_matrices())
+def test_nullspace_is_a_kernel_basis(case):
+    a, ncols = case
+    kernel = nullspace(a, ncols)
+    pivots = rref(a)[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    rank_sympy = sympy.Matrix(len(a), ncols,
+                              [sympy.Rational(x.numerator, x.denominator)
+                               for row in a for x in row]).rank()
+    assert len(kernel) == len(free) == ncols - rank_sympy
+    for x, c in zip(kernel, free):
+        assert all(sum((r[j] * x[j] for j in range(ncols)), Fraction(0)) == 0
+                   for r in a)
+        assert [x[f] for f in free] == [1 if f == c else 0 for f in free]
+
+
+def test_empty_input_has_every_column_free():
+    assert nullspace([], 3) == identity(3)
+    assert nullspace([], 0) == []
+    assert rref([]) == ([], [])
+    assert rank([]) == 0

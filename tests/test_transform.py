@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from qsa.presentation import (
-    QsaError, opposite, parse_presentation, presentations_isomorphic, validate,
+    QsaError, opposite, parse_presentation, presentations_isomorphic,
+    serialize_presentation, validate,
 )
 from qsa.classify import classify_vertices, special_vertices
 from qsa.decide import decide_derived_type
@@ -271,6 +272,64 @@ def test_mutation_chain_on_fork():
     step1 = mutate_at(before, "4", "minus")
     step2 = mutate_at(step1, "5", "minus")
     assert presentations_isomorphic(step2, after)
+
+
+# Mutation outputs are frozen byte for byte: per fixture, one SHA-256 over
+# every vertex and both signs of the serialized result, or of the refusal.
+MUTATION_SHA256 = {
+    "a5-chain": "4cf3c9d3874ce23a757baba5c18e53d41027444c0c380aa28734dd4c46ff6d5b",
+    "case4-local": "9fbb953b34a3d10590937b7c6af3980a9fc708998f9452a6ccee73ce79ddaa14",
+    "e3-local": "01a23abe5a4b6de9c3adc051fecbc46ecbc904eb8b33c4ca5ce0a88e9b742b8d",
+    "expected-delta": "24af78ba3277cef75f66e0230a1f61e0d472778b1e787725225896235f865799",
+    "fork-sink-after": "c8162ac9604885430874c7be9e744eca9d47d70b024a01b0938beaa12cb23992",
+    "fork-sink-before": "242613a26fa721e14364de01a4ad2b906e389c4428548dfe9ef8856156ed3471",
+    "fork-tail-10": "1d74a117953f456a874ddd262f4bd8df28e386ba73ce5cb02278e28ddcb75361",
+    "gentle-cycle": "68b774e7076c00be57069d416e2502aae5a7ff6c193484adf429bb2687f30355",
+    "kronecker": "a50ebcb8fc6c5c2a0f39848749172f9175a2ff3752e7d8b94acc41a1184ef960",
+    "one-point": "aa83638139eebecff1fe9b0b3bf2e69b29c4fb5d8e3ca74db6fc5eaf4fb89b1f",
+    "three-vertex-wild": "bddaf866b94c133a591f9891b82cba0d42d7d326a524e492182415b3f7762ca8",
+    "twelve-vertex-gqs": "0ec6a7cf37536486bdc97c71ef708e1cd3414381760a654de03311796940d1f8",
+    "two-cycle": "7c86a4088fbe5d3dbe5008c87dd44a480f8108779c7d857939dc4fdc87ab6732",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_SHA256))
+def test_mutation_digest_is_frozen(name):
+    a = load_fixture(name)
+    h = hashlib.sha256()
+    for x in a.quiver.vertices:
+        for sign in ("minus", "plus"):
+            try:
+                out = serialize_presentation(mutate_at(a, x, sign))
+            except QsaError as e:
+                out = "ERR " + str(e)
+            h.update(out.encode() + b"\n")
+    assert h.hexdigest() == MUTATION_SHA256[name]
+
+
+def test_mutation_keeps_length_two_kernel_basis():
+    # the two commutativity relations share a path; the kernel vectors of
+    # length two are kept as the nullspace gives them, not reduced against
+    # each other
+    diamonds = parse_presentation(
+        "quiver three-diamond\nvertices: 1 2 3 4 5 7\n"
+        "arrow a1: 1 -> 2\narrow a2: 1 -> 3\narrow a3: 1 -> 4\n"
+        "arrow b1: 2 -> 5\narrow b2: 3 -> 5\narrow b3: 4 -> 5\n"
+        "arrow c: 1 -> 7\n"
+        "relations:\n( a1 b1 ) - ( a2 b2 )\n( a1 b1 ) - ( a3 b3 )\n")
+    assert serialize_presentation(mutate_at(diamonds, "7", "minus")) == (
+        "quiver three-diamond\n"
+        "vertices: 1 2 3 4 5 7\n"
+        "arrow 1~2: 1 -> 2\n"
+        "arrow 1~3: 1 -> 3\n"
+        "arrow 1~4: 1 -> 4\n"
+        "arrow 2~5: 2 -> 5\n"
+        "arrow 3~5: 3 -> 5\n"
+        "arrow 4~5: 4 -> 5\n"
+        "arrow 7~1: 7 -> 1\n"
+        "relations:\n"
+        "( 1~2 2~5 ) - ( 1~3 3~5 )\n"
+        "( 1~2 2~5 ) - ( 1~4 4~5 )\n")
 
 
 def test_mutation_guards():
