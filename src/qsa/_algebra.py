@@ -1,13 +1,14 @@
 """Exact arithmetic in a finite-dimensional quotient of a path algebra.
 
-Elements live in blocks e_u A e_v, one block per ordered vertex pair,
-coordinatized by the relation-free paths from u to v shorter than the
-nilpotency bound.  Non-monomial relations are handled linearly: the
-ideal inside a block is spanned by the products (left path) *
-(relation) * (right path), and vectors are kept reduced against an
-echelon basis of those spans.  The paths and the spans come from the
-path table in `presentation`, which the graded admissibility scan uses
-too.  The constructor accepts what `validate` certifies finite-
+Elements live in blocks e_u A e_v, coordinatized by the relation-free
+paths from u to v shorter than the nilpotency bound.  Blocks are stored
+only for the pairs joined by such a path; every other block is the zero
+space, and the accessors treat a missing pair as the empty block.
+Non-monomial relations are handled linearly: the ideal inside a block is
+spanned by the products (left path) * (relation) * (right path), and
+vectors are kept reduced against an echelon basis of those spans.  The
+paths and the spans come from the path table in `presentation`, which
+the graded admissibility scan uses too.  The constructor accepts what `validate` certifies finite-
 dimensional and admissible: monomial ideals, length-homogeneous ideals
 with a vanishing graded component, and any relations on an acyclic
 quiver, non-homogeneous ones such as ( d e ) - ( a b c ) included.
@@ -39,11 +40,10 @@ class TruncatedAlgebra:
 
     def _build(self):
         a = self.presentation
-        vs = self.quiver.vertices
-        per_block = {(u, v): [] for u in vs for v in vs}
+        per_block = {}
         for level in islice(_relation_free_levels(a), self.bound):
             for src, tgt, path in level:
-                per_block[(src, tgt)].append(path)
+                per_block.setdefault((src, tgt), []).append(path)
 
         self._paths = {}
         self._index = {}
@@ -71,22 +71,26 @@ class TruncatedAlgebra:
     # --- inspection -------------------------------------------------------
 
     def dim_block(self, u, v):
-        return len(self._free[(u, v)])
+        return len(self.free_positions(u, v))
 
     def dimension(self):
         return sum(len(f) for f in self._free.values())
 
+    def nonzero_blocks(self):
+        """The pairs (u, v) with dim_block(u, v) > 0."""
+        return [key for key, free in self._free.items() if free]
+
     def free_positions(self, u, v):
-        return self._free[(u, v)]
+        return self._free.get((u, v), ())
 
     # --- elements ---------------------------------------------------------
 
     def zero(self, u, v):
-        return [ZERO] * len(self._paths[(u, v)])
+        return [ZERO] * len(self._paths.get((u, v), ()))
 
     def normal(self, u, v, vec):
-        return reduce_vec(list(vec), self._rows[(u, v)],
-                          self._pivots[(u, v)])
+        return reduce_vec(list(vec), self._rows.get((u, v), ()),
+                          self._pivots.get((u, v), ()))
 
     def unit(self, v):
         vec = self.zero(v, v)
@@ -97,16 +101,16 @@ class TruncatedAlgebra:
         """Normal form of a single path given as a tuple of arrow names."""
         arrows = tuple(arrows)
         vec = self.zero(u, v)
-        i = self._index[(u, v)].get(arrows)
+        i = self._index.get((u, v), {}).get(arrows)
         if i is not None:
             vec[i] = ONE
         return self.normal(u, v, vec)
 
     def mult(self, u, v, w, p, q):
         """Product of p in e_u A e_v with q in e_v A e_w, reduced."""
-        pu = self._paths[(u, v)]
-        pw = self._paths[(v, w)]
-        idx = self._index[(u, w)]
+        pu = self._paths.get((u, v), ())
+        pw = self._paths.get((v, w), ())
+        idx = self._index.get((u, w), {})
         out = self.zero(u, w)
         for i, ci in enumerate(p):
             if not ci:
@@ -124,8 +128,8 @@ class TruncatedAlgebra:
     def basis_vectors(self, u, v):
         """Normal-form unit vectors at the free positions."""
         out = []
-        n = len(self._paths[(u, v)])
-        for i in self._free[(u, v)]:
+        n = len(self._paths.get((u, v), ()))
+        for i in self.free_positions(u, v):
             vec = [ZERO] * n
             vec[i] = ONE
             out.append(vec)
@@ -133,4 +137,4 @@ class TruncatedAlgebra:
 
     def coords(self, u, v, vec):
         """Coordinates of a normal-form vector at the free positions."""
-        return [vec[i] for i in self._free[(u, v)]]
+        return [vec[i] for i in self.free_positions(u, v)]

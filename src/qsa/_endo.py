@@ -5,13 +5,16 @@ and R_x = [P_x in degree -1 mapped into the sum of P_{s(a)} over the
 arrows a into x].  Morphism spaces between the summands are computed as
 chain maps modulo homotopy in exact arithmetic, the radical of the
 resulting endomorphism algebra is split off with the trace form, and a
-quiver presentation is read back off arrow representatives.  Relations
-of length two and three are read in one pass over the new quiver's
-paths, taken from the relation-free path table of `presentation`: in
-each block they are the kernel of path evaluation, and the length-three
-kernel is taken modulo the shifts of the length-two relations.  The
-final dimension count is compared against the abstract endomorphism
-algebra; a mismatch is reported rather than papered over.
+quiver presentation is read back off arrow representatives.  Hom
+spaces exist only for the pairs of summands whose ambient space has a
+nonzero block of the algebra; every other pair is the zero space, and
+composition and path evaluation treat it as such.  Relations of length
+two and three are read in one pass over the new quiver's paths, taken
+from the relation-free path table of `presentation`: in each block they
+are the kernel of path evaluation, and the length-three kernel is taken
+modulo the shifts of the length-two relations.  The final dimension
+count is compared against the abstract endomorphism algebra; a mismatch
+is reported rather than papered over.
 """
 
 from itertools import islice
@@ -166,10 +169,21 @@ class _Engine:
         # differential components: left multiplication by each in-arrow
         self.diff = [self.alg.path_vec(ar.source, x, (ar.name,))
                      for ar in self.ins]
-        self.homs = {}
+        # a hom space for each pair whose ambient space has a nonzero
+        # block: (x, x) for the degree -1 parts, and the pairs of summands
+        # whose degree-0 parts hold the ends of a nonzero algebra block
+        holders = {}
         for u in q.vertices:
-            for v in q.vertices:
-                self.homs[(u, v)] = _HomSpace(self, u, v)
+            for b in self.degzero(u):
+                holders.setdefault(b, set()).add(u)
+        live = {(x, x)}
+        for bu, bv in self.alg.nonzero_blocks():
+            for u in holders.get(bu, ()):
+                live.update((u, v) for v in holders.get(bv, ()))
+        # in vertex-pair order, which fixes the order of the new arrows
+        pos = {v: i for i, v in enumerate(q.vertices)}
+        self.homs = {(u, v): _HomSpace(self, u, v)
+                     for u, v in sorted(live, key=lambda p: (pos[p[0]], pos[p[1]]))}
 
     def degneg(self, u):
         return [self.x] if u == self.x else []
@@ -180,8 +194,12 @@ class _Engine:
     def compose(self, u, v, w, amb_p, amb_q):
         """Ambient composite of p: O_v -> O_u with q: O_w -> O_v."""
         alg = self.alg
-        hp, hq = self.homs[(u, v)], self.homs[(v, w)]
-        hr = self.homs[(u, w)]
+        hr = self.homs.get((u, w))
+        if hr is None:
+            return []
+        hp, hq = self.homs.get((u, v)), self.homs.get((v, w))
+        if hp is None or hq is None:
+            return [ZERO] * hr.ambient_dim
         fp, fq = hp.split(amb_p), hq.split(amb_q)
         fulls = [alg.zero(bu, bv) for _, bu, bv in hr.blocks]
         zu, zv, zw = self.degzero(u), self.degzero(v), self.degzero(w)
@@ -225,9 +243,9 @@ def _local_radical(engine, u):
 def mutate_minus(a, x):
     """Mutate the presentation at the sink x.
 
-    Builds the two-term complex at x, computes all morphism spaces of
-    the tilt, and reads a quiver with relations (of length two or
-    three) off its radical filtration.
+    Builds the two-term complex at x, computes the morphism spaces of
+    the tilt that can be nonzero, and reads a quiver with relations (of
+    length two or three) off its radical filtration.
     """
     q = a.quiver
     if not q.has_vertex(x):
@@ -242,24 +260,25 @@ def mutate_minus(a, x):
 
     # radical: everything between distinct summands, trace-form radical
     # on the endomorphism rings
-    rad = {}
-    for u in vs:
-        for v in vs:
-            if u != v:
-                rad[(u, v)] = identity(eng.homs[(u, v)].dim)
-            else:
-                rad[(u, v)] = _local_radical(eng, u)
+    rad = {(u, v): identity(h.dim) if u != v else _local_radical(eng, u)
+           for (u, v), h in eng.homs.items()}
 
     rad_reps = {key: [eng.homs[key].rep(c) for c in coords]
                 for key, coords in rad.items() if coords}
+    rad_from = {}
+    for (k, v), reps in rad_reps.items():
+        rad_from.setdefault(k, []).append((v, reps))
 
     # radical squared, blockwise
     rad2 = {}
     for (u, k), left in rad_reps.items():
-        for v in vs:
-            for w in rad_reps.get((k, v), ()):
+        for v, right in rad_from.get(k, ()):
+            h = eng.homs.get((u, v))
+            if h is None:
+                continue
+            for w in right:
                 for p in left:
-                    comp = eng.homs[(u, v)].nf(eng.compose(u, k, v, p, w))
+                    comp = h.nf(eng.compose(u, k, v, p, w))
                     if any(comp):
                         rad2.setdefault((u, v), []).append(comp)
 
@@ -291,7 +310,8 @@ def mutate_minus(a, x):
             ar = new_q.arrow(nm)
             amb = eng.compose(u, cur, ar.target, amb, arrow_reps[nm])
             cur = ar.target
-        return eng.homs[(u, cur)].nf(amb)
+        h = eng.homs.get((u, cur))
+        return [] if h is None else h.nf(amb)
 
     blocks = {}
     levels = _relation_free_levels(AlgebraPresentation(new_q, ()))
@@ -327,7 +347,7 @@ def mutate_minus(a, x):
         relations += kept
 
     result = AlgebraPresentation(new_q, relations)
-    expected = sum(eng.homs[(u, v)].dim for u in vs for v in vs)
+    expected = sum(h.dim for h in eng.homs.values())
     found = TruncatedAlgebra(result).dimension()
     if found != expected:
         raise QsaError(

@@ -398,15 +398,6 @@ def _survival(ball, budget):
     q = cov.quiver
     order = sorted(q.vertices, key=natural_key)
     index = {v: i for i, v in enumerate(order)}
-    gens = cov.monomials
-    glens = sorted({len(g) for g in gens})
-
-    def extendable(names):
-        for k in glens:
-            if k <= len(names) and names[-k:] in gens:
-                return False
-        return True
-
     pairs = {}
     steps = 0
     for u in order:
@@ -415,7 +406,7 @@ def _survival(ball, budget):
             v, names, imask = stack.pop()
             for ar in q.out_arrows(v):
                 names2 = names + (ar.name,)
-                if not extendable(names2):
+                if cov.ends_in_relation(names2):
                     continue
                 steps += 1
                 if steps > budget:

@@ -206,6 +206,7 @@ class AlgebraPresentation:
         self.quiver = quiver
         self.relations = tuple(rels)
         self.monomials = frozenset(r.terms[0][1] for r in rels if r.is_monomial)
+        self._monomial_lengths = tuple(sorted({len(m) for m in self.monomials}))
         self._report = None  # the ValidationReport, set by the first validate()
 
     @property
@@ -225,15 +226,24 @@ class AlgebraPresentation:
 
     def relation_free(self, arrows):
         """True when no monomial relation occurs as a contiguous factor."""
-        n = len(arrows)
-        for m in self.monomials:
-            k = len(m)
-            if k <= n:
-                # a plain loop: about twice as fast here as any() on a generator
-                for i in range(n - k + 1):
-                    if arrows[i:i + k] == m:
-                        return False
+        for i in range(len(arrows)):
+            if self.ends_in_relation(arrows[:i + 1]):
+                return False
         return True
+
+    def ends_in_relation(self, arrows):
+        """True when some monomial relation is a suffix of `arrows`.
+
+        One set lookup per distinct relation length.  A relation-free path
+        extended by one arrow stays relation-free exactly when this is False.
+        """
+        n = len(arrows)
+        for k in self._monomial_lengths:
+            if k > n:
+                break
+            if arrows[n - k:] in self.monomials:
+                return True
+        return False
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraPresentation)
@@ -474,15 +484,7 @@ def _has_directed_cycle(q):
 def _monomial_admissibility(a):
     """(admissible, bound m) via the forbidden-factor window automaton."""
     q = a.quiver
-    gens = a.monomials
-    k = max((len(m) for m in gens), default=2)
-
-    def extension_survives(window, arrow_name):
-        arrows = window + (arrow_name,)
-        for m in gens:
-            if len(m) <= len(arrows) and arrows[-len(m):] == m:
-                return False
-        return True
+    k = max((len(m) for m in a.monomials), default=2)
 
     # All surviving paths of length < k-1, grown to the automaton states.
     windows = set()
@@ -493,8 +495,9 @@ def _monomial_admissibility(a):
         nxt = []
         for window, at in frontier:
             for ar in q.out_arrows(at):
-                if extension_survives(window, ar.name):
-                    nxt.append((window + (ar.name,), ar.target))
+                new = window + (ar.name,)
+                if not a.ends_in_relation(new):
+                    nxt.append((new, ar.target))
         length += 1
         if nxt:
             shorter_max = length
@@ -506,8 +509,9 @@ def _monomial_admissibility(a):
     for window in windows:
         at = q.arrow(window[-1]).target
         for ar in q.out_arrows(at):
-            if extension_survives(window, ar.name):
-                nxt = (window + (ar.name,))[-(k - 1):]
+            new = window + (ar.name,)
+            if not a.ends_in_relation(new):
+                nxt = new[-(k - 1):]
                 edges[window].append(nxt)
 
     color = {w: 0 for w in windows}
@@ -552,7 +556,8 @@ def _relation_free_levels(a, starts=None):
     Yields, for d = 0, 1, 2, ..., the list of (source, target, arrows) of
     the relation-free paths of length d, and stops after the first empty
     list.  On a cyclic quiver there may be no empty level, so callers bound
-    the degree themselves.
+    the degree themselves.  Paths grow only from relation-free paths, so a
+    new path is relation-free unless a monomial relation is its suffix.
     """
     q = a.quiver
     level = [(v, v, ()) for v in (q.vertices if starts is None else starts)]
@@ -564,7 +569,7 @@ def _relation_free_levels(a, starts=None):
         for src, tgt, path in level:
             for ar in q.out_arrows(tgt):
                 new = path + (ar.name,)
-                if a.relation_free(new):
+                if not a.ends_in_relation(new):
                     nxt.append((src, ar.target, new))
         level = nxt
 

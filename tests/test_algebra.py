@@ -5,7 +5,7 @@ from fractions import Fraction
 from qsa.presentation import parse_presentation
 from qsa._algebra import TruncatedAlgebra
 
-from conftest import load_fixture
+from conftest import load_fixture, glued_twelve_gqs
 
 
 def test_chain_dimension_and_blocks():
@@ -79,3 +79,39 @@ def test_dimension_matches_brute_force_path_count():
         level = nxt
         assert all(len(p) <= 20 for _, p in level)
     assert tt.dimension() == count
+
+
+def test_blocks_are_stored_only_for_pairs_joined_by_a_path():
+    a = glued_twelve_gqs(2)
+    t = TruncatedAlgebra(a)
+    q = a.quiver
+    dead = [r.terms[0][1] for r in a.relations]
+    joined = set()
+
+    def walk(src, at, arrows):
+        if any(arrows[k:k + len(m)] == m
+               for m in dead for k in range(len(arrows) - len(m) + 1)):
+            return
+        assert len(arrows) < t.bound
+        joined.add((src, at))
+        for ar in q.out_arrows(at):
+            walk(src, ar.target, arrows + (ar.name,))
+
+    for v in q.vertices:
+        walk(v, v, ())
+    assert len(q.vertices) == 24 and len(joined) < 24 * 24 // 4
+    assert set(t._paths) == set(t._free) == joined
+    assert set(t.nonzero_blocks()) == {
+        (u, v) for u in q.vertices for v in q.vertices if t.dim_block(u, v)}
+
+
+def test_unreached_pair_is_the_zero_block():
+    t5 = TruncatedAlgebra(load_fixture("a5-chain"))
+    assert t5.dim_block("5", "1") == 0
+    assert t5.zero("5", "1") == []
+    assert t5.free_positions("5", "1") == ()
+    assert t5.basis_vectors("5", "1") == []
+    assert t5.path_vec("5", "1", ()) == []
+    assert t5.coords("5", "1", []) == []
+    assert t5.mult("5", "1", "2", [], t5.path_vec("1", "2", ("alpha",))) == []
+    assert ("5", "1") not in t5.nonzero_blocks()

@@ -1,12 +1,15 @@
 """Parsing, serialization, validation, and isomorphism checks."""
 
+from itertools import islice
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qsa.presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, parse_presentation,
     serialize_presentation, validate, natural_key, underlying_graph, is_tree,
     path_basis, presentations_isomorphic, opposite, _graded_dimensions,
+    _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra
 
@@ -206,6 +209,59 @@ def test_path_basis_skips_dead_paths():
     assert p.arrows == ("gamma", "delta")
     (trivial,) = path_basis(a5, "2", "2")
     assert trivial.arrows == ()
+
+
+# --- independent oracle: relation-free paths by a factor scan ------------------
+
+# Random quivers with loops and 2-cycles (or acyclic ones), with monomial
+# relations of lengths 2 to 4.  Every raw path up to length 6 is kept when no
+# relation occurs in it as a contiguous factor at any offset.
+
+MAX_DEGREE = 6
+
+
+def _raw_paths_upto(q, length):
+    out = [[(v, v, ()) for v in q.vertices]]
+    for _ in range(length):
+        out.append([(src, ar.target, p + (ar.name,))
+                    for src, at, p in out[-1] for ar in q.out_arrows(at)])
+    return out
+
+
+def _factor_free(p, rels):
+    return not any(p[k:k + len(m)] == m
+                   for m in rels for k in range(len(p) - len(m) + 1))
+
+
+@st.composite
+def _monomial_presentations(draw):
+    acyclic = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    verts = [str(i + 1) for i in range(n)]
+    pairs = [(s, t) for i, s in enumerate(verts) for j, t in enumerate(verts)
+             if i < j or not acyclic]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    q = Quiver("gen", verts, [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    candidates = sorted({p for level in _raw_paths_upto(q, 4)[2:] for _, _, p in level})
+    rels = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4)) \
+        if candidates else []
+    return acyclic, AlgebraPresentation(q, [[(1, list(p))] for p in rels])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monomial_presentations())
+def test_relation_free_levels_match_factor_scan(case):
+    acyclic, a = case
+    rels = [r.terms[0][1] for r in a.relations]
+    want = [sorted(t for t in level if _factor_free(t[2], rels))
+            for level in _raw_paths_upto(a.quiver, MAX_DEGREE)]
+    got = list(islice(_relation_free_levels(a), MAX_DEGREE + 1))
+    got += [[]] * (MAX_DEGREE + 1 - len(got))
+    assert [sorted(level) for level in got] == want
+    if acyclic:
+        # no path is longer than |Q0| - 1 <= 3 < MAX_DEGREE
+        longest = max(d for d, level in enumerate(want) if level)
+        assert validate(a).nilpotency_bound == longest + 1
 
 
 # --- isomorphism -------------------------------------------------------------------

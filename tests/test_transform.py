@@ -10,6 +10,8 @@ from qsa.presentation import (
     QsaError, opposite, parse_presentation, presentations_isomorphic,
     serialize_presentation, validate,
 )
+from qsa import _endo
+from qsa._algebra import TruncatedAlgebra
 from qsa.classify import classify_vertices, special_vertices
 from qsa.decide import decide_derived_type
 from qsa.transform import (
@@ -18,7 +20,7 @@ from qsa.transform import (
     reduce_to_skewed_gentle,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, glued_twelve_gqs
 from oracles import commuting_mutation_cases
 
 
@@ -330,6 +332,36 @@ def test_mutation_keeps_length_two_kernel_basis():
         "relations:\n"
         "( 1~2 2~5 ) - ( 1~3 3~5 )\n"
         "( 1~2 2~5 ) - ( 1~4 4~5 )\n")
+
+
+def test_mutation_builds_hom_spaces_only_for_live_pairs(monkeypatch):
+    # a pair of summands gets a hom space only when its ambient space, the
+    # algebra blocks between their degree-0 parts (and e_x A e_x for the
+    # degree -1 part of R_x), is nonzero; built in vertex-pair order
+    a = glued_twelve_gqs(2)
+    x = "12_2"
+    built = []
+
+    class CountingHomSpace(_endo._HomSpace):
+        def __init__(self, engine, u, v):
+            built.append((u, v))
+            super().__init__(engine, u, v)
+
+    monkeypatch.setattr(_endo, "_HomSpace", CountingHomSpace)
+    mutate_at(a, x, "minus")
+
+    t = TruncatedAlgebra(a)
+    sources = [ar.source for ar in a.quiver.in_arrows(x)]
+
+    def degzero(u):
+        return sources if u == x else [u]
+
+    vs = a.quiver.vertices
+    live = [(u, v) for u in vs for v in vs
+            if u == v == x or any(t.dim_block(bu, bv) for bu in degzero(u)
+                                  for bv in degzero(v))]
+    assert len(vs) == 24 and len(live) < 24 * 24 // 4
+    assert built == live
 
 
 def test_mutation_guards():
