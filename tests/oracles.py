@@ -2,10 +2,12 @@
 
 Everything here recomputes expected values by a different route than the
 library: Ext groups between simples come from relation chains, sign tests
-come from sympy's exact rational arithmetic, and the tree/multigraph
+come from sympy's exact rational arithmetic (and the witness of a symmetric
+form from a congruence elimination over Fraction), and the tree/multigraph
 generators are plain combinatorics.
 """
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -83,6 +85,51 @@ def sympy_psd(rows):
     return psd, pd
 
 
+def fraction_congruence(sym):
+    """(semidefinite, definite, witness) by congruence elimination over Fraction.
+
+    The reference for `qsa._linalg._congruence`, which runs the same pivot
+    rule fraction-free on integers: pivot on the first positive diagonal
+    entry of the unpivoted rows and clear its row and column; a negative
+    diagonal entry gives that row's basis vector, a zero diagonal block
+    with a nonzero off-diagonal entry the difference or sum of two basis
+    vectors.  Witnesses are scaled by the lcm of their denominators.
+    """
+    n = len(sym)
+    a = [[Fraction(x) for x in row] for row in sym]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def primitive(v):
+        scale = math.lcm(*(x.denominator for x in v))
+        return [int(x * scale) for x in v]
+
+    remaining = list(range(n))
+    while remaining:
+        neg = next((k for k in remaining if a[k][k] < 0), None)
+        if neg is not None:
+            return False, False, primitive(basis[neg])
+        pos = next((k for k in remaining if a[k][k] > 0), None)
+        if pos is None:
+            for j in remaining:
+                for l in remaining:
+                    if l > j and a[j][l]:
+                        s = 1 if a[j][l] > 0 else -1
+                        v = [basis[j][t] - s * basis[l][t] for t in range(n)]
+                        return False, False, primitive(v)
+            return True, False, None
+        remaining.remove(pos)
+        piv = a[pos][pos]
+        for j in remaining:
+            if a[j][pos]:
+                f = a[j][pos] / piv
+                basis[j] = [basis[j][t] - f * basis[pos][t] for t in range(n)]
+                for l in range(n):
+                    a[j][l] -= f * a[pos][l]
+                for l in range(n):
+                    a[l][j] -= f * a[l][pos]
+    return True, True, None
+
+
 def tits_gram(vertices, edges):
     """Gram matrix of the graph form: 1 on the diagonal, -1/2 per edge side,
     loops subtract a full unit from their diagonal entry."""
@@ -123,11 +170,24 @@ TREE_SHAPES = [
     [(0, 1), (0, 2), (0, 3), (0, 4)],
 ]
 
+# the six trees on six vertices: A6, E6, D6, the four-arm star with one arm
+# of length two, the extended D5 and the five-arm star; the last three carry
+# wild hereditary algebras, so their forms are where negative vectors live
+SIX_VERTEX_TREE_SHAPES = [
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)],
+    [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5)],
+    [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
+]
 
-def oriented_trees():
-    """Every unlabeled tree on at most 5 vertices, every arrow orientation."""
+
+def oriented_trees(shapes=TREE_SHAPES):
+    """Every tree of `shapes` (default: every unlabeled tree on at most 5
+    vertices), every arrow orientation."""
     out = []
-    for edges in TREE_SHAPES:
+    for edges in shapes:
         n = max((max(e) for e in edges), default=0) + 1
         verts = [str(i + 1) for i in range(n)]
         for mask in range(1 << len(edges)):
@@ -151,10 +211,11 @@ def quadratic_ideals(q, max_relations=2):
                 yield (p, r)
 
 
-def tree_presentations():
-    """Every monomial tree presentation: <= 5 vertices, <= 2 quadratic relations."""
-    for q in oriented_trees():
-        for ideal in quadratic_ideals(q):
+def tree_presentations(shapes=TREE_SHAPES, max_relations=2):
+    """Every monomial presentation on the oriented trees of `shapes` with at
+    most max_relations quadratic relations (default: <= 5 vertices, <= 2)."""
+    for q in oriented_trees(shapes):
+        for ideal in quadratic_ideals(q, max_relations):
             rels = [[(1, list(p))] for p in ideal]
             yield AlgebraPresentation(q, rels)
 

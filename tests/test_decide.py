@@ -1,5 +1,6 @@
 """The top-level tame/wild decision across all input families."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,7 +15,9 @@ from qsa.decide import (
 )
 
 from conftest import load_fixture
-from oracles import relabel
+from oracles import (
+    SIX_VERTEX_TREE_SHAPES, TREE_SHAPES, relabel, tree_presentations,
+)
 
 
 # --- tame with cycles ------------------------------------------------------------
@@ -90,6 +93,50 @@ def test_wild_tree_via_euler_form():
     assert not v.nonnegativity.nonnegative
     assert v.nonnegativity.witness
     json.dumps(v.to_payload())
+
+
+def _payload_bytes(v):
+    return json.dumps(v.to_payload(), sort_keys=True).encode()
+
+
+# Euler-branch verdicts are frozen byte for byte: the matrix, the
+# non-negativity flag and, on wild trees, the primitive negative vector.
+EULER_FIXTURE_SHA256 = {
+    "a5-chain": "3a6acb80ce0c3e18cfb7540229a683d7038dc99c3f0d4450d5b5dab8af3b5927",
+    "case4-local": "d791a1be0ef9923daf96fb12067361db53b9a451ee43c2b8a363bd0848f9b661",
+    "e3-local": "02768f1a11f1a55dd13c9664d6630204a97ce31fb9a3a5bf2f4ffc079f0760c3",
+    "expected-delta": "b8db391116e8b63750269e604fe8dede2826d7bfc786c6e904c191a0fae0b1ea",
+    "fork-sink-after": "310927e90905cd065aa5d9f83d6489e9807f6d6e9cd6c8dba5fccd5e8c1102ed",
+    "fork-sink-before": "f57b10bdda0b38cddad8ed4767961f6b3035203f92b9ad9f2c0630ec7c92779a",
+    "fork-tail-10": "c99cd5a4044239d7ed165e60cd4da6b4100330a10c76e09e28e90311ab7e8448",
+    "one-point": "91f2f7ab76c2c84751a06d018015dca3f61a3af84100b7eb9a211a7f179527a4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EULER_FIXTURE_SHA256))
+def test_tree_fixture_verdict_is_frozen(name):
+    v = decide_derived_type(load_fixture(name))
+    assert v.branch == TREE_EULER
+    assert hashlib.sha256(_payload_bytes(v)).hexdigest() == EULER_FIXTURE_SHA256[name]
+
+
+@pytest.mark.parametrize("shapes,max_relations,wild,digest", [
+    # every tree on at most five vertices is tame: this pins the matrices
+    (TREE_SHAPES, 2, 0,
+     "21b2b10da7f8e6b3a51c81e43115b918402bd7eb4772b50e803a2b6402686d3d"),
+    # on six vertices the negative vectors appear, in several pivot orders
+    (SIX_VERTEX_TREE_SHAPES, 1, 240,
+     "06b6bf96d8c6f2d7e8b8068c9fe85db7aa2018a7b6e62a8a16069fc861c431b3"),
+])
+def test_tree_verdicts_are_frozen(shapes, max_relations, wild, digest):
+    h = hashlib.sha256()
+    count = 0
+    for a in tree_presentations(shapes, max_relations):
+        v = decide_derived_type(a)
+        count += not v.tame
+        h.update(_payload_bytes(v) + b"\n")
+    assert count == wild
+    assert h.hexdigest() == digest
 
 
 # --- outside the quadratic string world ------------------------------------------------
