@@ -1,11 +1,16 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact linear algebra for small dense systems.
 
-Matrices are lists of lists of Fraction, vectors are lists of Fraction.
-Everything that decides something downstream (ranks, kernels, positivity)
-runs on exact arithmetic; sizes stay small (a few dozen rows), so the cubic
-algorithms here are fine.  Row reduction gives ranks, kernels and inverses;
-the sign of a symmetric form, and a negative vector when there is one, come
-from a single congruence elimination.
+Two kinds of elimination live here.  Row reduction over the rationals
+(`rref`, `nullspace`, `reduce_vec`) works on lists of lists of Fraction,
+because the tilting engine feeds it rational coefficients.  The sign of a
+symmetric form, with a negative vector when there is one, and the inverse
+of a square matrix come from fraction-free eliminations on integers
+(Bareiss, Math. Comp. 22, 1968): rational input is first scaled by the lcm
+of its denominators, every division in the elimination is exact, and no
+Fraction is built until `inverse` returns its entries.  Everything that
+decides something downstream (ranks, kernels, positivity) runs on exact
+arithmetic; sizes stay small (a few dozen rows), so the cubic algorithms
+here are fine.
 """
 
 import math
@@ -17,10 +22,6 @@ ONE = Fraction(1)
 
 def fr(x):
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def frac_matrix(rows):
-    return [[fr(x) for x in row] for row in rows]
 
 
 def identity(n):
@@ -37,6 +38,12 @@ def mat_vec(a, x):
 
 def vec_dot(x, y):
     return sum((x[i] * y[i] for i in range(len(x))), ZERO)
+
+
+def _integer_rows(rows):
+    """(d, d·rows) for d the lcm of the denominators of int or Fraction entries."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 # --- echelon forms ---------------------------------------------------------
@@ -104,19 +111,38 @@ def nullspace(a, ncols):
 
 
 def inverse(a):
+    """Inverse of a square int or Fraction matrix, as rows of Fraction.
+
+    Fraction-free Gauss-Jordan on [d·A | I], d the lcm of A's denominators:
+    each step scales every row by the new pivot and divides exactly by the
+    previous one, so it ends at [c·I | adj] with c = ±det(d·A) and
+    adj = c·(d·A)^-1, and A^-1 = d·adj / c.  Raises ValueError when A is
+    singular.
+    """
     n = len(a)
-    aug = [list(map(fr, row)) + ident_row for row, ident_row in zip(a, identity(n))]
-    basis, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in basis]
+    d, rows = _integer_rows(a)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            f = m[i][k]
+            if i != k and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    return [[Fraction(d * x, prev) for x in row[n:]] for row in m]
 
 
 # --- symmetric forms -------------------------------------------------------
 
 
 def _congruence(sym):
-    """(semidefinite, definite, witness) for a symmetric rational matrix M.
+    """(semidefinite, definite, witness) for a symmetric int or Fraction matrix M.
 
     Symmetric congruence elimination: pivot on the first positive diagonal
     entry and clear its row and column, tracking the basis change.  A
@@ -125,11 +151,18 @@ def _congruence(sym):
     primitive integer vector.  M is semidefinite exactly when no such
     vector turns up, and definite when every row was pivoted on a positive
     diagonal entry.
+
+    The elimination is Bareiss's on d·M, d the lcm of M's denominators:
+    after pivots p_1..p_k every remaining entry and basis row is the
+    rational one times p_k > 0, so signs, zero tests and primitive witnesses
+    are those of the rational elimination, and each division by the
+    previous pivot is exact.
     """
     n = len(sym)
-    a = frac_matrix(sym)
-    basis = identity(n)
+    a = _integer_rows(sym)[1]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
     remaining = list(range(n))
+    prev = 1
     while remaining:
         neg = next((k for k in remaining if a[k][k] < 0), None)
         if neg is not None:
@@ -139,32 +172,31 @@ def _congruence(sym):
             for j in remaining:
                 for l in remaining:
                     if l > j and a[j][l]:
-                        s = ONE if a[j][l] > 0 else -ONE
-                        v = [basis[j][t] - s * basis[l][t] for t in range(n)]
+                        s = 1 if a[j][l] > 0 else -1
+                        v = [x - s * y for x, y in zip(basis[j], basis[l])]
                         return False, False, _primitive(v)
             return True, False, None
         remaining.remove(pos)
-        piv = a[pos][pos]
+        top, btop = a[pos], basis[pos]
+        p = top[pos]
         for j in remaining:
-            if a[j][pos]:
-                f = a[j][pos] / piv
-                basis[j] = [basis[j][t] - f * basis[pos][t] for t in range(n)]
-                for l in range(n):
-                    a[j][l] -= f * a[pos][l]
-                for l in range(n):
-                    a[l][j] -= f * a[l][pos]
+            row = a[j]
+            f = row[pos]
+            for l in remaining:
+                row[l] = (p * row[l] - f * top[l]) // prev
+            basis[j] = [(p * x - f * y) // prev for x, y in zip(basis[j], btop)]
+        prev = p
     return True, True, None
 
 
 def _primitive(v):
-    """v times the lcm of its denominators: a primitive integer vector.
+    """An integer vector divided by the gcd of its entries.
 
-    Primitive because v has a coordinate 1 (at its own, unpivoted index) and,
-    for each prime p of the lcm, the entry with the most factors p in its
-    denominator scales to an integer prime to p.
+    v is a positive multiple of a basis row, whose coordinate at its own,
+    unpivoted index is nonzero, so the gcd is positive and the sign stays.
     """
-    scale = math.lcm(*(x.denominator for x in v))
-    return [int(x * scale) for x in v]
+    g = math.gcd(*v)
+    return [x // g for x in v]
 
 
 def psd_flags(sym):

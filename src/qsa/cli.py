@@ -18,7 +18,7 @@ from .presentation import (
 from .classify import classify_vertices, is_quadratic_string
 from .euler import cartan_matrix, euler_matrix, euler_eval, is_nonnegative_form
 from .transform import blow_up, mutate_at, reduce_to_skewed_gentle, certificate_payload
-from .covering import truncated_cover, find_wild_witness
+from .covering import truncated_cover, _witness_search
 from .decide import decide_derived_type
 
 __all__ = ["run_cli", "main"]
@@ -325,10 +325,13 @@ def _cmd_cover(args):
 
 def _cmd_witness(args):
     a = _load(args.file)
-    wit = find_wild_witness(a, args.radius, args.max_size)
+    wit, budget_hit = _witness_search(a, args.radius, args.max_size)
     if wit is None:
         if args.json:
             _emit_json({"witness": None})
+        elif budget_hit:
+            print("none found: the search budget ran out before the bounds "
+                  "were covered (QSA_WITNESS_BUDGET raises it)")
         else:
             print("none within bounds")
         return 0

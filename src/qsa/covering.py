@@ -9,7 +9,6 @@ are matched directly on the base presentation.
 """
 
 import os
-from fractions import Fraction
 from itertools import combinations
 
 from .presentation import (
@@ -180,13 +179,11 @@ def graph_type(vertices, edges):
 
     shape = _structural_shape(n, m, loops, mult, deg)
 
-    gram = [[Fraction(0)] * n for _ in range(n)]
+    # twice the Gram matrix of the Tits form, over the integers
+    gram2 = [[-mult[i][j] for j in range(n)] for i in range(n)]
     for i in range(n):
-        gram[i][i] = Fraction(1 - loops[i])
-        for j in range(n):
-            if i != j and mult[i][j]:
-                gram[i][j] = Fraction(-mult[i][j], 2)
-    psd, pd = psd_flags(gram)
+        gram2[i][i] = 2 - 2 * loops[i]
+    psd, pd = psd_flags(gram2)
     expected = "Dynkin" if pd else ("Euclidean" if psd else "Other")
     if shape.kind != expected:
         raise QsaError(
@@ -365,6 +362,12 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     QSA_WITNESS_RADIUS, QSA_WITNESS_SIZE and QSA_WITNESS_BUDGET override the
     defaults.
     """
+    return _witness_search(a, radius, max_size, like)[0]
+
+
+def _witness_search(a, radius=None, max_size=None, like=None):
+    """(witness or None, budget_hit): budget_hit is True when the search of
+    some ball ran out of budget, so a None does not cover the bounds."""
     if radius is None:
         radius = _env_int("QSA_WITNESS_RADIUS", DEFAULT_WITNESS_RADIUS)
     if max_size is None:
@@ -374,17 +377,19 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
         raise QsaError("the wildness witness search needs a monomial presentation")
     if like is not None and not isinstance(like, AlgebraPresentation):
         raise QsaError("the witness target must be an AlgebraPresentation")
+    budget_hit = False
     if max_size < 2:
-        return None
+        return None, budget_hit
     for base in a.quiver.vertices:
         ball = truncated_cover(a, base, radius)
         try:
             found = _search_ball(ball, max_size, budget, like)
         except _Budget:
-            found = None
+            budget_hit = True
+            continue
         if found is not None:
-            return found
-    return None
+            return found, budget_hit
+    return None, budget_hit
 
 
 def _survival(ball, budget):

@@ -5,15 +5,15 @@ the presentation's path table in one pass.  Its inverse transpose gives
 the bilinear form on dimension vectors whose value at (x, x) is the
 alternating sum of Hom and Ext dimensions.  The quiver is acyclic, so
 the Cartan matrix is unitriangular in a topological order of the
-vertices and the Euler matrix E has integer entries; they are computed
-and kept as exact fractions.
+vertices and the Euler matrix E has integer entries.  The integer Cartan
+matrix is inverted by a fraction-free elimination and E is kept as exact
+fractions; the sign test runs on the integer matrix E + E^T.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from ._linalg import (
-    frac_matrix, fr, inverse, transpose, mat_vec, vec_dot, _congruence,
+    fr, inverse, transpose, mat_vec, vec_dot, _congruence, _integer_rows,
 )
 from .presentation import QsaError, _has_directed_cycle, _relation_free_levels
 
@@ -29,15 +29,6 @@ class CartanMatrix(NamedTuple):
 class EulerData(NamedTuple):
     vertices: tuple
     entries: tuple            # rows of Fractions; the form is x^T E x
-
-    def symmetric_part(self):
-        n = len(self.vertices)
-        e = self.entries
-        half = Fraction(1, 2)
-        return tuple(
-            tuple((e[i][j] + e[j][i]) * half for j in range(n))
-            for i in range(n)
-        )
 
 
 class NonnegativityReport(NamedTuple):
@@ -76,7 +67,7 @@ def cartan_matrix(a):
 def euler_matrix(a):
     """Inverse transpose of the Cartan matrix, as exact fractions."""
     c = cartan_matrix(a)
-    inv = inverse(frac_matrix(c.entries))
+    inv = inverse(c.entries)
     rows = tuple(tuple(row) for row in transpose(inv))
     return EulerData(c.vertices, rows)
 
@@ -97,12 +88,14 @@ def is_nonnegative_form(e):
     """Decide whether x^T E x >= 0 for all real x, exactly.
 
     The answer depends only on the symmetric part M of E.  A congruence
-    elimination on M either pivots through (M is positive semidefinite,
-    and definite when every pivot is positive) or stops at an explicit
-    integer vector with negative value, which is re-evaluated on E here.
+    elimination on 2M = E + E^T, which has M's signs and primitive witness,
+    either pivots through (M is positive semidefinite, and definite when
+    every pivot is positive) or stops at an explicit integer vector with
+    negative value, which is re-evaluated on E here.
     """
-    m = e.symmetric_part()
-    psd, pd, w = _congruence(m)
+    rows = _integer_rows(e.entries)[1]     # d·E, d = 1 on an integral form
+    psd, pd, w = _congruence(
+        [[x + y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))])
     if psd:
         return NonnegativityReport(True, pd, (), None)
     if w is None:

@@ -215,6 +215,24 @@ def test_witness_none_within_bounds(capsys):
     assert out.strip() == "none within bounds"
 
 
+@pytest.mark.parametrize("budget,first_line", [
+    ("50", "none found: the search budget ran out before the bounds were "
+           "covered (QSA_WITNESS_BUDGET raises it)"),
+    ("400000", "witness at basepoint a, radius 6: 8 vertices, shape Other"),
+])
+def test_witness_reports_budget_hit(monkeypatch, capsys, budget, first_line):
+    monkeypatch.setenv("QSA_WITNESS_BUDGET", budget)
+    argv = ("witness", "--radius", "6", "--max-size", "8",
+            fixture_path("three-vertex-wild"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == first_line
+    # the JSON document keeps its shape: no witness is just null
+    code, out, _ = run(capsys, *argv[:-1], "--json", argv[-1])
+    assert code == 0
+    assert (json.loads(out)["witness"] is None) == (budget == "50")
+
+
 def test_witness_bounds_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("QSA_WITNESS_RADIUS", "6")
     monkeypatch.setenv("QSA_WITNESS_SIZE", "8")

@@ -1,17 +1,20 @@
-"""Kernels, and the sign test and negative vector of symmetric forms, against sympy."""
+"""Kernels, inverses, and the sign test and negative vector of symmetric
+forms, against sympy and against the Fraction congruence elimination."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sympy
 
 from qsa._linalg import (
-    identity, negative_vector, nullspace, psd_flags, rank, rref,
+    _congruence, identity, inverse, negative_vector, nullspace, psd_flags,
+    rank, rref,
 )
 
-from oracles import sympy_psd
+from oracles import fraction_congruence, sympy_matrix, sympy_psd
 
 
 ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -95,6 +98,87 @@ def test_each_branch_on_frozen_cases():
     assert negative_vector([[f(0), f(1, 3)], [f(1, 3), f(0)]]) == [1, -1]
     # negative Schur complement, scaled to a primitive integer vector
     assert negative_vector([[f(2), f(3)], [f(3), f(2)]]) == [-3, 2]
+
+
+@st.composite
+def integer_forms(draw):
+    """Integer symmetric matrices up to n = 8, shaped like the 2M the library
+    passes: twice a graph's Tits form, 2·B^T B, or any even-diagonal matrix."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["graph", "gram", "any"]))
+    small = st.integers(-3, 3)
+    if kind == "graph":
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = 2 - 2 * draw(st.integers(0, 1) if n > 1 else st.just(0))
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = -draw(st.sampled_from([0, 0, 1, 1, 2]))
+        return m
+    if kind == "gram":
+        b = [[draw(small) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        return [[2 * sum(row[i] * row[j] for row in b) for j in range(n)]
+                for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 2 * draw(small)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(small)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(symmetric_matrices(), integer_forms()))
+def test_congruence_matches_fraction_elimination(m):
+    assert _congruence(m) == fraction_congruence(m)
+
+
+@pytest.mark.parametrize("m,expected", [
+    # zero leading diagonal entry: pivots on row 1, then row 0 turns negative
+    ([[0, 1, 0], [1, 2, 1], [0, 1, 2]], (False, False, [2, -1, 0])),
+    # row 1 turns zero after pivoting on row 0, so row 2 is pivoted next
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], (True, False, None)),
+    # pivots on row 1 and leaves a zero block with a positive entry
+    ([[0, 0, 1], [0, 2, 0], [1, 0, 0]], (False, False, [1, 0, -1])),
+])
+def test_congruence_out_of_order_pivots(m, expected):
+    assert fraction_congruence(m) == expected
+    assert _congruence(m) == expected
+    assert _congruence([[Fraction(x, 3) for x in row] for row in m]) == expected
+
+
+# --- inverse ---------------------------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """1..6 square rational matrices; some have a repeated or zero row."""
+    n = draw(st.integers(1, 6))
+    a = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+        a[i] = list(a[j]) if i != j else [Fraction(0)] * n
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_sympy(a):
+    m = sympy_matrix(a)
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    inv = inverse(a)
+    assert all(type(x) is Fraction for row in inv for x in row)
+    assert sympy_matrix(inv) == m.inv()
+
+
+def test_inverse_of_integer_matrix_needs_a_row_swap():
+    assert inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    assert inverse([[0, 2], [4, 0]]) == [[0, Fraction(1, 4)], [Fraction(1, 2), 0]]
+    assert inverse([]) == []
+    with pytest.raises(ValueError):
+        inverse([[1, 2], [2, 4]])
 
 
 # --- kernels -------------------------------------------------------------------
