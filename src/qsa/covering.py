@@ -377,9 +377,9 @@ def _witness_search(a, radius=None, max_size=None, like=None):
         raise QsaError("the wildness witness search needs a monomial presentation")
     if like is not None and not isinstance(like, AlgebraPresentation):
         raise QsaError("the witness target must be an AlgebraPresentation")
-    budget_hit = False
     if max_size < 2:
-        return None, budget_hit
+        return None, False
+    budget_hit = False
     for base in a.quiver.vertices:
         ball = truncated_cover(a, base, radius)
         try:

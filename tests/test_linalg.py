@@ -110,7 +110,7 @@ def integer_forms(draw):
     if kind == "graph":
         m = [[0] * n for _ in range(n)]
         for i in range(n):
-            m[i][i] = 2 - 2 * draw(st.integers(0, 1) if n > 1 else st.just(0))
+            m[i][i] = 2 - 2 * draw(st.integers(0, 1))
             for j in range(i + 1, n):
                 m[i][j] = m[j][i] = -draw(st.sampled_from([0, 0, 1, 1, 2]))
         return m
@@ -139,6 +139,9 @@ def test_congruence_matches_fraction_elimination(m):
     ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], (True, False, None)),
     # pivots on row 1 and leaves a zero block with a positive entry
     ([[0, 0, 1], [0, 2, 0], [1, 0, 0]], (False, False, [1, 0, -1])),
+    # row 0 has no entry in the first pivot's column, but its basis row must
+    # take the new scale before the zero block mixes it with row 2's
+    ([[0, 0, -1], [0, 2, -1], [-1, -1, 1]], (False, False, [1, 1, 2])),
 ])
 def test_congruence_out_of_order_pivots(m, expected):
     assert fraction_congruence(m) == expected
