@@ -32,14 +32,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_vec(a, x):
-    return [sum((row[j] * x[j] for j in range(len(x))), ZERO) for row in a]
-
-
-def vec_dot(x, y):
-    return sum((x[i] * y[i] for i in range(len(x))), ZERO)
-
-
 def _integer_rows(rows):
     """(d, d·rows) for d the lcm of the denominators of int or Fraction entries."""
     d = math.lcm(*(x.denominator for row in rows for x in row))

@@ -30,6 +30,17 @@ class VertexClass(NamedTuple):
     ordinary_in: tuple        # class indices whose marking made this vertex ordinary
 
 
+class _LocalResults(NamedTuple):
+    """Per-vertex and per-arrow results behind a VertexClassification.
+
+    A reduction move changes a few arrows; the next classification reads
+    these for every vertex the move cannot have affected.
+    """
+    marks: dict               # exceptional vertex -> (marked pair, diagnostic or None)
+    vertex_faults: dict       # vertex -> its quadratic-string violations, if any
+    arrow_faults: dict        # arrow name -> its quadratic-string violations, if any
+
+
 class VertexClassification(NamedTuple):
     classes: dict             # vertex -> VertexClass
     exceptional: dict         # i -> tuple of vertices in class i
@@ -37,6 +48,7 @@ class VertexClassification(NamedTuple):
     is_quadratic_string: bool
     violations: tuple
     diagnostics: tuple
+    local: _LocalResults
 
     @property
     def is_gentle_presentation(self):
@@ -88,33 +100,44 @@ def _quadratic_pairs(a):
         raise QsaError("classification needs a monomial presentation")
     if not a.is_quadratic:
         raise QsaError("classification needs quadratic relations")
-    return {(m[0], m[1]) for m in a.monomials}
+    return a.monomials
+
+
+def _vertex_faults(q, v):
+    """Quadratic-string violations of vertex v: more than two arrows in or out."""
+    out = []
+    if len(q.out_arrows(v)) > 2:
+        out.append(f"vertex {v} is the source of {len(q.out_arrows(v))} arrows")
+    if len(q.in_arrows(v)) > 2:
+        out.append(f"vertex {v} is the target of {len(q.in_arrows(v))} arrows")
+    return out
+
+
+def _arrow_faults(q, rel, ar):
+    """Quadratic-string violations of arrow ar: two relation-free neighbours."""
+    out = []
+    cont = [b.name for b in q.out_arrows(ar.target) if (ar.name, b.name) not in rel]
+    if len(cont) > 1:
+        out.append(
+            f"arrow {ar.name} has {len(cont)} relation-free continuations: "
+            + ", ".join(sorted(cont, key=natural_key)))
+    pre = [b.name for b in q.in_arrows(ar.source) if (b.name, ar.name) not in rel]
+    if len(pre) > 1:
+        out.append(
+            f"arrow {ar.name} has {len(pre)} relation-free predecessors: "
+            + ", ".join(sorted(pre, key=natural_key)))
+    return out
 
 
 def is_quadratic_string(a):
     """Check the quadratic string conditions, reporting every violation."""
-    violations = []
-    q = a.quiver
     if not a.is_monomial or not a.is_quadratic:
-        violations.append("the ideal is not generated by paths of length two")
-        return QuadraticStringReport(False, violations)
+        return QuadraticStringReport(
+            False, ["the ideal is not generated by paths of length two"])
+    q = a.quiver
     rel = _quadratic_pairs(a)
-    for v in q.vertices:
-        if len(q.out_arrows(v)) > 2:
-            violations.append(f"vertex {v} is the source of {len(q.out_arrows(v))} arrows")
-        if len(q.in_arrows(v)) > 2:
-            violations.append(f"vertex {v} is the target of {len(q.in_arrows(v))} arrows")
-    for ar in q.arrows:
-        cont = [b.name for b in q.out_arrows(ar.target) if (ar.name, b.name) not in rel]
-        if len(cont) > 1:
-            violations.append(
-                f"arrow {ar.name} has {len(cont)} relation-free continuations: "
-                + ", ".join(sorted(cont, key=natural_key)))
-        pre = [b.name for b in q.in_arrows(ar.source) if (b.name, ar.name) not in rel]
-        if len(pre) > 1:
-            violations.append(
-                f"arrow {ar.name} has {len(pre)} relation-free predecessors: "
-                + ", ".join(sorted(pre, key=natural_key)))
+    violations = [m for v in q.vertices for m in _vertex_faults(q, v)]
+    violations += [m for ar in q.arrows for m in _arrow_faults(q, rel, ar)]
     return QuadraticStringReport(not violations, violations)
 
 
@@ -241,51 +264,96 @@ def _exceptional_witness(a, rel, x):
     return 0, None, None
 
 
-def classify_vertices(a):
-    """Classify every vertex as gentle, exceptional (class 1..6), or neither."""
+def _classify_vertex(a, rel, x):
+    """VertexClass of x with `ordinary_in` empty, and for an exceptional x
+    its (marked pair, diagnostic or None); None for any other x."""
+    q = a.quiver
+    if _is_gentle_vertex(q, rel, x):
+        return VertexClass(x, GENTLE, 0, None, ()), None
+    idx, witness, marked = _exceptional_witness(a, rel, x)
+    if not idx:
+        return VertexClass(x, OTHER, 0, None, ()), None
+    higher = [j for j in range(idx + 1, 7) if _class_witness(a, rel, x, j)[0] == j]
+    note = None
+    if higher:
+        note = (f"vertex {x} also fits exceptional class(es) "
+                f"{', '.join(map(str, higher))}; class {idx} retained")
+    return VertexClass(x, EXCEPTIONAL, idx, witness, ()), (marked, note)
+
+
+def _set_or_drop(table, key, value):
+    if value:
+        table[key] = value
+    else:
+        table.pop(key, None)
+
+
+def classify_vertices(a, previous=None, dirty=None):
+    """Classify every vertex as gentle, exceptional (class 1..6), or neither.
+
+    With `previous`, only the vertices in `dirty` and the arrows at them
+    are examined again; everything else is read from `previous`.  That is
+    exact when `previous` classifies a presentation that agrees with `a`
+    away from `dirty`: every other vertex keeps its arrows, the relations
+    between them, and the arrows of its neighbours, which is all a
+    vertex's class and the string conditions at its arrows read.
+    """
     if not _is_connected(a.quiver):
         raise QsaError("classification needs a connected quiver")
     rel = _quadratic_pairs(a)
     q = a.quiver
-    qs = is_quadratic_string(a)
+    if previous is None:
+        dirty, was_ordinary = q.vertices, ()
+        classes, marks, vertex_faults, arrow_faults = {}, {}, {}, {}
+    else:
+        dirty = [x for x in dirty if q.has_vertex(x)]
+        was_ordinary = [v for v in previous.ordinary_vertices if q.has_vertex(v)]
+        old = previous.local
+        classes = {v: c for v, c in previous.classes.items() if q.has_vertex(v)}
+        marks = {v: m for v, m in old.marks.items() if q.has_vertex(v)}
+        vertex_faults = {v: f for v, f in old.vertex_faults.items() if q.has_vertex(v)}
+        arrow_faults = {n: f for n, f in old.arrow_faults.items() if q.has_arrow(n)}
 
-    classes = {}
+    arrows = set()
+    for x in dirty:
+        classes[x], mark = _classify_vertex(a, rel, x)
+        _set_or_drop(marks, x, mark)
+        _set_or_drop(vertex_faults, x, tuple(_vertex_faults(q, x)))
+        arrows.update(q.in_arrows(x))
+        arrows.update(q.out_arrows(x))
+    for ar in arrows:
+        _set_or_drop(arrow_faults, ar.name, tuple(_arrow_faults(q, rel, ar)))
+
     exceptional = {i: [] for i in range(1, 7)}
-    ordinary = {i: [] for i in range(1, 7)}
+    ordinary = {i: set() for i in range(1, 7)}
     ordinary_by_vertex = {}
     diagnostics = []
-
     for x in q.vertices:
-        if _is_gentle_vertex(q, rel, x):
-            classes[x] = VertexClass(x, GENTLE, 0, None, ())
+        if x not in marks:
             continue
-        idx, witness, marked = _exceptional_witness(a, rel, x)
-        if idx:
-            classes[x] = VertexClass(x, EXCEPTIONAL, idx, witness, ())
-            exceptional[idx].append(x)
-            for v in marked:
-                ordinary[idx].append(v)
-                ordinary_by_vertex.setdefault(v, set()).add(idx)
-            higher = [j for j in range(idx + 1, 7)
-                      if _class_witness(a, rel, x, j)[0] == j]
-            if higher:
-                diagnostics.append(
-                    f"vertex {x} also fits exceptional class(es) "
-                    f"{', '.join(map(str, higher))}; class {idx} retained")
-        else:
-            classes[x] = VertexClass(x, OTHER, 0, None, ())
+        marked, note = marks[x]
+        idx = classes[x].exceptional_class
+        exceptional[idx].append(x)
+        ordinary[idx].update(marked)
+        for v in marked:
+            ordinary_by_vertex.setdefault(v, set()).add(idx)
+        if note:
+            diagnostics.append(note)
+    for v in set(ordinary_by_vertex).union(was_ordinary):
+        ordinary_in = tuple(sorted(ordinary_by_vertex.get(v, ())))
+        if classes[v].ordinary_in != ordinary_in:
+            classes[v] = classes[v]._replace(ordinary_in=ordinary_in)
 
-    for v, idxs in ordinary_by_vertex.items():
-        c = classes[v]
-        classes[v] = c._replace(ordinary_in=tuple(sorted(idxs)))
-
+    violations = [m for v in q.vertices for m in vertex_faults.get(v, ())]
+    violations += [m for ar in q.arrows for m in arrow_faults.get(ar.name, ())]
     return VertexClassification(
         classes=classes,
         exceptional={i: tuple(sorted(vs, key=natural_key)) for i, vs in exceptional.items()},
-        ordinary={i: tuple(sorted(set(vs), key=natural_key)) for i, vs in ordinary.items()},
-        is_quadratic_string=qs.ok,
-        violations=qs.violations,
+        ordinary={i: tuple(sorted(vs, key=natural_key)) for i, vs in ordinary.items()},
+        is_quadratic_string=not violations,
+        violations=tuple(violations),
         diagnostics=tuple(diagnostics),
+        local=_LocalResults(marks, vertex_faults, arrow_faults),
     )
 
 

@@ -7,14 +7,14 @@ alternating sum of Hom and Ext dimensions.  The quiver is acyclic, so
 the Cartan matrix is unitriangular in a topological order of the
 vertices and the Euler matrix E has integer entries.  The integer Cartan
 matrix is inverted by a fraction-free elimination and E is kept as exact
-fractions; the sign test runs on the integer matrix E + E^T.
+fractions; the sign test runs on the integer matrix E + E^T, and the
+form is evaluated with integer products.
 """
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from ._linalg import (
-    fr, inverse, transpose, mat_vec, vec_dot, _congruence, _integer_rows,
-)
+from ._linalg import fr, inverse, transpose, _congruence, _integer_rows
 from .presentation import QsaError, _has_directed_cycle, _relation_free_levels
 
 
@@ -73,12 +73,20 @@ def euler_matrix(a):
 
 
 def euler_eval(e, x):
-    """Value of the form at an integer (or rational) vector x."""
+    """Value of the form at an integer (or rational) vector x, as a Fraction.
+
+    E and x are scaled to integers by the lcm of their denominators, which
+    is 1 for an integer vector on an acyclic quiver, so every product is
+    an int product.
+    """
     if len(x) != len(e.vertices):
         raise QsaError(
             f"vector has {len(x)} entries, form has {len(e.vertices)}")
-    vec = [fr(t) for t in x]
-    return vec_dot(vec, mat_vec(e.entries, vec))
+    dx, (vec,) = _integer_rows([[fr(t) for t in x]])
+    de, rows = _integer_rows(e.entries)
+    total = sum(s * sum(m * t for m, t in zip(row, vec))
+                for s, row in zip(vec, rows))
+    return Fraction(total, de * dx * dx)
 
 
 # --- nonnegativity -----------------------------------------------------------

@@ -11,6 +11,7 @@ and requires target(a) == source(b).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, permutations, product
 import re
 from typing import NamedTuple
@@ -32,9 +33,17 @@ class QsaError(Exception):
 _ID_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_+\-~*.'@]*\Z")
 
 
+_DIGITS_RE = re.compile(r"(\d+)")
+
+
+@lru_cache(maxsize=2048)
 def natural_key(s):
-    """Sort key treating digit runs numerically, so v2 sorts before v10."""
-    parts = re.split(r"(\d+)", s)
+    """Sort key treating digit runs numerically, so v2 sorts before v10.
+
+    Memoized in a bounded cache: a presentation and the ones derived from
+    it sort the same few hundred names over and over.
+    """
+    parts = _DIGITS_RE.split(s)
     return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p)
 
 
@@ -108,6 +117,9 @@ class Quiver:
     def has_vertex(self, v):
         return v in self._out
 
+    def has_arrow(self, name):
+        return name in self._by_name
+
     def path(self, arrow_names):
         """Build a Path from composable arrow names."""
         names = tuple(arrow_names)
@@ -146,7 +158,8 @@ class RelationTerm:
     """One relation: a canonical combination of parallel paths.
 
     Terms are merged, sorted, and scaled so the first coefficient is 1;
-    monomial relations are combinations with a single path.
+    monomial relations are combinations with a single path.  `sort_key`
+    orders relations canonically.
     """
 
     def __init__(self, quiver, combination):
@@ -169,6 +182,7 @@ class RelationTerm:
         lead = merged[ordered[0]]
         self.source, self.target = endpoints
         self.terms = tuple((merged[p] / lead, p) for p in ordered)
+        self.sort_key = tuple((_path_sort_key(p), c) for c, p in self.terms)
 
     @property
     def is_monomial(self):
@@ -177,8 +191,13 @@ class RelationTerm:
     def paths(self):
         return tuple(p for _, p in self.terms)
 
-    def sort_key(self):
-        return tuple((_path_sort_key(p), c) for c, p in self.terms)
+    def _fits(self, quiver):
+        """True when every path composes in `quiver` with this term's endpoints."""
+        try:
+            return all(quiver.path(p)[:2] == (self.source, self.target)
+                       for _, p in self.terms)
+        except QsaError:
+            return False
 
     def __eq__(self, other):
         return isinstance(other, RelationTerm) and self.terms == other.terms
@@ -198,14 +217,16 @@ class AlgebraPresentation:
         for r in relations:
             if not isinstance(r, RelationTerm):
                 r = RelationTerm(quiver, r)
-            else:
-                # revalidate against this quiver (terms may come from another)
-                r = RelationTerm(quiver, [(c, p) for c, p in r.terms])
+            elif not r._fits(quiver):
+                # terms may come from another quiver: rebuild, or raise
+                r = RelationTerm(quiver, r.terms)
             rels.append(r)
-        rels = sorted(set(rels), key=lambda r: r.sort_key())
+        rels = sorted(set(rels), key=lambda r: r.sort_key)
         self.quiver = quiver
         self.relations = tuple(rels)
         self.monomials = frozenset(r.terms[0][1] for r in rels if r.is_monomial)
+        self._is_monomial = all(r.is_monomial for r in rels)
+        self._is_quadratic = all(len(p) == 2 for r in rels for _, p in r.terms)
         self._monomial_lengths = tuple(sorted({len(m) for m in self.monomials}))
         self._report = None  # the ValidationReport, set by the first validate()
 
@@ -215,11 +236,11 @@ class AlgebraPresentation:
 
     @property
     def is_monomial(self):
-        return all(r.is_monomial for r in self.relations)
+        return self._is_monomial
 
     @property
     def is_quadratic(self):
-        return all(len(p) == 2 for r in self.relations for p in r.paths())
+        return self._is_quadratic
 
     def max_relation_length(self):
         return max((len(p) for r in self.relations for p in r.paths()), default=2)

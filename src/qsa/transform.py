@@ -10,8 +10,12 @@ either recognizes the algebra outright as a blow-up of a smaller one
 vertex the way a sink mutation followed by a source mutation would
 (classes 1, 2, 4, 6), recording which vertex becomes special.  Classes
 1, 2 and 4 share one rewrite; classes 5 and 6 are handled by passing to
-the opposite algebra.  Each move classifies its result once, and that
-classification drives the next move.
+the opposite algebra.  Each move passes the relations it keeps through
+unchanged, builds only the ones it creates, and classifies its result
+once: only the vertices near the arrows it changed are examined again,
+the rest are read from the previous classification.  That
+classification drives the next move, and each intermediate presentation
+is serialized once.
 """
 
 import json
@@ -179,11 +183,8 @@ def _fresh_name(base, taken):
 
 
 def _survivor_relations(a, removed_arrows):
-    out = []
-    for r in a.relations:
-        if all(ar not in removed_arrows for ar in r.terms[0][1]):
-            out.append([(c, list(p)) for c, p in r.terms])
-    return out
+    return [r for r in a.relations
+            if all(ar not in removed_arrows for ar in r.terms[0][1])]
 
 
 def _rewire(a, x, case, witness):
@@ -296,8 +297,32 @@ def _gqs_classification(a):
     return c
 
 
-def _move(a, c, special):
-    """One reduction move on `a`, whose gqs classification is `c`.
+def _dirty_vertices(a, b, meta):
+    """Vertices of `b` whose class the move from `a` to `b` can change.
+
+    A move removes and adds arrows, with the relations through them, and
+    drops a vertex together with its arrows.  A vertex's class reads only
+    its own arrows, the relations between them, and whether its
+    neighbours are single sources or sinks.  So only the ends of removed
+    and added arrows and their neighbours can change class.  Neighbours
+    in `a` and in `b` differ only through those arrows, whose ends are
+    already in the set.  Ends and neighbours do not depend on orientation,
+    so the moves made on the opposite algebra are covered too.
+    """
+    ends = {v for name in meta["removed_arrows"] for v in a.quiver.arrow(name)[1:]}
+    ends.update(v for _name, source, target in meta["new_arrows"]
+                for v in (source, target))
+    q = b.quiver
+    dirty = {v for v in ends if q.has_vertex(v)}
+    for v in tuple(dirty):
+        dirty.update(ar.target for ar in q.out_arrows(v))
+        dirty.update(ar.source for ar in q.in_arrows(v))
+    return dirty
+
+
+def _move(a, c, special, before):
+    """One reduction move on `a`, whose gqs classification is `c` and
+    whose serialization is `before`.
 
     Returns (smaller presentation, ReductionStep, its classification).
     """
@@ -316,7 +341,7 @@ def _move(a, c, special):
     else:
         b, meta = _case_dual(a, x, case, vc.witness)
 
-    cb = classify_vertices(b)
+    cb = classify_vertices(b, c, _dirty_vertices(a, b, meta))
     if not cb.is_quadratic_string or not cb.gqs:
         raise QsaError("reduction move left the quadratic string class")
     if len(cb.exceptional_vertices) != len(exc) - 1:
@@ -325,8 +350,7 @@ def _move(a, c, special):
                                key=natural_key))
     _check_special(b, new_special, cb)
 
-    step = ReductionStep(before=serialize_presentation(a),
-                         after=serialize_presentation(b), **meta)
+    step = ReductionStep(before=before, after=serialize_presentation(b), **meta)
     return b, step, cb
 
 
@@ -337,7 +361,8 @@ def reduce_step(a, special=()):
     of vertices already carried along; it is revalidated before and
     after the move.
     """
-    b, step, _ = _move(a, _gqs_classification(a), special)
+    b, step, _ = _move(a, _gqs_classification(a), special,
+                       serialize_presentation(a))
     return b, step
 
 
@@ -355,10 +380,12 @@ def reduce_to_skewed_gentle(a, special=()):
 def _reduce_classified(a, c, special=()):
     """reduce_to_skewed_gentle for `a` whose gqs classification is `c`."""
     cur = a
+    text = serialize_presentation(a)
     ds = tuple(sorted(set(special), key=natural_key))
     steps = []
     while c.exceptional_vertices:
-        cur, step, c = _move(cur, c, ds)
+        cur, step, c = _move(cur, c, ds, text)
+        text = step.after
         ds = tuple(sorted(set(ds) | {step.special_added}, key=natural_key))
         steps.append(step)
     return ReductionCertificate(initial=a, final=cur,

@@ -42,6 +42,22 @@ def test_negative_form_reports_witness():
     assert rb.value == -1
 
 
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.one_of(st.integers(-4, 4), _RATIONALS), min_size=n, max_size=n))))
+def test_euler_eval_matches_fraction_sum(case):
+    rows, x = case
+    e = EulerData(tuple(map(str, range(len(x)))), tuple(map(tuple, rows)))
+    want = sum((Fraction(x[i]) * rows[i][j] * x[j]
+                for i in range(len(x)) for j in range(len(x))), Fraction(0))
+    got = euler_eval(e, x)
+    assert isinstance(got, Fraction) and got == want
+
+
 def test_double_arrow_form_degenerate():
     ek = euler_matrix(load_fixture("kronecker"))
     assert euler_eval(ek, (1, 1)) == 0

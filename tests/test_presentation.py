@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsa.presentation import (
-    QsaError, Arrow, Quiver, AlgebraPresentation, parse_presentation,
+    QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, parse_presentation,
     serialize_presentation, validate, natural_key, underlying_graph, is_tree,
     path_basis, presentations_isomorphic, opposite, _graded_dimensions,
     _relation_free_levels,
@@ -103,6 +103,51 @@ def _small_presentations(draw):
 def test_serialize_parse_round_trip(a):
     text = serialize_presentation(a)
     assert serialize_presentation(parse_presentation(text)) == text
+
+
+# --- relations carried to another quiver ------------------------------------
+
+
+_SQUARE = ("arrow p: 1 -> 2\narrow q: 2 -> 4\narrow r: 1 -> 3\narrow s: 3 -> 4\n")
+
+
+def _square_relation():
+    """( p q ) - 2 ( r s ), built on the commutative square."""
+    square = parse_presentation("quiver sq\nvertices: 1 2 3 4\n" + _SQUARE)
+    return RelationTerm(square.quiver, [(1, ("p", "q")), (-2, ("r", "s"))])
+
+
+@pytest.mark.parametrize("arrows, fragment", [
+    # q no longer starts where p ends
+    ("arrow p: 1 -> 2\narrow q: 3 -> 4\narrow r: 1 -> 3\narrow s: 3 -> 4\n",
+     "compose"),
+    # both paths compose, but p q ends at 2 and r s at 4
+    ("arrow p: 1 -> 3\narrow q: 3 -> 2\narrow r: 1 -> 3\narrow s: 3 -> 4\n",
+     "non-parallel"),
+    ("arrow p: 1 -> 2\narrow q: 2 -> 4\narrow r: 1 -> 3\n", "unknown"),
+])
+def test_relation_term_from_another_quiver_is_rechecked(arrows, fragment):
+    other = parse_presentation("quiver sq\nvertices: 1 2 3 4\n" + arrows).quiver
+    with pytest.raises(QsaError) as err:
+        AlgebraPresentation(other, [_square_relation()])
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("arrows", [
+    _SQUARE,
+    # the same names on a square turned around: new endpoints 4 -> 1
+    "arrow p: 4 -> 2\narrow q: 2 -> 1\narrow r: 4 -> 3\narrow s: 3 -> 1\n",
+])
+def test_relation_term_from_another_quiver_is_kept_or_rebuilt(arrows):
+    text = "quiver sq\nvertices: 1 2 3 4\n" + arrows
+    other = parse_presentation(text).quiver
+    carried = AlgebraPresentation(other, [_square_relation()])
+    parsed = parse_presentation(text + "relations:\n( p q ) - 2 ( r s )\n")
+    assert carried == parsed
+    assert serialize_presentation(carried) == serialize_presentation(parsed)
+    (r,) = carried.relations
+    assert (r.source, r.target) == (parsed.relations[0].source,
+                                    parsed.relations[0].target)
 
 
 # --- ordering -------------------------------------------------------------------

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 from qsa.presentation import (
-    QsaError, opposite, parse_presentation, presentations_isomorphic,
-    serialize_presentation, validate,
+    QsaError, AlgebraPresentation, Arrow, Quiver, opposite, parse_presentation,
+    presentations_isomorphic, serialize_presentation, validate,
 )
 from qsa import _endo
 from qsa._algebra import TruncatedAlgebra
+from qsa import classify, transform
 from qsa.classify import classify_vertices, special_vertices
 from qsa.decide import decide_derived_type
 from qsa.transform import (
@@ -20,7 +21,7 @@ from qsa.transform import (
     reduce_to_skewed_gentle,
 )
 
-from conftest import load_fixture, glued_twelve_gqs
+from conftest import all_fixture_names, load_fixture, glued_twelve_gqs
 from oracles import commuting_mutation_cases
 
 
@@ -215,6 +216,107 @@ def test_reduction_classifies_each_presentation_once(monkeypatch):
     validated = _count_calls(monkeypatch, validate)
     assert decide_derived_type(a).tame
     assert len(validated) == 1
+
+
+def _reducing_fixtures():
+    """Every fixture with an exceptional vertex, as is and opposite."""
+    out = []
+    for name in all_fixture_names():
+        a = load_fixture(name)
+        if a.is_monomial and a.is_quadratic:
+            c = classify_vertices(a)
+            if c.gqs and c.exceptional_vertices:
+                out += [(name, "as-is"), (name, "opposite")]
+    return out
+
+
+def _reduction_input(name, side):
+    if name == "glued":
+        return glued_twelve_gqs(side)
+    a = load_fixture(name)
+    return opposite(a) if side == "opposite" else a
+
+
+def _recorded_classifications(monkeypatch):
+    """(presentation, classification) for each classification a reduction makes."""
+    seen = []
+
+    def recording(a, *args):
+        c = classify_vertices(a, *args)
+        seen.append((a, c))
+        return c
+
+    monkeypatch.setattr(transform, "classify_vertices", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name,side", _reducing_fixtures() + [("glued", k) for k in range(1, 5)])
+def test_move_classification_equals_fresh_one(monkeypatch, name, side):
+    seen = _recorded_classifications(monkeypatch)
+    cert = reduce_to_skewed_gentle(_reduction_input(name, side))
+    assert len(seen) == len(cert.steps) + 1
+    for b, c in seen:
+        assert c == classify_vertices(b)
+
+
+def test_reducing_fixtures_cover_every_class():
+    cases = set()
+    for name, side in _reducing_fixtures():
+        cases.update(s.case for s in reduce_to_skewed_gentle(
+            _reduction_input(name, side)).steps)
+    assert cases == {1, 2, 3, 4, 5, 6}
+
+
+def _vertices_classified_per_move(monkeypatch, a):
+    """Vertices examined by each classification after the first."""
+    examined = _count_calls(monkeypatch, classify._is_gentle_vertex)
+    per_call = []
+
+    def counting(*args):
+        before = len(examined)
+        c = classify_vertices(*args)
+        per_call.append(len(examined) - before)
+        return c
+
+    monkeypatch.setattr(transform, "classify_vertices", counting)
+    reduce_to_skewed_gentle(a)
+    return per_call[1:]
+
+
+def test_move_cost_does_not_grow_with_the_presentation(monkeypatch):
+    two = _vertices_classified_per_move(monkeypatch, glued_twelve_gqs(2))
+    six = _vertices_classified_per_move(monkeypatch, glued_twelve_gqs(6))
+    assert len(two) == 6 and len(six) == 18
+    assert set(two) == set(six)
+    assert max(six) < len(glued_twelve_gqs(1).quiver.vertices)
+
+
+@pytest.mark.parametrize("name,side", _reducing_fixtures())
+def test_classification_reuse_after_any_added_arrow(name, side):
+    # one arrow more, anywhere: it can break the string conditions or take
+    # a single source or sink away from an exceptional neighbour; reading
+    # the rest from the old classification must match a fresh one, both ways
+    a = _reduction_input(name, side)
+    q = a.quiver
+    fresh = classify_vertices(a)
+    seen = set()   # the kinds of change the added arrow made
+    for u in q.vertices:
+        for w in q.vertices:
+            b = AlgebraPresentation(
+                Quiver(q.name, q.vertices, q.arrows + (Arrow("extra", u, w),)),
+                a.relations)
+            meta = {"removed_arrows": (), "new_arrows": (("extra", u, w),)}
+            dirty = transform._dirty_vertices(a, b, meta)
+            c = classify_vertices(b)
+            assert classify_vertices(b, fresh, dirty) == c
+            assert classify_vertices(a, c, dirty) == fresh
+            if not c.is_quadratic_string:
+                seen.add("string")
+            if any(c.classes[v].kind != fresh.classes[v].kind
+                   for v in dirty - {u, w}):
+                seen.add("neighbour")
+    assert seen == {"string", "neighbour"}
 
 
 # --- sink/source mutations -----------------------------------------------------
