@@ -84,8 +84,8 @@ def euler_eval(e, x):
             f"vector has {len(x)} entries, form has {len(e.vertices)}")
     dx, (vec,) = _integer_rows([[fr(t) for t in x]])
     de, rows = _integer_rows(e.entries)
-    total = sum(s * sum(m * t for m, t in zip(row, vec))
-                for s, row in zip(vec, rows))
+    total = sum(xi * sum(eij * xj for eij, xj in zip(row, vec))
+                for xi, row in zip(vec, rows))
     return Fraction(total, de * dx * dx)
 
 

@@ -10,9 +10,8 @@ from qsa.presentation import (
     QsaError, AlgebraPresentation, Arrow, Quiver, opposite, parse_presentation,
     presentations_isomorphic, serialize_presentation, validate,
 )
-from qsa import _endo
+from qsa import _endo, classify, transform
 from qsa._algebra import TruncatedAlgebra
-from qsa import classify, transform
 from qsa.classify import classify_vertices, special_vertices
 from qsa.decide import decide_derived_type
 from qsa.transform import (
