@@ -9,10 +9,12 @@ are matched directly on the base presentation.
 """
 
 import os
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .presentation import (
-    QsaError, Arrow, Quiver, AlgebraPresentation, natural_key,
+    QsaError, Arrow, Quiver, AlgebraPresentation,
     presentations_isomorphic, serialize_presentation, validate,
 )
 from ._linalg import psd_flags
@@ -42,13 +44,16 @@ def _env_int(name, default):
 # --- graph shape recognition --------------------------------------------------
 
 
-class GraphType:
-    """Shape of a connected multigraph: Dynkin, Euclidean, or Other."""
+class GraphType(NamedTuple):
+    """Shape of a connected multigraph: Dynkin, Euclidean, or Other.
 
-    def __init__(self, kind, family=None, index=None):
-        self.kind = kind        # "Dynkin" | "Euclidean" | "Other"
-        self.family = family    # "A" | "D" | "E" | None
-        self.index = index      # diagram subscript, None for Other
+    Read-only, since `graph_type` hands one cached instance to every caller
+    that classifies the same labelled graph.
+    """
+
+    kind: str           # "Dynkin" | "Euclidean" | "Other"
+    family: str = None  # "A" | "D" | "E" | None
+    index: int = None   # diagram subscript, None for Other
 
     @property
     def label(self):
@@ -57,15 +62,6 @@ class GraphType:
         if self.kind == "Euclidean":
             return f"~{self.family}{self.index}"
         return "Other"
-
-    def _key(self):
-        return (self.kind, self.family, self.index)
-
-    def __eq__(self, other):
-        return isinstance(other, GraphType) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"GraphType({self.label})"
@@ -143,29 +139,49 @@ def graph_type(vertices, edges):
     against the sign behaviour of the associated quadratic form (positive
     definite for Dynkin, semidefinite with radical for Euclidean, indefinite
     otherwise); a disagreement raises QsaError.
+
+    The graph is first normalised to its vertex count and the sorted pairs
+    of vertex indices, one per edge, and the shape of that key is memoised
+    in a bounded cache: the witness search classifies the same few hundred
+    labelled graphs thousands of times.  The shape is a pure function of
+    the key, so a cached answer has passed the same cross-check; a
+    disagreement is never cached and raises on every call.
     """
-    verts = list(dict.fromkeys(vertices))
-    if not verts:
+    try:
+        idx = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
+    except TypeError:
+        raise QsaError("graph vertices must be hashable") from None
+    if not idx:
         raise QsaError("graph shape needs at least one vertex")
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
+    pairs = []
+    for e in edges:
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise QsaError(f"edge {e!r} is not a pair of vertices")
+        try:
+            i, j = idx[e[0]], idx[e[1]]
+        except (KeyError, TypeError):
+            raise QsaError(f"edge {e!r} has an endpoint outside the vertex list") from None
+        pairs.append((i, j) if i <= j else (j, i))
+    pairs.sort()
+    return _indexed_graph_type(len(idx), tuple(pairs))
+
+
+@lru_cache(maxsize=1024)
+def _indexed_graph_type(n, pairs):
+    # n vertices 0..n-1; pairs is the sorted tuple of (i, j), i <= j, one
+    # per edge, so a loop is (i, i)
     loops = [0] * n
     mult = [[0] * n for _ in range(n)]
     deg = [0] * n
-    m = 0
-    for e in edges:
-        u, w = e
-        if u not in idx or w not in idx:
-            raise QsaError(f"edge {e!r} has an endpoint outside the vertex list")
-        m += 1
-        if u == w:
-            loops[idx[u]] += 1
-            deg[idx[u]] += 2
+    for i, j in pairs:
+        if i == j:
+            loops[i] += 1
+            deg[i] += 2
         else:
-            mult[idx[u]][idx[w]] += 1
-            mult[idx[w]][idx[u]] += 1
-            deg[idx[u]] += 1
-            deg[idx[w]] += 1
+            mult[i][j] += 1
+            mult[j][i] += 1
+            deg[i] += 1
+            deg[j] += 1
     seen = {0}
     stack = [0]
     while stack:
@@ -177,7 +193,7 @@ def graph_type(vertices, edges):
     if len(seen) != n:
         raise QsaError("graph shape recognition needs a connected graph")
 
-    shape = _structural_shape(n, m, loops, mult, deg)
+    shape = _structural_shape(n, len(pairs), loops, mult, deg)
 
     # twice the Gram matrix of the Tits form, over the integers
     gram2 = [[-mult[i][j] for j in range(n)] for i in range(n)]
@@ -401,7 +417,7 @@ def _survival(ball, budget):
     """
     cov = ball.cover
     q = cov.quiver
-    order = sorted(q.vertices, key=natural_key)
+    order = list(q.vertices)
     index = {v: i for i, v in enumerate(order)}
     pairs = {}
     steps = 0
@@ -423,14 +439,15 @@ def _survival(ball, budget):
 
 
 def _assemble(ball, order, members, arcs, shape):
+    # members and arcs come sorted by vertex index
     taken = set()
     arrows = []
     realized = []
-    for i, j, names in sorted(arcs, key=lambda t: (t[0], t[1])):
+    for i, j, names in arcs:
         label = _claim(taken, "*".join(ball.arrow_map[c] for c in names))
         arrows.append(Arrow(label, order[i], order[j]))
         realized.append((order[i], order[j], names))
-    verts = [order[i] for i in sorted(members)]
+    verts = [order[i] for i in members]
     quiver = Quiver(f"{ball.base.quiver.name}.witness@{ball.basepoint}", verts, arrows)
     rels = [[(1, [p.name, r.name])]
             for p in arrows for r in arrows if p.target == r.source]
@@ -455,44 +472,41 @@ def _search_ball(ball, max_size, budget, like=None):
     remaining = budget - used
     result = None
 
-    def bits(mask):
-        out = []
-        while mask:
-            b = mask & -mask
-            out.append(b.bit_length() - 1)
-            mask ^= b
-        return out
+    def extend(members, blocked, mask, i):
+        # a subset is valid when no surviving pair's geodesic interior meets
+        # it; then its full subcategory is radical-square-zero with one arrow
+        # per surviving pair.  The members are valid and `blocked` is the
+        # union of their arcs' interiors, so adding i keeps the subset valid
+        # unless i is blocked or an arc at i passes through the new mask.
+        # Returns i's arcs and the new union, or None when invalid.
+        if blocked >> i & 1:
+            return None
+        new = []
+        for j in members:
+            for arc in ((i, j), (j, i)):
+                hit = pairs.get(arc)
+                if hit is not None:
+                    if hit[0] & mask:
+                        return None
+                    blocked |= hit[0]
+                    new.append(arc + (hit[1],))
+        return new, blocked
 
-    def inspect(mask, members):
-        # valid <=> no surviving pair's geodesic interior meets the subset;
-        # then the subset's full subcategory is radical-square-zero with one
-        # arrow per surviving pair, and it is a witness when the underlying
-        # graph is neither Dynkin nor Euclidean
-        arcs = []
-        for i in members:
-            for j in members:
-                if i == j:
-                    continue
-                hit = pairs.get((i, j))
-                if hit is None:
-                    continue
-                if hit[0] & mask:
-                    return None, False
-                arcs.append((i, j, hit[1]))
-        if len(members) < 2:
-            return None, True
+    def witness(members, arcs):
+        # a valid subset is a witness when its graph is neither Dynkin nor
+        # Euclidean
         if want is not None and len(members) != want:
-            return None, True
+            return None
         shape = graph_type([order[i] for i in members],
                            [(order[i], order[j]) for i, j, _ in arcs])
         if shape.kind != "Other":
-            return None, True
+            return None
         wit = _assemble(ball, order, members, arcs, shape)
         if like is not None and presentations_isomorphic(wit.presentation, like) is None:
-            return None, True   # a certificate, but not the requested shape
-        return wit, True
+            return None   # a certificate, but not the requested shape
+        return wit
 
-    def enum(mask, cand, ban, size):
+    def enum(members, arcs, blocked, mask, cand, ban):
         nonlocal remaining, result
         while cand:
             if result is not None:
@@ -504,23 +518,26 @@ def _search_ball(ball, max_size, budget, like=None):
             if remaining <= 0:
                 raise _Budget()
             nm = mask | b
-            wit, valid = inspect(nm, bits(nm))
-            if wit is not None:
-                result = wit
-                return
-            if valid and size + 1 < max_size:
-                grow = adj[i] & ~nm & ~ban & ~cand & allowed
-                enum(nm, cand | grow, ban, size + 1)
+            ext = extend(members, blocked, nm, i)
+            if ext is not None:
+                new, grown_blocked = ext
+                grown = sorted(members + [i])
+                grown_arcs = sorted(arcs + new)
+                result = witness(grown, grown_arcs)
+                if result is not None:
+                    return
+                if len(grown) < max_size:
+                    grow = adj[i] & ~nm & ~ban & ~cand & allowed
+                    enum(grown, grown_arcs, grown_blocked, nm, cand | grow, ban)
             ban |= b
 
     for root in range(n):
         if result is not None:
             break
         allowed = ~((1 << (root + 1)) - 1)   # strictly above the root index
-        _, valid = inspect(1 << root, [root])
-        if not valid:
-            continue
-        enum(1 << root, adj[root] & allowed, 0, 1)
+        # a directed path in the cover tree never returns to its start, so a
+        # single vertex is always valid
+        enum([root], [], 0, 1 << root, adj[root] & allowed, 0)
 
     return result
 

@@ -1,5 +1,7 @@
 """Underlying graph types, truncated covers, wild witnesses, local patterns."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qsa.presentation import (
     QsaError, parse_presentation, presentations_isomorphic, underlying_graph,
 )
+from qsa import covering
 from qsa.covering import (
     detect_local_wild_pattern, find_wild_witness, graph_type, truncated_cover,
 )
@@ -31,7 +34,7 @@ def _arms(*lengths):
 # --- graph type ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("verts, edges, label", [
+GRAPH_LABELS = [
     (list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")], "A5"),
     (["x"], [], "A1"),
     (["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")], "~A2"),
@@ -53,9 +56,71 @@ def _arms(*lengths):
     _arms(2, 2, 3) + ("Other",),
     (["u", "w", "l1", "l2", "l3", "l4"],
      [("u", "w"), ("u", "l1"), ("u", "l2"), ("w", "l3"), ("w", "l4")], "~D5"),
-])
+]
+
+
+@pytest.fixture
+def cold_graph_cache():
+    covering._indexed_graph_type.cache_clear()
+    yield
+    covering._indexed_graph_type.cache_clear()
+
+
+@pytest.mark.parametrize("verts, edges, label", GRAPH_LABELS)
 def test_graph_type_labels(verts, edges, label):
     assert graph_type(verts, edges).label == label
+
+
+def test_graph_type_label_ignores_vertex_and_edge_order(cold_graph_cache):
+    # each order is a different memo key for the same graph
+    rng = random.Random(0)
+    for verts, edges, label in GRAPH_LABELS:
+        for _ in range(4):
+            vs = rng.sample(verts, len(verts))
+            es = [e[::-1] if rng.random() < 0.5 else e
+                  for e in rng.sample(edges, len(edges))]
+            assert graph_type(vs, es).label == label
+
+
+def test_graph_type_memo_tells_apart_equal_degree_sequences(cold_graph_cache):
+    verts = list("cpqrst")
+    d6 = [("c", "p"), ("c", "q"), ("c", "r"), ("r", "s"), ("s", "t")]
+    e6 = [("c", "p"), ("c", "q"), ("q", "r"), ("c", "s"), ("s", "t")]
+    for first, second in ((d6, e6), (e6, d6)):
+        covering._indexed_graph_type.cache_clear()
+        labels = [graph_type(verts, first).label, graph_type(verts, second).label]
+        assert sorted(labels) == ["D6", "E6"]
+        assert labels[0] == ("D6" if first is d6 else "E6")
+
+
+def test_graph_type_disagreement_is_never_cached(cold_graph_cache, monkeypatch):
+    verts, edges = list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+    monkeypatch.setattr(covering, "psd_flags", lambda gram: (False, False))
+    for _ in range(2):
+        with pytest.raises(QsaError, match="disagrees with the form sign test"):
+            graph_type(verts, edges)
+    monkeypatch.undo()
+    assert graph_type(verts, edges).label == "A5"
+
+
+def test_graph_type_is_read_only():
+    shape = graph_type(["x"], [])
+    with pytest.raises(AttributeError):
+        shape.kind = "Other"
+    assert graph_type(["x"], []).label == "A1"
+
+
+@pytest.mark.parametrize("verts, edges", [
+    (["a", "b"], [("a",)]),
+    (["a", "b", "c"], [("a", "b", "c")]),
+    (["a", "b"], ["ab"]),
+    ([["a"], "b"], [("b", "b")]),
+    (["a", "b"], [(["a"], "b")]),
+    (["a", "b"], [("a", "z")]),
+])
+def test_graph_type_rejects_malformed_input(verts, edges):
+    with pytest.raises(QsaError):
+        graph_type(verts, edges)
 
 
 def test_graph_type_pendant_chain_is_other():
@@ -155,6 +220,36 @@ def test_witness_search_can_target_a_shape():
         "a.alpha.beta.gamma.alpha", "a.alpha.beta.gamma.alpha.beta",
         "a.alpha.beta.gamma.alpha.beta.delta'",
         "a.alpha.beta.gamma.alpha.beta.gamma")
+
+
+def test_targeted_witness_payload_is_frozen():
+    wd = find_wild_witness(load_fixture("three-vertex-wild"), radius=6, max_size=8,
+                           like=load_fixture("expected-delta"))
+    payload = json.dumps(wd.to_payload(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "2b978bc9bd13f711cac3fb23aede7bba8daade9351527f79c0e6556bf85c5a81")
+
+
+def test_exhaustive_search_classifies_every_valid_subset(monkeypatch):
+    # one graph_type call per valid subset of size 2..10 in every ball: a
+    # subset that the enumeration drops or adds changes the count
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    n = 6
+    cycle = parse_presentation(
+        f"quiver cycle{n}\nvertices: " + " ".join(map(str, range(1, n + 1))) + "\n"
+        + "".join(f"arrow a{i}: {i} -> {i % n + 1}\n" for i in range(1, n + 1))
+        + "relations:\na1 a2 a3\n")
+    calls = 0
+    classify = covering.graph_type
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return classify(*args)
+
+    monkeypatch.setattr(covering, "graph_type", counting)
+    assert covering._witness_search(cycle, 8, 10) == (None, False)
+    assert calls == 1504
 
 
 def test_witness_bound_matters_for_triple_arrow():

@@ -120,6 +120,21 @@ def test_tree_fixture_verdict_is_frozen(name):
     assert hashlib.sha256(_payload_bytes(v)).hexdigest() == EULER_FIXTURE_SHA256[name]
 
 
+# Cyclic-branch verdicts at witness radius 6 and size 8 are frozen byte for
+# byte too: the wild ones carry the first cover witness the search finds.
+COVER_FIXTURE_SHA256 = {
+    "kronecker": "82c412242da9352bdbb7f5888140c70bef510c4fb0dbed71f48e39eee4a3adf1",
+    "three-vertex-wild": "3a38c6b6eb6bd7bfede0539cdb60cb6bcde364800372fd91aa4e8d76b7444f32",
+    "two-cycle": "313c0fb9fc3fe06509154747068eea4220b467bcbee44b033bdbe0e8db6ba468",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_FIXTURE_SHA256))
+def test_cover_fixture_verdict_is_frozen(name):
+    v = decide_derived_type(load_fixture(name), 6, 8)
+    assert hashlib.sha256(_payload_bytes(v)).hexdigest() == COVER_FIXTURE_SHA256[name]
+
+
 @pytest.mark.parametrize("shapes,max_relations,wild,digest", [
     # every tree on at most five vertices is tame: this pins the matrices
     (TREE_SHAPES, 2, 0,
