@@ -371,10 +371,15 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     Basepoints are tried in vertex order, ball vertices in name order (the
     names encode the walks, so this is a depth-first sweep of the tree), and
     subsets grown by rooted expansion, so the first hit is deterministic.
-    A against-the-ideal certificate can be non-unique; passing a target
-    presentation as `like` keeps the same enumeration but only accepts
-    witnesses isomorphic to the target.  Absence within the bounds proves
-    nothing; a returned witness is a complete certificate.
+    Each subset is grown from a valid one by a single vertex, so only the
+    new vertex's surviving paths are checked, plus the union of the
+    interiors of the paths already in the subset; each valid subset of two
+    or more vertices is classified by one `graph_type` call, whose bounded
+    memo makes repeated graph shapes cheap.  The first witness found is not
+    the only one in the ball; passing a target presentation as `like` keeps
+    the same enumeration but only accepts witnesses isomorphic to the
+    target.  Absence within the bounds proves nothing; a returned witness is
+    a complete certificate.
     QSA_WITNESS_RADIUS, QSA_WITNESS_SIZE and QSA_WITNESS_BUDGET override the
     defaults.
     """
