@@ -89,13 +89,10 @@ class TruncatedAlgebra:
         return [ZERO] * len(self._paths.get((u, v), ()))
 
     def normal(self, u, v, vec):
-        return reduce_vec(list(vec), self._rows.get((u, v), ()),
-                          self._pivots.get((u, v), ()))
-
-    def unit(self, v):
-        vec = self.zero(v, v)
-        vec[self._index[(v, v)][()]] = ONE
-        return self.normal(v, v, vec)
+        rows = self._rows.get((u, v))
+        if not rows:
+            return vec
+        return reduce_vec(vec, rows, self._pivots[(u, v)])
 
     def path_vec(self, u, v, arrows):
         """Normal form of a single path given as a tuple of arrow names."""
@@ -134,6 +131,16 @@ class TruncatedAlgebra:
             vec[i] = ONE
             out.append(vec)
         return out
+
+    def embed(self, u, v, coords):
+        """The normal-form vector with these coordinates at the free positions."""
+        free = self.free_positions(u, v)
+        vec = self.zero(u, v)
+        if len(free) == len(vec):
+            return list(coords)
+        for i, c in zip(free, coords):
+            vec[i] = c
+        return vec
 
     def coords(self, u, v, vec):
         """Coordinates of a normal-form vector at the free positions."""

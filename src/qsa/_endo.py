@@ -2,10 +2,14 @@
 
 At a sink x the complex T is the direct sum of the stalks P_u (u != x)
 and R_x = [P_x in degree -1 mapped into the sum of P_{s(a)} over the
-arrows a into x].  Morphism spaces between the summands are computed as
-chain maps modulo homotopy in exact arithmetic, the radical of the
-resulting endomorphism algebra is split off with the trace form, and a
-quiver presentation is read back off arrow representatives.  Hom
+arrows a into x].  Only the morphism spaces with x as an end are solved
+as chain maps modulo homotopy, in exact arithmetic.  Between two stalks
+there is no chain condition and no homotopy: Hom(P_v, P_u) is the
+algebra block e_u A e_v in its free coordinates, so normal forms are the
+identity there, a composite of three stalks is one product in the
+algebra, and the radical of End(P_u) is the span of the paths of
+positive length.  The radical at R_x is split off with the trace form,
+and a quiver presentation is read back off arrow representatives.  Hom
 spaces exist only for the pairs of summands whose ambient space has a
 nonzero block of the algebra; every other pair is the zero space, and
 composition and path evaluation treat it as such.  Relations of length
@@ -49,27 +53,26 @@ class _HomSpace:
             self.offsets.append(total)
             total += alg.dim_block(bu, bv)
         self.ambient_dim = total
-        self._solve()
+        # between two stalks there is no chain condition and no homotopy:
+        # the basis is the free coordinates of the algebra block
+        self.stalk = engine.x not in (u, v)
+        if self.stalk:
+            self.dim = total
+        else:
+            self._solve()
 
     # ambient <-> per-block full vectors
 
     def split(self, flat):
         alg = self.engine.alg
-        out = []
-        for (kind, bu, bv), off in zip(self.blocks, self.offsets):
-            free = alg.free_positions(bu, bv)
-            full = alg.zero(bu, bv)
-            for i, p in enumerate(free):
-                full[p] = flat[off + i]
-            out.append(full)
-        return out
+        return [alg.embed(bu, bv, flat[off:off + alg.dim_block(bu, bv)])
+                for (_, bu, bv), off in zip(self.blocks, self.offsets)]
 
     def join(self, fulls):
         alg = self.engine.alg
-        flat = [ZERO] * self.ambient_dim
-        for (kind, bu, bv), off, full in zip(self.blocks, self.offsets, fulls):
-            for i, p in enumerate(alg.free_positions(bu, bv)):
-                flat[off + i] = full[p]
+        flat = []
+        for (_, bu, bv), full in zip(self.blocks, fulls):
+            flat += alg.coords(bu, bv, full)
         return flat
 
     def block_index(self, kind, bu_i, bv_j):
@@ -140,6 +143,8 @@ class _HomSpace:
 
     def nf(self, ambient):
         """Coordinates of an ambient vector in the chosen basis."""
+        if self.stalk:
+            return list(ambient)
         r = reduce_vec(list(ambient), self.hrows, self.hpivots)
         coords = [r[p] for p in self.qpivots]
         for c, row in zip(coords, self.qrows):
@@ -150,6 +155,8 @@ class _HomSpace:
         return coords
 
     def rep(self, coords):
+        if self.stalk:
+            return list(coords)
         amb = [ZERO] * self.ambient_dim
         for c, row in zip(coords, self.qrows):
             if c:
@@ -200,6 +207,9 @@ class _Engine:
         hp, hq = self.homs.get((u, v)), self.homs.get((v, w))
         if hp is None or hq is None:
             return [ZERO] * hr.ambient_dim
+        if hp.stalk and hq.stalk:
+            return alg.coords(u, w, alg.mult(
+                u, v, w, alg.embed(u, v, amb_p), alg.embed(v, w, amb_q)))
         fp, fq = hp.split(amb_p), hq.split(amb_q)
         fulls = [alg.zero(bu, bv) for _, bu, bv in hr.blocks]
         zu, zv, zw = self.degzero(u), self.degzero(v), self.degzero(w)
@@ -223,9 +233,18 @@ class _Engine:
 
 
 def _local_radical(engine, u):
-    """Radical of End(O_u) via the trace form of left multiplication."""
+    """Radical of End(O_u) via the trace form of left multiplication.
+
+    For a stalk, End(P_u) = e_u A e_u is local and its radical is spanned
+    by the paths of positive length: every free coordinate but the first,
+    which is the trivial path.  Only the span of a radical is used
+    downstream, so this basis gives the same presentation as the trace
+    form's.
+    """
     h = engine.homs[(u, u)]
     n = h.dim
+    if h.stalk:
+        return identity(n)[1:]
     reps = [h.rep(c) for c in identity(n)]
     table = [[h.nf(engine.compose(u, u, u, reps[i], reps[j]))
               for j in range(n)] for i in range(n)]

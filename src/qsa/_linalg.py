@@ -43,6 +43,8 @@ def _integer_rows(rows):
 
 def rref(rows):
     """Reduced row echelon form. Returns (nonzero rows, pivot column indices)."""
+    if not rows:
+        return [], []
     mat = [list(map(fr, row)) for row in rows]
     pivots = []
     r = 0
@@ -56,12 +58,13 @@ def rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        if mat[r][c] != ONE:
+            inv = ONE / mat[r][c]
+            mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [x - f * y if y else x for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -79,7 +82,7 @@ def reduce_vec(v, basis, pivots):
     for row, c in zip(basis, pivots):
         if v[c]:
             f = v[c]
-            v = [x - f * y for x, y in zip(v, row)]
+            v = [x - f * y if y else x for x, y in zip(v, row)]
     return v
 
 

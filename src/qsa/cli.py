@@ -6,7 +6,7 @@ file; `--json` switches the output to a single JSON document.  Exit codes:
 0 success, 1 domain error (message on standard error), 2 usage error.
 """
 
-import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -353,7 +353,12 @@ def _cmd_witness(args):
 # --- parser and entry ----------------------------------------------------------
 
 
+# built on the first call, not at import (nor is argparse imported before
+# then); argparse keeps no state between parse_args calls, so one parser
+# serves every call
+@functools.cache
 def _build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qsa",
         description="Decide derived representation type of quadratic string algebras.")

@@ -174,15 +174,17 @@ class RelationTerm:
                 endpoints = (p.source, p.target)
             elif endpoints != (p.source, p.target):
                 raise QsaError("relation mixes non-parallel paths")
-            merged[p.arrows] = merged.get(p.arrows, Fraction(0)) + coef
-        merged = {k: v for k, v in merged.items() if v}
-        if not merged:
+            merged[p.arrows] = merged[p.arrows] + coef if p.arrows in merged else coef
+        keys = {p: _path_sort_key(p) for p, c in merged.items() if c}
+        if not keys:
             raise QsaError("relation cancels to zero")
-        ordered = sorted(merged, key=_path_sort_key)
+        ordered = sorted(keys, key=keys.__getitem__)
         lead = merged[ordered[0]]
         self.source, self.target = endpoints
-        self.terms = tuple((merged[p] / lead, p) for p in ordered)
-        self.sort_key = tuple((_path_sort_key(p), c) for c, p in self.terms)
+        if lead != 1:
+            merged = {p: c / lead for p, c in merged.items()}
+        self.terms = tuple((merged[p], p) for p in ordered)
+        self.sort_key = tuple((keys[p], c) for c, p in self.terms)
 
     @property
     def is_monomial(self):

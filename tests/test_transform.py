@@ -465,6 +465,70 @@ def test_mutation_builds_hom_spaces_only_for_live_pairs(monkeypatch):
     assert built == live
 
 
+def _cli_edit_vertices(k):
+    """The sink and the source that perfbench's cli_edit mutates at on k copies."""
+    c = (k + 1) // 2
+    return f"{6 if k % 2 else 12}_{c}", f"{5 if k % 2 else 11}_{c}"
+
+
+# Outputs on the glued families, where most pairs of summands are two
+# stalks: per k, one SHA-256 over both signs at the cli_edit sink and source.
+GLUED_MUTATION_SHA256 = {
+    1: "74c332f6f9292120d768bc0676fc14dab21e5a58de6d84d91c739306b963df01",
+    2: "020f9f1ef18247b9e9d68c0eb6aebbc3d3a554ab22ef65b730a657a43b91a12a",
+    3: "3eef74bf658af220f3f5bac98375e8c801e1892114595e5c7e124a1113511cb8",
+}
+
+
+@pytest.mark.parametrize("k", sorted(GLUED_MUTATION_SHA256))
+def test_glued_mutation_digest_is_frozen(k):
+    a = glued_twelve_gqs(k)
+    h = hashlib.sha256()
+    for x in _cli_edit_vertices(k):
+        for sign in ("minus", "plus"):
+            try:
+                out = serialize_presentation(mutate_at(a, x, sign))
+            except QsaError as e:
+                out = "ERR " + str(e)
+            h.update(out.encode() + b"\n")
+    assert h.hexdigest() == GLUED_MUTATION_SHA256[k]
+
+
+def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
+    # a pair of two stalks is an algebra block; only the live pairs with x
+    # as an end run the chain-condition and homotopy solve, so the count
+    # depends on the neighbourhood of x and not on the number of copies
+    solved = []
+    solve = _endo._HomSpace._solve
+
+    def counting_solve(self):
+        solved.append((self.u, self.v))
+        solve(self)
+
+    monkeypatch.setattr(_endo._HomSpace, "_solve", counting_solve)
+    counts = []
+    for k in range(1, 5):
+        a = glued_twelve_gqs(k)
+        x = _cli_edit_vertices(k)[0]
+        t = TruncatedAlgebra(a)
+        sources = [ar.source for ar in a.quiver.in_arrows(x)]
+
+        def degzero(u):
+            return sources if u == x else [u]
+
+        vs = a.quiver.vertices
+        ends = [(u, v) for u in vs for v in vs if x in (u, v) and (
+            u == v == x or any(t.dim_block(bu, bv) for bu in degzero(u)
+                               for bv in degzero(v)))]
+        solved.clear()
+        mutate_at(a, x, "minus")
+        assert solved == ends
+        counts.append(len(solved))
+    # the sink is vertex 6 of a copy for odd k, vertex 12 for even k
+    assert counts[2] == counts[0] and counts[3] == counts[1]
+    assert max(counts) < len(glued_twelve_gqs(1).quiver.vertices)
+
+
 def test_mutation_guards():
     a5 = load_fixture("a5-chain")
     with pytest.raises(QsaError):
