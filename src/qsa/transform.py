@@ -439,5 +439,7 @@ def mutate_at(a, x, direction):
             raise QsaError(f"unknown vertex {x!r}")
         if a.quiver.in_arrows(x):
             raise QsaError(f"plus mutation needs a source, {x!r} has in-arrows")
+        if not a.quiver.out_arrows(x):
+            raise QsaError(f"plus mutation needs at least one arrow out of {x!r}")
         return opposite(mutate_minus(opposite(a), x))
     raise QsaError(f"unknown mutation direction {direction!r}")

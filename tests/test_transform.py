@@ -389,7 +389,7 @@ MUTATION_SHA256 = {
     "fork-tail-10": "1d74a117953f456a874ddd262f4bd8df28e386ba73ce5cb02278e28ddcb75361",
     "gentle-cycle": "68b774e7076c00be57069d416e2502aae5a7ff6c193484adf429bb2687f30355",
     "kronecker": "a50ebcb8fc6c5c2a0f39848749172f9175a2ff3752e7d8b94acc41a1184ef960",
-    "one-point": "aa83638139eebecff1fe9b0b3bf2e69b29c4fb5d8e3ca74db6fc5eaf4fb89b1f",
+    "one-point": "d16ec4d7a78a8e524e1c144184536a78178820be5a66f5997b575e037fddb33d",
     "three-vertex-wild": "bddaf866b94c133a591f9891b82cba0d42d7d326a524e492182415b3f7762ca8",
     "twelve-vertex-gqs": "0ec6a7cf37536486bdc97c71ef708e1cd3414381760a654de03311796940d1f8",
     "two-cycle": "7c86a4088fbe5d3dbe5008c87dd44a480f8108779c7d857939dc4fdc87ab6732",
@@ -535,6 +535,16 @@ def test_mutation_guards():
         mutate_at(a5, "1", "minus")   # source, minus needs a sink
     with pytest.raises(QsaError):
         mutate_at(a5, "5", "plus")    # sink, plus needs a source
+
+
+def test_mutation_refuses_a_vertex_without_arrows_in_its_own_terms():
+    one = load_fixture("one-point")
+    with pytest.raises(QsaError) as minus:
+        mutate_at(one, "1", "minus")
+    assert str(minus.value) == "minus mutation needs at least one arrow into '1'"
+    with pytest.raises(QsaError) as plus:
+        mutate_at(one, "1", "plus")
+    assert str(plus.value) == "plus mutation needs at least one arrow out of '1'"
 
 
 # --- blow-up and mutation commute when they do not touch ------------------------
