@@ -2,12 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from qsa import cli
 from qsa.cli import run_cli
 
 from conftest import fixture_path
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -248,3 +253,57 @@ def test_witness_json_keys(capsys):
     assert sorted(doc["witness"]) == [
         "basepoint", "note", "paths", "presentation", "radius", "shape",
         "vertices"]
+
+
+# --- python -m qsa --------------------------------------------------------------------
+
+
+def run_module(*argv):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "qsa", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_qsa_runs_the_cli():
+    done = run_module("check", fixture_path("one-point"))
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0] == "one_point: 1 vertices, 0 arrows, 0 relations"
+
+
+def test_python_m_qsa_without_arguments_exits_two():
+    done = run_module()
+    assert done.returncode == 2
+    assert "usage" in done.stderr
+
+
+# --- one parser for every call ------------------------------------------------------------
+
+
+def test_cached_parser_keeps_no_options_between_calls(capsys):
+    wild = fixture_path("three-vertex-wild")
+    code, bounded, _ = run(capsys, "decide", wild, "--radius", "2", "--max-size", "3")
+    assert code == 0
+    assert bounded.splitlines()[0].startswith("NOT QUADRATIC STRING")
+    code, out, _ = run(capsys, "decide", wild)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "WILD (cycles; not quadratic string, but a wildness certificate "
+        "exists: 10-vertex cover witness)")
+
+
+def test_usage_error_after_a_successful_call_exits_two(capsys):
+    assert run(capsys, "check", fixture_path("a5-chain"))[0] == 0
+    code, out, err = run(capsys, "mutate", fixture_path("a5-chain"), "--vertex", "5")
+    assert code == 2
+    assert "--sign" in err
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    for argv in (["check", fixture_path("a5-chain")],
+                 ["classify", fixture_path("a5-chain")],
+                 ["mutate", fixture_path("a5-chain"), "--vertex", "5", "--sign", "minus"]):
+        assert run(capsys, *argv)[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
