@@ -134,11 +134,8 @@ class TruncatedAlgebra:
 
     def embed(self, u, v, coords):
         """The normal-form vector with these coordinates at the free positions."""
-        free = self.free_positions(u, v)
         vec = self.zero(u, v)
-        if len(free) == len(vec):
-            return list(coords)
-        for i, c in zip(free, coords):
+        for i, c in zip(self.free_positions(u, v), coords):
             vec[i] = c
         return vec
 

@@ -174,7 +174,8 @@ class RelationTerm:
                 endpoints = (p.source, p.target)
             elif endpoints != (p.source, p.target):
                 raise QsaError("relation mixes non-parallel paths")
-            merged[p.arrows] = merged[p.arrows] + coef if p.arrows in merged else coef
+            key = p.arrows
+            merged[key] = merged[key] + coef if key in merged else coef
         keys = {p: _path_sort_key(p) for p, c in merged.items() if c}
         if not keys:
             raise QsaError("relation cancels to zero")
