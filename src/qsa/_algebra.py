@@ -8,10 +8,11 @@ Non-monomial relations are handled linearly: the ideal inside a block is
 spanned by the products (left path) * (relation) * (right path), and
 vectors are kept reduced against an echelon basis of those spans.  The
 paths and the spans come from the path table in `presentation`, which
-the graded admissibility scan uses too.  The constructor accepts what `validate` certifies finite-
-dimensional and admissible: monomial ideals, length-homogeneous ideals
-with a vanishing graded component, and any relations on an acyclic
-quiver, non-homogeneous ones such as ( d e ) - ( a b c ) included.
+the graded admissibility scan uses too.  The constructor accepts what
+`validate` certifies finite-dimensional and admissible: monomial ideals,
+length-homogeneous ideals with a vanishing graded component, and any
+relations on an acyclic quiver, non-homogeneous ones such as
+( d e ) - ( a b c ) included.
 """
 
 from itertools import islice

@@ -428,3 +428,7 @@ def run_cli(argv=None):
 
 def main():
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -248,13 +248,6 @@ class AlgebraPresentation:
     def max_relation_length(self):
         return max((len(p) for r in self.relations for p in r.paths()), default=2)
 
-    def relation_free(self, arrows):
-        """True when no monomial relation occurs as a contiguous factor."""
-        for i in range(len(arrows)):
-            if self.ends_in_relation(arrows[:i + 1]):
-                return False
-        return True
-
     def ends_in_relation(self, arrows):
         """True when some monomial relation is a suffix of `arrows`.
 
@@ -506,37 +499,26 @@ def _has_directed_cycle(q):
 
 
 def _monomial_admissibility(a):
-    """(admissible, bound m) via the forbidden-factor window automaton."""
+    """(admissible, bound m) via the forbidden-factor window automaton.
+
+    The states are the relation-free paths of length k - 1, k the longest
+    relation, and an arrow leads from a state to the last k - 1 arrows of
+    the path it makes when that path is relation-free.  With no state the
+    first empty level of the path table is the bound.
+    """
     q = a.quiver
     k = max((len(m) for m in a.monomials), default=2)
-
-    # All surviving paths of length < k-1, grown to the automaton states.
-    windows = set()
-    shorter_max = 0
-    frontier = [((), v) for v in q.vertices]
-    length = 0
-    while frontier and length < k - 1:
-        nxt = []
-        for window, at in frontier:
-            for ar in q.out_arrows(at):
-                new = window + (ar.name,)
-                if not a.ends_in_relation(new):
-                    nxt.append((new, ar.target))
-        length += 1
-        if nxt:
-            shorter_max = length
-        frontier = nxt
-    for window, _ in frontier:
-        windows.add(window)
+    levels = list(islice(_relation_free_levels(a), k))
+    windows = {path: tgt for _, tgt, path in levels[-1]}
+    if not windows:
+        return True, len(levels) - 1
 
     edges = {w: [] for w in windows}
-    for window in windows:
-        at = q.arrow(window[-1]).target
+    for window, at in windows.items():
         for ar in q.out_arrows(at):
             new = window + (ar.name,)
             if not a.ends_in_relation(new):
-                nxt = new[-(k - 1):]
-                edges[window].append(nxt)
+                edges[window].append(new[1:])
 
     color = {w: 0 for w in windows}
     depth = {}
@@ -567,11 +549,7 @@ def _monomial_admissibility(a):
             longest_walk = max(longest_walk, d)
         else:
             longest_walk = max(longest_walk, depth[w])
-    if windows:
-        longest = (k - 1) + longest_walk
-    else:
-        longest = shorter_max
-    return True, longest + 1
+    return True, k + longest_walk
 
 
 def _relation_free_levels(a, starts=None):
@@ -599,7 +577,7 @@ def _relation_free_levels(a, starts=None):
 
 
 def _ideal_rows(combos, blocks, u, v, index, limit):
-    """Rows spanning the non-monomial relations `combos` inside e_u KQ e_v.
+    """Rows spanning the relations `combos` inside e_u KQ e_v.
 
     One row per translate x r y with x in blocks[(u, r.source)], y in
     blocks[(r.target, v)] and len(x) + len(first term of r) + len(y) <
@@ -776,90 +754,24 @@ def _parallel_counts(q):
     return counts
 
 
-def _paths_from_of_length(q, v, d):
-    out = []
+def _ideal_spans(p, blocks, degree_cap):
+    """Graded spans of the ideal of `p`: {(u, v, d): rref basis}.
 
-    def grow(arrows, at):
-        if len(arrows) == d:
-            out.append(arrows)
-            return
-        for ar in q.out_arrows(at):
-            grow(arrows + (ar.name,), ar.target)
-
-    grow((), v)
-    return out
-
-
-def _paths_into_of_length(q, v, d):
-    out = []
-
-    def grow(arrows, at):
-        if len(arrows) == d:
-            out.append(arrows)
-            return
-        for ar in q.in_arrows(at):
-            grow((ar.name,) + arrows, ar.source)
-
-    grow((), v)
-    return out
-
-
-def _monomial_ideal_upto(a, cap):
-    """All paths of length 2..cap that contain a monomial generator."""
-    q = a.quiver
-    out = set()
-    for d in range(2, cap + 1):
-        for v in q.vertices:
-            for p in _paths_from_of_length(q, v, d):
-                if not a.relation_free(p):
-                    out.add(p)
-    return out
-
-
-def _ideal_spans(a, vertex_map, arrow_map, degree_cap):
-    """Graded ideal spans of `a` in renamed coordinates.
-
-    Returns {(mapped src, mapped tgt, d): (rref rows, pivots)} over the sorted
-    list of renamed paths. Needs length-homogeneous relation terms.
+    For each block (u, v) of the raw path table `blocks` and each degree
+    d in 2..degree_cap, the basis spans the degree-d part of the ideal
+    inside e_u KQ e_v, over the block's paths of length d in table order.
+    Empty spans are left out.  Needs length-homogeneous relation terms.
     """
-    for r in a.relations:
-        if len({len(p) for p in r.paths()}) != 1:
+    for r in p.relations:
+        if len({len(x) for x in r.paths()}) != 1:
             raise QsaError("isomorphism check needs length-homogeneous relations")
-    q = a.quiver
     spans = {}
-    for d in range(2, degree_cap + 1):
-        grouped = {}
-        for v in q.vertices:
-            for p in _paths_from_of_length(q, v, d):
-                tgt = q.arrow(p[-1]).target
-                grouped.setdefault((v, tgt), []).append(p)
-        for (src, tgt), plist in grouped.items():
-            mapped = sorted(tuple(arrow_map[x] for x in p) for p in plist)
-            index = {m: k for k, m in enumerate(mapped)}
-            rows = []
-            for r in a.relations:
-                glen = len(r.paths()[0])
-                if glen > d:
-                    continue
-                for ulen in range(d - glen + 1):
-                    for u in _paths_into_of_length(q, r.source, ulen):
-                        head = q.arrow(u[0]).source if u else r.source
-                        if head != src:
-                            continue
-                        for tail_path in _paths_from_of_length(q, r.target, d - glen - ulen):
-                            tail = q.arrow(tail_path[-1]).target if tail_path else r.target
-                            if tail != tgt:
-                                continue
-                            vec = [Fraction(0)] * len(mapped)
-                            for c, p in r.terms:
-                                w = u + p + tail_path
-                                vec[index[tuple(arrow_map[x] for x in w)]] += c
-                            if any(vec):
-                                rows.append(vec)
-            if rows:
-                basis, piv = _linalg.rref(rows)
-                spans[(vertex_map[src], vertex_map[tgt], d)] = (
-                    tuple(tuple(row) for row in basis), tuple(piv))
+    for (u, v), paths in blocks.items():
+        for d in range(2, degree_cap + 1):
+            index = {x: i for i, x in enumerate(y for y in paths if len(y) == d)}
+            basis, _ = _linalg.rref(_ideal_rows(p.relations, blocks, u, v, index, d + 1))
+            if basis:
+                spans[(u, v, d)] = basis
     return spans
 
 
@@ -868,7 +780,9 @@ def presentations_isomorphic(a, b, max_vertices=14):
 
     An isomorphism is a vertex bijection plus an arrow bijection carrying the
     ideal of `a` onto the ideal of `b`; generator lists may differ as long as
-    the generated ideals agree, which is compared degree by degree up to the
+    the generated ideals agree.  For each candidate the relations of `a` are
+    moved onto the quiver of `b`, and the two ideals are compared as graded
+    spans over the raw path table of that quiver, degree by degree up to the
     longest generator length.
     """
     qa, qb = a.quiver, b.quiver
@@ -888,18 +802,16 @@ def presentations_isomorphic(a, b, max_vertices=14):
     order = sorted(qa.vertices,
                    key=lambda v: (len(by_sig_b.get(_signature(qa, v), [])), natural_key(v)))
     degree_cap = max(a.max_relation_length(), b.max_relation_length())
-    both_monomial = a.is_monomial and b.is_monomial
-    if both_monomial:
-        ideal_b = _monomial_ideal_upto(b, degree_cap)
-        ideal_a = _monomial_ideal_upto(a, degree_cap)
-    else:
-        spans_b = _ideal_spans(b, {v: v for v in qb.vertices},
-                               {x.name: x.name for x in qb.arrows}, degree_cap)
+    blocks = {}
+    for level in islice(_relation_free_levels(AlgebraPresentation(qb, ())), degree_cap + 1):
+        for u, v, path in level:
+            blocks.setdefault((u, v), []).append(path)
+    spans_b = _ideal_spans(b, blocks, degree_cap)
 
-    def relations_match(vmap, amap):
-        if both_monomial:
-            return {tuple(amap[x] for x in m) for m in ideal_a} == ideal_b
-        return _ideal_spans(a, vmap, amap, degree_cap) == spans_b
+    def relations_match(amap):
+        moved = AlgebraPresentation(qb, [[(c, tuple(amap[x] for x in path))
+                                          for c, path in r.terms] for r in a.relations])
+        return _ideal_spans(moved, blocks, degree_cap) == spans_b
 
     def arrow_bijections(vmap):
         options = []
@@ -925,7 +837,7 @@ def presentations_isomorphic(a, b, max_vertices=14):
         if k == len(order):
             vmap = dict(assignment)
             for amap in arrow_bijections(vmap):
-                if relations_match(vmap, amap):
+                if relations_match(amap):
                     return {"vertices": vmap, "arrows": amap}
             return None
         v = order[k]

@@ -258,10 +258,10 @@ def test_witness_json_keys(capsys):
 # --- python -m qsa --------------------------------------------------------------------
 
 
-def run_module(*argv):
+def run_module(*argv, module="qsa"):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "qsa", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -273,6 +273,18 @@ def test_python_m_qsa_runs_the_cli():
 
 def test_python_m_qsa_without_arguments_exits_two():
     done = run_module()
+    assert done.returncode == 2
+    assert "usage" in done.stderr
+
+
+def test_python_m_qsa_cli_runs_the_cli():
+    done = run_module("check", fixture_path("a5-chain"), module="qsa.cli")
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0] == "a5_chain: 5 vertices, 4 arrows, 1 relations"
+
+
+def test_python_m_qsa_cli_without_arguments_exits_two():
+    done = run_module(module="qsa.cli")
     assert done.returncode == 2
     assert "usage" in done.stderr
 

@@ -1,5 +1,8 @@
 """Parsing, serialization, validation, and isomorphism checks."""
 
+import hashlib
+import json
+import random
 from itertools import islice
 
 import pytest
@@ -12,8 +15,11 @@ from qsa.presentation import (
     _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra
+from qsa.classify import special_vertices
+from qsa.transform import blow_up
 
 from conftest import load_fixture, all_fixture_names
+from oracles import relabel
 
 
 # --- file format ---------------------------------------------------------------
@@ -290,30 +296,32 @@ def _monomial_presentations(draw):
     candidates = sorted({p for level in _raw_paths_upto(q, 4)[2:] for _, _, p in level})
     rels = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4)) \
         if candidates else []
-    return acyclic, AlgebraPresentation(q, [[(1, list(p))] for p in rels])
+    return AlgebraPresentation(q, [[(1, list(p))] for p in rels])
 
 
 @settings(max_examples=80, deadline=None)
 @given(_monomial_presentations())
-def test_relation_free_levels_match_factor_scan(case):
-    acyclic, a = case
+def test_relation_free_levels_match_factor_scan(a):
     rels = [r.terms[0][1] for r in a.relations]
     want = [sorted(t for t in level if _factor_free(t[2], rels))
             for level in _raw_paths_upto(a.quiver, MAX_DEGREE)]
     got = list(islice(_relation_free_levels(a), MAX_DEGREE + 1))
     got += [[]] * (MAX_DEGREE + 1 - len(got))
     assert [sorted(level) for level in got] == want
-    if acyclic:
-        # no path is longer than |Q0| - 1 <= 3 < MAX_DEGREE
-        longest = max(d for d, level in enumerate(want) if level)
-        assert validate(a).nilpotency_bound == longest + 1
+    # the longest factor-free path up to MAX_DEGREE is bound - 1 when the
+    # ideal is admissible with a smaller bound, and reaches MAX_DEGREE otherwise
+    longest = max(d for d, level in enumerate(want) if level)
+    rep = validate(a)
+    if rep.admissible and rep.nilpotency_bound - 1 < MAX_DEGREE:
+        assert longest == rep.nilpotency_bound - 1
+    else:
+        assert longest == MAX_DEGREE
 
 
 # --- isomorphism -------------------------------------------------------------------
 
 
 def test_isomorphic_after_relabeling():
-    from oracles import relabel
     a = load_fixture("twelve-vertex-gqs")
     vmap = {v: f"w{v}" for v in a.quiver.vertices}
     b = relabel(a, vmap, name="renamed")
@@ -336,6 +344,87 @@ def test_isomorphism_size_bound():
     a = AlgebraPresentation(big, [])
     with pytest.raises(QsaError):
         presentations_isomorphic(a, a)
+
+
+_BINOMIAL_SQUARE = ("quiver sq\nvertices: 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 4\n"
+                    "arrow c: 1 -> 3\narrow d: 3 -> 4\nrelations:\n")
+
+
+def test_isomorphism_on_binomial_relations():
+    minus = parse_presentation(_BINOMIAL_SQUARE + "( a b ) - ( c d )\n")
+    plus = parse_presentation(_BINOMIAL_SQUARE + "( a b ) + ( c d )\n")
+    ab = parse_presentation(_BINOMIAL_SQUARE + "a b\n")
+    cd = parse_presentation(_BINOMIAL_SQUARE + "c d\n")
+    assert presentations_isomorphic(minus, minus) == {
+        "vertices": {v: v for v in "1234"}, "arrows": {x: x for x in "abcd"}}
+    assert presentations_isomorphic(minus, plus) is None
+    assert presentations_isomorphic(minus, ab) is None
+    assert presentations_isomorphic(ab, cd) == {
+        "vertices": {"1": "1", "2": "3", "3": "2", "4": "4"},
+        "arrows": {"a": "c", "b": "d", "c": "a", "d": "b"}}
+
+
+def test_isomorphism_refuses_non_homogeneous_relation():
+    a = parse_presentation(
+        "quiver nh\nvertices: 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 5\n"
+        "arrow e: 5 -> 4\narrow c: 1 -> 3\narrow d: 3 -> 4\nrelations:\n"
+        "( a b e ) - ( c d )\n")
+    with pytest.raises(QsaError, match="^isomorphism check needs length-homogeneous "
+                                       "relations$"):
+        presentations_isomorphic(a, a)
+
+
+def _blow_ups(a):
+    # special vertices with arrows in and out first: their blow-ups are binomial
+    q = a.quiver
+    special = sorted(special_vertices(a).special,
+                     key=lambda v: not (q.in_arrows(v) and q.out_arrows(v)))[:2]
+    picks = [(v,) for v in special] + ([special] if len(special) == 2 else [])
+    return [blow_up(a, p).presentation for p in picks]
+
+
+def _isomorphism_corpus():
+    """Seeded pairs: each fixture and blow-up against itself, three random
+    relabelings, one relation dropped, one binomial sign flipped, and its
+    single and double opposite."""
+    rng = random.Random(11)
+    fixtures = [load_fixture(n) for n in all_fixture_names()]
+    for a in fixtures + [b for f in fixtures for b in _blow_ups(f)]:
+        q = a.quiver
+        yield a, a
+        for _ in range(3):
+            vnames = [f"v{k}" for k in range(len(q.vertices))]
+            anames = [f"x{k}" for k in range(len(q.arrows))]
+            rng.shuffle(vnames)
+            rng.shuffle(anames)
+            yield a, relabel(a, dict(zip(q.vertices, vnames)),
+                             dict(zip((ar.name for ar in q.arrows), anames)))
+        if a.relations:
+            k = rng.randrange(len(a.relations))
+            yield a, AlgebraPresentation(q, a.relations[:k] + a.relations[k + 1:])
+        binomials = [r for r in a.relations if not r.is_monomial]
+        if binomials:
+            r = rng.choice(binomials)
+            flipped = [(c if j == 0 else -c, p) for j, (c, p) in enumerate(r.terms)]
+            yield a, AlgebraPresentation(q, [x for x in a.relations if x != r] + [flipped])
+        yield a, opposite(a)
+        yield a, opposite(opposite(a))
+
+
+def _isomorphism_outcome(a, b):
+    try:
+        iso = presentations_isomorphic(a, b)
+    except QsaError as e:
+        return str(e)
+    return iso and [sorted(iso["vertices"].items()), sorted(iso["arrows"].items())]
+
+
+def test_isomorphism_results_are_frozen():
+    outcomes = [_isomorphism_outcome(a, b) for a, b in _isomorphism_corpus()]
+    assert len(outcomes) == 275
+    assert sum(o is None for o in outcomes) == 76
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "61515bffa9bc4fa87fdb758e1065068fa6bc1d3c6fbad29b21a24aa846a5bb5c"
 
 
 # --- opposite ---------------------------------------------------------------------
