@@ -297,8 +297,14 @@ def classify_vertices(a, previous=None, dirty=None):
     away from `dirty`: every other vertex keeps its arrows, the relations
     between them, and the arrows of its neighbours, which is all a
     vertex's class and the string conditions at its arrows read.
+
+    The quiver must be connected.  A fresh classification checks that over
+    the whole quiver.  With `previous` it is not checked again: the
+    presentation `previous` classifies was connected, and the caller
+    vouches that the change keeps it so, as each reduction move of
+    `transform` does from the ends of the arrows it removes.
     """
-    if not _is_connected(a.quiver):
+    if previous is None and not _is_connected(a.quiver):
         raise QsaError("classification needs a connected quiver")
     rel = _quadratic_pairs(a)
     q = a.quiver

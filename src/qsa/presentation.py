@@ -10,8 +10,9 @@ Path composition is written left to right: the path (a, b) means "a then b"
 and requires target(a) == source(b).
 """
 
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, permutations, product
 import re
 from typing import NamedTuple
@@ -50,6 +51,14 @@ def natural_key(s):
 def _check_id(kind, name):
     if not isinstance(name, str) or not _ID_RE.match(name):
         raise QsaError(f"invalid {kind} identifier {name!r}")
+
+
+def _arrow_key(a):
+    return natural_key(a.name)
+
+
+def _relation_key(r):
+    return r.sort_key
 
 
 class Arrow(NamedTuple):
@@ -94,13 +103,74 @@ class Quiver:
                 raise QsaError(f"arrow {a.name!r} has an endpoint outside the vertex list")
         self.name = name
         self.vertices = tuple(sorted(vertices, key=natural_key))
-        self.arrows = tuple(sorted(arrows, key=lambda a: natural_key(a.name)))
+        self.arrows = tuple(sorted(arrows, key=_arrow_key))
         self._by_name = {a.name: a for a in self.arrows}
         self._out = {v: [] for v in self.vertices}
         self._in = {v: [] for v in self.vertices}
         for a in self.arrows:
             self._out[a.source].append(a)
             self._in[a.target].append(a)
+
+    def _derive(self, vertex, removed, arrows):
+        """This quiver without `vertex` and the arrows named in `removed`,
+        plus `arrows`; equal to `Quiver` on the kept and the new lists.
+
+        Only what is new is checked: the new identifiers, their ends, and
+        that `vertex` loses every arrow it has.  The kept vertices and
+        arrows were checked when this quiver was built; the new arrows are
+        merged into the sorted tuples, after any kept arrow with the same
+        sort key, as the stable sort of the kept-then-new list places them.
+        """
+        removed = set(removed)
+        for name in removed:
+            self.arrow(name)
+        if not self.has_vertex(vertex):
+            raise QsaError(f"unknown vertex {vertex!r}")
+        if any(a.name not in removed for a in self.out_arrows(vertex) + self.in_arrows(vertex)):
+            raise QsaError(f"vertex {vertex!r} keeps an arrow")
+        if len(self.vertices) == 1:
+            raise QsaError("quiver needs at least one vertex")
+        new = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
+        seen = set()
+        for a in new:
+            _check_id("arrow", a.name)
+            if a.name in seen or (a.name in self._by_name and a.name not in removed):
+                raise QsaError(f"duplicate arrow identifier {a.name!r}")
+            seen.add(a.name)
+            if vertex in (a.source, a.target) or not (
+                    self.has_vertex(a.source) and self.has_vertex(a.target)):
+                raise QsaError(f"arrow {a.name!r} has an endpoint outside the vertex list")
+
+        q = Quiver.__new__(Quiver)
+        q.name = self.name
+        i = self.vertices.index(vertex)
+        q.vertices = self.vertices[:i] + self.vertices[i + 1:]
+        kept = list(self.arrows)
+        q._by_name = dict(self._by_name)
+        for name in removed:
+            kept.remove(q._by_name.pop(name))
+        for a in new:
+            insort(kept, a, key=_arrow_key)
+            q._by_name[a.name] = a
+        q.arrows = tuple(kept)
+
+        ends = {v for n in removed for v in self._by_name[n][1:]}
+        ends.update(v for a in new for v in a[1:])
+        ends.discard(vertex)
+
+        def incident(old, end):  # the lists of untouched vertices are shared
+            table = dict(old)
+            del table[vertex]
+            for v in ends:
+                table[v] = at = [a for a in old[v] if a.name not in removed]
+                for a in new:
+                    if a[end] == v:
+                        insort(at, a, key=_arrow_key)
+            return table
+
+        q._out = incident(self._out, 1)
+        q._in = incident(self._in, 2)
+        return q
 
     def arrow(self, name):
         try:
@@ -194,6 +264,12 @@ class RelationTerm:
     def paths(self):
         return tuple(p for _, p in self.terms)
 
+    @cached_property
+    def arrow_names(self):
+        """The arrows the paths use; a derivation reads it for every
+        relation it keeps, so it is computed once per relation."""
+        return frozenset().union(*self.paths())
+
     def _fits(self, quiver):
         """True when every path composes in `quiver` with this term's endpoints."""
         try:
@@ -224,14 +300,54 @@ class AlgebraPresentation:
                 # terms may come from another quiver: rebuild, or raise
                 r = RelationTerm(quiver, r.terms)
             rels.append(r)
-        rels = sorted(set(rels), key=lambda r: r.sort_key)
+        rels = sorted(set(rels), key=_relation_key)
+        self._fill(quiver, tuple(rels),
+                   frozenset(r.terms[0][1] for r in rels if r.is_monomial),
+                   all(len(p) == 2 for r in rels for _, p in r.terms))
+
+    def _fill(self, quiver, relations, monomials, quadratic):
+        # distinct monomial relations have distinct paths (the coefficient
+        # is scaled to 1), so every relation is monomial when the counts agree
         self.quiver = quiver
-        self.relations = tuple(rels)
-        self.monomials = frozenset(r.terms[0][1] for r in rels if r.is_monomial)
-        self._is_monomial = all(r.is_monomial for r in rels)
-        self._is_quadratic = all(len(p) == 2 for r in rels for _, p in r.terms)
-        self._monomial_lengths = tuple(sorted({len(m) for m in self.monomials}))
+        self.relations = relations
+        self.monomials = monomials
+        self._is_monomial = len(monomials) == len(relations)
+        self._is_quadratic = quadratic
+        self._monomial_lengths = tuple(sorted(set(map(len, monomials))))
         self._report = None  # the ValidationReport, set by the first validate()
+
+    def _derive(self, vertex, removed, arrows, relations):
+        """This presentation without `vertex`, the arrows named in
+        `removed` and every relation through them, plus `arrows` and the
+        combinations `relations`.
+
+        Equal to `AlgebraPresentation` built on the kept and new lists, at
+        the cost of what changes.  The quiver comes from `Quiver._derive`.
+        Only the new relations are built and checked; the kept ones pass
+        through as they are, since every arrow they use keeps its ends.  The
+        new ones are merged into the sorted relation tuple, and the monomial
+        set and the quadratic flag are updated from what was added and
+        dropped (the kept relations are read again only when this
+        presentation is not quadratic).
+        """
+        quiver = self.quiver._derive(vertex, removed, arrows)
+        removed = set(removed)
+        kept, dropped = [], []
+        for r in self.relations:
+            (kept if removed.isdisjoint(r.arrow_names) else dropped).append(r)
+        added = [RelationTerm(quiver, combo) for combo in relations]
+        for r in added:  # after the relations with its key, unless equal to one
+            i = bisect_right(kept, r.sort_key, key=_relation_key)
+            if r not in kept[bisect_left(kept, r.sort_key, hi=i, key=_relation_key):i]:
+                kept.insert(i, r)
+        monomials = self.monomials.difference(
+            r.terms[0][1] for r in dropped if r.is_monomial).union(
+            r.terms[0][1] for r in added if r.is_monomial)
+        quadratic = all(len(p) == 2 for r in added for _, p in r.terms) and (
+            self._is_quadratic or all(len(p) == 2 for r in kept for _, p in r.terms))
+        b = AlgebraPresentation.__new__(AlgebraPresentation)
+        b._fill(quiver, tuple(kept), monomials, quadratic)
+        return b
 
     @property
     def name(self):
@@ -482,20 +598,48 @@ def _is_connected(q):
     return len(seen) == len(q.vertices)
 
 
+def _longest_walks(roots, successors):
+    """{node: length of the longest walk from it} over the nodes reachable
+    from `roots`, or None when one of them reaches a directed cycle.
+
+    Depth first from each root in turn, successors in the order
+    `successors(node)` gives them.  The stack is explicit, so a path
+    longer than the recursion limit is no problem.
+    """
+    height = {}  # None while the node is on the current path
+    for root in roots:
+        if root in height:
+            continue
+        height[root] = None
+        path, todo, best = [root], [iter(successors(root))], [0]
+        while todo:
+            for w in todo[-1]:
+                if w not in height:
+                    height[w] = None
+                    path.append(w)
+                    todo.append(iter(successors(w)))
+                    best.append(0)
+                    break
+                h = height[w]
+                if h is None:
+                    return None
+                if h >= best[-1]:
+                    best[-1] = h + 1
+            else:
+                todo.pop()
+                h = best.pop()
+                height[path.pop()] = h
+                if best and h >= best[-1]:
+                    best[-1] = h + 1
+    return height
+
+
+def _arrow_targets(q):
+    return lambda v: [a.target for a in q.out_arrows(v)]
+
+
 def _has_directed_cycle(q):
-    color = {v: 0 for v in q.vertices}
-
-    def dfs(v):
-        color[v] = 1
-        for a in q.out_arrows(v):
-            if color[a.target] == 1:
-                return True
-            if color[a.target] == 0 and dfs(a.target):
-                return True
-        color[v] = 2
-        return False
-
-    return any(color[v] == 0 and dfs(v) for v in q.vertices)
+    return _longest_walks(q.vertices, _arrow_targets(q)) is None
 
 
 def _monomial_admissibility(a):
@@ -520,36 +664,10 @@ def _monomial_admissibility(a):
             if not a.ends_in_relation(new):
                 edges[window].append(new[1:])
 
-    color = {w: 0 for w in windows}
-    depth = {}
-
-    def dfs(w):
-        color[w] = 1
-        best = 0
-        for nx in edges[w]:
-            if color[nx] == 1:
-                return None
-            if color[nx] == 0:
-                d = dfs(nx)
-                if d is None:
-                    return None
-                best = max(best, 1 + d)
-            else:
-                best = max(best, 1 + depth[nx])
-        color[w] = 2
-        depth[w] = best
-        return best
-
-    longest_walk = 0
-    for w in sorted(windows):
-        if color[w] == 0:
-            d = dfs(w)
-            if d is None:
-                return False, 0
-            longest_walk = max(longest_walk, d)
-        else:
-            longest_walk = max(longest_walk, depth[w])
-    return True, k + longest_walk
+    walks = _longest_walks(sorted(windows), edges.__getitem__)
+    if walks is None:
+        return False, 0
+    return True, k + max(walks.values())
 
 
 def _relation_free_levels(a, starts=None):
@@ -661,10 +779,8 @@ def validate(a):
         admissible, bound = _monomial_admissibility(a)
         if not admissible:
             problems.append("ideal is not admissible: arbitrarily long relation-free paths")
-    elif not _has_directed_cycle(q):
-        admissible = True
-        longest = _longest_raw_path(q)
-        bound = longest + 1
+    elif (walks := _longest_walks(q.vertices, _arrow_targets(q))) is not None:
+        bound = max(walks.values()) + 1
     else:
         cutoff = max(16, 2 * len(q.arrows) + 2)
         try:
@@ -681,22 +797,6 @@ def validate(a):
     a._report = ValidationReport(connected, monomial, quadratic_monomial, admissible,
                                  certified, bound, loop_free, tuple(problems))
     return a._report
-
-
-def _longest_raw_path(q):
-    memo = {}
-
-    def dfs(v):
-        if v in memo:
-            return memo[v]
-        memo[v] = 0
-        best = 0
-        for ar in q.out_arrows(v):
-            best = max(best, 1 + dfs(ar.target))
-        memo[v] = best
-        return best
-
-    return max((dfs(v) for v in q.vertices), default=0)
 
 
 # --- graphs and path bases -------------------------------------------------

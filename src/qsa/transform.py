@@ -9,13 +9,18 @@ either recognizes the algebra outright as a blow-up of a smaller one
 (classes 3 and 5) or rewrites the neighbourhood of the exceptional
 vertex the way a sink mutation followed by a source mutation would
 (classes 1, 2, 4, 6), recording which vertex becomes special.  Classes
-1, 2 and 4 share one rewrite; classes 5 and 6 are handled by passing to
-the opposite algebra.  Each move passes the relations it keeps through
-unchanged, builds only the ones it creates, and classifies its result
-once: only the vertices near the arrows it changed are examined again,
-the rest are read from the previous classification.  That
-classification drives the next move, and each intermediate presentation
-is serialized once.
+1, 2, 4 and 6 share one rewrite, classes 3 and 5 one peel; classes 5
+and 6 are 3 and 4 with in- and out-arrows swapped, rewritten in place.
+
+A move derives its result from the presentation it changes
+(`AlgebraPresentation._derive`): it names the vertex and arrows it
+drops and the arrows and relations it adds.  Only those are checked and
+built; the kept arrows and relations pass through unchanged.  The move
+checks at the ends of the arrows it removes that the quiver stays
+connected, and classifies its result once: only the vertices near the
+arrows it changed are examined again, the rest are read from the
+previous classification.  That classification drives the next move, and
+each intermediate presentation is serialized once.
 """
 
 import json
@@ -25,9 +30,7 @@ from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation,
     opposite, serialize_presentation, natural_key,
 )
-from .classify import (
-    classify_vertices, OTHER, _exceptional_witness, _is_special, _quadratic_pairs,
-)
+from .classify import classify_vertices, OTHER, _is_special
 
 
 # --- step kinds ---------------------------------------------------------------
@@ -175,103 +178,77 @@ def blow_up(a, blown, name=None):
 # --- reduction moves ----------------------------------------------------------
 
 
-def _fresh_name(base, taken):
-    name = base + "~"
-    while name in taken:
-        name += "~"
-    return name
-
-
-def _survivor_relations(a, removed_arrows):
-    return [r for r in a.relations
-            if all(ar not in removed_arrows for ar in r.terms[0][1])]
-
-
 def _rewire(a, x, case, witness):
-    """Classes 1, 2 and 4: drop the marked source, rewire through the sink.
+    """Classes 1, 2, 4 and 6: drop the marked source, rewire through the sink.
 
     Class 4 has no second out-arrow, so only in2 and out1 are rerouted.
+    Class 6 is class 4 with in- and out-arrows swapped: its out-arrows
+    play in1 and in2 and its in-arrow plays out1, and every arrow and
+    relation of the rewrite is read backwards.
     """
     q = a.quiver
-    in1, in2, out1 = witness["in1"], witness["in2"], witness["out1"]
-    out2 = witness.get("out2")
-    v1 = q.arrow(in1).source
-    v2 = q.arrow(in2).source
-    v4 = q.arrow(out1).target
+    dual = case == 6
+    if dual:
+        in1, in2, out1, out2 = witness["out1"], witness["out2"], witness["in1"], None
+    else:
+        in1, in2, out1 = witness["in1"], witness["in2"], witness["out1"]
+        out2 = witness.get("out2")
+
+    ins, outs = (q.out_arrows, q.in_arrows) if dual else (q.in_arrows, q.out_arrows)
+
+    def oriented(*path):
+        return path[::-1] if dual else path
+
+    def ends(name):   # (tail, head) in the orientation of the rewrite
+        return oriented(*q.arrow(name)[1:])
+
+    v1, v2, v4 = ends(in1)[0], ends(in2)[0], ends(out1)[1]
     removed = {in1, in2, out1}
     if out2:
         removed.add(out2)
-    survivors = [ar for ar in q.arrows if ar.name not in removed]
-    taken = {ar.name for ar in survivors}
+    new_arrows = []
 
-    in2t = _fresh_name(in2, taken)
-    taken.add(in2t)
-    out1t = _fresh_name(out1, taken)
-    taken.add(out1t)
-    new_arrows = [Arrow(in2t, v2, v4), Arrow(out1t, v4, x)]
+    def add_arrow(base, tail, head):
+        name = base + "~"
+        while (q.has_arrow(name) and name not in removed) or any(
+                ar.name == name for ar in new_arrows):
+            name += "~"
+        new_arrows.append(Arrow(name, *oriented(tail, head)))
+        return name
+
+    in2t = add_arrow(in2, v2, v4)
+    out1t = add_arrow(out1, v4, x)
+    relations = [[(1, oriented(ar.name, in2t))] for ar in ins(v2)
+                 if ar.name not in removed and oriented(ar.name, in2) in a.monomials]
     if out2:
-        out2t = _fresh_name(out2, taken)
-        new_arrows.append(Arrow(out2t, x, q.arrow(out2).target))
-
-    relations = _survivor_relations(a, removed)
-    for r in a.relations:
-        p, w = r.terms[0][1]
-        if w == in2 and p not in removed:
-            relations.append([(1, [p, in2t])])
-        if out2 and p == out2 and w not in removed:
-            relations.append([(1, [out2t, w])])
+        v5 = ends(out2)[1]
+        out2t = add_arrow(out2, x, v5)
+        relations += [[(1, oriented(out2t, ar.name))] for ar in outs(v5)
+                      if ar.name not in removed and oriented(out2, ar.name) in a.monomials]
     if case == 2:
-        relations.append([(1, [out2t, in2t])])
+        relations.append([(1, (out2t, in2t))])
 
-    vertices = [v for v in q.vertices if v != v1]
-    quiver = Quiver(a.name, vertices, survivors + new_arrows)
-    b = AlgebraPresentation(quiver, relations)
+    b = a._derive(v1, removed, new_arrows, relations)
     step = dict(kind=CASE_REWRITE, case=case, vertex=x, witness=witness,
                 removed_vertex=v1, removed_arrows=tuple(sorted(removed)),
-                new_arrows=tuple((ar.name, ar.source, ar.target)
-                                 for ar in new_arrows),
+                new_arrows=tuple(tuple(ar) for ar in new_arrows),
                 special_added=x)
     return b, step
 
 
-def _case_three(a, x, witness):
-    """Class 3: the algebra is already a blow-up; peel the second source."""
+def _peel(a, x, case, witness):
+    """Classes 3 and 5: the algebra is already a blow-up; peel the second
+    single source (class 5, its dual: the second single sink)."""
     q = a.quiver
-    in1, in2 = witness["in1"], witness["in2"]
-    v1 = q.arrow(in1).source
-    v2 = q.arrow(in2).source
-    removed = {in2}
-    survivors = [ar for ar in q.arrows if ar.name != in2]
-    relations = _survivor_relations(a, removed)
-    vertices = [v for v in q.vertices if v != v2]
-    quiver = Quiver(a.name, vertices, survivors)
-    b = AlgebraPresentation(quiver, relations)
-    step = dict(kind=DIRECT_BLOWUP, case=3, vertex=x, witness=witness,
-                removed_vertex=v2, removed_arrows=(in2,),
-                new_arrows=(), special_added=v1)
-    return b, step
-
-
-def _case_dual(a, x, case, witness):
-    """Classes 5 and 6 via the opposite algebra (duals of 3 and 4)."""
-    b_op = opposite(a)
-    case_op, witness_op, _ = _exceptional_witness(b_op, _quadratic_pairs(b_op), x)
-    if case_op != case - 2:
-        raise QsaError(
-            f"vertex {x} is class {case} but its opposite is class "
-            f"{case_op}, expected {case - 2}")
     if case == 5:
-        res_op, step = _case_three(b_op, x, witness_op)
+        first, second, end = witness["out1"], witness["out2"], 2
     else:
-        res_op, step = _rewire(b_op, x, 4, witness_op)
-    b = opposite(res_op)
-    q = b.quiver
-    step = dict(step)
-    step.update(
-        case=case, witness=witness,
-        new_arrows=tuple((nm, q.arrow(nm).source, q.arrow(nm).target)
-                         for nm, _s, _t in step["new_arrows"]),
-    )
+        first, second, end = witness["in1"], witness["in2"], 1
+    v1, v2 = q.arrow(first)[end], q.arrow(second)[end]
+    b = a._derive(v2, (second,), (), ())
+    step = dict(kind=DIRECT_BLOWUP, case=case, vertex=x, witness=witness,
+                removed_vertex=v2, removed_arrows=(second,),
+                new_arrows=(), special_added=v1)
     return b, step
 
 
@@ -307,7 +284,8 @@ def _dirty_vertices(a, b, meta):
     and added arrows and their neighbours can change class.  Neighbours
     in `a` and in `b` differ only through those arrows, whose ends are
     already in the set.  Ends and neighbours do not depend on orientation,
-    so the moves made on the opposite algebra are covered too.
+    so the class 5 and 6 moves, which read arrows backwards, are covered
+    too.
     """
     ends = {v for name in meta["removed_arrows"] for v in a.quiver.arrow(name)[1:]}
     ends.update(v for _name, source, target in meta["new_arrows"]
@@ -325,6 +303,11 @@ def _move(a, c, special, before):
     whose serialization is `before`.
 
     Returns (smaller presentation, ReductionStep, its classification).
+    The classification of the result reuses `c`, which does not check
+    connectivity again.  Every move keeps the quiver connected: it removes
+    a single source or sink with its one arrow, and every other end of an
+    arrow it removes is x or meets x through the arrows it adds.  So a
+    path of `a` that used a removed arrow can be rerouted through x.
     """
     exc = c.exceptional_vertices
     if not exc:
@@ -333,13 +316,8 @@ def _move(a, c, special, before):
 
     x = exc[0]
     vc = c.classes[x]
-    case = vc.exceptional_class
-    if case == 3:
-        b, meta = _case_three(a, x, vc.witness)
-    elif case in (1, 2, 4):
-        b, meta = _rewire(a, x, case, vc.witness)
-    else:
-        b, meta = _case_dual(a, x, case, vc.witness)
+    move = _peel if vc.exceptional_class in (3, 5) else _rewire
+    b, meta = move(a, x, vc.exceptional_class, vc.witness)
 
     cb = classify_vertices(b, c, _dirty_vertices(a, b, meta))
     if not cb.is_quadratic_string or not cb.gqs:

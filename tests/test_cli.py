@@ -70,6 +70,29 @@ def test_check_json(capsys):
     assert doc["string_violations"]
 
 
+def _chain_text(n, square=False):
+    """A_(n+1) with arrows a0..a(n-1); with `square`, arrows p and r and the
+    relation ( a0 a1 ) - ( p r ) at its start."""
+    lines = ["quiver deep", "vertices: " + " ".join(map(str, range(n + 1)))
+             + (" x" if square else "")]
+    lines += [f"arrow a{i}: {i} -> {i + 1}" for i in range(n)]
+    if square:
+        lines += ["arrow p: 0 -> x", "arrow r: x -> 2", "relations:",
+                  "( a0 a1 ) - ( p r )"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["monomial", "square"])
+def test_check_on_a_path_longer_than_the_recursion_limit(tmp_path, capsys, square):
+    # the admissibility automaton, the cycle test and the longest path walk
+    # a 1,500-arrow path without recursing along it
+    deep = tmp_path / "deep.qsa"
+    deep.write_text(_chain_text(1500, square))
+    code, out, _ = run(capsys, "check", str(deep))
+    assert code == 0
+    assert "admissible: true (rad^1501 = 0)" in out
+
+
 # --- classify ------------------------------------------------------------------------
 
 

@@ -443,3 +443,110 @@ def test_opposite_reverses_arrows():
     op = opposite(a)
     assert {(ar.source, ar.target) for ar in op.quiver.arrows} == {
         ("2", "1"), ("3", "2"), ("4", "3"), ("5", "4")}
+
+
+# --- derived presentations -----------------------------------------------------------
+
+
+def _paths_of_length_two(arrows):
+    return [(x.name, y.name) for x in arrows for y in arrows if x.target == y.source]
+
+
+def _relations_on(draw, arrows):
+    """Up to three monomials of length two or three and one binomial."""
+    paths = _paths_of_length_two(arrows)
+    paths += [(x, y, z.name) for x, y in paths for z in arrows
+              if z.source == next(a.target for a in arrows if a.name == y)]
+    rels = [[(1, p)] for p in draw(st.lists(st.sampled_from(paths), unique=True,
+                                            max_size=3))] if paths else []
+    by_ends = {}
+    for x, y in _paths_of_length_two(arrows):
+        ends = (next(a.source for a in arrows if a.name == x),
+                next(a.target for a in arrows if a.name == y))
+        by_ends.setdefault(ends, []).append((x, y))
+    parallel = [ps for ps in by_ends.values() if len(ps) > 1]
+    if parallel and draw(st.booleans()):
+        p, w = draw(st.sampled_from(parallel))[:2]
+        rels.append([(draw(st.sampled_from([2, -1])), p),
+                     (draw(st.sampled_from([1, -3, "1/2"])), w)])
+    return rels
+
+
+@st.composite
+def _derivations(draw):
+    """A presentation, then a vertex and arrows to drop and arrows and
+    relations to add, with at most one faulty new arrow."""
+    verts = [f"v{i + 1}" for i in range(draw(st.integers(2, 5)))]
+    arrows = [Arrow(f"a{k}", draw(st.sampled_from(verts)), draw(st.sampled_from(verts)))
+              for k in range(draw(st.integers(0, 6)))]
+    a = AlgebraPresentation(Quiver("gen", verts, arrows), _relations_on(draw, arrows))
+
+    vertex = draw(st.sampled_from(verts))
+    at_vertex = {x.name for x in arrows if vertex in (x.source, x.target)}
+    removed = at_vertex | set(draw(st.lists(st.sampled_from(
+        [x.name for x in arrows]), max_size=3))) if arrows else at_vertex
+    left = [v for v in verts if v != vertex]
+    kept = [x for x in arrows if x.name not in removed]
+    names = ["b0", "b1", "b10", "c"] + sorted(removed)
+    new = [Arrow(nm, draw(st.sampled_from(left)), draw(st.sampled_from(left)))
+           for nm in draw(st.lists(st.sampled_from(names), unique=True, max_size=3))]
+    fault = draw(st.sampled_from([None, None, "kept", "new", "malformed", "end"]))
+    if fault == "kept" and kept:
+        new.append(Arrow(kept[0].name, left[0], left[-1]))
+    elif fault == "new" and new:
+        new.append(Arrow(new[0].name, left[-1], left[0]))
+    elif fault == "malformed":
+        new.append(Arrow(draw(st.sampled_from(["", "-x", "b c", "x(y)"])),
+                         left[0], left[0]))
+    elif fault == "end":
+        new.append(Arrow("z", left[0], vertex))
+    # new relations may repeat kept ones, which must then appear once
+    relations = _relations_on(draw, kept + new)
+    return a, vertex, removed, left, kept, new, relations
+
+
+def _fresh_derivation(a, removed, left, kept, new, relations):
+    kept_relations = [[(c, p) for c, p in r.terms] for r in a.relations
+                      if not any(x in removed for p in r.paths() for x in p)]
+    return AlgebraPresentation(Quiver(a.name, left, kept + new),
+                               kept_relations + relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_derivations())
+def test_derived_presentation_equals_fresh_construction(case):
+    a, vertex, removed, left, kept, new, relations = case
+    try:
+        fresh = _fresh_derivation(a, removed, left, kept, new, relations)
+    except QsaError as e:
+        with pytest.raises(QsaError) as err:
+            a._derive(vertex, removed, new, relations)
+        assert str(err.value) == str(e)
+        return
+    b = a._derive(vertex, removed, new, relations)
+    assert b == fresh and hash(b) == hash(fresh)
+    assert serialize_presentation(b) == serialize_presentation(fresh)
+    assert (b.monomials, b.is_monomial, b.is_quadratic, b._monomial_lengths) == \
+        (fresh.monomials, fresh.is_monomial, fresh.is_quadratic,
+         fresh._monomial_lengths)
+    q, f = b.quiver, fresh.quiver
+    assert [(q.out_arrows(v), q.in_arrows(v)) for v in f.vertices] == \
+        [(f.out_arrows(v), f.in_arrows(v)) for v in f.vertices]
+    assert all(q.arrow(x.name) == x for x in f.arrows)
+    assert not q.has_vertex(vertex) and not any(q.has_arrow(n) for n in
+                                                removed - {x.name for x in new})
+    if b.is_monomial:
+        assert validate(b) == validate(fresh)
+
+
+def test_derivation_drops_a_bare_vertex_and_keeps_relations_once():
+    a = load_fixture("a5-chain")
+    with pytest.raises(QsaError, match="keeps an arrow"):
+        a._derive("5", (), (), ())
+    with pytest.raises(QsaError, match="unknown arrow"):
+        a._derive("5", ("delta", "omega"), (), ())
+    # a new relation equal to a kept one is kept once
+    assert serialize_presentation(a._derive(
+        "5", ("delta",), (), [[(1, ("alpha", "beta"))]])) == (
+        "quiver a5_chain\nvertices: 1 2 3 4\narrow alpha: 1 -> 2\n"
+        "arrow beta: 2 -> 3\narrow gamma: 3 -> 4\nrelations:\nalpha beta\n")

@@ -7,10 +7,10 @@ import sys
 import pytest
 
 from qsa.presentation import (
-    QsaError, AlgebraPresentation, Arrow, Quiver, opposite, parse_presentation,
-    presentations_isomorphic, serialize_presentation, validate,
+    QsaError, AlgebraPresentation, Arrow, Quiver, RelationTerm, opposite,
+    parse_presentation, presentations_isomorphic, serialize_presentation, validate,
 )
-from qsa import _endo, classify, transform
+from qsa import _endo, classify, presentation, transform
 from qsa._algebra import TruncatedAlgebra
 from qsa.classify import classify_vertices, special_vertices
 from qsa.decide import decide_derived_type
@@ -158,6 +158,8 @@ def test_certificate_steps_replay():
 # Certificates are frozen byte for byte.  With their opposites, the three
 # fixtures cover every exceptional class: twelve-vertex-gqs reduces classes
 # 3, 1, 2 (its opposite 5, 1, 2), e3-local class 3 (5), case4-local class 4 (6).
+# "glued-k" is glued_twelve_gqs(k), whose 3k moves repeat classes 3, 1, 2
+# (5, 1, 2 on the opposite) with relations kept across copies.
 CERTIFICATE_SHA256 = {
     ("twelve-vertex-gqs", "as-is"):
         "0a094e228c7e113c2d38601c5d7dcd668b7950bf8ddeaa8680c0e2e9b098405a",
@@ -171,12 +173,31 @@ CERTIFICATE_SHA256 = {
         "784e15a8a4f1a4dae05c226d32410538245bfa7b08c925d3374e7f7c91dafbfc",
     ("case4-local", "opposite"):
         "835e013f8006a10cd05bef3b2c5f54d92182f12a5309610720cdc8bcdf382d0c",
+    ("glued-1", "as-is"):
+        "9c91b6b8abd3dee1455ef6181c4e36957d294f9d4377b0490bc3d5ccd05623c7",
+    ("glued-1", "opposite"):
+        "add89d91f140fe693632d4665ec8733cd100ef066345204e922ba10000927353",
+    ("glued-2", "as-is"):
+        "b2e31760e623977ee4f3832d753bf4cfc39b02e44f10534acd8cdc67e8ef007f",
+    ("glued-2", "opposite"):
+        "b16230710465acddde73083411523e6e17042c6cfcfe3a48ef4a57ddc57d740a",
+    ("glued-3", "as-is"):
+        "51072058c09ade7cd478c43fbf92bb86ed862a9e43052fc3a5a4f89a170d1d88",
+    ("glued-3", "opposite"):
+        "7d5c9d19a265d604e811d7aa866adb2372740c23fce7427438d0ba8c94b50f61",
+    ("glued-4", "as-is"):
+        "5ce5cb995d73a100a8db01d03be7775463f50e0d8bcbe381889fdd6dafe8daaa",
+    ("glued-4", "opposite"):
+        "38357003f1da93e9fd0fca10b2f35ca09073703246c451d6a0b0ef6d4934cc40",
 }
 
 
 @pytest.mark.parametrize("name,side", sorted(CERTIFICATE_SHA256))
 def test_certificate_digest_is_frozen(name, side):
-    a = load_fixture(name)
+    if name.startswith("glued-"):
+        a = glued_twelve_gqs(int(name[len("glued-"):]))
+    else:
+        a = load_fixture(name)
     cert = reduce_to_skewed_gentle(opposite(a) if side == "opposite" else a)
     digest = hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
     assert digest == CERTIFICATE_SHA256[(name, side)]
@@ -267,28 +288,68 @@ def test_reducing_fixtures_cover_every_class():
     assert cases == {1, 2, 3, 4, 5, 6}
 
 
-def _vertices_classified_per_move(monkeypatch, a):
-    """Vertices examined by each classification after the first."""
-    examined = _count_calls(monkeypatch, classify._is_gentle_vertex)
-    per_call = []
+def _count_method(monkeypatch, cls, name):
+    calls = []
+    method = getattr(cls, name)
 
-    def counting(*args):
-        before = len(examined)
-        c = classify_vertices(*args)
-        per_call.append(len(examined) - before)
-        return c
+    def counting(self, *args):
+        calls.append(args)
+        return method(self, *args)
 
-    monkeypatch.setattr(transform, "classify_vertices", counting)
-    reduce_to_skewed_gentle(a)
-    return per_call[1:]
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def _move_costs(monkeypatch, a):
+    """Per reduction move: (vertices classified, identifiers checked,
+    relations built, relations re-fitted to a quiver, whole-quiver
+    connectivity checks)."""
+    with monkeypatch.context() as mp:
+        counters = [
+            _count_calls(mp, classify._is_gentle_vertex),
+            _count_calls(mp, presentation._check_id),
+            _count_method(mp, RelationTerm, "__init__"),
+            _count_method(mp, RelationTerm, "_fits"),
+            _count_calls(mp, presentation._is_connected),
+        ]
+        costs = []
+        move = transform._move
+
+        def counting(*args):
+            before = [len(c) for c in counters]
+            out = move(*args)
+            costs.append(tuple(len(c) - n for c, n in zip(counters, before)))
+            return out
+
+        mp.setattr(transform, "_move", counting)
+        reduce_to_skewed_gentle(a)
+    return costs
 
 
 def test_move_cost_does_not_grow_with_the_presentation(monkeypatch):
-    two = _vertices_classified_per_move(monkeypatch, glued_twelve_gqs(2))
-    six = _vertices_classified_per_move(monkeypatch, glued_twelve_gqs(6))
-    assert len(two) == 6 and len(six) == 18
-    assert set(two) == set(six)
-    assert max(six) < len(glued_twelve_gqs(1).quiver.vertices)
+    # a move's result is derived from the presentation it changes: only the
+    # new arrows and relations are checked and built, and connectivity is
+    # checked at the arrows it removes; so every count is the same for k = 2
+    # and k = 6, and the opposite (classes 5, 1, 2) costs the same
+    for side in (lambda a: a, opposite):
+        two = _move_costs(monkeypatch, side(glued_twelve_gqs(2)))
+        six = _move_costs(monkeypatch, side(glued_twelve_gqs(6)))
+        assert len(two) == 6 and len(six) == 18
+        assert set(two) == set(six)
+        assert max(c[0] for c in six) < len(glued_twelve_gqs(1).quiver.vertices)
+        assert all(c[3] == c[4] == 0 for c in six)
+
+
+def test_opposite_reduction_builds_no_more_relations(monkeypatch):
+    # classes 5 and 6 are rewritten in place, not through two opposites
+    built = {}
+    for side in ("as-is", "opposite"):
+        a = glued_twelve_gqs(6)
+        a = opposite(a) if side == "opposite" else a
+        with monkeypatch.context() as mp:
+            built[side] = _count_method(mp, RelationTerm, "__init__")
+            assert len(reduce_to_skewed_gentle(a).steps) == 18
+    assert len(built["opposite"]) <= len(built["as-is"])
 
 
 @pytest.mark.parametrize("name,side", _reducing_fixtures())
