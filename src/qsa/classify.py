@@ -301,8 +301,8 @@ def classify_vertices(a, previous=None, dirty=None):
     The quiver must be connected.  A fresh classification checks that over
     the whole quiver.  With `previous` it is not checked again: the
     presentation `previous` classifies was connected, and the caller
-    vouches that the change keeps it so, as each reduction move of
-    `transform` does from the ends of the arrows it removes.
+    vouches that the change keeps it so, as `transform._move` argues for
+    each reduction move.
     """
     if previous is None and not _is_connected(a.quiver):
         raise QsaError("classification needs a connected quiver")

@@ -15,12 +15,12 @@ and 6 are 3 and 4 with in- and out-arrows swapped, rewritten in place.
 A move derives its result from the presentation it changes
 (`AlgebraPresentation._derive`): it names the vertex and arrows it
 drops and the arrows and relations it adds.  Only those are checked and
-built; the kept arrows and relations pass through unchanged.  The move
-checks at the ends of the arrows it removes that the quiver stays
-connected, and classifies its result once: only the vertices near the
-arrows it changed are examined again, the rest are read from the
-previous classification.  That classification drives the next move, and
-each intermediate presentation is serialized once.
+built; the kept arrows and relations pass through unchanged.  A move
+keeps the quiver connected by construction (see `_move`), and it
+classifies its result once: only the vertices near the arrows it
+changed are examined again, the rest are read from the previous
+classification.  That classification drives the next move, and each
+intermediate presentation is serialized once.
 """
 
 import json

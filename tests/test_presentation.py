@@ -448,22 +448,16 @@ def test_opposite_reverses_arrows():
 # --- derived presentations -----------------------------------------------------------
 
 
-def _paths_of_length_two(arrows):
-    return [(x.name, y.name) for x in arrows for y in arrows if x.target == y.source]
-
-
 def _relations_on(draw, arrows):
     """Up to three monomials of length two or three and one binomial."""
-    paths = _paths_of_length_two(arrows)
-    paths += [(x, y, z.name) for x, y in paths for z in arrows
-              if z.source == next(a.target for a in arrows if a.name == y)]
+    twos = [(x, y) for x in arrows for y in arrows if x.target == y.source]
+    threes = [(x, y, z) for x, y in twos for z in arrows if y.target == z.source]
+    paths = [tuple(ar.name for ar in p) for p in twos + threes]
     rels = [[(1, p)] for p in draw(st.lists(st.sampled_from(paths), unique=True,
                                             max_size=3))] if paths else []
     by_ends = {}
-    for x, y in _paths_of_length_two(arrows):
-        ends = (next(a.source for a in arrows if a.name == x),
-                next(a.target for a in arrows if a.name == y))
-        by_ends.setdefault(ends, []).append((x, y))
+    for x, y in twos:
+        by_ends.setdefault((x.source, y.target), []).append((x.name, y.name))
     parallel = [ps for ps in by_ends.values() if len(ps) > 1]
     if parallel and draw(st.booleans()):
         p, w = draw(st.sampled_from(parallel))[:2]

@@ -328,8 +328,8 @@ def _move_costs(monkeypatch, a):
 
 def test_move_cost_does_not_grow_with_the_presentation(monkeypatch):
     # a move's result is derived from the presentation it changes: only the
-    # new arrows and relations are checked and built, and connectivity is
-    # checked at the arrows it removes; so every count is the same for k = 2
+    # new arrows and relations are checked and built, and the quiver is not
+    # walked for connectivity again; so every count is the same for k = 2
     # and k = 6, and the opposite (classes 5, 1, 2) costs the same
     for side in (lambda a: a, opposite):
         two = _move_costs(monkeypatch, side(glued_twelve_gqs(2)))
