@@ -348,3 +348,93 @@ def commuting_mutation_cases(extra_bases=()):
             for blown in _subsets(sp - {x} - banned):
                 cases.append((a, blown, x, sign))
     return cases
+
+
+# --- seeded random presentations for the mutation digest --------------------
+
+
+def _acyclic_binomial_text(rng, idx):
+    """An acyclic quiver built from commuting squares, three-diamonds and
+    one non-homogeneous pentagon at random, glued at shared vertices, plus
+    random forward arrows and length-2 zero relations."""
+    verts, arrows, rels = [1], [], []
+
+    def vertex():
+        verts.append(len(verts) + 1)
+        return verts[-1]
+
+    def arrow(s, t):
+        arrows.append((f"a{len(arrows) + 1}", s, t))
+        return arrows[-1][0]
+
+    for _ in range(rng.randint(1, 3)):
+        u = rng.choice(verts)
+        shape = rng.choice(("square", "square", "diamond", "pentagon"))
+        if shape == "pentagon":
+            m1, m2, m3, v = vertex(), vertex(), vertex(), vertex()
+            p = (arrow(u, m1), arrow(m1, v))
+            r = (arrow(u, m2), arrow(m2, m3), arrow(m3, v))
+            rels.append(f"( {' '.join(p)} ) - ( {' '.join(r)} )")
+            continue
+        mids = [vertex() for _ in range(2 if shape == "square" else 3)]
+        v = vertex()
+        legs = [(arrow(u, m), arrow(m, v)) for m in mids]
+        for leg in legs[1:]:
+            c = rng.choice(("", "2 ", "1/2 "))
+            rels.append(f"( {' '.join(legs[0])} ) - {c}( {' '.join(leg)} )")
+    for _ in range(rng.randint(0, 3)):
+        s = rng.choice(verts[:-1])
+        arrow(s, rng.choice([t for t in verts if t > s]))
+    outs = {}
+    for name, s, t in arrows:
+        outs.setdefault(s, []).append((name, t))
+    for name, s, t in rng.sample(arrows, len(arrows)):
+        if rng.random() < 0.3 and outs.get(t):
+            rels.append(f"{name} {rng.choice(outs[t])[0]}")
+    return _presentation_text(f"acyclic{idx}", verts, arrows, rels)
+
+
+def _cyclic_monomial_text(rng, idx):
+    """An oriented cycle with one zero relation on it and a few tails, plus
+    random extra monomial relations of length 2 to 4."""
+    m = rng.randint(1, 4)
+    verts = list(range(1, m + 1))
+    arrows = [(f"c{i}", i, i % m + 1) for i in verts]
+    for j in range(rng.randint(1, 4)):
+        v = m + j + 1
+        w = rng.choice(verts)
+        verts.append(v)
+        arrows.append((f"t{j + 1}",) + ((w, v) if rng.random() < 0.5 else (v, w)))
+    outs = {}
+    for name, s, t in arrows:
+        outs.setdefault(s, []).append((name, t))
+    k = rng.randint(1, m)
+    rels = {f"c{k} c{k % m + 1}"}
+    for _ in range(rng.randint(0, 4)):
+        name, _, t = rng.choice(arrows)
+        path = [name]
+        for _ in range(rng.randint(1, 3)):
+            if not outs.get(t):
+                break
+            name, t = rng.choice(outs[t])
+            path.append(name)
+        if len(path) > 1:
+            rels.add(" ".join(path))
+    return _presentation_text(f"cyclic{idx}", verts, arrows, sorted(rels))
+
+
+def _presentation_text(name, verts, arrows, rels):
+    lines = [f"quiver {name}", "vertices: " + " ".join(map(str, verts))]
+    lines += [f"arrow {a}: {s} -> {t}" for a, s, t in arrows]
+    if rels:
+        lines += ["relations:"] + list(rels)
+    return "\n".join(lines) + "\n"
+
+
+def random_mutation_texts(count=60, seed=2026):
+    """`count` seeded presentation texts, alternately acyclic with binomial
+    relations and cyclic monomial; every one is valid and admissible."""
+    import random
+    rng = random.Random(seed)
+    return [(_acyclic_binomial_text if i % 2 == 0 else _cyclic_monomial_text)(rng, i)
+            for i in range(count)]

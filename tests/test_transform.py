@@ -21,7 +21,7 @@ from qsa.transform import (
 )
 
 from conftest import all_fixture_names, load_fixture, glued_twelve_gqs
-from oracles import commuting_mutation_cases
+from oracles import commuting_mutation_cases, random_mutation_texts
 
 
 # --- blow-up -----------------------------------------------------------------
@@ -553,6 +553,27 @@ def test_glued_mutation_digest_is_frozen(k):
                 out = "ERR " + str(e)
             h.update(out.encode() + b"\n")
     assert h.hexdigest() == GLUED_MUTATION_SHA256[k]
+
+
+# Outputs on 60 seeded random presentations (`oracles.random_mutation_texts`),
+# alternately acyclic with commuting squares, three-diamonds and a
+# non-homogeneous pentagon, and cyclic monomial with tails: one SHA-256 over
+# every vertex and both signs, refusals included.
+RANDOM_MUTATION_SHA256 = "38635c6e3684becb1e1b1478420134c94939c7c34f32214642772757ebbaf111"
+
+
+def test_random_mutation_digest_is_frozen():
+    h = hashlib.sha256()
+    for text in random_mutation_texts():
+        a = parse_presentation(text)
+        for x in a.quiver.vertices:
+            for sign in ("minus", "plus"):
+                try:
+                    out = serialize_presentation(mutate_at(a, x, sign))
+                except QsaError as e:
+                    out = "ERR " + str(e)
+                h.update(out.encode() + b"\n")
+    assert h.hexdigest() == RANDOM_MUTATION_SHA256
 
 
 def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
