@@ -10,7 +10,7 @@ Path composition is written left to right: the path (a, b) means "a then b"
 and requires target(a) == source(b).
 """
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, permutations, product
@@ -41,11 +41,14 @@ _DIGITS_RE = re.compile(r"(\d+)")
 def natural_key(s):
     """Sort key treating digit runs numerically, so v2 sorts before v10.
 
+    Names whose digit runs differ only in leading zeros, such as a1 and
+    a01, tie on the runs and are ordered by the raw string, so distinct
+    names never share a key and every canonical order is total.
     Memoized in a bounded cache: a presentation and the ones derived from
     it sort the same few hundred names over and over.
     """
     parts = _DIGITS_RE.split(s)
-    return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p)
+    return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p), s
 
 
 def _check_id(kind, name):
@@ -118,8 +121,7 @@ class Quiver:
         Only what is new is checked: the new identifiers, their ends, and
         that `vertex` loses every arrow it has.  The kept vertices and
         arrows were checked when this quiver was built; the new arrows are
-        merged into the sorted tuples, after any kept arrow with the same
-        sort key, as the stable sort of the kept-then-new list places them.
+        merged into the sorted tuples.
         """
         removed = set(removed)
         for name in removed:
@@ -336,9 +338,9 @@ class AlgebraPresentation:
         for r in self.relations:
             (kept if removed.isdisjoint(r.arrow_names) else dropped).append(r)
         added = [RelationTerm(quiver, combo) for combo in relations]
-        for r in added:  # after the relations with its key, unless equal to one
-            i = bisect_right(kept, r.sort_key, key=_relation_key)
-            if r not in kept[bisect_left(kept, r.sort_key, hi=i, key=_relation_key):i]:
+        for r in added:  # distinct relations have distinct keys
+            i = bisect_left(kept, r.sort_key, key=_relation_key)
+            if kept[i:i + 1] != [r]:
                 kept.insert(i, r)
         monomials = self.monomials.difference(
             r.terms[0][1] for r in dropped if r.is_monomial).union(

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -162,6 +165,35 @@ def test_relation_term_from_another_quiver_is_kept_or_rebuilt(arrows):
 def test_natural_key_orders_numbers_numerically():
     names = ["10", "2", "1", "a10", "a2"]
     assert sorted(names, key=natural_key) == ["1", "2", "10", "a2", "a10"]
+
+
+# a1 and a01 tie on their digit runs; the raw string breaks the tie
+TIED_NAMES = (
+    "quiver tie\nvertices: 1 2 3\n"
+    "arrow a1: 1 -> 2\narrow a01: 1 -> 2\narrow b: 2 -> 3\n"
+    "relations:\na1 b\na01 b\n")
+
+
+def test_natural_key_breaks_ties_on_the_raw_string():
+    assert sorted(["a1", "a01", "a001"], key=natural_key) == ["a001", "a01", "a1"]
+    assert serialize_presentation(parse_presentation(TIED_NAMES)) == (
+        "quiver tie\nvertices: 1 2 3\n"
+        "arrow a01: 1 -> 2\narrow a1: 1 -> 2\narrow b: 2 -> 3\n"
+        "relations:\na01 b\na1 b\n")
+
+
+def test_canonical_order_does_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; from qsa.presentation import parse_presentation, "
+            "serialize_presentation as s; "
+            "sys.stdout.write(s(parse_presentation(sys.stdin.read())))")
+    outs = set()
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], input=TIED_NAMES, env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        outs.add(done.stdout)
+    assert outs == {serialize_presentation(parse_presentation(TIED_NAMES))}
 
 
 # --- validation -----------------------------------------------------------------
