@@ -53,21 +53,20 @@ class TruncatedAlgebra:
             self._paths[key] = tuple(paths)
             self._index[key] = {p: i for i, p in enumerate(paths)}
 
-        # echelon bases of the ideal inside each block
+        # echelon bases of the ideal inside each block, kept for the blocks
+        # it meets; the other positions are the free coordinates
         combos = [r for r in a.relations if not r.is_monomial]
         self._rows = {}
         self._pivots = {}
-        for (u, v), index in self._index.items():
-            rows = _ideal_rows(combos, self._paths, u, v, index, self.bound)
-            basis, pivots = rref(rows)
-            self._rows[(u, v)] = basis
-            self._pivots[(u, v)] = pivots
-
         self._free = {}
-        for key, paths in self._paths.items():
-            piv = set(self._pivots[key])
-            self._free[key] = tuple(
-                i for i in range(len(paths)) if i not in piv)
+        for (u, v), index in self._index.items():
+            free = range(len(index))
+            if combos:
+                basis, pivots = rref(_ideal_rows(combos, self._paths, u, v, index, self.bound))
+                if basis:
+                    self._rows[(u, v)], self._pivots[(u, v)] = basis, pivots
+                    free = sorted(set(free).difference(pivots))
+            self._free[(u, v)] = tuple(free)
 
     # --- inspection -------------------------------------------------------
 
@@ -83,6 +82,11 @@ class TruncatedAlgebra:
 
     def free_positions(self, u, v):
         return self._free.get((u, v), ())
+
+    def free_paths(self, u, v):
+        """The paths at the free positions, in coordinate order."""
+        paths = self._paths.get((u, v), ())
+        return [paths[i] for i in self.free_positions(u, v)]
 
     # --- elements ---------------------------------------------------------
 

@@ -3,38 +3,55 @@
 At a sink x the complex T is the direct sum of the stalks P_u (u != x)
 and R_x = [P_x in degree -1 mapped into the sum of P_{s(a)} over the
 arrows a into x].  Only the morphism spaces with x as an end are solved
-as chain maps modulo homotopy, in exact arithmetic.  Between two stalks
-there is no chain condition and no homotopy: Hom(P_v, P_u) is the
-algebra block e_u A e_v in its free coordinates, so normal forms are the
-identity there, a composite of three stalks is one product in the
-algebra, and the radical of End(P_u) is the span of the paths of
-positive length.  The radical at R_x is split off with the trace form,
-and a quiver presentation is read back off arrow representatives.  Hom
-spaces exist only for the pairs of summands whose ambient space has a
-nonzero block of the algebra; every other pair is the zero space, and
-composition and path evaluation treat it as such.  Relations of length
-two and three are read in one pass over the new quiver's paths, taken
-from the relation-free path table of `presentation`: in each block they
-are the kernel of path evaluation, and the length-three kernel is taken
-modulo the shifts of the length-two relations.  The final dimension
-count is compared against the abstract endomorphism algebra; a mismatch
-is reported rather than papered over.
+as chain maps modulo homotopy, in exact arithmetic, and only for the
+pairs whose ambient space has a nonzero block of the algebra.  Between
+two stalks there is no chain condition and no homotopy: Hom(P_v, P_u) is
+the algebra block e_u A e_v in its free coordinates, a composite of
+three stalks is one product in the algebra, and the radical of End(P_u)
+is the span of the paths of positive length.  The radical at R_x is
+split off with the trace form, and a quiver presentation is read back
+off arrow representatives; composition and path evaluation read a pair
+with a zero ambient space as the zero space.
+
+The region.  Let S be the sources of the arrows a_i into x and
+N = {x} + S.  Between two stalks the radical of the tilt is rad_A(u, v),
+and its square is rad^2_A(u, v) plus the composites P_v -> R_x -> P_u
+(no path of A passes through the sink x).  A map P_v -> R_x is a tuple
+(g_i), g_i in e_{s_i} A e_v; a map R_x -> P_u is a tuple (f_i), f_i in
+e_u A e_{s_i}, with sum f_i a_i = 0.  Their composite sum f_i g_i lies in
+the span of the paths through a vertex of S, and it leaves rad^2_A only
+when it has a term of length <= 1, which needs a trivial f_i or g_i, so
+u or v in S.  On a pair of stalks outside N the arrows are therefore A's
+arrows u -> v, renamed u~v in the block's coordinate order, and only the
+pairs with an end in N are computed.
+
+Relations of length two and three are the kernels of path evaluation on
+the blocks (d, u, v) of paths of length d from u to v in the new quiver,
+the length-three kernels taken modulo the shifts of the length-two
+relations.  Let M be the vertices on the terms of A's non-monomial
+relations.  When no path of a block visits N or M, its paths are A's
+paths, its arrows evaluate as in A, and no translate of a non-monomial
+relation reaches its paths: each path is zero (it contains a monomial
+relation) or a free coordinate of its own.  The kernel is then spanned by
+the zero paths, and `nullspace` gives exactly those unit vectors, in any
+path order; its relations are A's monomial relations of length two and
+the ones of length three with no relation of length two inside, renamed.
+These pass through, and only the blocks with a path through N or M are
+evaluated.  A relation of A longer than three is found by neither route,
+and the final dimension count, compared against the abstract
+endomorphism algebra, reports it rather than papering over it.
 """
 
-from itertools import islice
-
-from ._linalg import ZERO, identity, nullspace, reduce_vec, rref, transpose
+from ._linalg import ONE, ZERO, identity, nullspace, reduce_vec, rref, transpose
 from ._algebra import TruncatedAlgebra
-from .presentation import (
-    QsaError, Arrow, Quiver, AlgebraPresentation, _relation_free_levels,
-)
+from .presentation import QsaError, Arrow, Quiver, AlgebraPresentation, natural_key
 
 
 # --- chain-map hom spaces -----------------------------------------------------
 
 
 class _HomSpace:
-    """Hom(O_v, O_u) for two summands, as coordinates modulo homotopy."""
+    """Hom(O_v, O_u) for a pair with x as an end, as coordinates modulo homotopy."""
 
     def __init__(self, engine, u, v):
         self.engine = engine
@@ -53,13 +70,7 @@ class _HomSpace:
             self.offsets.append(total)
             total += alg.dim_block(bu, bv)
         self.ambient_dim = total
-        # between two stalks there is no chain condition and no homotopy:
-        # the basis is the free coordinates of the algebra block
-        self.stalk = engine.x not in (u, v)
-        if self.stalk:
-            self.dim = total
-        else:
-            self._solve()
+        self._solve()
 
     # ambient <-> per-block full vectors
 
@@ -143,8 +154,6 @@ class _HomSpace:
 
     def nf(self, ambient):
         """Coordinates of an ambient vector in the chosen basis."""
-        if self.stalk:
-            return list(ambient)
         r = reduce_vec(list(ambient), self.hrows, self.hpivots)
         coords = [r[p] for p in self.qpivots]
         for c, row in zip(coords, self.qrows):
@@ -155,8 +164,6 @@ class _HomSpace:
         return coords
 
     def rep(self, coords):
-        if self.stalk:
-            return list(coords)
         amb = [ZERO] * self.ambient_dim
         for c, row in zip(coords, self.qrows):
             if c:
@@ -165,32 +172,33 @@ class _HomSpace:
 
 
 class _Engine:
-    """All hom spaces and compositions for the mutated tilting complex."""
+    """Hom spaces and compositions for the mutated tilting complex.
+
+    A pair of two stalks is read off the algebra block; a pair with x as
+    an end has a `_HomSpace` when its ambient space is nonzero.
+    """
 
     def __init__(self, a, x):
-        self.alg = TruncatedAlgebra(a)
+        self.alg = alg = TruncatedAlgebra(a)
         q = a.quiver
         self.x = x
-        self.ins = list(q.in_arrows(x))
-        self.sources = [ar.source for ar in self.ins]
+        ins = q.in_arrows(x)
+        self.sources = [ar.source for ar in ins]
         # differential components: left multiplication by each in-arrow
-        self.diff = [self.alg.path_vec(ar.source, x, (ar.name,))
-                     for ar in self.ins]
-        # a hom space for each pair whose ambient space has a nonzero
-        # block: (x, x) for the degree -1 parts, and the pairs of summands
-        # whose degree-0 parts hold the ends of a nonzero algebra block
-        holders = {}
-        for u in q.vertices:
-            for b in self.degzero(u):
-                holders.setdefault(b, set()).add(u)
-        live = {(x, x)}
-        for bu, bv in self.alg.nonzero_blocks():
-            for u in holders.get(bu, ()):
-                live.update((u, v) for v in holders.get(bv, ()))
-        # in vertex-pair order, which fixes the order of the new arrows
-        pos = {v: i for i, v in enumerate(q.vertices)}
-        self.homs = {(u, v): _HomSpace(self, u, v)
-                     for u, v in sorted(live, key=lambda p: (pos[p[0]], pos[p[1]]))}
+        self.diff = [alg.path_vec(ar.source, x, (ar.name,)) for ar in ins]
+        # the nonzero blocks by source and by target
+        self.succ, self.pred = {}, {}
+        for bu, bv in alg.nonzero_blocks():
+            self.succ.setdefault(bu, []).append(bv)
+            self.pred.setdefault(bv, []).append(bu)
+        # (u, x) is live when some block (u, s_i) is nonzero, (x, v) when
+        # some (s_i, v) is; (x, x) always is.  Built in vertex-pair order.
+        into = {u for s in self.sources for u in self.pred[s]} - {x}
+        self.from_x = sorted({v for s in self.sources for v in self.succ[s]} - {x},
+                             key=natural_key)
+        pairs = [(x, x)] + [(u, x) for u in into] + [(x, v) for v in self.from_x]
+        pairs.sort(key=lambda p: (natural_key(p[0]), natural_key(p[1])))
+        self.homs = {(u, v): _HomSpace(self, u, v) for u, v in pairs}
 
     def degneg(self, u):
         return [self.x] if u == self.x else []
@@ -198,55 +206,75 @@ class _Engine:
     def degzero(self, u):
         return self.sources if u == self.x else [u]
 
+    # a pair of summands, whichever kind
+
+    def live(self, u, v):
+        if self.x in (u, v):
+            return (u, v) in self.homs
+        return bool(self.alg.dim_block(u, v))
+
+    def dim(self, u, v):
+        if self.x in (u, v):
+            h = self.homs.get((u, v))
+            return h.dim if h else 0
+        return self.alg.dim_block(u, v)
+
+    def nf(self, u, v, amb):
+        if self.x in (u, v):
+            h = self.homs.get((u, v))
+            return h.nf(amb) if h else []
+        return amb
+
+    def rep(self, u, v, coords):
+        return self.homs[(u, v)].rep(coords) if self.x in (u, v) else coords
+
+    def _split(self, u, v, amb):
+        h = self.homs.get((u, v))
+        return h.split(amb) if h else [self.alg.embed(u, v, amb)]
+
+    def _pos(self, u, v, i, j):
+        h = self.homs.get((u, v))
+        return h.block_index("pos", i, j) if h else 0
+
     def compose(self, u, v, w, amb_p, amb_q):
         """Ambient composite of p: O_v -> O_u with q: O_w -> O_v."""
-        alg = self.alg
-        hr = self.homs.get((u, w))
-        if hr is None:
-            return []
-        hp, hq = self.homs.get((u, v)), self.homs.get((v, w))
-        if hp is None or hq is None:
-            return [ZERO] * hr.ambient_dim
-        if hp.stalk and hq.stalk:
+        alg, x = self.alg, self.x
+        if x not in (u, v, w):
             return alg.coords(u, w, alg.mult(
                 u, v, w, alg.embed(u, v, amb_p), alg.embed(v, w, amb_q)))
-        fp, fq = hp.split(amb_p), hq.split(amb_q)
-        fulls = [alg.zero(bu, bv) for _, bu, bv in hr.blocks]
+        if not self.live(u, w):
+            return []
+        hr = self.homs.get((u, w))
+        if not (self.live(u, v) and self.live(v, w)):
+            return [ZERO] * (hr.ambient_dim if hr else alg.dim_block(u, w))
+        fp, fq = self._split(u, v, amb_p), self._split(v, w, amb_q)
+        fulls = [alg.zero(bu, bv) for _, bu, bv in hr.blocks] if hr else [alg.zero(u, w)]
         zu, zv, zw = self.degzero(u), self.degzero(v), self.degzero(w)
-        if self.degneg(u) and self.degneg(v) and self.degneg(w):
-            prod = alg.mult(self.x, self.x, self.x, fp[0], fq[0])
+        if u == v == w == x:
+            prod = alg.mult(x, x, x, fp[0], fq[0])
             fulls[0] = [a + b for a, b in zip(fulls[0], prod)]
         for i in range(len(zu)):
             for k in range(len(zw)):
-                blk_r = hr.block_index("pos", i, k)
+                blk_r = self._pos(u, w, i, k)
                 acc = fulls[blk_r]
                 for j in range(len(zv)):
-                    blk_p = hp.block_index("pos", i, j)
-                    blk_q = hq.block_index("pos", j, k)
-                    prod = alg.mult(zu[i], zv[j], zw[k], fp[blk_p], fq[blk_q])
+                    prod = alg.mult(zu[i], zv[j], zw[k], fp[self._pos(u, v, i, j)],
+                                    fq[self._pos(v, w, j, k)])
                     acc = [a + b for a, b in zip(acc, prod)]
                 fulls[blk_r] = acc
-        return hr.join(fulls)
+        return hr.join(fulls) if hr else alg.coords(u, w, fulls[0])
 
 
 # --- presentation extraction ----------------------------------------------
 
 
-def _local_radical(engine, u):
-    """Radical of End(O_u) via the trace form of left multiplication.
-
-    For a stalk, End(P_u) = e_u A e_u is local and its radical is spanned
-    by the paths of positive length: every free coordinate but the first,
-    which is the trivial path.  Only the span of a radical is used
-    downstream, so this basis gives the same presentation as the trace
-    form's.
-    """
-    h = engine.homs[(u, u)]
+def _local_radical(engine):
+    """Radical of End(R_x) via the trace form of left multiplication."""
+    x = engine.x
+    h = engine.homs[(x, x)]
     n = h.dim
-    if h.stalk:
-        return identity(n)[1:]
     reps = [h.rep(c) for c in identity(n)]
-    table = [[h.nf(engine.compose(u, u, u, reps[i], reps[j]))
+    table = [[h.nf(engine.compose(x, x, x, reps[i], reps[j]))
               for j in range(n)] for i in range(n)]
     tau = [sum(table[t][k][k] for k in range(n)) for t in range(n)]
     gram = [[sum(table[i][j][t] * tau[t] for t in range(n))
@@ -254,17 +282,50 @@ def _local_radical(engine, u):
     rad = nullspace(gram, n)
     if n - len(rad) != 1:
         raise QsaError(
-            f"endomorphism ring at {u!r} does not have scalar quotient; "
+            f"endomorphism ring at {x!r} does not have scalar quotient; "
             "the summand is not indecomposable over this field")
     return rad
+
+
+def _radical(eng, u, v):
+    """Basis of the radical at a pair: all of it between distinct summands,
+    the paths of positive length at a stalk, the trace-form radical at x."""
+    if u != v:
+        return identity(eng.dim(u, v))
+    if u == eng.x:
+        return _local_radical(eng)
+    return identity(eng.dim(u, u))[1:]
+
+
+def _region_blocks(q, hot):
+    """{(d, u, v): paths} for d = 2, 3, over the blocks of `q` with a path
+    through a vertex of `hot`; paths in the order of the path table."""
+    starts, frontier = set(hot), set(hot)
+    for _ in range(3):
+        frontier = {ar.source for v in frontier for ar in q.in_arrows(v)} - starts
+        starts |= frontier
+    blocks, touched = {}, set()
+    for u in sorted(starts, key=natural_key):
+        level = [((), u, u in hot)]
+        for d in (1, 2, 3):
+            level = [(p + (ar.name,), ar.target, hit or ar.target in hot)
+                     for p, t, hit in level for ar in q.out_arrows(t)]
+            if d > 1:
+                for p, v, hit in level:
+                    blocks.setdefault((d, u, v), []).append(p)
+                    if hit:
+                        touched.add((d, u, v))
+    return {key: paths for key, paths in sorted(blocks.items(), key=lambda kv: kv[0][0])
+            if key in touched}
 
 
 def mutate_minus(a, x):
     """Mutate the presentation at the sink x.
 
     Builds the two-term complex at x, computes the morphism spaces of
-    the tilt that can be nonzero, and reads a quiver with relations (of
-    length two or three) off its radical filtration.
+    the tilt that differ from A's, and reads a quiver with relations (of
+    length two or three) off its radical filtration; everything outside
+    the neighbourhood of x is A's own, renamed.
     """
     q = a.quiver
     if not q.has_vertex(x):
@@ -275,39 +336,46 @@ def mutate_minus(a, x):
         raise QsaError(f"minus mutation needs at least one arrow into {x!r}")
 
     eng = _Engine(a, x)
-    vs = q.vertices
+    alg = eng.alg
+    near = {x, *eng.sources}
 
-    # radical: everything between distinct summands, trace-form radical
-    # on the endomorphism rings
-    rad = {(u, v): identity(h.dim) if u != v else _local_radical(eng, u)
-           for (u, v), h in eng.homs.items()}
+    # the live pairs with an end in N
+    region = list(eng.homs)
+    for s in dict.fromkeys(eng.sources):
+        region += [(s, v) for v in eng.succ[s] if v != x]
+        region += [(u, s) for u in eng.pred[s] if u not in near]
 
-    rad_reps = {key: [eng.homs[key].rep(c) for c in coords]
-                for key, coords in rad.items() if coords}
-    rad_from = {}
-    for (k, v), reps in rad_reps.items():
-        rad_from.setdefault(k, []).append((v, reps))
+    rad = {}
 
-    # radical squared, blockwise
-    rad2 = {}
-    for (u, k), left in rad_reps.items():
-        for v, right in rad_from.get(k, ()):
-            h = eng.homs.get((u, v))
-            if h is None:
-                continue
-            for w in right:
-                for p in left:
-                    comp = h.nf(eng.compose(u, k, v, p, w))
-                    if any(comp):
-                        rad2.setdefault((u, v), []).append(comp)
+    def radical(u, v):
+        """(basis, representatives) of the radical at a pair, computed once."""
+        if (u, v) not in rad:
+            basis = _radical(eng, u, v)
+            rad[(u, v)] = basis, [eng.rep(u, v, c) for c in basis]
+        return rad[(u, v)]
 
-    # arrows: a complement of rad^2 inside rad
+    def products(u, k, v):
+        return [eng.nf(u, v, eng.compose(u, k, v, p, w))
+                for w in radical(k, v)[1] for p in radical(u, k)[1]]
+
+    # arrows: a complement of rad^2 inside rad.  Between stalks rad^2 is
+    # rad^2_A, the free coordinates of paths of length >= 2, plus the
+    # composites through R_x; at x it is summed over the middle summand.
     arrows = []
     arrow_reps = {}
-    for (u, v), coords_list in rad.items():
-        rrows, rpiv = rref(rad2.get((u, v), []))
+    for u, v in region:
+        if x in (u, v):
+            middle = dict.fromkeys([x] + (eng.from_x if u == x else eng.succ[u]))
+            rad2 = [c for k in middle if eng.live(u, k) and eng.live(k, v)
+                    for c in products(u, k, v)]
+        else:
+            units = identity(eng.dim(u, v))
+            rad2 = [units[i] for i, p in enumerate(alg.free_paths(u, v)) if len(p) > 1]
+            if eng.live(u, x) and eng.live(x, v):
+                rad2 += products(u, x, v)
+        rrows, rpiv = rref([c for c in rad2 if any(c)])
         kept = []
-        for coords in coords_list:
+        for coords in radical(u, v)[0]:
             red = reduce_vec(list(coords), rrows, rpiv)
             if any(red):
                 kept.append(red)
@@ -316,31 +384,55 @@ def mutate_minus(a, x):
         for idx, coords in enumerate(basis):
             name = base if len(basis) == 1 else f"{base}.{idx + 1}"
             arrows.append(Arrow(name, u, v))
-            arrow_reps[name] = eng.homs[(u, v)].rep(coords)
+            arrow_reps[name] = eng.rep(u, v, coords)
 
-    new_q = Quiver(a.name, vs, arrows)
+    # A's arrows between stalks outside N, in coordinate order
+    between = {}
+    for ar in q.arrows:
+        if ar.source not in near and ar.target not in near:
+            between.setdefault((ar.source, ar.target), []).append(ar.name)
+    renamed, origin = {}, {}
+    for (u, v), names in between.items():
+        names.sort()
+        for idx, old in enumerate(names):
+            name = f"{u}~{v}" if len(names) == 1 else f"{u}~{v}.{idx + 1}"
+            arrows.append(Arrow(name, u, v))
+            renamed[old], origin[name] = name, old
 
-    # relations: kernels of path evaluation in lengths two and three
+    new_q = Quiver(a.name, q.vertices, arrows)
+
+    def arrow_rep(name):
+        if name not in arrow_reps:  # one of A's arrows, a free coordinate
+            ar = q.arrow(origin[name])
+            arrow_reps[name] = alg.coords(ar.source, ar.target,
+                                          alg.path_vec(ar.source, ar.target, (ar.name,)))
+        return arrow_reps[name]
+
     def eval_path(path):
         u = new_q.arrow(path[0]).source
-        amb = arrow_reps[path[0]]
+        amb = arrow_rep(path[0])
         cur = new_q.arrow(path[0]).target
         for nm in path[1:]:
             ar = new_q.arrow(nm)
-            amb = eng.compose(u, cur, ar.target, amb, arrow_reps[nm])
+            amb = eng.compose(u, cur, ar.target, amb, arrow_rep(nm))
             cur = ar.target
-        h = eng.homs.get((u, cur))
-        return [] if h is None else h.nf(amb)
+        return eng.nf(u, cur, amb)
 
-    blocks = {}
-    levels = _relation_free_levels(AlgebraPresentation(new_q, ()))
-    for level in islice(levels, 2, 4):
-        for u, v, path in level:
-            blocks.setdefault((len(path), u, v), []).append(path)
-
-    relations = []
+    # relations: A's outside the region, renamed, then the kernels of path
+    # evaluation on the blocks with a path through N or M
     kernels = {}
-    for (d, u, v), paths in blocks.items():
+    for r in a.relations:
+        p = r.terms[0][1]
+        if r.is_monomial and len(p) < 4 and all(n in renamed for n in p) and not (
+                len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
+            key = (len(p), r.source, r.target)
+            kernels.setdefault(key, []).append([(ONE, tuple(renamed[n] for n in p))])
+    hot = set(near)
+    for r in a.relations:
+        if not r.is_monomial:
+            hot.update(v for n in r.arrow_names for v in q.arrow(n)[1:])
+
+    for (d, u, v), paths in _region_blocks(new_q, hot).items():
         # shifts of the shorter relations by one arrow at either end
         index = {p: i for i, p in enumerate(paths)}
         sides = [(kernels.get((d - 1, u, ar.source), ()), (), (ar.name,))
@@ -363,10 +455,13 @@ def mutate_minus(a, x):
                 kept.append([(c, p) for c, p in zip(red, paths) if c])
                 if d > 2:
                     srows, spiv = rref(srows + [red])
-        relations += kept
 
-    result = AlgebraPresentation(new_q, relations)
-    expected = sum(h.dim for h in eng.homs.values())
+    result = AlgebraPresentation._trusted(new_q, [
+        (u, v, {p: c for c, p in combo}) for (_, u, v), combos in kernels.items()
+        for combo in combos])
+    # the stalk pairs are A's blocks; the pairs at x are the solved spaces
+    expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in eng.pred[x])
+                + sum(h.dim for h in eng.homs.values()))
     found = TruncatedAlgebra(result).dimension()
     if found != expected:
         raise QsaError(

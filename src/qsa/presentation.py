@@ -42,13 +42,16 @@ def natural_key(s):
     """Sort key treating digit runs numerically, so v2 sorts before v10.
 
     Names whose digit runs differ only in leading zeros, such as a1 and
-    a01, tie on the runs and are ordered by the raw string, so distinct
-    names never share a key and every canonical order is total.
-    Memoized in a bounded cache: a presentation and the ones derived from
-    it sort the same few hundred names over and over.
+    a01, tie on the runs and are ordered by the raw string: it closes the
+    key as a last part that sorts before every other part, so a key that
+    is a prefix of another still sorts first.  Distinct names never share
+    a key, and every canonical order is total.  The key stays one flat
+    tuple, which compares faster than a (parts, name) pair.  Memoized in a
+    bounded cache: a presentation and the ones derived from it sort the
+    same few hundred names over and over.
     """
     parts = _DIGITS_RE.split(s)
-    return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p), s
+    return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p) + ((-1, s),)
 
 
 def _check_id(kind, name):
@@ -223,7 +226,7 @@ class Quiver:
 
 
 def _path_sort_key(arrows):
-    return (len(arrows),) + tuple(natural_key(x) for x in arrows)
+    return (len(arrows), *map(natural_key, arrows))
 
 
 class RelationTerm:
@@ -248,16 +251,21 @@ class RelationTerm:
                 raise QsaError("relation mixes non-parallel paths")
             key = p.arrows
             merged[key] = merged[key] + coef if key in merged else coef
+        self._canonical(merged, *endpoints)
+
+    def _canonical(self, merged, source, target):
+        """Set the terms from {path: coefficient}: zero terms dropped, the
+        rest sorted and scaled so the first coefficient is 1."""
         keys = {p: _path_sort_key(p) for p, c in merged.items() if c}
         if not keys:
             raise QsaError("relation cancels to zero")
         ordered = sorted(keys, key=keys.__getitem__)
         lead = merged[ordered[0]]
-        self.source, self.target = endpoints
+        self.source, self.target = source, target
         if lead != 1:
             merged = {p: c / lead for p, c in merged.items()}
-        self.terms = tuple((merged[p], p) for p in ordered)
-        self.sort_key = tuple((keys[p], c) for c, p in self.terms)
+        self.terms = tuple([(merged[p], p) for p in ordered])
+        self.sort_key = tuple([(keys[p], c) for c, p in self.terms])
 
     @property
     def is_monomial(self):
@@ -306,6 +314,27 @@ class AlgebraPresentation:
         self._fill(quiver, tuple(rels),
                    frozenset(r.terms[0][1] for r in rels if r.is_monomial),
                    all(len(p) == 2 for r in rels for _, p in r.terms))
+
+    @classmethod
+    def _trusted(cls, quiver, relations):
+        """The presentation of `quiver` with `relations`, triples (source,
+        target, {path: coefficient}) of distinct relations whose paths are
+        known to run from source to target in `quiver`.
+
+        Equal to the constructor on the same combinations, without its
+        checks: each relation is only made canonical.
+        """
+        rels = []
+        for source, target, merged in relations:
+            r = RelationTerm.__new__(RelationTerm)
+            r._canonical(merged, source, target)
+            rels.append(r)
+        rels.sort(key=_relation_key)
+        b = cls.__new__(cls)
+        b._fill(quiver, tuple(rels),
+                frozenset(r.terms[0][1] for r in rels if r.is_monomial),
+                all(len(p) == 2 for r in rels for _, p in r.terms))
+        return b
 
     def _fill(self, quiver, relations, monomials, quadratic):
         # distinct monomial relations have distinct paths (the coefficient
@@ -393,12 +422,25 @@ class AlgebraPresentation:
 
 
 def opposite(a, name=None):
-    """The opposite presentation: arrows reversed, every path read backwards."""
+    """The opposite presentation: arrows reversed, every path read backwards.
+
+    Equal to `Quiver` and `AlgebraPresentation` built on the reversed
+    lists.  Only a new name is checked: the identifiers and relations
+    were checked when `a` was built, and the arrows keep their names and
+    so their order.
+    """
     q = a.quiver
-    qop = Quiver(name or q.name, q.vertices,
-                 [Arrow(x.name, x.target, x.source) for x in q.arrows])
-    rels = [[(c, tuple(reversed(p))) for c, p in r.terms] for r in a.relations]
-    return AlgebraPresentation(qop, rels)
+    qop = Quiver.__new__(Quiver)
+    qop.name = name or q.name
+    if qop.name != q.name:
+        _check_id("quiver name", qop.name)
+    qop.vertices = q.vertices
+    qop.arrows = tuple(Arrow(x.name, x.target, x.source) for x in q.arrows)
+    qop._by_name = {x.name: x for x in qop.arrows}
+    qop._out = {v: [qop._by_name[x.name] for x in at] for v, at in q._in.items()}
+    qop._in = {v: [qop._by_name[x.name] for x in at] for v, at in q._out.items()}
+    return AlgebraPresentation._trusted(qop, [
+        (r.target, r.source, {p[::-1]: c for c, p in r.terms}) for r in a.relations])
 
 
 # --- parsing and serialization --------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import islice
@@ -176,6 +177,19 @@ TIED_NAMES = (
 
 def test_natural_key_breaks_ties_on_the_raw_string():
     assert sorted(["a1", "a01", "a001"], key=natural_key) == ["a001", "a01", "a1"]
+    # the numeric order of the digit runs comes first, and a name whose runs
+    # are a prefix of another's still sorts before it
+    rng = random.Random(3)
+    runs = re.compile(r"(\d+)")
+
+    def runs_then_name(s):
+        return [(0, int(p)) if p.isdigit() else (1, p) for p in runs.split(s) if p], s
+
+    for _ in range(2000):
+        names = list({"".join(rng.choice("a0b1.9") for _ in range(rng.randint(1, 5)))
+                      for _ in range(6)})
+        assert sorted(names, key=natural_key) == sorted(names, key=runs_then_name)
+        assert len(set(map(natural_key, names))) == len(names)
     assert serialize_presentation(parse_presentation(TIED_NAMES)) == (
         "quiver tie\nvertices: 1 2 3\n"
         "arrow a01: 1 -> 2\narrow a1: 1 -> 2\narrow b: 2 -> 3\n"
@@ -475,6 +489,44 @@ def test_opposite_reverses_arrows():
     op = opposite(a)
     assert {(ar.source, ar.target) for ar in op.quiver.arrows} == {
         ("2", "1"), ("3", "2"), ("4", "3"), ("5", "4")}
+
+
+@st.composite
+def _opposites(draw):
+    """A presentation with names that tie on their digit runs, and a new
+    name for its opposite: none, the same, another, or malformed."""
+    verts = [f"v{i + 1}" for i in range(draw(st.integers(1, 5)))]
+    names = ["a1", "a01", "a2", "a10", "b", "c"]
+    arrows = [Arrow(nm, draw(st.sampled_from(verts)), draw(st.sampled_from(verts)))
+              for nm in draw(st.lists(st.sampled_from(names), unique=True, max_size=6))]
+    a = AlgebraPresentation(Quiver("gen", verts, arrows), _relations_on(draw, arrows))
+    return a, draw(st.sampled_from([None, "", "gen", "op", "b c", 5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_opposites())
+def test_opposite_equals_fresh_construction(case):
+    a, name = case
+    q = a.quiver
+    try:
+        fresh = AlgebraPresentation(
+            Quiver(name or q.name, q.vertices,
+                   [Arrow(x.name, x.target, x.source) for x in q.arrows]),
+            [[(c, p[::-1]) for c, p in r.terms] for r in a.relations])
+    except QsaError as e:
+        with pytest.raises(QsaError) as err:
+            opposite(a, name)
+        assert str(err.value) == str(e)
+        return
+    b = opposite(a, name)
+    assert b == fresh and serialize_presentation(b) == serialize_presentation(fresh)
+    assert [r.sort_key for r in b.relations] == [r.sort_key for r in fresh.relations]
+    assert (b.monomials, b.is_monomial, b.is_quadratic, b._monomial_lengths) == \
+        (fresh.monomials, fresh.is_monomial, fresh.is_quadratic,
+         fresh._monomial_lengths)
+    qb, f = b.quiver, fresh.quiver
+    assert [(qb.out_arrows(v), qb.in_arrows(v)) for v in f.vertices] == \
+        [(f.out_arrows(v), f.in_arrows(v)) for v in f.vertices]
 
 
 # --- derived presentations -----------------------------------------------------------

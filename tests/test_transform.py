@@ -496,34 +496,67 @@ def test_mutation_keeps_length_two_kernel_basis():
         "( 1~2 2~5 ) - ( 1~4 4~5 )\n")
 
 
-def test_mutation_builds_hom_spaces_only_for_live_pairs(monkeypatch):
-    # a pair of summands gets a hom space only when its ambient space, the
-    # algebra blocks between their degree-0 parts (and e_x A e_x for the
-    # degree -1 part of R_x), is nonzero; built in vertex-pair order
-    a = glued_twelve_gqs(2)
-    x = "12_2"
-    built = []
+def _live_pairs_near(a, x):
+    """The pairs of summands of the tilt at the sink x with an end in x or
+    in a source of an arrow into x and a nonzero ambient space: the algebra
+    blocks between their degree-0 parts, or e_x A e_x for (x, x)."""
+    t = TruncatedAlgebra(a)
+    sources = [ar.source for ar in a.quiver.in_arrows(x)]
+    near = {x, *sources}
+
+    def degzero(u):
+        return sources if u == x else [u]
+
+    vs = a.quiver.vertices
+    return {(u, v) for u in vs for v in vs if (u in near or v in near) and (
+        u == v == x or any(t.dim_block(bu, bv) for bu in degzero(u)
+                           for bv in degzero(v)))}
+
+
+def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
+    # hom spaces are built only for live pairs with an end in x or its
+    # in-neighbours, the hom spaces built and the relation blocks evaluated
+    # per mutation do not grow with the number of copies, and the final
+    # dimension check builds the algebra of every result
+    built, blocks, algebras = [], [], []
 
     class CountingHomSpace(_endo._HomSpace):
         def __init__(self, engine, u, v):
             built.append((u, v))
             super().__init__(engine, u, v)
 
+    class CountingAlgebra(TruncatedAlgebra):
+        def __init__(self, a):
+            algebras.append(a)
+            super().__init__(a)
+
+    region_blocks = _endo._region_blocks
+
+    def counting_blocks(q, hot):
+        found = region_blocks(q, hot)
+        blocks.append(len(found))
+        return found
+
     monkeypatch.setattr(_endo, "_HomSpace", CountingHomSpace)
-    mutate_at(a, x, "minus")
-
-    t = TruncatedAlgebra(a)
-    sources = [ar.source for ar in a.quiver.in_arrows(x)]
-
-    def degzero(u):
-        return sources if u == x else [u]
-
-    vs = a.quiver.vertices
-    live = [(u, v) for u in vs for v in vs
-            if u == v == x or any(t.dim_block(bu, bv) for bu in degzero(u)
-                                  for bv in degzero(v))]
-    assert len(vs) == 24 and len(live) < 24 * 24 // 4
-    assert built == live
+    monkeypatch.setattr(_endo, "TruncatedAlgebra", CountingAlgebra)
+    monkeypatch.setattr(_endo, "_region_blocks", counting_blocks)
+    for sign in ("minus", "plus"):
+        counts = []
+        for k in range(1, 5):
+            a = glued_twelve_gqs(k)
+            x = _cli_edit_vertices(k)[sign == "plus"]
+            built.clear()
+            blocks.clear()
+            algebras.clear()
+            b = mutate_at(a, x, sign)
+            tilted = a if sign == "minus" else opposite(a)
+            assert built and set(built) <= _live_pairs_near(tilted, x)
+            assert algebras == [tilted, b if sign == "minus" else opposite(b)]
+            counts.append((len(built), blocks[0]))
+        # the sink is vertex 6 of a copy for odd k, vertex 12 for even k
+        # (the source 5 or 11)
+        assert counts[2] == counts[0] and counts[3] == counts[1], (sign, counts)
+        assert max(n for n, _ in counts) < len(glued_twelve_gqs(1).quiver.vertices)
 
 
 def _cli_edit_vertices(k):
