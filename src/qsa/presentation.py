@@ -310,10 +310,7 @@ class AlgebraPresentation:
                 # terms may come from another quiver: rebuild, or raise
                 r = RelationTerm(quiver, r.terms)
             rels.append(r)
-        rels = sorted(set(rels), key=_relation_key)
-        self._fill(quiver, tuple(rels),
-                   frozenset(r.terms[0][1] for r in rels if r.is_monomial),
-                   all(len(p) == 2 for r in rels for _, p in r.terms))
+        self._fill(quiver, sorted(set(rels), key=_relation_key))
 
     @classmethod
     def _trusted(cls, quiver, relations):
@@ -329,14 +326,17 @@ class AlgebraPresentation:
             r = RelationTerm.__new__(RelationTerm)
             r._canonical(merged, source, target)
             rels.append(r)
-        rels.sort(key=_relation_key)
         b = cls.__new__(cls)
-        b._fill(quiver, tuple(rels),
-                frozenset(r.terms[0][1] for r in rels if r.is_monomial),
-                all(len(p) == 2 for r in rels for _, p in r.terms))
+        b._fill(quiver, sorted(rels, key=_relation_key))
         return b
 
-    def _fill(self, quiver, relations, monomials, quadratic):
+    def _fill(self, quiver, relations, monomials=None, quadratic=None):
+        """Set the fields from the sorted relations; the monomial paths and
+        the quadratic flag are read off them unless a derivation gives them."""
+        relations = tuple(relations)
+        if monomials is None:
+            monomials = frozenset(r.terms[0][1] for r in relations if r.is_monomial)
+            quadratic = all(len(p) == 2 for r in relations for _, p in r.terms)
         # distinct monomial relations have distinct paths (the coefficient
         # is scaled to 1), so every relation is monomial when the counts agree
         self.quiver = quiver
