@@ -214,10 +214,7 @@ class _Engine:
         return bool(self.alg.dim_block(u, v))
 
     def dim(self, u, v):
-        if self.x in (u, v):
-            h = self.homs.get((u, v))
-            return h.dim if h else 0
-        return self.alg.dim_block(u, v)
+        return self.homs[(u, v)].dim if self.x in (u, v) else self.alg.dim_block(u, v)
 
     def nf(self, u, v, amb):
         if self.x in (u, v):
