@@ -6,12 +6,14 @@ arrows a into x].  Only the morphism spaces with x as an end are solved
 as chain maps modulo homotopy, in exact arithmetic, and only for the
 pairs whose ambient space has a nonzero block of the algebra.  Between
 two stalks there is no chain condition and no homotopy: Hom(P_v, P_u) is
-the algebra block e_u A e_v in its free coordinates, a composite of
-three stalks is one product in the algebra, and the radical of End(P_u)
-is the span of the paths of positive length.  The radical at R_x is
-split off with the trace form, and a quiver presentation is read back
-off arrow representatives; composition and path evaluation read a pair
-with a zero ambient space as the zero space.
+the algebra block e_u A e_v, a morphism is its vector of coordinates at
+the block's basis paths, a composite of three stalks is one product in
+the algebra, and the radical of End(P_u) is the span of the basis paths
+of positive length.  A morphism at a pair with x as an end is the
+concatenation of such vectors over the blocks of its ambient space.  The
+radical at R_x is split off with the trace form, and a quiver
+presentation is read back off arrow representatives; composition and
+path evaluation read a pair with a zero ambient space as the zero space.
 
 The region.  Let S be the sources of the arrows a_i into x and
 N = {x} + S.  Between two stalks the radical of the tilt is rad_A(u, v),
@@ -32,7 +34,7 @@ relations.  Let M be the vertices on the terms of A's non-monomial
 relations.  When no path of a block visits N or M, its paths are A's
 paths, its arrows evaluate as in A, and no translate of a non-monomial
 relation reaches its paths: each path is zero (it contains a monomial
-relation) or a free coordinate of its own.  The kernel is then spanned by
+relation) or a basis path of its own.  The kernel is then spanned by
 the zero paths, and `nullspace` gives exactly those unit vectors, in any
 path order; its relations are A's monomial relations of length two and
 the ones of length three with no relation of length two inside, renamed.
@@ -72,19 +74,10 @@ class _HomSpace:
         self.ambient_dim = total
         self._solve()
 
-    # ambient <-> per-block full vectors
-
     def split(self, flat):
-        alg = self.engine.alg
-        return [alg.embed(bu, bv, flat[off:off + alg.dim_block(bu, bv)])
-                for (_, bu, bv), off in zip(self.blocks, self.offsets)]
-
-    def join(self, fulls):
-        alg = self.engine.alg
-        flat = []
-        for (_, bu, bv), full in zip(self.blocks, fulls):
-            flat += alg.coords(bu, bv, full)
-        return flat
+        """The per-block elements of an ambient vector."""
+        ends = self.offsets[1:] + [self.ambient_dim]
+        return [flat[off:end] for off, end in zip(self.offsets, ends)]
 
     def block_index(self, kind, bu_i, bv_j):
         nneg = len(self.neg)
@@ -106,18 +99,18 @@ class _HomSpace:
         cols = []
         if has_dv:
             for unit in identity(self.ambient_dim):
-                fulls = self.split(unit)
+                parts = self.split(unit)
                 col = []
                 for i in range(len(zu)):
-                    acc = alg.zero(zu[i], eng.x)
+                    acc = [ZERO] * alg.dim_block(zu[i], eng.x)
                     for j in range(len(zv)):
                         blk = self.block_index("pos", i, j)
                         comp = alg.mult(zu[i], zv[j], eng.x,
-                                        fulls[blk], eng.diff[j])
+                                        parts[blk], eng.diff[j])
                         acc = [a + b for a, b in zip(acc, comp)]
                     if has_du:
                         comp = alg.mult(zu[i], eng.x, eng.x,
-                                        eng.diff[i], fulls[0])
+                                        eng.diff[i], parts[0])
                         acc = [a - b for a, b in zip(acc, comp)]
                     col += acc
                 cols.append(col)
@@ -128,20 +121,20 @@ class _HomSpace:
         images = []
         if has_du:
             for j in range(len(zv)):
-                for hvec in alg.basis_vectors(eng.x, zv[j]):
-                    fulls = [alg.zero(bu, bv) for _, bu, bv in self.blocks]
+                for hvec in identity(alg.dim_block(eng.x, zv[j])):
+                    parts = self.split([ZERO] * self.ambient_dim)
                     if has_dv:
                         contrib = alg.mult(eng.x, zv[j], eng.x,
                                            hvec, eng.diff[j])
-                        fulls[0] = [a + b for a, b
-                                    in zip(fulls[0], contrib)]
+                        parts[0] = [a + b for a, b
+                                    in zip(parts[0], contrib)]
                     for i in range(len(zu)):
                         blk = self.block_index("pos", i, j)
                         contrib = alg.mult(zu[i], eng.x, zv[j],
                                            eng.diff[i], hvec)
-                        fulls[blk] = [a + b for a, b
-                                      in zip(fulls[blk], contrib)]
-                    images.append(self.join(fulls))
+                        parts[blk] = [a + b for a, b
+                                      in zip(parts[blk], contrib)]
+                    images.append([c for part in parts for c in part])
         self.hrows, self.hpivots = rref(images)
 
         reduced = []
@@ -227,7 +220,7 @@ class _Engine:
 
     def _split(self, u, v, amb):
         h = self.homs.get((u, v))
-        return h.split(amb) if h else [self.alg.embed(u, v, amb)]
+        return h.split(amb) if h else [amb]
 
     def _pos(self, u, v, i, j):
         h = self.homs.get((u, v))
@@ -237,29 +230,29 @@ class _Engine:
         """Ambient composite of p: O_v -> O_u with q: O_w -> O_v."""
         alg, x = self.alg, self.x
         if x not in (u, v, w):
-            return alg.coords(u, w, alg.mult(
-                u, v, w, alg.embed(u, v, amb_p), alg.embed(v, w, amb_q)))
+            return alg.mult(u, v, w, amb_p, amb_q)
         if not self.live(u, w):
             return []
         hr = self.homs.get((u, w))
+        zero = [ZERO] * (hr.ambient_dim if hr else alg.dim_block(u, w))
         if not (self.live(u, v) and self.live(v, w)):
-            return [ZERO] * (hr.ambient_dim if hr else alg.dim_block(u, w))
+            return zero
         fp, fq = self._split(u, v, amb_p), self._split(v, w, amb_q)
-        fulls = [alg.zero(bu, bv) for _, bu, bv in hr.blocks] if hr else [alg.zero(u, w)]
+        parts = self._split(u, w, zero)
         zu, zv, zw = self.degzero(u), self.degzero(v), self.degzero(w)
         if u == v == w == x:
             prod = alg.mult(x, x, x, fp[0], fq[0])
-            fulls[0] = [a + b for a, b in zip(fulls[0], prod)]
+            parts[0] = [a + b for a, b in zip(parts[0], prod)]
         for i in range(len(zu)):
             for k in range(len(zw)):
                 blk_r = self._pos(u, w, i, k)
-                acc = fulls[blk_r]
+                acc = parts[blk_r]
                 for j in range(len(zv)):
                     prod = alg.mult(zu[i], zv[j], zw[k], fp[self._pos(u, v, i, j)],
                                     fq[self._pos(v, w, j, k)])
                     acc = [a + b for a, b in zip(acc, prod)]
-                fulls[blk_r] = acc
-        return hr.join(fulls) if hr else alg.coords(u, w, fulls[0])
+                parts[blk_r] = acc
+        return [c for part in parts for c in part]
 
 
 # --- presentation extraction ----------------------------------------------
@@ -356,7 +349,7 @@ def mutate_minus(a, x):
                 for w in radical(k, v)[1] for p in radical(u, k)[1]]
 
     # arrows: a complement of rad^2 inside rad.  Between stalks rad^2 is
-    # rad^2_A, the free coordinates of paths of length >= 2, plus the
+    # rad^2_A, the coordinates at basis paths of length >= 2, plus the
     # composites through R_x; at x it is summed over the middle summand.
     arrows = []
     arrow_reps = {}
@@ -399,10 +392,9 @@ def mutate_minus(a, x):
     new_q = Quiver(a.name, q.vertices, arrows)
 
     def arrow_rep(name):
-        if name not in arrow_reps:  # one of A's arrows, a free coordinate
+        if name not in arrow_reps:  # one of A's arrows, a basis path
             ar = q.arrow(origin[name])
-            arrow_reps[name] = alg.coords(ar.source, ar.target,
-                                          alg.path_vec(ar.source, ar.target, (ar.name,)))
+            arrow_reps[name] = alg.path_vec(ar.source, ar.target, (ar.name,))
         return arrow_reps[name]
 
     def eval_path(path):

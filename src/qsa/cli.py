@@ -78,6 +78,8 @@ def _parse_vector(text, n):
         vec = [Fraction(p) for p in parts]
     except ValueError:
         raise QsaError(f"cannot parse vector {text!r}") from None
+    except ZeroDivisionError:
+        raise QsaError(f"zero denominator in vector {text!r}") from None
     if len(vec) != n:
         raise QsaError(f"vector has {len(vec)} entries, expected {n}")
     return vec

@@ -199,17 +199,12 @@ class Quiver:
         """Build a Path from composable arrow names."""
         names = tuple(arrow_names)
         if not names:
-            raise QsaError("empty path needs an explicit vertex; use trivial_path")
+            raise QsaError("a path needs at least one arrow")
         arrows = [self.arrow(n) for n in names]
         for a, b in zip(arrows, arrows[1:]):
             if a.target != b.source:
                 raise QsaError(f"arrows {a.name!r} and {b.name!r} do not compose")
         return Path(arrows[0].source, arrows[-1].target, names)
-
-    def trivial_path(self, v):
-        if not self.has_vertex(v):
-            raise QsaError(f"unknown vertex {v!r}")
-        return Path(v, v, ())
 
     def __eq__(self, other):
         return (isinstance(other, Quiver) and self.name == other.name

@@ -300,7 +300,10 @@ def _dirty_vertices(a, b, meta):
 
 def _move(a, c, special, before):
     """One reduction move on `a`, whose gqs classification is `c` and
-    whose serialization is `before`.
+    whose serialization is `before`.  The caller has checked that `c` has
+    an exceptional vertex and that `special` is valid on `a`; the move
+    checks the special set of its result, so each presentation of a
+    reduction is checked once.
 
     Returns (smaller presentation, ReductionStep, its classification).
     The classification of the result reuses `c`, which does not check
@@ -310,10 +313,6 @@ def _move(a, c, special, before):
     path of `a` that used a removed arrow can be rerouted through x.
     """
     exc = c.exceptional_vertices
-    if not exc:
-        raise QsaError("no exceptional vertex to reduce")
-    _check_special(a, special, c)
-
     x = exc[0]
     vc = c.classes[x]
     move = _peel if vc.exceptional_class in (3, 5) else _rewire
@@ -339,8 +338,11 @@ def reduce_step(a, special=()):
     of vertices already carried along; it is revalidated before and
     after the move.
     """
-    b, step, _ = _move(a, _gqs_classification(a), special,
-                       serialize_presentation(a))
+    c = _gqs_classification(a)
+    if not c.exceptional_vertices:
+        raise QsaError("no exceptional vertex to reduce")
+    _check_special(a, special, c)
+    b, step, _ = _move(a, c, special, serialize_presentation(a))
     return b, step
 
 
@@ -361,6 +363,8 @@ def _reduce_classified(a, c, special=()):
     text = serialize_presentation(a)
     ds = tuple(sorted(set(special), key=natural_key))
     steps = []
+    if c.exceptional_vertices:
+        _check_special(a, ds, c)
     while c.exceptional_vertices:
         cur, step, c = _move(cur, c, ds, text)
         text = step.after

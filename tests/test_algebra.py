@@ -2,10 +2,38 @@
 
 from fractions import Fraction
 
+import pytest
+
 from qsa.presentation import parse_presentation
 from qsa._algebra import TruncatedAlgebra
+from qsa._linalg import identity
 
-from conftest import load_fixture, glued_twelve_gqs
+from conftest import load_fixture, glued_twelve_gqs, all_fixture_names
+
+SQUARE = (
+    "quiver square\nvertices: 1 2 3 4\n"
+    "arrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\narrow d: 3 -> 4\n"
+    "relations:\n( a b ) - ( c d )\n")
+
+NON_HOMOGENEOUS = (
+    "quiver n\nvertices: 1 2 3 4 5\n"
+    "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
+    "arrow d: 1 -> 5\narrow e: 5 -> 4\n"
+    "relations:\n( d e ) - ( a b c )\n")
+
+THREE_DIAMOND = (
+    "quiver three-diamond\nvertices: 1 2 3 4 5 7\n"
+    "arrow a1: 1 -> 2\narrow a2: 1 -> 3\narrow a3: 1 -> 4\n"
+    "arrow b1: 2 -> 5\narrow b2: 3 -> 5\narrow b3: 4 -> 5\n"
+    "arrow c: 1 -> 7\n"
+    "relations:\n( a1 b1 ) - ( a2 b2 )\n( a1 b1 ) - ( a3 b3 )\n")
+
+EXAMPLES = {"square": SQUARE, "non-homogeneous": NON_HOMOGENEOUS,
+            "three-diamond": THREE_DIAMOND}
+
+
+def _example(name):
+    return parse_presentation(EXAMPLES[name]) if name in EXAMPLES else load_fixture(name)
 
 
 def test_chain_dimension_and_blocks():
@@ -20,18 +48,14 @@ def test_chain_products():
     t5 = TruncatedAlgebra(load_fixture("a5-chain"))
     v = t5.mult("2", "3", "4", t5.path_vec("2", "3", ("beta",)),
                 t5.path_vec("3", "4", ("gamma",)))
-    assert t5.coords("2", "4", v) == [Fraction(1)]
+    assert v == [Fraction(1)]
     z = t5.mult("1", "2", "3", t5.path_vec("1", "2", ("alpha",)),
                 t5.path_vec("2", "3", ("beta",)))
     assert not any(z)
 
 
 def test_commuting_square_identifies_diagonals():
-    sq = parse_presentation(
-        "quiver square\nvertices: 1 2 3 4\n"
-        "arrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\narrow d: 3 -> 4\n"
-        "relations:\n( a b ) - ( c d )\n")
-    ts = TruncatedAlgebra(sq)
+    ts = TruncatedAlgebra(parse_presentation(SQUARE))
     # 4 units + 4 arrows + 1 shared diagonal
     assert ts.dimension() == 9
     ab = ts.mult("1", "2", "4", ts.path_vec("1", "2", ("a",)),
@@ -40,15 +64,14 @@ def test_commuting_square_identifies_diagonals():
                  ts.path_vec("3", "4", ("d",)))
     assert ab == cd
     assert ts.dim_block("1", "4") == 1
+    # a b is the pivot of the relation, so the product comes out as the
+    # coordinates of c d, the block's one basis path
+    assert ts.free_paths("1", "4") == (("c", "d"),)
+    assert ab == ts.path_vec("1", "4", ("a", "b")) == [Fraction(1)]
 
 
 def test_non_homogeneous_acyclic_relation_is_accepted():
-    a = parse_presentation(
-        "quiver n\nvertices: 1 2 3 4 5\n"
-        "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
-        "arrow d: 1 -> 5\narrow e: 5 -> 4\n"
-        "relations:\n( d e ) - ( a b c )\n")
-    t = TruncatedAlgebra(a)
+    t = TruncatedAlgebra(parse_presentation(NON_HOMOGENEOUS))
     assert t.bound == 4
     # 5 units + 5 arrows + a b, b c, d e + a b c, less the one relation
     assert t.dimension() == 13
@@ -100,7 +123,7 @@ def test_blocks_are_stored_only_for_pairs_joined_by_a_path():
     for v in q.vertices:
         walk(v, v, ())
     assert len(q.vertices) == 24 and len(joined) < 24 * 24 // 4
-    assert set(t._paths) == set(t._free) == joined
+    assert set(t._index) == set(t._basis) == joined
     assert set(t.nonzero_blocks()) == {
         (u, v) for u in q.vertices for v in q.vertices if t.dim_block(u, v)}
 
@@ -108,10 +131,49 @@ def test_blocks_are_stored_only_for_pairs_joined_by_a_path():
 def test_unreached_pair_is_the_zero_block():
     t5 = TruncatedAlgebra(load_fixture("a5-chain"))
     assert t5.dim_block("5", "1") == 0
-    assert t5.zero("5", "1") == []
-    assert t5.free_positions("5", "1") == ()
-    assert t5.basis_vectors("5", "1") == []
+    assert t5.free_paths("5", "1") == ()
     assert t5.path_vec("5", "1", ()) == []
-    assert t5.coords("5", "1", []) == []
     assert t5.mult("5", "1", "2", [], t5.path_vec("1", "2", ("alpha",))) == []
     assert ("5", "1") not in t5.nonzero_blocks()
+
+
+def _paths(q, bound):
+    """(source, target, arrows) for every path of q shorter than bound."""
+    level = [(v, v, ()) for v in q.vertices]
+    out = []
+    while level:
+        out += level
+        level = [(s, ar.target, p + (ar.name,)) for s, t, p in level
+                 for ar in q.out_arrows(t) if len(p) + 1 < bound]
+    return out
+
+
+@pytest.mark.parametrize("name", all_fixture_names() + list(EXAMPLES))
+def test_product_of_path_coordinates_is_the_joined_path(name):
+    a = _example(name)
+    t = TruncatedAlgebra(a)
+    paths = _paths(a.quiver, t.bound)
+    starting = {}
+    for u, v, p in paths:
+        starting.setdefault(u, []).append((v, p))
+    for u, v, p in paths:
+        for w, q in starting[v]:
+            got = t.mult(u, v, w, t.path_vec(u, v, p), t.path_vec(v, w, q))
+            assert got == t.path_vec(u, w, p + q), (u, v, w, p, q)
+
+
+@pytest.mark.parametrize("name", all_fixture_names() + list(EXAMPLES))
+def test_product_is_associative_on_basis_vectors(name):
+    t = TruncatedAlgebra(_example(name))
+    succ = {}
+    for u, v in t.nonzero_blocks():
+        succ.setdefault(u, []).append(v)
+    for u, v in t.nonzero_blocks():
+        for w in succ.get(v, ()):
+            for z in succ.get(w, ()):
+                for x in identity(t.dim_block(u, v)):
+                    for y in identity(t.dim_block(v, w)):
+                        xy = t.mult(u, v, w, x, y)
+                        for e in identity(t.dim_block(w, z)):
+                            assert t.mult(u, w, z, xy, e) == t.mult(
+                                u, v, z, x, t.mult(v, w, z, y, e)), (u, v, w, z)

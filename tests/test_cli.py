@@ -208,6 +208,14 @@ def test_euler_eval(capsys):
     assert out.splitlines()[-1].startswith("value at (1, 1, 1, 1, 1):")
 
 
+def test_euler_eval_refuses_a_zero_denominator(capsys):
+    code, out, err = run(capsys, "euler", "--eval", "1/0,1,1,1,1",
+                         fixture_path("a5-chain"))
+    assert code == 1
+    assert err == "error: zero denominator in vector '1/0,1,1,1,1'\n"
+    assert "Traceback" not in err
+
+
 def test_euler_json(capsys):
     code, out, _ = run(capsys, "euler", "--json",
                        fixture_path("fork-tail-10"))

@@ -160,6 +160,12 @@ def test_relation_term_from_another_quiver_is_kept_or_rebuilt(arrows):
                                     parsed.relations[0].target)
 
 
+def test_relation_with_an_empty_path_is_refused():
+    q = load_fixture("a5-chain").quiver
+    with pytest.raises(QsaError, match="a path needs at least one arrow"):
+        AlgebraPresentation(q, [[(1, ())]])
+
+
 # --- ordering -------------------------------------------------------------------
 
 

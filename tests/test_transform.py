@@ -99,6 +99,43 @@ def test_reduce_step_class_four_rewrites():
         ("pre", "0", "2"), ("beta~", "2", "4"), ("gamma~", "4", "3")}
 
 
+@pytest.mark.parametrize("reduce", [reduce_step, reduce_to_skewed_gentle])
+@pytest.mark.parametrize("name, special, message", [
+    ("case4-local", ["3"], "vertex '3' is not special"),
+    ("case4-local", ["1"], "vertex '1' is special but ordinary"),
+    ("twelve-vertex-gqs", ["4"], "vertex '4' is not special"),
+    ("twelve-vertex-gqs", ["1"], "vertex '1' is special but ordinary"),
+])
+def test_reduction_refuses_a_bad_special_set(reduce, name, special, message):
+    with pytest.raises(QsaError) as err:
+        reduce(load_fixture(name), special)
+    assert str(err.value) == message
+
+
+def test_reduce_step_reports_a_missing_exceptional_vertex_first():
+    with pytest.raises(QsaError) as err:
+        reduce_step(load_fixture("a5-chain"), ["2"])
+    assert str(err.value) == "no exceptional vertex to reduce"
+
+
+def test_reduction_checks_the_special_set_once_per_presentation(monkeypatch):
+    checked = []
+    check = transform._check_special
+
+    def counting_check(a, ds, classification):
+        checked.append(a)
+        check(a, ds, classification)
+
+    monkeypatch.setattr(transform, "_check_special", counting_check)
+    a = load_fixture("twelve-vertex-gqs")
+    cert = reduce_to_skewed_gentle(a, ["8"])
+    assert len(cert.steps) == 3
+    assert [serialize_presentation(b) for b in checked] == (
+        [cert.steps[0].before] + [s.after for s in cert.steps])
+    checked.clear()
+    b, step = reduce_step(a, ["8"])
+    assert checked == [a, b]
+
 # --- full reduction on the twelve-vertex fixture -------------------------------
 
 
