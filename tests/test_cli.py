@@ -1,5 +1,6 @@
 """Command line round trips: text reports, JSON documents, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import pytest
 
 from qsa import cli
 from qsa.cli import run_cli
+from qsa.presentation import is_tree
 
-from conftest import fixture_path
+from conftest import all_fixture_names, fixture_path, load_fixture
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -235,6 +237,33 @@ def test_cover_text_and_dot(tmp_path, capsys):
     assert out.startswith("quiver ")
     text = dot.read_text()
     assert text.startswith("digraph") and "->" in text
+
+
+# SHA-256 of the `qsa cover --json` documents of every cyclic monomial
+# fixture, concatenated over its basepoints in vertex order and radius 0..4
+# for each basepoint: presentation, vertex_map, arrow_map and levels
+COVER_DIGESTS = {
+    "gentle-cycle": "9880009dbebbce8bdb68c49aa6f8f1de45e0287f69b4f1aefa3dcf1bc46bbda8",
+    "kronecker": "5e3f186583bfb593d549bdba98858ac633fa2781092328725c4cb38f509b9fd9",
+    "three-vertex-wild": "55d4ce1031b7c0bd6d4c5739599446ce6532157b39bdcc1c175bbe38c9bfe96e",
+    "twelve-vertex-gqs": "ae1f871244d8abbaedf4facd962c98af950469d9a5d8c470d3b96895c8253fee",
+    "two-cycle": "ca3c90978963715f16a2a0c64cbe72aa891fe74cea667f2b6c666eac54847573",
+}
+
+
+def test_cyclic_fixture_covers_are_frozen(capsys):
+    cyclic = [name for name in all_fixture_names()
+              if load_fixture(name).is_monomial and not is_tree(load_fixture(name))]
+    assert cyclic == sorted(COVER_DIGESTS)
+    for name in cyclic:
+        digest = hashlib.sha256()
+        for base in load_fixture(name).quiver.vertices:
+            for radius in range(5):
+                code, out, _ = run(capsys, "cover", "--base", base, "--radius",
+                                   str(radius), "--json", fixture_path(name))
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == COVER_DIGESTS[name], name
 
 
 def test_witness_text(capsys):
