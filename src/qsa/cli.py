@@ -8,6 +8,7 @@ file; `--json` switches the output to a single JSON document.  Exit codes:
 
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -72,14 +73,33 @@ def _matrix_lines(rows):
     return ["  " + " ".join(c.rjust(width) for c in row) for row in cells]
 
 
+# an exponent of six or more digits gives a number too large to print, and
+# Fraction would take seconds or more to build it
+_HUGE_EXPONENT_RE = re.compile(r"[eE][-+]?0*[1-9]\d{5}")
+
+
+def _exact_text(x, what):
+    """str(x), refused with QsaError when x has more digits than Python
+    converts to text (sys.get_int_max_str_digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        raise QsaError(f"{what} is too large to print") from None
+
+
 def _parse_vector(text, n):
     parts = [p.strip() for p in text.split(",") if p.strip()]
+    for p in parts:
+        if _HUGE_EXPONENT_RE.search(p):
+            raise QsaError(f"vector entry {p!r} is too large to print")
     try:
         vec = [Fraction(p) for p in parts]
     except ValueError:
         raise QsaError(f"cannot parse vector {text!r}") from None
     except ZeroDivisionError:
         raise QsaError(f"zero denominator in vector {text!r}") from None
+    for p, t in zip(parts, vec):
+        _exact_text(t, f"vector entry {p!r}")
     if len(vec) != n:
         raise QsaError(f"vector has {len(vec)} entries, expected {n}")
     return vec
@@ -255,10 +275,10 @@ def _cmd_euler(args):
     evaluated = None
     if args.eval is not None:
         vec = _parse_vector(args.eval, len(e.vertices))
-        evaluated = (vec, euler_eval(e, vec))
+        evaluated = (vec, _exact_text(euler_eval(e, vec), "the form value at that vector"))
         if args.json:
             data["eval"] = {"vector": [str(t) for t in vec],
-                            "value": str(evaluated[1])}
+                            "value": evaluated[1]}
     if args.json:
         _emit_json(data)
         return 0
@@ -342,7 +362,7 @@ def _cmd_witness(args):
     if args.json:
         _emit_json({"witness": wit.to_payload()})
         return 0
-    print(f"witness at basepoint {wit.ball.basepoint}, radius {wit.ball.radius}: "
+    print(f"witness at basepoint {wit.basepoint}, radius {wit.radius}: "
           f"{len(wit.vertices)} vertices, shape {wit.shape.label}")
     print(wit.note)
     for u, v, names in wit.pairs:

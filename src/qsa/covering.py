@@ -6,16 +6,23 @@ Dynkin / Euclidean / Other, and searches balls for a wildness certificate:
 a vertex subset whose full subcategory is radical-square-zero over a graph
 that is neither Dynkin nor Euclidean.  Two purely local wild configurations
 are matched directly on the base presentation.
+
+A ball is built once as plain arrays indexed by vertex (`CoverBall`); the
+search tests relations on the projected base arrows and classifies subsets
+on vertex indices, so no presentation is built for a ball it searches: only
+a witness it finds, or a ball whose `cover` is read (as `truncated_cover`
+does), becomes a presentation.
 """
 
 import os
-from functools import lru_cache
+from bisect import insort
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation,
-    presentations_isomorphic, serialize_presentation, validate,
+    natural_key, presentations_isomorphic, serialize_presentation, validate,
 )
 from ._linalg import psd_flags
 
@@ -217,24 +224,70 @@ class CoverBall:
     sequence (a trailing ' marks a reversed step); cover arrows are named
     base_arrow@source_vertex.  The underlying graph is a tree, and the
     projection maps send the ball back onto the base presentation.
+
+    The ball is built as plain arrays, its vertices indexed in `natural_key`
+    order: names, levels, projected base vertices, the arrows in the order
+    the breadth-first walk made them, and per vertex its out-arrows (target
+    index, base arrow, cover arrow).  The witness search reads only those;
+    the presentation `cover` and the three maps are built on first use.
     """
 
-    def __init__(self, base, basepoint, radius, cover, vertex_map, arrow_map, level):
+    def __init__(self, base, basepoint, radius):
         self.base = base
         self.basepoint = basepoint
         self.radius = radius
-        self.cover = cover
-        self.vertex_map = dict(vertex_map)   # cover vertex -> base vertex
-        self.arrow_map = dict(arrow_map)     # cover arrow  -> base arrow
-        self.level = dict(level)             # cover vertex -> walk length
+        self._names, self._levels, self._proj, self._edges, self._out = _ball_arrays(
+            base.quiver, basepoint, radius)
+
+    def _born(self):
+        # vertex indices in the order the walk reached them: each arrow
+        # reached the end one level further out
+        lv = self._levels
+        return [lv.index(0)] + [s if lv[s] > lv[t] else t for s, t, _, _ in self._edges]
+
+    @cached_property
+    def vertex_map(self):
+        """cover vertex -> base vertex"""
+        return {self._names[i]: self._proj[i] for i in self._born()}
+
+    @cached_property
+    def arrow_map(self):
+        """cover arrow -> base arrow"""
+        return {c: b for _, _, b, c in self._edges}
+
+    @cached_property
+    def level(self):
+        """cover vertex -> walk length"""
+        return {self._names[i]: self._levels[i] for i in self._born()}
+
+    @cached_property
+    def cover(self):
+        """The ball as a presentation: every relation generator whose whole
+        lifted path fits inside the ball is a relation."""
+        names = self._names
+        step = [{b: (t, c) for t, b, c in outs} for outs in self._out]
+        relations = []
+        for mono in self.base.monomials:
+            for v0 in range(len(names)):
+                v, chain = v0, []
+                for b in mono:
+                    hop = step[v].get(b)
+                    if hop is None:
+                        break
+                    v, c = hop
+                    chain.append(c)
+                else:
+                    relations.append([(1, chain)])
+        arrows = [Arrow(c, names[s], names[t]) for s, t, _, c in self._edges]
+        cname = f"{self.base.quiver.name}@{self.basepoint}.r{self.radius}"
+        return AlgebraPresentation(Quiver(cname, names, arrows), relations)
 
     def interior_vertices(self):
-        return tuple(v for v in self.cover.quiver.vertices
-                     if self.level[v] < self.radius)
+        return tuple(v for v, lv in zip(self._names, self._levels) if lv < self.radius)
 
     def __repr__(self):
         return (f"CoverBall({self.base.name!r} at {self.basepoint!r}, "
-                f"radius {self.radius}, {len(self.level)} vertices)")
+                f"radius {self.radius}, {len(self._names)} vertices)")
 
 
 def _claim(taken, name):
@@ -242,6 +295,66 @@ def _claim(taken, name):
         name += "~"
     taken.add(name)
     return name
+
+
+def _ball_arrays(q, base, radius):
+    """(names, levels, projections, arrows, out-arrows) of the radius-r
+    ball of quiver q at `base`; see `CoverBall`."""
+    taken_v, taken_a = set(), set()
+    names = [_claim(taken_v, base)]
+    levels = [0]
+    proj = [base]
+    last = [None]   # (base arrow, direction) of the step that reached a vertex
+    edges = []
+    frontier = [0]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for w in frontier:
+            u, wname, back = proj[w], names[w], last[w]
+            for ar in q.out_arrows(u):
+                if back == (ar.name, -1):
+                    continue
+                k = len(names)
+                names.append(_claim(taken_v, wname + "." + ar.name))
+                levels.append(depth)
+                proj.append(ar.target)
+                last.append((ar.name, 1))
+                edges.append((w, k, ar.name, _claim(taken_a, ar.name + "@" + wname)))
+                nxt.append(k)
+            for ar in q.in_arrows(u):
+                if back == (ar.name, 1):
+                    continue
+                k = len(names)
+                vid = _claim(taken_v, wname + "." + ar.name + "'")
+                names.append(vid)
+                levels.append(depth)
+                proj.append(ar.source)
+                last.append((ar.name, -1))
+                edges.append((k, w, ar.name, _claim(taken_a, ar.name + "@" + vid)))
+                nxt.append(k)
+        frontier = nxt
+
+    # reindex in name order; the names of one ball are sorted once, with
+    # the uncached key, so they do not evict the shared natural_key cache
+    key = natural_key.__wrapped__
+    order = sorted(range(len(names)), key=lambda k: key(names[k]))
+    pos = [0] * len(order)
+    for i, k in enumerate(order):
+        pos[k] = i
+    edges = [(pos[s], pos[t], b, c) for s, t, b, c in edges]
+    out = [[] for _ in order]
+    for s, t, b, c in edges:
+        out[s].append((t, b, c))
+    return (tuple(names[k] for k in order), [levels[k] for k in order],
+            [proj[k] for k in order], edges, out)
+
+
+def _check_coverable(a):
+    report = validate(a)
+    if not report.connected:
+        raise QsaError("cover construction needs a connected quiver")
+    if not (report.certified and report.admissible):
+        raise QsaError("cover construction needs a certified admissible ideal")
 
 
 def truncated_cover(a, base, radius):
@@ -252,76 +365,12 @@ def truncated_cover(a, base, radius):
         raise QsaError("covers are only built for monomial presentations")
     if radius < 0:
         raise QsaError("cover radius must be >= 0")
-    q = a.quiver
-    if not q.has_vertex(base):
+    if not a.quiver.has_vertex(base):
         raise QsaError(f"unknown basepoint {base!r}")
-    report = validate(a)
-    if not report.connected:
-        raise QsaError("cover construction needs a connected quiver")
-    if not (report.certified and report.admissible):
-        raise QsaError("cover construction needs a certified admissible ideal")
-
-    taken_v, taken_a = set(), set()
-    root = ()
-    ids = {root: _claim(taken_v, base)}
-    endpoint = {root: base}
-    level = {ids[root]: 0}
-    vertex_map = {ids[root]: base}
-    arrows = []
-    arrow_map = {}
-    frontier = [root]
-    for depth in range(radius):
-        nxt = []
-        for w in frontier:
-            u = endpoint[w]
-            for ar in q.out_arrows(u):
-                if w and w[-1] == (ar.name, -1):
-                    continue
-                w2 = w + ((ar.name, 1),)
-                vid = _claim(taken_v, ids[w] + "." + ar.name)
-                ids[w2] = vid
-                endpoint[w2] = ar.target
-                level[vid] = depth + 1
-                vertex_map[vid] = ar.target
-                aname = _claim(taken_a, ar.name + "@" + ids[w])
-                arrows.append(Arrow(aname, ids[w], vid))
-                arrow_map[aname] = ar.name
-                nxt.append(w2)
-            for ar in q.in_arrows(u):
-                if w and w[-1] == (ar.name, 1):
-                    continue
-                w2 = w + ((ar.name, -1),)
-                vid = _claim(taken_v, ids[w] + "." + ar.name + "'")
-                ids[w2] = vid
-                endpoint[w2] = ar.source
-                level[vid] = depth + 1
-                vertex_map[vid] = ar.source
-                aname = _claim(taken_a, ar.name + "@" + vid)
-                arrows.append(Arrow(aname, vid, ids[w]))
-                arrow_map[aname] = ar.name
-                nxt.append(w2)
-        frontier = nxt
-
-    # lift every relation generator whose whole path fits inside the ball
-    out_by = {(ar.source, arrow_map[ar.name]): ar for ar in arrows}
-    relations = []
-    for mono in sorted(a.monomials):
-        for v0 in level:
-            v = v0
-            chain = []
-            for name in mono:
-                ar = out_by.get((v, name))
-                if ar is None:
-                    chain = None
-                    break
-                chain.append(ar.name)
-                v = ar.target
-            if chain is not None:
-                relations.append([(1, chain)])
-
-    cname = f"{q.name}@{base}.r{radius}"
-    cover = AlgebraPresentation(Quiver(cname, list(level), arrows), relations)
-    return CoverBall(a, base, radius, cover, vertex_map, arrow_map, level)
+    _check_coverable(a)
+    ball = CoverBall(a, base, radius)
+    ball.cover   # built and checked now, not on first read
+    return ball
 
 
 # --- wildness witness search ----------------------------------------------------
@@ -337,7 +386,9 @@ class WildWitness:
     """
 
     def __init__(self, ball, vertices, presentation, shape, pairs, note):
-        self.ball = ball
+        self.ball = ball              # its presentation is built on first read
+        self.basepoint = ball.basepoint
+        self.radius = ball.radius
         self.vertices = tuple(vertices)
         self.presentation = presentation
         self.shape = shape
@@ -351,8 +402,8 @@ class WildWitness:
     def to_payload(self):
         """Plain-data dict for JSON output."""
         return {
-            "basepoint": self.ball.basepoint,
-            "radius": self.ball.radius,
+            "basepoint": self.basepoint,
+            "radius": self.radius,
             "vertices": list(self.vertices),
             "shape": self.shape.label,
             "presentation": serialize_presentation(self.presentation),
@@ -371,6 +422,9 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     Basepoints are tried in vertex order, ball vertices in name order (the
     names encode the walks, so this is a depth-first sweep of the tree), and
     subsets grown by rooted expansion, so the first hit is deterministic.
+    Each ball is searched as the plain arrays of `CoverBall`: a directed
+    path in the ball is relation-free when no suffix of its projection is a
+    base relation, and only the witness found becomes a presentation.
     Each subset is grown from a valid one by a single vertex, so only the
     new vertex's surviving paths are checked, plus the union of the
     interiors of the paths already in the subset; each valid subset of two
@@ -379,7 +433,8 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     the only one in the ball; passing a target presentation as `like` keeps
     the same enumeration but only accepts witnesses isomorphic to the
     target.  Absence within the bounds proves nothing; a returned witness is
-    a complete certificate.
+    a complete certificate.  A negative radius or size is refused; a size
+    below 2 finds nothing.
     QSA_WITNESS_RADIUS, QSA_WITNESS_SIZE and QSA_WITNESS_BUDGET override the
     defaults.
     """
@@ -398,11 +453,16 @@ def _witness_search(a, radius=None, max_size=None, like=None):
         raise QsaError("the wildness witness search needs a monomial presentation")
     if like is not None and not isinstance(like, AlgebraPresentation):
         raise QsaError("the witness target must be an AlgebraPresentation")
+    if radius < 0:
+        raise QsaError("cover radius must be >= 0")
+    if max_size < 0:
+        raise QsaError("witness size must be >= 0")
     if max_size < 2:
         return None, False
+    _check_coverable(a)
     budget_hit = False
     for base in a.quiver.vertices:
-        ball = truncated_cover(a, base, radius)
+        ball = CoverBall(a, base, radius)
         try:
             found = _search_ball(ball, max_size, budget, like)
         except _Budget:
@@ -416,43 +476,50 @@ def _witness_search(a, radius=None, max_size=None, like=None):
 def _survival(ball, budget):
     """All ordered pairs joined by a relation-free directed cover path.
 
-    Returns (order, index, pairs) where pairs maps (i, j) to (interior mask,
-    arrow name tuple).  Paths in a tree are geodesics, so each pair carries
-    exactly one path and a path between ball vertices never leaves the ball.
+    Returns (pairs, steps) where pairs maps (i, j) to (interior mask, base
+    arrow names of the path).  Paths in a tree are geodesics, so each pair
+    carries exactly one path and a path between ball vertices never leaves
+    the ball.  Every suffix of such a path lies in the ball too, so the
+    suffix is a lifted relation exactly when its projection is a base
+    relation: the base presentation answers the relation test.
     """
-    cov = ball.cover
-    q = cov.quiver
-    order = list(q.vertices)
-    index = {v: i for i, v in enumerate(order)}
+    ends_in_relation = ball.base.ends_in_relation
+    out = ball._out
     pairs = {}
     steps = 0
-    for u in order:
+    for u in range(len(out)):
         stack = [(u, (), 0)]
         while stack:
             v, names, imask = stack.pop()
-            for ar in q.out_arrows(v):
-                names2 = names + (ar.name,)
-                if cov.ends_in_relation(names2):
+            for t, b, _ in out[v]:
+                names2 = names + (b,)
+                if ends_in_relation(names2):
                     continue
                 steps += 1
                 if steps > budget:
                     raise _Budget()
-                imask2 = imask | (1 << index[v] if v != u else 0)
-                pairs[(index[u], index[ar.target])] = (imask2, names2)
-                stack.append((ar.target, names2, imask2))
-    return order, index, pairs, steps
+                imask2 = imask | (1 << v if v != u else 0)
+                pairs[(u, t)] = (imask2, names2)
+                stack.append((t, names2, imask2))
+    return pairs, steps
 
 
-def _assemble(ball, order, members, arcs, shape):
-    # members and arcs come sorted by vertex index
+def _assemble(ball, pairs, members, arcs, shape):
+    # members come sorted by vertex index; each arc (i, j) is a surviving
+    # pair, whose path is lifted back to cover arrows from i
+    names, out = ball._names, ball._out
     taken = set()
     arrows = []
     realized = []
-    for i, j, names in arcs:
-        label = _claim(taken, "*".join(ball.arrow_map[c] for c in names))
-        arrows.append(Arrow(label, order[i], order[j]))
-        realized.append((order[i], order[j], names))
-    verts = [order[i] for i in members]
+    for i, j in sorted(arcs):
+        path = pairs[(i, j)][1]
+        lifted, v = [], i
+        for b in path:
+            v, c = next((t, c) for t, b2, c in out[v] if b2 == b)
+            lifted.append(c)
+        arrows.append(Arrow(_claim(taken, "*".join(path)), names[i], names[j]))
+        realized.append((names[i], names[j], tuple(lifted)))
+    verts = [names[i] for i in members]
     quiver = Quiver(f"{ball.base.quiver.name}.witness@{ball.basepoint}", verts, arrows)
     rels = [[(1, [p.name, r.name])]
             for p in arrows for r in arrows if p.target == r.source]
@@ -466,18 +533,21 @@ def _assemble(ball, order, members, arcs, shape):
 
 
 def _search_ball(ball, max_size, budget, like=None):
-    order, _, pairs, used = _survival(ball, budget)
-    n = len(order)
+    pairs, used = _survival(ball, budget)
+    n = len(ball._names)
     adj = [0] * n
-    for (i, j) in pairs:
+    link = [{} for _ in range(n)]   # link[i][j]: the surviving pair at i and j
+    for arc, (imask, _) in pairs.items():
+        i, j = arc
         adj[i] |= 1 << j
         adj[j] |= 1 << i
+        link[i][j] = link[j][i] = (arc, imask)
     want = None if like is None else len(like.quiver.vertices)
 
     remaining = budget - used
     result = None
 
-    def extend(members, blocked, mask, i):
+    def extend(blocked, mask, i):
         # a subset is valid when no surviving pair's geodesic interior meets
         # it; then its full subcategory is radical-square-zero with one arrow
         # per surviving pair.  The members are valid and `blocked` is the
@@ -487,26 +557,27 @@ def _search_ball(ball, max_size, budget, like=None):
         if blocked >> i & 1:
             return None
         new = []
-        for j in members:
-            for arc in ((i, j), (j, i)):
-                hit = pairs.get(arc)
-                if hit is not None:
-                    if hit[0] & mask:
-                        return None
-                    blocked |= hit[0]
-                    new.append(arc + (hit[1],))
+        at = link[i]
+        touch = adj[i] & mask   # the members paired with i
+        while touch:
+            b = touch & -touch
+            touch ^= b
+            arc, imask = at[b.bit_length() - 1]
+            if imask & mask:
+                return None
+            blocked |= imask
+            new.append(arc)
         return new, blocked
 
     def witness(members, arcs):
         # a valid subset is a witness when its graph is neither Dynkin nor
-        # Euclidean
+        # Euclidean; the graph is classified on vertex indices
         if want is not None and len(members) != want:
             return None
-        shape = graph_type([order[i] for i in members],
-                           [(order[i], order[j]) for i, j, _ in arcs])
+        shape = graph_type(members, arcs)
         if shape.kind != "Other":
             return None
-        wit = _assemble(ball, order, members, arcs, shape)
+        wit = _assemble(ball, pairs, members, arcs, shape)
         if like is not None and presentations_isomorphic(wit.presentation, like) is None:
             return None   # a certificate, but not the requested shape
         return wit
@@ -523,11 +594,12 @@ def _search_ball(ball, max_size, budget, like=None):
             if remaining <= 0:
                 raise _Budget()
             nm = mask | b
-            ext = extend(members, blocked, nm, i)
+            ext = extend(blocked, nm, i)
             if ext is not None:
                 new, grown_blocked = ext
-                grown = sorted(members + [i])
-                grown_arcs = sorted(arcs + new)
+                grown = members[:]
+                insort(grown, i)
+                grown_arcs = arcs + new   # graph_type sorts the pairs itself
                 result = witness(grown, grown_arcs)
                 if result is not None:
                     return

@@ -218,6 +218,19 @@ def test_euler_eval_refuses_a_zero_denominator(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("vector, message", [
+    ("1e99999,1,1,1,1", "vector entry '1e99999' is too large to print"),
+    ("1e-9999999999,1,1,1,1", "vector entry '1e-9999999999' is too large to print"),
+    ("1" * 3000 + ",1,1,1,1", "the form value at that vector is too large to print"),
+])
+def test_euler_eval_refuses_numbers_too_large_to_print(capsys, vector, message):
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "euler", *json_flag, "--eval", vector,
+                             fixture_path("a5-chain"))
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+
 def test_euler_json(capsys):
     code, out, _ = run(capsys, "euler", "--json",
                        fixture_path("fork-tail-10"))
@@ -272,6 +285,16 @@ def test_witness_text(capsys):
     assert code == 0
     assert out.splitlines()[0] == (
         "witness at basepoint a, radius 6: 8 vertices, shape Other")
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (("--radius", "3", "--max-size", "-1"), "witness size must be >= 0"),
+    (("--radius", "-2", "--max-size", "1"), "cover radius must be >= 0"),
+])
+def test_witness_refuses_negative_bounds(capsys, bounds, message):
+    code, out, err = run(capsys, "witness", *bounds, fixture_path("three-vertex-wild"))
+    assert code == 1
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_witness_none_within_bounds(capsys):

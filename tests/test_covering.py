@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsa.presentation import (
-    QsaError, parse_presentation, presentations_isomorphic, underlying_graph,
+    AlgebraPresentation, QsaError, Quiver, RelationTerm, natural_key,
+    parse_presentation, presentations_isomorphic, underlying_graph,
 )
+from qsa.decide import decide_derived_type
 from qsa import covering
 from qsa.covering import (
     detect_local_wild_pattern, find_wild_witness, graph_type, truncated_cover,
@@ -228,15 +230,18 @@ def test_targeted_witness_payload_is_frozen():
         "2b978bc9bd13f711cac3fb23aede7bba8daade9351527f79c0e6556bf85c5a81")
 
 
+def _cubic_cycle(n=6):
+    return parse_presentation(
+        f"quiver cycle{n}\nvertices: " + " ".join(map(str, range(1, n + 1))) + "\n"
+        + "".join(f"arrow a{i}: {i} -> {i % n + 1}\n" for i in range(1, n + 1))
+        + "relations:\na1 a2 a3\n")
+
+
 def test_exhaustive_search_classifies_every_valid_subset(monkeypatch):
     # one graph_type call per valid subset of size 2..10 in every ball: a
     # subset that the enumeration drops or adds changes the count
     monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
-    n = 6
-    cycle = parse_presentation(
-        f"quiver cycle{n}\nvertices: " + " ".join(map(str, range(1, n + 1))) + "\n"
-        + "".join(f"arrow a{i}: {i} -> {i % n + 1}\n" for i in range(1, n + 1))
-        + "relations:\na1 a2 a3\n")
+    cycle = _cubic_cycle()
     calls = 0
     classify = covering.graph_type
 
@@ -248,6 +253,60 @@ def test_exhaustive_search_classifies_every_valid_subset(monkeypatch):
     monkeypatch.setattr(covering, "graph_type", counting)
     assert covering._witness_search(cycle, 8, 10) == (None, False)
     assert calls == 1504
+
+
+def _count_builds(monkeypatch):
+    built = {}
+    for cls in (Quiver, RelationTerm, AlgebraPresentation):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_search_builds_no_presentation_per_ball(monkeypatch):
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    cycle = _cubic_cycle()
+    wild = load_fixture("three-vertex-wild")
+    built = _count_builds(monkeypatch)
+    assert find_wild_witness(cycle, 8, 10) is None
+    assert built == {}
+    w = find_wild_witness(wild, radius=6, max_size=8)
+    # the witness's quiver and presentation, and one relation per
+    # composable pair of its arrows
+    assert built == {"Quiver": 1, "AlgebraPresentation": 1,
+                     "RelationTerm": len(w.presentation.relations)}
+    # the ball keeps its arrays; its presentation is built on first read
+    assert w.ball.basepoint == w.basepoint == "a" and w.radius == 6
+    assert w.ball.cover == truncated_cover(wild, "a", 6).cover
+
+
+def test_search_leaves_the_natural_key_cache_alone():
+    natural_key.cache_clear()
+    cycle = _cubic_cycle()
+    before = natural_key.cache_info().currsize
+    assert find_wild_witness(cycle, 8, 10) is None
+    assert natural_key.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("radius, max_size, message", [
+    (3, -1, "witness size must be >= 0"),
+    (-2, 1, "cover radius must be >= 0"),
+    (-1, 10, "cover radius must be >= 0"),
+])
+def test_search_refuses_negative_bounds(radius, max_size, message):
+    wild = load_fixture("three-vertex-wild")
+    with pytest.raises(QsaError, match=message):
+        find_wild_witness(wild, radius, max_size)
+    with pytest.raises(QsaError, match=message):
+        decide_derived_type(wild, radius, max_size)
+
+
+@pytest.mark.parametrize("max_size", [0, 1])
+def test_search_below_two_vertices_finds_nothing(max_size):
+    assert covering._witness_search(load_fixture("three-vertex-wild"), 3, max_size) == (
+        None, False)
 
 
 def test_witness_bound_matters_for_triple_arrow():
