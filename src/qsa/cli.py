@@ -73,8 +73,8 @@ def _matrix_lines(rows):
     return ["  " + " ".join(c.rjust(width) for c in row) for row in cells]
 
 
-# an exponent of six or more digits gives a number too large to print, and
-# Fraction would take seconds or more to build it
+# an exponent of six or more digits (underscores aside) gives a number too
+# large to print, and Fraction would take seconds or more to build it
 _HUGE_EXPONENT_RE = re.compile(r"[eE][-+]?0*[1-9]\d{5}")
 
 
@@ -90,7 +90,7 @@ def _exact_text(x, what):
 def _parse_vector(text, n):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     for p in parts:
-        if _HUGE_EXPONENT_RE.search(p):
+        if _HUGE_EXPONENT_RE.search(p.replace("_", "")):
             raise QsaError(f"vector entry {p!r} is too large to print")
     try:
         vec = [Fraction(p) for p in parts]
