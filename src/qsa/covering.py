@@ -265,18 +265,11 @@ class CoverBall:
         """The ball as a presentation: every relation generator whose whole
         lifted path fits inside the ball is a relation."""
         names = self._names
-        step = [{b: (t, c) for t, b, c in outs} for outs in self._out]
         relations = []
         for mono in self.base.monomials:
-            for v0 in range(len(names)):
-                v, chain = v0, []
-                for b in mono:
-                    hop = step[v].get(b)
-                    if hop is None:
-                        break
-                    v, c = hop
-                    chain.append(c)
-                else:
+            for v in range(len(names)):
+                chain = _lift(self._out, v, mono)
+                if chain is not None:
                     relations.append([(1, chain)])
         arrows = [Arrow(c, names[s], names[t]) for s, t, _, c in self._edges]
         cname = f"{self.base.quiver.name}@{self.basepoint}.r{self.radius}"
@@ -295,6 +288,21 @@ def _claim(taken, name):
         name += "~"
     taken.add(name)
     return name
+
+
+def _lift(out, v, path):
+    """The cover arrows of the path from vertex v that projects onto the
+    base arrows `path`, or None when it leaves the ball."""
+    chain = []
+    for b in path:
+        for t, b2, c in out[v]:
+            if b2 == b:
+                v = t
+                chain.append(c)
+                break
+        else:
+            return None
+    return chain
 
 
 def _ball_arrays(q, base, radius):
@@ -507,18 +515,14 @@ def _survival(ball, budget):
 def _assemble(ball, pairs, members, arcs, shape):
     # members come sorted by vertex index; each arc (i, j) is a surviving
     # pair, whose path is lifted back to cover arrows from i
-    names, out = ball._names, ball._out
+    names = ball._names
     taken = set()
     arrows = []
     realized = []
     for i, j in sorted(arcs):
         path = pairs[(i, j)][1]
-        lifted, v = [], i
-        for b in path:
-            v, c = next((t, c) for t, b2, c in out[v] if b2 == b)
-            lifted.append(c)
         arrows.append(Arrow(_claim(taken, "*".join(path)), names[i], names[j]))
-        realized.append((names[i], names[j], tuple(lifted)))
+        realized.append((names[i], names[j], tuple(_lift(ball._out, i, path))))
     verts = [names[i] for i in members]
     quiver = Quiver(f"{ball.base.quiver.name}.witness@{ball.basepoint}", verts, arrows)
     rels = [[(1, [p.name, r.name])]
