@@ -2,9 +2,11 @@
 
 At a sink x the complex T is the direct sum of the stalks P_u (u != x)
 and R_x = [P_x in degree -1 mapped into the sum of P_{s(a)} over the
-arrows a into x].  Only the morphism spaces with x as an end are solved
-as chain maps modulo homotopy, in exact arithmetic, and only for the
-pairs whose ambient space has a nonzero block of the algebra.  Between
+arrows a into x].  Only the morphism spaces with x as an end are solved,
+as chain maps in exact arithmetic, and only for the pairs whose ambient
+space has a nonzero block of the algebra.  No quotient by homotopy is
+taken: a homotopy maps a degree-0 summand P_s into P_x, so it lies in
+e_x A e_s, which is zero because no path leaves the sink x.  Between
 two stalks there is no chain condition and no homotopy: Hom(P_v, P_u) is
 the algebra block e_u A e_v, a morphism is its vector of coordinates at
 the block's basis paths, a composite of three stalks is one product in
@@ -53,22 +55,26 @@ from .presentation import QsaError, Arrow, Quiver, AlgebraPresentation, natural_
 
 
 class _HomSpace:
-    """Hom(O_v, O_u) for a pair with x as an end, as coordinates modulo homotopy."""
+    """Hom(O_v, O_u) for a pair with x as an end, as coordinates of chain maps.
+
+    A homotopy maps a degree-0 summand P_s of O_v into the degree -1 part
+    P_x of O_u, so it lies in e_x A e_s.  No path leaves the sink x and
+    s != x, so that block is zero: every homotopy is zero, and the chain
+    maps are the morphisms.
+    """
 
     def __init__(self, engine, u, v):
         self.engine = engine
         self.u = u
         self.v = v
         alg = engine.alg
-        self.neg = [(d_u, d_v) for d_u in engine.degneg(u)
-                    for d_v in engine.degneg(v)]
-        self.pos = [(z_u, z_v) for z_u in engine.degzero(u)
-                    for z_v in engine.degzero(v)]
-        self.blocks = [("neg",) + b for b in self.neg] + \
-                      [("pos",) + b for b in self.pos]
+        # End(R_x) has the degree -1 block P_x -> P_x ahead of the degree-0 ones
+        self.lead = int(u == v == engine.x)
+        self.blocks = [(u, v)] * self.lead + [
+            (z_u, z_v) for z_u in engine.degzero(u) for z_v in engine.degzero(v)]
         self.offsets = []
         total = 0
-        for _, bu, bv in self.blocks:
+        for bu, bv in self.blocks:
             self.offsets.append(total)
             total += alg.dim_block(bu, bv)
         self.ambient_dim = total
@@ -79,76 +85,41 @@ class _HomSpace:
         ends = self.offsets[1:] + [self.ambient_dim]
         return [flat[off:end] for off, end in zip(self.offsets, ends)]
 
-    def block_index(self, kind, bu_i, bv_j):
-        nneg = len(self.neg)
-        if kind == "neg":
-            return 0
-        return nneg + bu_i * len(self.engine.degzero(self.v)) + bv_j
+    def pos_index(self, i, j):
+        """The block of the degree-0 components P_{zv[j]} -> P_{zu[i]}."""
+        return self.lead + i * len(self.engine.degzero(self.v)) + j
 
     def _solve(self):
         eng = self.engine
-        alg = eng.alg
-        u, v = self.u, self.v
-        zu, zv = eng.degzero(u), eng.degzero(v)
-        has_du = bool(eng.degneg(u))
-        has_dv = bool(eng.degneg(v))
+        alg, x = eng.alg, eng.x
+        zu, zv = eng.degzero(self.u), eng.degzero(self.v)
 
         # chain condition: for each degree-0 summand i of O_u, the two
         # routes from the degree -1 part of O_v into it must agree; one
         # column per ambient unit vector
         cols = []
-        if has_dv:
+        if self.v == x:
             for unit in identity(self.ambient_dim):
                 parts = self.split(unit)
                 col = []
                 for i in range(len(zu)):
-                    acc = [ZERO] * alg.dim_block(zu[i], eng.x)
+                    acc = [ZERO] * alg.dim_block(zu[i], x)
                     for j in range(len(zv)):
-                        blk = self.block_index("pos", i, j)
-                        comp = alg.mult(zu[i], zv[j], eng.x,
-                                        parts[blk], eng.diff[j])
+                        comp = alg.mult(zu[i], zv[j], x,
+                                        parts[self.pos_index(i, j)], eng.diff[j])
                         acc = [a + b for a, b in zip(acc, comp)]
-                    if has_du:
-                        comp = alg.mult(zu[i], eng.x, eng.x,
-                                        eng.diff[i], parts[0])
+                    if self.lead:
+                        comp = alg.mult(zu[i], x, x, eng.diff[i], parts[0])
                         acc = [a - b for a, b in zip(acc, comp)]
                     col += acc
                 cols.append(col)
-        sol = nullspace(transpose(cols), self.ambient_dim)
-
-        # homotopies: maps from the degree-0 part of O_v into the
-        # degree -1 part of O_u
-        images = []
-        if has_du:
-            for j in range(len(zv)):
-                for hvec in identity(alg.dim_block(eng.x, zv[j])):
-                    parts = self.split([ZERO] * self.ambient_dim)
-                    if has_dv:
-                        contrib = alg.mult(eng.x, zv[j], eng.x,
-                                           hvec, eng.diff[j])
-                        parts[0] = [a + b for a, b
-                                    in zip(parts[0], contrib)]
-                    for i in range(len(zu)):
-                        blk = self.block_index("pos", i, j)
-                        contrib = alg.mult(zu[i], eng.x, zv[j],
-                                           eng.diff[i], hvec)
-                        parts[blk] = [a + b for a, b
-                                      in zip(parts[blk], contrib)]
-                    images.append([c for part in parts for c in part])
-        self.hrows, self.hpivots = rref(images)
-
-        reduced = []
-        for s in sol:
-            r = reduce_vec(list(s), self.hrows, self.hpivots)
-            if any(r):
-                reduced.append(r)
-        self.qrows, self.qpivots = rref(reduced)
+        self.qrows, self.qpivots = rref(nullspace(transpose(cols), self.ambient_dim))
         self.dim = len(self.qrows)
 
     def nf(self, ambient):
         """Coordinates of an ambient vector in the chosen basis."""
-        r = reduce_vec(list(ambient), self.hrows, self.hpivots)
-        coords = [r[p] for p in self.qpivots]
+        coords = [ambient[p] for p in self.qpivots]
+        r = ambient
         for c, row in zip(coords, self.qrows):
             if c:
                 r = [a - c * b for a, b in zip(r, row)]
@@ -193,9 +164,6 @@ class _Engine:
         pairs.sort(key=lambda p: (natural_key(p[0]), natural_key(p[1])))
         self.homs = {(u, v): _HomSpace(self, u, v) for u, v in pairs}
 
-    def degneg(self, u):
-        return [self.x] if u == self.x else []
-
     def degzero(self, u):
         return self.sources if u == self.x else [u]
 
@@ -224,7 +192,7 @@ class _Engine:
 
     def _pos(self, u, v, i, j):
         h = self.homs.get((u, v))
-        return h.block_index("pos", i, j) if h else 0
+        return h.pos_index(i, j) if h else 0
 
     def compose(self, u, v, w, amb_p, amb_q):
         """Ambient composite of p: O_v -> O_u with q: O_w -> O_v."""

@@ -621,8 +621,6 @@ class ValidationReport(NamedTuple):
 
 
 def _is_connected(q):
-    if not q.vertices:
-        return True
     adj = {v: set() for v in q.vertices}
     for a in q.arrows:
         adj[a.source].add(a.target)
@@ -850,11 +848,8 @@ def underlying_graph(a):
 
 def is_tree(a):
     """True when the underlying multigraph is a tree (connected, acyclic)."""
-    vertices, edges = underlying_graph(a)
-    if len(edges) != len(vertices) - 1:
-        return False
     q = a.quiver if isinstance(a, AlgebraPresentation) else a
-    return _is_connected(q)
+    return len(q.arrows) == len(q.vertices) - 1 and _is_connected(q)
 
 
 def path_basis(a, i, j, max_len=None):

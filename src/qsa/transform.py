@@ -76,7 +76,8 @@ def blow_up(a, blown, name=None):
 
     Every blown vertex must be special.  Requires a monomial quadratic
     presentation; returns a BlowupSpec whose presentation has one
-    binomial relation per blown vertex with both an arrow in and out.
+    binomial relation per blown vertex with both an arrow in and out,
+    for each sign choice at the blown outer ends of those two arrows.
     """
     if not (a.is_monomial and a.is_quadratic):
         raise QsaError("blow-up requires a monomial quadratic presentation")
@@ -152,21 +153,10 @@ def blow_up(a, blown, name=None):
                 minus = (lift_name(u, ss, "-"), lift_name(w, "-", ts))
                 combos.append([(1, plus), (-1, minus)])
 
-    # cleanup: drop terms that contain a known monomial, promote singletons
-    changed = True
-    while changed:
-        changed = False
-        kept = []
-        for combo in combos:
-            terms = [t for t in combo if t[1] not in monomials]
-            if len(terms) != len(combo):
-                changed = True
-            if len(terms) == 1:
-                monomials.add(terms[0][1])
-                changed = True
-            elif terms:
-                kept.append(terms)
-        combos = kept
+    # a blown vertex is special, so its in-then-out composites are no
+    # relation and no binomial term is a lifted relation
+    if any(path in monomials for combo in combos for _, path in combo):
+        raise QsaError("internal error: a fold binomial has a relation as a term")
 
     quiver = Quiver(name or a.name, vertices, arrows)
     relations = [[(1, list(mpath))] for mpath in sorted(monomials)]

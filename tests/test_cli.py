@@ -95,6 +95,24 @@ def test_check_on_a_path_longer_than_the_recursion_limit(tmp_path, capsys, squar
     assert "admissible: true (rad^1501 = 0)" in out
 
 
+# the loop keeps every degree of this binomial ideal alive, so the graded
+# scan cannot certify it finite-dimensional
+_UNCERTIFIED = ("quiver g\nvertices: 1 2 3 4\narrow l: 1 -> 1\narrow a: 1 -> 2\n"
+                "arrow b: 2 -> 3\narrow c: 1 -> 4\narrow d: 4 -> 3\n"
+                "relations:\n( a b ) - ( c d )\n")
+
+
+def test_check_text_on_an_uncertified_input(tmp_path, capsys):
+    path = tmp_path / "g.qsa"
+    path.write_text(_UNCERTIFIED)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert "admissible: not certified" in lines
+    assert lines[-1] == ("problem: admissibility not certified for this cyclic "
+                         "non-monomial ideal")
+
+
 # --- classify ------------------------------------------------------------------------
 
 
@@ -108,6 +126,14 @@ def test_classify_text_on_gqs_fixture(capsys):
     assert "E3 = {3}  O3 = {1, 2}" in lines
     assert "is_quadratic_string: true" in lines
     assert "is_gqs: true" in lines
+
+
+def test_classify_text_lists_violations(capsys):
+    code, out, _ = run(capsys, "classify", fixture_path("three-vertex-wild"))
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "is_quadratic_string: false", "is_gqs: false",
+        "  - arrow gamma has 2 relation-free continuations: alpha, delta"]
 
 
 def test_classify_json_has_all_classes(capsys):
@@ -179,6 +205,29 @@ def test_mutate_text(capsys):
     assert "-> 4" in out  # the reversed arrow now ends at 4
 
 
+def test_mutate_json_carries_the_text_output(capsys):
+    argv = ("mutate", "--vertex", "5", "--sign", "minus", fixture_path("a5-chain"))
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv[:-1], "--json", argv[-1])
+    assert code == 0
+    assert json.loads(out) == {"presentation": text}
+
+
+@pytest.mark.parametrize("text, sink, message", [
+    (_UNCERTIFIED, "3", "algebra could not be certified finite-dimensional: "
+                        "admissibility not certified for this cyclic non-monomial ideal"),
+    ("quiver loop\nvertices: 1 2\narrow l: 1 -> 1\narrow a: 1 -> 2\n", "2",
+     "relation ideal is not admissible"),
+])
+def test_mutate_refuses_a_non_admissible_input(tmp_path, capsys, text, sink, message):
+    path = tmp_path / "in.qsa"
+    path.write_text(text)
+    code, out, err = run(capsys, "mutate", "--vertex", sink, "--sign", "minus", str(path))
+    assert code == 1
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_reduce_text_and_certificate(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "reduce", "--certificate", str(cert),
@@ -191,6 +240,15 @@ def test_reduce_text_and_certificate(tmp_path, capsys):
     doc = json.loads(cert.read_text())
     assert len(doc["steps"]) == 3
     assert doc["special"] == ["1", "4", "10"]
+
+
+def test_reduce_json_equals_the_certificate_file(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "reduce", "--json", "--certificate", str(cert),
+                       fixture_path("twelve-vertex-gqs"))
+    assert code == 0
+    assert out == cert.read_text()
+    assert json.loads(out)["special"] == ["1", "4", "10"]
 
 
 # --- euler ------------------------------------------------------------------------
@@ -208,6 +266,20 @@ def test_euler_eval(capsys):
                        fixture_path("a5-chain"))
     assert code == 0
     assert out.splitlines()[-1].startswith("value at (1, 1, 1, 1, 1):")
+
+
+def test_euler_json_eval(capsys):
+    code, out, _ = run(capsys, "euler", "--json", "--eval", "1,1,1,1,1",
+                       fixture_path("a5-chain"))
+    assert code == 0
+    assert json.loads(out)["eval"] == {"vector": ["1"] * 5, "value": "2"}
+
+
+def test_euler_text_on_a_wild_tree(capsys):
+    code, out, _ = run(capsys, "euler", fixture_path("fork-tail-10"))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "nonnegative: false; value -2 at (-2, -3, -1, 3, 2, 2, 0, 0, 0, 0)")
 
 
 def test_euler_eval_refuses_a_zero_denominator(capsys):
@@ -285,6 +357,19 @@ def test_witness_text(capsys):
     assert code == 0
     assert out.splitlines()[0] == (
         "witness at basepoint a, radius 6: 8 vertices, shape Other")
+
+
+def test_witness_dot(tmp_path, capsys):
+    dot = tmp_path / "witness.dot"
+    code, out, _ = run(capsys, "witness", "--radius", "6", "--max-size", "8",
+                       "--dot", str(dot), fixture_path("three-vertex-wild"))
+    assert code == 0
+    lines = dot.read_text().splitlines()
+    assert lines[0] == 'digraph "three_vertex_wild.witness@a" {'
+    assert lines[-1] == "}"
+    # one line per vertex and one per arrow of the 8-vertex witness
+    assert sum(" -> " in line for line in lines) == 7
+    assert len(lines) == 2 + 8 + 7
 
 
 @pytest.mark.parametrize("bounds, message", [

@@ -338,6 +338,23 @@ def test_fork_tail_pattern_detected():
     assert p is not None and p.kind == "fork-tail"
 
 
+def test_fork_tail_pattern_with_a_tail_along_out_arrows():
+    # the tail leaves the fork at the target of gamma along t1..t5
+    a = parse_presentation(
+        "quiver ft\nvertices: 1 2 3 4 5 6 7 8 9 10\n"
+        "arrow alpha: 1 -> 3\narrow beta: 2 -> 3\n"
+        "arrow gamma: 3 -> 4\narrow delta: 3 -> 5\n"
+        "arrow t1: 4 -> 6\narrow t2: 6 -> 7\narrow t3: 7 -> 8\n"
+        "arrow t4: 8 -> 9\narrow t5: 9 -> 10\n"
+        "relations:\nalpha gamma\nalpha delta\nbeta gamma\nbeta delta\n"
+        "gamma t1\nt1 t2\nt2 t3\nt3 t4\nt4 t5\n")
+    p = detect_local_wild_pattern(a)
+    assert p is not None and p.kind == "fork-tail"
+    assert p.arrows["attach"] == "4"
+    assert p.arrows["tail"] == tuple((f"t{i}", 1) for i in range(1, 6))
+    assert p.vertices[-5:] == ("6", "7", "8", "9", "10")
+
+
 def test_two_cycle_pattern_detected():
     p = detect_local_wild_pattern(load_fixture("two-cycle"))
     assert p is not None and p.kind == "two-cycle"

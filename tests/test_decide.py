@@ -75,6 +75,21 @@ def test_string_but_not_gqs_fixture_is_wild():
     json.dumps(v.to_payload())
 
 
+def test_non_string_input_with_a_local_two_cycle_is_wild():
+    # vertex 2 has three out-arrows, so the input is not quadratic string
+    a = parse_presentation(
+        "quiver t\nvertices: 1 2 3 4 5\narrow f: 1 -> 2\narrow g: 2 -> 1\n"
+        "arrow h: 3 -> 2\narrow k: 2 -> 4\narrow m: 2 -> 5\n"
+        "relations:\nf g\ng f\nh g\n")
+    v = decide_derived_type(a)
+    assert v.tag == WILD and v.branch == GQS_CYCLES
+    assert v.summary == ("WILD (cycles; not quadratic string, but a wildness "
+                         "certificate exists: local two-cycle configuration)")
+    assert v.pattern.kind == "two-cycle"
+    assert v.string_violations[0] == "vertex 2 is the source of 3 arrows"
+    json.dumps(v.to_payload())
+
+
 # --- trees --------------------------------------------------------------------------
 
 

@@ -65,6 +65,21 @@ def test_parse_binomial_with_coefficients():
     assert str(coefs[0]) == "1" and str(coefs[1]) == "-1/6"
 
 
+def test_parse_relation_with_a_leading_minus():
+    arrows = ("quiver b\nvertices: 1 2 3 4\n"
+              "arrow p: 1 -> 2\narrow q: 2 -> 4\n"
+              "arrow r: 1 -> 3\narrow s: 3 -> 4\nrelations:\n")
+    a = parse_presentation(arrows + "- ( p q ) + ( r s )\n")
+    # the leading coefficient is scaled to 1, so the sign flips throughout
+    assert a.relations[0].terms == ((1, ("p", "q")), (-1, ("r", "s")))
+    assert a == parse_presentation(arrows + "( p q ) - ( r s )\n")
+
+
+def test_parse_arrow_with_a_space_before_the_colon():
+    a = parse_presentation("quiver c\nvertices: 1 2\narrow a : 1 -> 2\n")
+    assert a.quiver.arrows == (Arrow("a", "1", "2"),)
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("vertices: 1\n", "quiver"),
     ("quiver x\nvertices: 1 1\n", "duplicate"),
