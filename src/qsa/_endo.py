@@ -13,9 +13,11 @@ the block's basis paths, a composite of three stalks is one product in
 the algebra, and the radical of End(P_u) is the span of the basis paths
 of positive length.  A morphism at a pair with x as an end is the
 concatenation of such vectors over the blocks of its ambient space.  The
-radical at R_x is split off with the trace form, and a quiver
-presentation is read back off arrow representatives; composition and
-path evaluation read a pair with a zero ambient space as the zero space.
+radical of End(R_x) is the span of every chain-map basis vector but the
+first, the one with a nonzero scalar at P_x -> P_x (see `mutate_minus`),
+and a quiver presentation is read back off arrow representatives;
+composition and path evaluation read a pair with a zero ambient space as
+the zero space.
 
 The region.  Let S be the sources of the arrows a_i into x and
 N = {x} + S.  Between two stalks the radical of the tilt is rad_A(u, v),
@@ -226,35 +228,6 @@ class _Engine:
 # --- presentation extraction ----------------------------------------------
 
 
-def _local_radical(engine):
-    """Radical of End(R_x) via the trace form of left multiplication."""
-    x = engine.x
-    h = engine.homs[(x, x)]
-    n = h.dim
-    reps = [h.rep(c) for c in identity(n)]
-    table = [[h.nf(engine.compose(x, x, x, reps[i], reps[j]))
-              for j in range(n)] for i in range(n)]
-    tau = [sum(table[t][k][k] for k in range(n)) for t in range(n)]
-    gram = [[sum(table[i][j][t] * tau[t] for t in range(n))
-             for j in range(n)] for i in range(n)]
-    rad = nullspace(gram, n)
-    if n - len(rad) != 1:
-        raise QsaError(
-            f"endomorphism ring at {x!r} does not have scalar quotient; "
-            "the summand is not indecomposable over this field")
-    return rad
-
-
-def _radical(eng, u, v):
-    """Basis of the radical at a pair: all of it between distinct summands,
-    the paths of positive length at a stalk, the trace-form radical at x."""
-    if u != v:
-        return identity(eng.dim(u, v))
-    if u == eng.x:
-        return _local_radical(eng)
-    return identity(eng.dim(u, u))[1:]
-
-
 def _region_blocks(q, hot):
     """{(d, u, v): paths} for d = 2, 3, over the blocks of `q` with a path
     through a vertex of `hot`; paths in the order of the path table."""
@@ -306,9 +279,21 @@ def mutate_minus(a, x):
     rad = {}
 
     def radical(u, v):
-        """(basis, representatives) of the radical at a pair, computed once."""
+        """(basis, representatives) of the radical at a pair, computed once.
+
+        Between distinct summands it is the whole space.  At a stalk P_u it
+        is spanned by the basis paths of positive length, every coordinate
+        but the first (the trivial path).  At R_x it is every chain-map basis
+        vector but the first: e_x A e_x is the field, so the degree -1 part
+        of an endomorphism is one scalar, and a chain map with scalar 0 has
+        sum_j f_ij a_j = 0 for its degree-0 components f_ij.  A's arrows are
+        independent modulo rad^2, which holds A's ideal, so no f_ij has a
+        scalar part; those maps form a nilpotent ideal of codimension one.
+        In the rref basis only the first vector has a nonzero degree -1
+        coordinate (ambient column 0), so the others span that ideal.
+        """
         if (u, v) not in rad:
-            basis = _radical(eng, u, v)
+            basis = identity(eng.dim(u, v))[int(u == v):]
             rad[(u, v)] = basis, [eng.rep(u, v, c) for c in basis]
         return rad[(u, v)]
 

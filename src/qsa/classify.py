@@ -177,18 +177,18 @@ def _ordered_pairs(arrows):
     return out
 
 
-def _class_witness(a, rel, x, j):
-    """Witness for exceptional class j at x, or (0, None, None).
+def _class_witnesses(q, rel, x):
+    """{class: (witness dict, pair of vertices marked ordinary)} for every
+    exceptional class that fits at x, in one pass over the candidates.
 
-    Returns (j, witness dict, pair of vertices marked ordinary) on success.
-    Candidate arrows are scanned in name order, so the witness is the
-    lexicographically first one.
+    Candidate arrows are scanned in name order and the first witness of
+    each class is kept, so it is the lexicographically first one.
     """
-    q = a.quiver
     ins = q.in_arrows(x)
     outs = q.out_arrows(x)
     src = {ar.name: ar.source for ar in ins}
     tgt = {ar.name: ar.target for ar in outs}
+    found = {}
 
     def distinct(*vs):
         return len(set(vs)) == len(vs)
@@ -197,7 +197,7 @@ def _class_witness(a, rel, x, j):
     # and out1 lands on a single-arrow sink; of the four composites only
     # in2*out2 survives. Class 2 additionally closes out2 back into in2's
     # source with the back composite in the ideal.
-    if j in (1, 2) and len(ins) == 2 and len(outs) == 2:
+    if len(ins) == 2 and len(outs) == 2:
         for al, be in _ordered_pairs(ins):
             for ga, de in _ordered_pairs(outs):
                 if not _single_source(q, src[al], al):
@@ -208,17 +208,17 @@ def _class_witness(a, rel, x, j):
                         and (be, de) not in rel):
                     continue
                 witness = {"in1": al, "in2": be, "out1": ga, "out2": de}
-                if j == 1 and distinct(src[al], src[be], x, tgt[ga], tgt[de]):
-                    return 1, witness, (src[al], tgt[ga])
-                if j == 2 and tgt[de] == src[be] and (de, be) in rel \
+                if distinct(src[al], src[be], x, tgt[ga], tgt[de]):
+                    found.setdefault(1, (witness, (src[al], tgt[ga])))
+                if tgt[de] == src[be] and (de, be) in rel \
                         and distinct(src[al], src[be], x, tgt[ga]):
-                    return 2, witness, (src[al], tgt[ga])
+                    found.setdefault(2, (witness, (src[al], tgt[ga])))
 
     # classes 3 and 4: two in, a single out, both composites in the ideal;
     # in1 comes from a single-arrow source. Class 3 also has in2 from a
     # single-arrow source; class 4 instead has the out-arrow landing on a
     # single-arrow sink.
-    if j in (3, 4) and len(ins) == 2 and len(outs) == 1:
+    if len(ins) == 2 and len(outs) == 1:
         ga = outs[0].name
         for al, be in _ordered_pairs(ins):
             if not distinct(src[al], src[be], x, tgt[ga]):
@@ -228,16 +228,16 @@ def _class_witness(a, rel, x, j):
             if (al, ga) not in rel or (be, ga) not in rel:
                 continue
             witness = {"in1": al, "in2": be, "out1": ga}
-            if j == 3 and _single_source(q, src[be], be):
-                return 3, witness, (src[al], src[be])
-            if j == 4 and _single_sink(q, tgt[ga], ga):
-                return 4, witness, (src[al], tgt[ga])
+            if _single_source(q, src[be], be):
+                found.setdefault(3, (witness, (src[al], src[be])))
+            if _single_sink(q, tgt[ga], ga):
+                found.setdefault(4, (witness, (src[al], tgt[ga])))
 
     # classes 5 and 6: a single in, two out, both composites in the ideal;
     # out1 lands on a single-arrow sink. Class 5 also has out2 landing on
     # a single-arrow sink; class 6 instead has the in-arrow coming from a
     # single-arrow source.
-    if j in (5, 6) and len(ins) == 1 and len(outs) == 2:
+    if len(ins) == 1 and len(outs) == 2:
         al = ins[0].name
         for ga, de in _ordered_pairs(outs):
             if not distinct(src[al], x, tgt[ga], tgt[de]):
@@ -247,21 +247,12 @@ def _class_witness(a, rel, x, j):
             if (al, ga) not in rel or (al, de) not in rel:
                 continue
             witness = {"in1": al, "out1": ga, "out2": de}
-            if j == 5 and _single_sink(q, tgt[de], de):
-                return 5, witness, (tgt[de], tgt[ga])
-            if j == 6 and _single_source(q, src[al], al):
-                return 6, witness, (src[al], tgt[ga])
+            if _single_sink(q, tgt[de], de):
+                found.setdefault(5, (witness, (tgt[de], tgt[ga])))
+            if _single_source(q, src[al], al):
+                found.setdefault(6, (witness, (src[al], tgt[ga])))
 
-    return 0, None, None
-
-
-def _exceptional_witness(a, rel, x):
-    """Smallest exceptional class at x with its witness, or (0, None, None)."""
-    for j in range(1, 7):
-        idx, witness, marked = _class_witness(a, rel, x, j)
-        if idx:
-            return idx, witness, marked
-    return 0, None, None
+    return found
 
 
 def _classify_vertex(a, rel, x):
@@ -270,10 +261,11 @@ def _classify_vertex(a, rel, x):
     q = a.quiver
     if _is_gentle_vertex(q, rel, x):
         return VertexClass(x, GENTLE, 0, None, ()), None
-    idx, witness, marked = _exceptional_witness(a, rel, x)
-    if not idx:
+    found = _class_witnesses(q, rel, x)
+    if not found:
         return VertexClass(x, OTHER, 0, None, ()), None
-    higher = [j for j in range(idx + 1, 7) if _class_witness(a, rel, x, j)[0] == j]
+    idx, *higher = sorted(found)
+    witness, marked = found[idx]
     note = None
     if higher:
         note = (f"vertex {x} also fits exceptional class(es) "

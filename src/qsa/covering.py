@@ -230,9 +230,25 @@ class CoverBall:
     the breadth-first walk made them, and per vertex its out-arrows (target
     index, base arrow, cover arrow).  The witness search reads only those;
     the presentation `cover` and the three maps are built on first use.
+    The base must be a connected monomial presentation with a certified
+    admissible ideal, the basepoint one of its vertices and the radius
+    at least 0; anything else is refused with a QsaError.
     """
 
     def __init__(self, base, basepoint, radius):
+        if not isinstance(base, AlgebraPresentation):
+            raise QsaError("truncated_cover needs an AlgebraPresentation")
+        if not base.is_monomial:
+            raise QsaError("covers are only built for monomial presentations")
+        if radius < 0:
+            raise QsaError("cover radius must be >= 0")
+        if not base.quiver.has_vertex(basepoint):
+            raise QsaError(f"unknown basepoint {basepoint!r}")
+        report = validate(base)
+        if not report.connected:
+            raise QsaError("cover construction needs a connected quiver")
+        if not (report.certified and report.admissible):
+            raise QsaError("cover construction needs a certified admissible ideal")
         self.base = base
         self.basepoint = basepoint
         self.radius = radius
@@ -357,25 +373,8 @@ def _ball_arrays(q, base, radius):
             [proj[k] for k in order], edges, out)
 
 
-def _check_coverable(a):
-    report = validate(a)
-    if not report.connected:
-        raise QsaError("cover construction needs a connected quiver")
-    if not (report.certified and report.admissible):
-        raise QsaError("cover construction needs a certified admissible ideal")
-
-
 def truncated_cover(a, base, radius):
     """Materialize the radius-r ball of the universal cover at a basepoint."""
-    if not isinstance(a, AlgebraPresentation):
-        raise QsaError("truncated_cover needs an AlgebraPresentation")
-    if not a.is_monomial:
-        raise QsaError("covers are only built for monomial presentations")
-    if radius < 0:
-        raise QsaError("cover radius must be >= 0")
-    if not a.quiver.has_vertex(base):
-        raise QsaError(f"unknown basepoint {base!r}")
-    _check_coverable(a)
     ball = CoverBall(a, base, radius)
     ball.cover   # built and checked now, not on first read
     return ball
@@ -467,7 +466,6 @@ def _witness_search(a, radius=None, max_size=None, like=None):
         raise QsaError("witness size must be >= 0")
     if max_size < 2:
         return None, False
-    _check_coverable(a)
     budget_hit = False
     for base in a.quiver.vertices:
         ball = CoverBall(a, base, radius)

@@ -77,12 +77,19 @@ def euler_eval(e, x):
 
     E and x are scaled to integers by the lcm of their denominators, which
     is 1 for an integer vector on an acyclic quiver, so every product is
-    an int product.
+    an int product.  A vector of the wrong length, or with an entry that
+    is not a rational number, is refused.
     """
     if len(x) != len(e.vertices):
         raise QsaError(
             f"vector has {len(x)} entries, form has {len(e.vertices)}")
-    dx, (vec,) = _integer_rows([[fr(t) for t in x]])
+    entries = []
+    for t in x:
+        try:
+            entries.append(fr(t))
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+            raise QsaError(f"vector entry {t!r} is not a rational number") from None
+    dx, (vec,) = _integer_rows([entries])
     de, rows = _integer_rows(e.entries)
     total = sum(xi * sum(eij * xj for eij, xj in zip(row, vec))
                 for xi, row in zip(vec, rows))

@@ -37,8 +37,6 @@ from .classify import classify_vertices, OTHER, _is_special
 
 CASE_REWRITE = "CaseRewrite"
 DIRECT_BLOWUP = "DirectBlowupRecognition"
-SINK_MUTATION = "SinkMutation"
-SOURCE_MUTATION = "SourceMutation"
 
 
 class BlowupSpec(NamedTuple):

@@ -438,3 +438,27 @@ def random_mutation_texts(count=60, seed=2026):
     rng = random.Random(seed)
     return [(_acyclic_binomial_text if i % 2 == 0 else _cyclic_monomial_text)(rng, i)
             for i in range(count)]
+
+
+# --- radical of End(R_x) by the trace form ---------------------------------------
+
+
+def trace_form_radical(engine):
+    """Basis of the radical of End(R_x) at the sink x of a tilting engine.
+
+    Found the general way: the radical of a finite-dimensional algebra in
+    characteristic 0 is the null space of the trace form (s, t) ->
+    tr(left multiplication by st), read here off the table of composites
+    of the basis vectors of the engine's chain-map hom space at (x, x).
+    """
+    from qsa._linalg import identity, nullspace
+    x = engine.x
+    h = engine.homs[(x, x)]
+    n = h.dim
+    reps = [h.rep(c) for c in identity(n)]
+    table = [[h.nf(engine.compose(x, x, x, reps[i], reps[j]))
+              for j in range(n)] for i in range(n)]
+    tau = [sum(table[t][k][k] for k in range(n)) for t in range(n)]
+    gram = [[sum(table[i][j][t] * tau[t] for t in range(n))
+             for j in range(n)] for i in range(n)]
+    return nullspace(gram, n)

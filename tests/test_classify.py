@@ -155,6 +155,13 @@ def test_classify_rejects_binomial_ideal():
         classify_vertices(parse_presentation(text))
 
 
+def test_classify_rejects_a_disconnected_quiver():
+    two = parse_presentation("quiver two\nvertices: 1 2 3\narrow a: 1 -> 2\n")
+    with pytest.raises(QsaError) as err:
+        classify_vertices(two)
+    assert str(err.value) == "classification needs a connected quiver"
+
+
 # --- relabeling invariance ----------------------------------------------------
 
 _TREES = list(tree_presentations())

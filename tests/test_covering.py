@@ -14,7 +14,7 @@ from qsa.presentation import (
 from qsa.decide import decide_derived_type
 from qsa import covering
 from qsa.covering import (
-    detect_local_wild_pattern, find_wild_witness, graph_type, truncated_cover,
+    CoverBall, detect_local_wild_pattern, find_wild_witness, graph_type, truncated_cover,
 )
 
 from conftest import load_fixture
@@ -188,6 +188,36 @@ def test_cover_invariants_on_cyclic_fixture(base):
         assert tuple(ball.arrow_map[x] for x in mono) in wild.monomials
 
 
+# inputs that no cover, witness search or local pattern test takes
+_REFUSED = {
+    "square": ("quiver sq\nvertices: 1 2 3 4\narrow p: 1 -> 2\narrow q: 2 -> 4\n"
+               "arrow r: 1 -> 3\narrow s: 3 -> 4\nrelations:\n( p q ) - ( r s )\n"),
+    "free-loop": "quiver loop0\nvertices: v\narrow d: v -> v\n",
+    "two-points": "quiver two\nvertices: v w\n",
+}
+
+
+@pytest.mark.parametrize("build", [CoverBall, truncated_cover])
+@pytest.mark.parametrize("name, basepoint, radius, message", [
+    ("quiver", "a", 2, "truncated_cover needs an AlgebraPresentation"),
+    ("square", "1", -1, "covers are only built for monomial presentations"),
+    ("three-vertex-wild", "zz", -1, "cover radius must be >= 0"),
+    ("three-vertex-wild", "zz", 2, "unknown basepoint 'zz'"),
+    ("two-points", "v", 2, "cover construction needs a connected quiver"),
+    ("free-loop", "v", 2, "cover construction needs a certified admissible ideal"),
+])
+def test_cover_ball_checks_its_arguments(build, name, basepoint, radius, message):
+    # the checks run in this order, whether the ball is built on its own
+    # or through truncated_cover
+    if name == "quiver":
+        a = load_fixture("three-vertex-wild").quiver
+    else:
+        a = parse_presentation(_REFUSED[name]) if name in _REFUSED else load_fixture(name)
+    with pytest.raises(QsaError) as err:
+        build(a, basepoint, radius)
+    assert str(err.value) == message
+
+
 # --- wild witnesses ---------------------------------------------------------------
 
 
@@ -303,6 +333,27 @@ def test_search_refuses_negative_bounds(radius, max_size, message):
         decide_derived_type(wild, radius, max_size)
 
 
+@pytest.mark.parametrize("name, like, message", [
+    ("square", None, "the wildness witness search needs a monomial presentation"),
+    ("three-vertex-wild", "Other", "the witness target must be an AlgebraPresentation"),
+    ("two-points", None, "cover construction needs a connected quiver"),
+    ("free-loop", None, "cover construction needs a certified admissible ideal"),
+])
+def test_search_refuses_bad_input(name, like, message):
+    a = parse_presentation(_REFUSED[name]) if name in _REFUSED else load_fixture(name)
+    with pytest.raises(QsaError) as err:
+        find_wild_witness(a, 3, 4, like)
+    assert str(err.value) == message
+
+
+def test_search_refuses_a_non_integer_radius_in_the_environment(monkeypatch):
+    monkeypatch.setenv("QSA_WITNESS_RADIUS", "eight")
+    with pytest.raises(QsaError) as err:
+        find_wild_witness(load_fixture("three-vertex-wild"))
+    assert str(err.value) == (
+        "environment variable QSA_WITNESS_RADIUS must be an integer, got 'eight'")
+
+
 @pytest.mark.parametrize("max_size", [0, 1])
 def test_search_below_two_vertices_finds_nothing(max_size):
     assert covering._witness_search(load_fixture("three-vertex-wild"), 3, max_size) == (
@@ -365,3 +416,13 @@ def test_two_cycle_pattern_detected():
 def test_patterns_absent_on_tame_and_reducible_fixtures():
     for name in ("gentle-cycle", "twelve-vertex-gqs", "three-vertex-wild"):
         assert detect_local_wild_pattern(load_fixture(name)) is None
+
+
+@pytest.mark.parametrize("name, message", [
+    ("square", "local wildness patterns are defined for monomial presentations"),
+    ("free-loop", "local wildness patterns need a certified admissible ideal"),
+])
+def test_pattern_search_refuses_bad_input(name, message):
+    with pytest.raises(QsaError) as err:
+        detect_local_wild_pattern(parse_presentation(_REFUSED[name]))
+    assert str(err.value) == message

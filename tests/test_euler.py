@@ -58,6 +58,20 @@ def test_euler_eval_matches_fraction_sum(case):
     assert isinstance(got, Fraction) and got == want
 
 
+@pytest.mark.parametrize("x, message", [
+    ([1, 1, 1, 1], "vector has 4 entries, form has 5"),
+    (["x", 1, 1, 1, 1], "vector entry 'x' is not a rational number"),
+    (["1/0", 1, 1, 1, 1], "vector entry '1/0' is not a rational number"),
+    ([None, 1, 1, 1, 1], "vector entry None is not a rational number"),
+    ([float("inf"), 1, 1, 1, 1], "vector entry inf is not a rational number"),
+])
+def test_euler_eval_refuses_a_bad_vector(x, message):
+    e = euler_matrix(load_fixture("a5-chain"))
+    with pytest.raises(QsaError) as err:
+        euler_eval(e, x)
+    assert str(err.value) == message
+
+
 def test_double_arrow_form_degenerate():
     ek = euler_matrix(load_fixture("kronecker"))
     assert euler_eval(ek, (1, 1)) == 0

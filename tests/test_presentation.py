@@ -80,6 +80,11 @@ def test_parse_arrow_with_a_space_before_the_colon():
     assert a.quiver.arrows == (Arrow("a", "1", "2"),)
 
 
+# a square quiver up to its relations header: a relation comes on line 8
+_SQUARE_HEAD = ("quiver x\nvertices: 1 2 3 4\narrow p: 1 -> 2\narrow q: 2 -> 4\n"
+                "arrow r: 1 -> 3\narrow s: 3 -> 4\nrelations:\n")
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("vertices: 1\n", "quiver"),
     ("quiver x\nvertices: 1 1\n", "duplicate"),
@@ -91,6 +96,23 @@ def test_parse_arrow_with_a_space_before_the_colon():
     ("quiver x\nvertices: 1 2 3 4\narrow p: 1 -> 2\narrow q: 2 -> 4\n"
      "arrow r: 1 -> 3\narrow s: 3 -> 4\nrelations:\n1/0 ( p q ) - ( r s )\n",
      "line 8: zero denominator"),
+    ("# nothing but a comment\n", "empty presentation"),
+    ("quiver x\n", "line 1: missing 'vertices:' line"),
+    ("quiver x\narrow a: 1 -> 2\n", "line 2: expected 'vertices:' line"),
+    ("quiver x\nvertices:\n", "line 2: at least one vertex is required"),
+    ("quiver x\nvertices: 1\nrelations:\nrelations:\n",
+     "line 4: duplicate 'relations:' header"),
+    ("quiver x\nvertices: 1 2\nedge a: 1 -> 2\n",
+     "line 3: expected an 'arrow' line or 'relations:'"),
+    ("quiver x\nvertices: 1 2\narrow a 1 -> 2\n", "line 3: expected 'arrow <name>:'"),
+    ("quiver x\nvertices: 1 2\narrow a: 1 2\n", "line 3: expected '<source> -> <target>'"),
+    ("quiver x\nvertices: 1 2\narrow a: 1 -> 2\nrelations:\na\n",
+     "line 5: relation paths must have length >= 2"),
+    (_SQUARE_HEAD + "( p q ) * ( r s )\n", "line 8: expected '+' or '-', got '*'"),
+    (_SQUARE_HEAD + "2 p q - ( r s )\n", "line 8: expected '(' before a path"),
+    (_SQUARE_HEAD + "( p q ) - ( r s\n", "line 8: unclosed '(' in relation"),
+    (_SQUARE_HEAD + "( ) - ( r s )\n", "line 8: empty path in relation"),
+    (_SQUARE_HEAD + "( p q ) - ( p q )\n", "line 8: relation cancels to zero"),
 ])
 def test_parse_rejects_bad_input(text, fragment):
     with pytest.raises(QsaError) as err:
@@ -320,6 +342,14 @@ def test_underlying_graph_counts():
 # --- path bases -------------------------------------------------------------------
 
 
+# a commuting square, and one vertex with a loop and no relation (no
+# power of the loop dies)
+_BUILT = {
+    "square": parse_presentation(_SQUARE_HEAD + "( p q ) - ( r s )\n"),
+    "loop": AlgebraPresentation(Quiver("loop", ["v"], [Arrow("l", "v", "v")]), []),
+}
+
+
 def test_path_basis_skips_dead_paths():
     a5 = load_fixture("a5-chain")
     assert path_basis(a5, "1", "3") == ()
@@ -327,6 +357,20 @@ def test_path_basis_skips_dead_paths():
     assert p.arrows == ("gamma", "delta")
     (trivial,) = path_basis(a5, "2", "2")
     assert trivial.arrows == ()
+
+
+@pytest.mark.parametrize("name, i, j, max_len, message", [
+    ("square", "1", "4", 3, "path_basis needs a monomial presentation"),
+    ("a5-chain", "1", "9", None, "path_basis: unknown vertex"),
+    ("a5-chain", "9", "1", None, "path_basis: unknown vertex"),
+    ("loop", "v", "v", None, "path_basis needs an admissible ideal (or an explicit max_len)"),
+    ("a5-chain", "1", "2", -1, "path_basis: max_len must be >= 0"),
+])
+def test_path_basis_refusals(name, i, j, max_len, message):
+    a = _BUILT[name] if name in _BUILT else load_fixture(name)
+    with pytest.raises(QsaError) as err:
+        path_basis(a, i, j, max_len)
+    assert str(err.value) == message
 
 
 # --- independent oracle: relation-free paths by a factor scan ------------------

@@ -12,6 +12,7 @@ from qsa.presentation import (
 )
 from qsa import _endo, classify, presentation, transform
 from qsa._algebra import TruncatedAlgebra
+from qsa._linalg import identity, rref
 from qsa.classify import classify_vertices, special_vertices
 from qsa.decide import decide_derived_type
 from qsa.transform import (
@@ -21,7 +22,7 @@ from qsa.transform import (
 )
 
 from conftest import all_fixture_names, load_fixture, glued_twelve_gqs
-from oracles import commuting_mutation_cases, random_mutation_texts
+from oracles import commuting_mutation_cases, random_mutation_texts, trace_form_radical
 
 
 # --- blow-up -----------------------------------------------------------------
@@ -105,6 +106,8 @@ def test_reduce_step_class_four_rewrites():
     ("case4-local", ["1"], "vertex '1' is special but ordinary"),
     ("twelve-vertex-gqs", ["4"], "vertex '4' is not special"),
     ("twelve-vertex-gqs", ["1"], "vertex '1' is special but ordinary"),
+    # not gqs: refused before the special set is read
+    ("two-cycle", [], "vertices neither gentle nor exceptional: 2"),
 ])
 def test_reduction_refuses_a_bad_special_set(reduce, name, special, message):
     with pytest.raises(QsaError) as err:
@@ -648,8 +651,8 @@ def test_random_mutation_digest_is_frozen():
 
 def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
     # a pair of two stalks is an algebra block; only the live pairs with x
-    # as an end run the chain-condition and homotopy solve, so the count
-    # depends on the neighbourhood of x and not on the number of copies
+    # as an end solve for chain maps, so the count depends on the
+    # neighbourhood of x and not on the number of copies
     solved = []
     solve = _endo._HomSpace._solve
 
@@ -681,12 +684,40 @@ def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
     assert max(counts) < len(glued_twelve_gqs(1).quiver.vertices)
 
 
+def test_radical_at_the_sink_is_every_chain_map_basis_vector_but_the_first():
+    # mutate_minus takes the radical of End(R_x) to be the span of the rref
+    # chain-map basis without its first vector; the trace form finds the
+    # same span at every sink a mutation runs at, of a or of its opposite
+    dims = []
+    inputs = [load_fixture(n) for n in all_fixture_names()]
+    for a in inputs + [parse_presentation(t) for t in random_mutation_texts()]:
+        for b in (a, opposite(a)):
+            for x in b.quiver.vertices:
+                if b.quiver.out_arrows(x) or not b.quiver.in_arrows(x):
+                    continue
+                try:
+                    eng = _endo._Engine(b, x)
+                except QsaError:   # not certified or not admissible
+                    continue
+                closed = identity(eng.dim(x, x))[1:]
+                assert rref(trace_form_radical(eng))[0] == closed, (b.name, x)
+                dims.append(eng.dim(x, x))
+    # 169 sinks, End(R_x) wider than the field at 11 of them
+    assert len(dims) > 150 and sum(d > 1 for d in dims) > 10
+
+
 def test_mutation_guards():
     a5 = load_fixture("a5-chain")
     with pytest.raises(QsaError):
         mutate_at(a5, "1", "minus")   # source, minus needs a sink
     with pytest.raises(QsaError):
         mutate_at(a5, "5", "plus")    # sink, plus needs a source
+
+
+def test_mutation_refuses_an_unknown_direction():
+    with pytest.raises(QsaError) as err:
+        mutate_at(load_fixture("a5-chain"), "5", "sideways")
+    assert str(err.value) == "unknown mutation direction 'sideways'"
 
 
 def test_mutation_refuses_a_vertex_without_arrows_in_its_own_terms():
