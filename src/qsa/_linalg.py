@@ -1,4 +1,4 @@
-"""Exact linear algebra for small dense systems.
+"""Exact linear algebra for small dense systems and sparse symmetric forms.
 
 Two kinds of elimination live here.  Row reduction over the rationals
 (`rref`, `nullspace`, `reduce_vec`) works on lists of lists of Fraction,
@@ -6,11 +6,12 @@ because the tilting engine feeds it rational coefficients.  The sign of a
 symmetric form, with a negative vector when there is one, and the inverse
 of a square matrix come from fraction-free eliminations on integers
 (Bareiss, Math. Comp. 22, 1968): rational input is first scaled by the lcm
-of its denominators, every division in the elimination is exact, and no
-Fraction is built until `inverse` returns its entries.  Everything that
-decides something downstream (ranks, kernels, positivity) runs on exact
-arithmetic; sizes stay small (a few dozen rows), so the cubic algorithms
-here are fine.
+of its denominators, and no Fraction is built until `inverse` returns its
+entries.  The symmetric kernel `_congruence` stores rows sparsely, as
+dicts of their nonzero entries, each over its own positive denominator,
+so a pivot costs only the rows that meet its column: on the form of a
+tree that is a few rows.  Everything that decides something downstream
+(ranks, kernels, positivity) runs on exact arithmetic.
 """
 
 import math
@@ -139,59 +140,83 @@ def inverse(a):
 def _congruence(sym):
     """(semidefinite, definite, witness) for a symmetric int or Fraction matrix M.
 
-    Symmetric congruence elimination: pivot on the first positive diagonal
-    entry and clear its row and column, tracking the basis change.  A
-    negative diagonal entry, or a zero diagonal block with a nonzero
-    off-diagonal entry, gives a vector x with x^T M x < 0, returned as a
-    primitive integer vector.  M is semidefinite exactly when no such
-    vector turns up, and definite when every row was pivoted on a positive
-    diagonal entry.
+    Each row of M is a sequence of entries or a dict {column: entry} of
+    its nonzero entries.  Symmetric congruence elimination: pivot on the
+    first positive diagonal entry and clear its row and column, tracking
+    the basis change.  A negative diagonal entry, or a zero diagonal block
+    with a nonzero off-diagonal entry, gives a vector x with x^T M x < 0,
+    returned as a primitive integer vector.  M is semidefinite exactly when
+    no such vector turns up, and definite when every row was pivoted on a
+    positive diagonal entry.
 
-    The elimination is Bareiss's on d·M, d the lcm of M's denominators:
-    after pivots p_1..p_k every remaining entry and basis row is the
-    rational one times p_k > 0, so signs, zero tests and primitive witnesses
-    are those of the rational elimination, and each division by the
-    previous pivot is exact.
+    The elimination is fraction-free on d·M, d the lcm of M's denominators,
+    and sparse: row j keeps its nonzero entries R_j and basis coordinates
+    B_j as dicts of ints over a positive denominator D_j, so the rational
+    row is R_j / D_j.  A pivot at p with diagonal P touches only the rows
+    j with a nonzero entry F in column p, which by symmetry are the columns
+    of R_p: R_j <- P·R_j - F·R_p, B_j likewise and D_j <- D_j·P, all three
+    then divided by their gcd.  Signs, zero tests and primitive witnesses
+    are those of the rational elimination.
     """
-    n = len(sym)
-    a = _integer_rows(sym)[1]
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in sym]
+    d = math.lcm(*(x.denominator for row in rows for x in row.values()))
+    a = [{j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+         for row in rows]
+    n = len(a)
+    basis = [{j: 1} for j in range(n)]
+    den = [1] * n
     remaining = list(range(n))
-    prev = 1
+    # only the rows a pivot touches change, so only they can turn negative
+    neg = next((k for k in remaining if a[k].get(k, 0) < 0), None)
     while remaining:
-        neg = next((k for k in remaining if a[k][k] < 0), None)
         if neg is not None:
-            return False, False, _primitive(basis[neg])
-        pos = next((k for k in remaining if a[k][k] > 0), None)
-        if pos is None:
+            return False, False, _primitive(basis[neg], n)
+        p = next((k for k in remaining if a[k].get(k, 0) > 0), None)
+        if p is None:
             for j in remaining:
-                for l in remaining:
-                    if l > j and a[j][l]:
-                        s = 1 if a[j][l] > 0 else -1
-                        v = [x - s * y for x, y in zip(basis[j], basis[l])]
-                        return False, False, _primitive(v)
+                l = min((l for l in a[j] if l > j), default=None)
+                if l is not None:
+                    s = 1 if a[j][l] > 0 else -1
+                    v = {t: den[l] * x for t, x in basis[j].items()}
+                    for t, y in basis[l].items():
+                        v[t] = v.get(t, 0) - s * den[j] * y
+                    return False, False, _primitive(v, n)
             return True, False, None
-        remaining.remove(pos)
-        top, btop = a[pos], basis[pos]
-        p = top[pos]
-        for j in remaining:
-            row = a[j]
-            f = row[pos]
-            for l in remaining:
-                row[l] = (p * row[l] - f * top[l]) // prev
-            basis[j] = [(p * x - f * y) // prev for x, y in zip(basis[j], btop)]
-        prev = p
+        remaining.remove(p)
+        top, btop = a[p], basis[p]
+        piv = top[p]
+        for j in top:
+            if j == p:
+                continue
+            f = a[j][p]
+            row = {l: piv * x for l, x in a[j].items()}
+            for l, y in top.items():
+                row[l] = row.get(l, 0) - f * y
+            brow = {l: piv * x for l, x in basis[j].items()}
+            for l, y in btop.items():
+                brow[l] = brow.get(l, 0) - f * y
+            g = math.gcd(den[j] * piv, *row.values(), *brow.values())
+            a[j] = {l: x // g for l, x in row.items() if x}
+            basis[j] = {l: x // g for l, x in brow.items() if x}
+            den[j] = den[j] * piv // g
+            if a[j].get(j, 0) < 0 and (neg is None or j < neg):
+                neg = j
     return True, True, None
 
 
-def _primitive(v):
-    """An integer vector divided by the gcd of its entries.
+def _primitive(v, n):
+    """The integer vector of length n with the nonzero coordinates v, a dict
+    {index: int}, divided by their gcd.
 
-    v is a positive multiple of a basis row, whose coordinate at its own,
-    unpivoted index is nonzero, so the gcd is positive and the sign stays.
+    v is a positive multiple of a basis row (or of a combination of two
+    with their own indices nonzero), whose coordinate at its own unpivoted
+    index is nonzero, so the gcd is positive and the sign stays.
     """
-    g = math.gcd(*v)
-    return [x // g for x in v]
+    g = math.gcd(*v.values())
+    out = [0] * n
+    for t, x in v.items():
+        out[t] = x // g
+    return out
 
 
 def psd_flags(sym):

@@ -9,7 +9,7 @@ string algebra and every vertex is gentle or exceptional.
 
 from typing import NamedTuple
 
-from .presentation import QsaError, natural_key, _is_connected
+from .presentation import AlgebraPresentation, QsaError, natural_key, _is_connected
 
 __all__ = [
     "VertexClass", "VertexClassification", "QuadraticStringReport",
@@ -296,6 +296,8 @@ def classify_vertices(a, previous=None, dirty=None):
     vouches that the change keeps it so, as `transform._move` argues for
     each reduction move.
     """
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("classification needs an AlgebraPresentation")
     if previous is None and not _is_connected(a.quiver):
         raise QsaError("classification needs a connected quiver")
     rel = _quadratic_pairs(a)
@@ -312,13 +314,12 @@ def classify_vertices(a, previous=None, dirty=None):
         vertex_faults = {v: f for v, f in old.vertex_faults.items() if q.has_vertex(v)}
         arrow_faults = {n: f for n, f in old.arrow_faults.items() if q.has_arrow(n)}
 
-    arrows = set()
+    arrows = {}  # the arrows at dirty vertices, in a hash-seed-free order
     for x in dirty:
         classes[x], mark = _classify_vertex(a, rel, x)
         _set_or_drop(marks, x, mark)
         _set_or_drop(vertex_faults, x, tuple(_vertex_faults(q, x)))
-        arrows.update(q.in_arrows(x))
-        arrows.update(q.out_arrows(x))
+        arrows.update(dict.fromkeys(q.in_arrows(x) + q.out_arrows(x)))
     for ar in arrows:
         _set_or_drop(arrow_faults, ar.name, tuple(_arrow_faults(q, rel, ar)))
 

@@ -231,8 +231,8 @@ class CoverBall:
     index, base arrow, cover arrow).  The witness search reads only those;
     the presentation `cover` and the three maps are built on first use.
     The base must be a connected monomial presentation with a certified
-    admissible ideal, the basepoint one of its vertices and the radius
-    at least 0; anything else is refused with a QsaError.
+    admissible ideal, the basepoint one of its vertices and the radius an
+    integer of at least 0; anything else is refused with a QsaError.
     """
 
     def __init__(self, base, basepoint, radius):
@@ -240,6 +240,8 @@ class CoverBall:
             raise QsaError("truncated_cover needs an AlgebraPresentation")
         if not base.is_monomial:
             raise QsaError("covers are only built for monomial presentations")
+        if not isinstance(radius, int):
+            raise QsaError(f"cover radius must be an integer, got {radius!r}")
         if radius < 0:
             raise QsaError("cover radius must be >= 0")
         if not base.quiver.has_vertex(basepoint):
@@ -440,8 +442,8 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     the only one in the ball; passing a target presentation as `like` keeps
     the same enumeration but only accepts witnesses isomorphic to the
     target.  Absence within the bounds proves nothing; a returned witness is
-    a complete certificate.  A negative radius or size is refused; a size
-    below 2 finds nothing.
+    a complete certificate.  A radius or size that is not an int, or is
+    negative, is refused; a size below 2 finds nothing.
     QSA_WITNESS_RADIUS, QSA_WITNESS_SIZE and QSA_WITNESS_BUDGET override the
     defaults.
     """
@@ -456,10 +458,16 @@ def _witness_search(a, radius=None, max_size=None, like=None):
     if max_size is None:
         max_size = _env_int("QSA_WITNESS_SIZE", DEFAULT_WITNESS_SIZE)
     budget = _env_int("QSA_WITNESS_BUDGET", DEFAULT_WITNESS_BUDGET)
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("the wildness witness search needs an AlgebraPresentation")
     if not a.is_monomial:
         raise QsaError("the wildness witness search needs a monomial presentation")
     if like is not None and not isinstance(like, AlgebraPresentation):
         raise QsaError("the witness target must be an AlgebraPresentation")
+    if not isinstance(radius, int):
+        raise QsaError(f"cover radius must be an integer, got {radius!r}")
+    if not isinstance(max_size, int):
+        raise QsaError(f"witness size must be an integer, got {max_size!r}")
     if radius < 0:
         raise QsaError("cover radius must be >= 0")
     if max_size < 0:
@@ -763,6 +771,8 @@ def detect_local_wild_pattern(a):
     length 5 at one of its four outer vertices.  Returns the first match in
     deterministic order, or None.
     """
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("local wildness patterns need an AlgebraPresentation")
     if not a.is_monomial:
         raise QsaError("local wildness patterns are defined for monomial presentations")
     report = validate(a)

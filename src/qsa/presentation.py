@@ -675,10 +675,6 @@ def _arrow_targets(q):
     return lambda v: [a.target for a in q.out_arrows(v)]
 
 
-def _has_directed_cycle(q):
-    return _longest_walks(q.vertices, _arrow_targets(q)) is None
-
-
 def _monomial_admissibility(a):
     """(admissible, bound m) via the forbidden-factor window automaton.
 

@@ -1,5 +1,9 @@
 """Vertex classification: gentle, exceptional classes, special vertices."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +164,33 @@ def test_classify_rejects_a_disconnected_quiver():
     with pytest.raises(QsaError) as err:
         classify_vertices(two)
     assert str(err.value) == "classification needs a connected quiver"
+
+
+def test_classify_refuses_a_quiver():
+    with pytest.raises(QsaError) as err:
+        classify_vertices(load_fixture("three-vertex-wild").quiver)
+    assert str(err.value) == "classification needs an AlgebraPresentation"
+
+
+_FOUR_ARROW_FAULTS = ("quiver x\nvertices: 1 2 3 4 5\narrow a: 1 -> 2\n"
+                      "arrow d: 5 -> 2\narrow b: 2 -> 3\narrow c: 2 -> 4\n")
+
+
+def test_classification_does_not_depend_on_the_hash_seed():
+    # every arrow at vertex 2 has two continuations or two predecessors
+    code = ("import sys; from qsa.presentation import parse_presentation; "
+            "from qsa.classify import classify_vertices; "
+            "print(repr(classify_vertices(parse_presentation(sys.argv[1]))))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code, _FOUR_ARROW_FAULTS],
+                             env=env, capture_output=True, text=True, check=True)
+        out.append(run.stdout)
+    assert "'a'" in out[0] and "'d'" in out[0]
+    assert out[0] == out[1]
 
 
 # --- relabeling invariance ----------------------------------------------------

@@ -202,6 +202,7 @@ _REFUSED = {
     ("quiver", "a", 2, "truncated_cover needs an AlgebraPresentation"),
     ("square", "1", -1, "covers are only built for monomial presentations"),
     ("three-vertex-wild", "zz", -1, "cover radius must be >= 0"),
+    ("three-vertex-wild", "a", "2", "cover radius must be an integer, got '2'"),
     ("three-vertex-wild", "zz", 2, "unknown basepoint 'zz'"),
     ("two-points", "v", 2, "cover construction needs a connected quiver"),
     ("free-loop", "v", 2, "cover construction needs a certified admissible ideal"),
@@ -346,6 +347,23 @@ def test_search_refuses_bad_input(name, like, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("radius, max_size, message", [
+    (2.5, 4, "cover radius must be an integer, got 2.5"),
+    (3, "4", "witness size must be an integer, got '4'"),
+    (None, 4.0, "witness size must be an integer, got 4.0"),
+])
+def test_search_refuses_non_integer_bounds(radius, max_size, message):
+    with pytest.raises(QsaError) as err:
+        find_wild_witness(load_fixture("three-vertex-wild"), radius, max_size)
+    assert str(err.value) == message
+
+
+def test_search_refuses_a_quiver():
+    with pytest.raises(QsaError) as err:
+        find_wild_witness(load_fixture("three-vertex-wild").quiver)
+    assert str(err.value) == "the wildness witness search needs an AlgebraPresentation"
+
+
 def test_search_refuses_a_non_integer_radius_in_the_environment(monkeypatch):
     monkeypatch.setenv("QSA_WITNESS_RADIUS", "eight")
     with pytest.raises(QsaError) as err:
@@ -426,3 +444,9 @@ def test_pattern_search_refuses_bad_input(name, message):
     with pytest.raises(QsaError) as err:
         detect_local_wild_pattern(parse_presentation(_REFUSED[name]))
     assert str(err.value) == message
+
+
+def test_pattern_search_refuses_a_quiver():
+    with pytest.raises(QsaError) as err:
+        detect_local_wild_pattern(load_fixture("three-vertex-wild").quiver)
+    assert str(err.value) == "local wildness patterns need an AlgebraPresentation"

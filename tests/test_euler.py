@@ -1,5 +1,6 @@
 """Cartan and Euler matrices, form evaluation, non-negativity decisions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qsa.presentation import (
 from qsa.euler import (
     EulerData, cartan_matrix, euler_matrix, euler_eval, is_nonnegative_form,
 )
+from qsa._linalg import inverse, transpose
 
 from conftest import load_fixture
 from oracles import chain_chi, chi_form_value, tree_presentations
@@ -94,6 +96,86 @@ def test_cyclic_input_refused():
         "relations:\na b\nb a\n")
     with pytest.raises(QsaError):
         cartan_matrix(cyc)
+
+
+@pytest.mark.parametrize("build", [cartan_matrix, euler_matrix])
+def test_matrices_refuse_a_quiver(build):
+    with pytest.raises(QsaError) as err:
+        build(load_fixture("a5-chain").quiver)
+    assert str(err.value) == "Cartan and Euler matrices need an AlgebraPresentation"
+
+
+def test_sign_test_refuses_a_bare_matrix():
+    with pytest.raises(QsaError) as err:
+        is_nonnegative_form(((1, 0), (0, 1)))
+    assert str(err.value) == "the sign test needs an EulerData form"
+
+
+# --- E without an inverse ------------------------------------------------------
+
+
+def _random_tree(rng, n, max_relations):
+    """A seeded tree on n vertices, arrows oriented at random, named by a
+    shuffled range so the natural order is rarely a topological one, with
+    up to max_relations monomial relations of length 2 or 3 (none inside
+    another)."""
+    names = [f"v{k}" for k in rng.sample(range(1, 10 * n), n)]
+    arrows = []
+    for k in range(1, n):
+        u, v = names[rng.randrange(k)], names[k]
+        arrows.append(Arrow(f"a{k}", *((u, v) if rng.random() < 0.5 else (v, u))))
+    q = Quiver("t", names, arrows)
+    paths = [(x.name, y.name) for x in q.arrows for y in q.out_arrows(x.target)]
+    paths += [p + (z.name,) for p in paths for z in q.out_arrows(q.arrow(p[-1]).target)]
+    rng.shuffle(paths)
+    rels = []
+    for p in paths[:max_relations]:
+        if not any(set(r) <= set(p) or set(p) <= set(r) for r in rels):
+            rels.append(p)
+    return AlgebraPresentation(q, [[(1, list(p))] for p in rels])
+
+
+def _chain(n, rng=None):
+    """A_n, arrows 1 -> 2 -> ... -> n, or oriented at random given rng."""
+    verts = [str(i) for i in range(1, n + 1)]
+    arrows = [Arrow(f"a{i}", *((str(i), str(i + 1))
+                               if rng is None or rng.random() < 0.5
+                               else (str(i + 1), str(i)))) for i in range(1, n)]
+    return AlgebraPresentation(Quiver(f"a{n}", verts, arrows), [])
+
+
+def _hereditary_cases():
+    rng = random.Random(18)
+    yield from (_chain(n) for n in (1, 2, 3, 20, 160))
+    yield from (_chain(n, rng) for n in (7, 40, 160))
+    yield from (_random_tree(rng, n, 0) for n in (2, 5, 12, 30, 60) for _ in range(4))
+
+
+@pytest.mark.parametrize("a", list(_hereditary_cases()), ids=lambda a: a.name)
+def test_hereditary_euler_matrix_is_identity_minus_arrows(a):
+    # with no relations Ext^1(S_i, S_j) counts the arrows i -> j
+    e = euler_matrix(a)
+    idx = {v: k for k, v in enumerate(e.vertices)}
+    want = [[int(i == j) for j in range(len(idx))] for i in range(len(idx))]
+    for ar in a.quiver.arrows:
+        want[idx[ar.source]][idx[ar.target]] -= 1
+    assert [list(row) for row in e.entries] == want
+    assert all(type(x) is int for row in e.entries for x in row)
+
+
+def test_euler_matrix_on_a_sink_orientation():
+    e = euler_matrix(parse_presentation(
+        "quiver a3\nvertices: 1 2 3\narrow a: 1 -> 2\narrow b: 3 -> 2\n"))
+    assert e.entries == ((1, -1, 0), (0, 1, 0), (0, -1, 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_euler_matrix_is_the_inverse_transpose_on_random_trees(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        a = _random_tree(rng, rng.randint(2, 24), rng.randint(0, 6))
+        want = transpose(inverse(cartan_matrix(a).entries))
+        assert [list(row) for row in euler_matrix(a).entries] == want
 
 
 # --- independent oracle: extension chains --------------------------------------

@@ -132,6 +132,34 @@ def test_congruence_matches_fraction_elimination(m):
     assert _congruence(m) == fraction_congruence(m)
 
 
+@st.composite
+def sparse_forms(draw):
+    """Sparse integer symmetric matrices up to 40 x 40, with a block of
+    zero diagonal entries: twice the Tits form of a random multigraph, or
+    random entries off a diagonal mostly 2."""
+    n = draw(st.integers(1, 40))
+    zeros = set(draw(st.lists(st.integers(0, n - 1), max_size=n // 3 + 1)))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 0 if i in zeros else draw(st.sampled_from([2, 2, 2, 4, 1, -2]))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    graph = draw(st.booleans())
+    for i, j in draw(st.lists(pair, max_size=2 * n)):
+        if i != j:
+            x = -1 if graph else draw(st.sampled_from([-2, -1, 1, 2]))
+            m[i][j] += x
+            m[j][i] += x
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_forms())
+def test_sparse_congruence_matches_fraction_elimination(m):
+    want = fraction_congruence(m)
+    assert _congruence(m) == want
+    assert _congruence([{j: x for j, x in enumerate(row) if x} for row in m]) == want
+
+
 @pytest.mark.parametrize("m,expected", [
     # zero leading diagonal entry: pivots on row 1, then row 0 turns negative
     ([[0, 1, 0], [1, 2, 1], [0, 1, 2]], (False, False, [2, -1, 0])),
