@@ -5,11 +5,23 @@ out-arrows whose composite lies in the ideal form a partial matching) and,
 failing that, against the six local exceptional configurations that keep a
 cyclic algebra derived tame. A presentation is "gqs" when it is a quadratic
 string algebra and every vertex is gentle or exceptional.
+
+A classification is maintained by delta.  Given the classification before
+a change and the vertices the change can affect, `classify_vertices`
+copies the previous dicts (classes, marks, faults) at C level and patches
+them at those vertices and their arrows.  The class tables, the sorted
+tuple of exceptional vertices and the diagnostics change only where an
+exceptional vertex changed its class or marked pair, the ordinary marks
+only at those pairs, and the string violations are rebuilt only from the
+faults there are.  The count of vertices neither gentle nor exceptional
+is kept too, so `gqs` and `exceptional_vertices` read no vertex.  A fresh
+classification is the same patch of the empty one.
 """
 
+from bisect import insort
 from typing import NamedTuple
 
-from .presentation import AlgebraPresentation, QsaError, natural_key, _is_connected
+from .presentation import AlgebraPresentation, QsaError, natural_key
 
 __all__ = [
     "VertexClass", "VertexClassification", "QuadraticStringReport",
@@ -33,12 +45,13 @@ class VertexClass(NamedTuple):
 class _LocalResults(NamedTuple):
     """Per-vertex and per-arrow results behind a VertexClassification.
 
-    A reduction move changes a few arrows; the next classification reads
-    these for every vertex the move cannot have affected.
+    A reduction move changes a few arrows; the next classification copies
+    these and patches them only where the move can have changed them.
     """
     marks: dict               # exceptional vertex -> (marked pair, diagnostic or None)
     vertex_faults: dict       # vertex -> its quadratic-string violations, if any
     arrow_faults: dict        # arrow name -> its quadratic-string violations, if any
+    others: int               # how many vertices are neither gentle nor exceptional
 
 
 class VertexClassification(NamedTuple):
@@ -48,16 +61,12 @@ class VertexClassification(NamedTuple):
     is_quadratic_string: bool
     violations: tuple
     diagnostics: tuple
+    exceptional_vertices: tuple   # every exceptional vertex, in canonical order
     local: _LocalResults
 
     @property
     def is_gentle_presentation(self):
-        return all(c.kind == GENTLE for c in self.classes.values())
-
-    @property
-    def exceptional_vertices(self):
-        out = [v for v, c in self.classes.items() if c.kind == EXCEPTIONAL]
-        return tuple(sorted(out, key=natural_key))
+        return not self.exceptional_vertices and not self.local.others
 
     @property
     def ordinary_vertices(self):
@@ -67,8 +76,7 @@ class VertexClassification(NamedTuple):
 
     @property
     def gqs(self):
-        return self.is_quadratic_string and all(
-            c.kind in (GENTLE, EXCEPTIONAL) for c in self.classes.values())
+        return self.is_quadratic_string and not self.local.others
 
 
 class QuadraticStringReport:
@@ -131,6 +139,8 @@ def _arrow_faults(q, rel, ar):
 
 def is_quadratic_string(a):
     """Check the quadratic string conditions, reporting every violation."""
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("the quadratic string test needs an AlgebraPresentation")
     if not a.is_monomial or not a.is_quadratic:
         return QuadraticStringReport(
             False, ["the ideal is not generated by paths of length two"])
@@ -280,6 +290,43 @@ def _set_or_drop(table, key, value):
         table.pop(key, None)
 
 
+def _ordinary_in(q, classes, marks, v):
+    """Classes whose exceptional vertices mark v ordinary.  A vertex marks
+    only neighbours of its own, so only the neighbours of v are read."""
+    found = set()
+    for y in [ar.source for ar in q.in_arrows(v)] + [ar.target for ar in q.out_arrows(v)]:
+        mark = marks.get(y)
+        if mark and v in mark[0]:
+            found.add(classes[y].exceptional_class)
+    return tuple(sorted(found))
+
+
+def _edited(items, drops, adds, order):
+    """The canonically ordered tuple `items` without `drops`, with `adds`."""
+    out = list(items)
+    for v in drops:
+        out.remove(v)
+    for v in adds:
+        insort(out, v, key=order)
+    return tuple(out)
+
+
+def _patched(table, drops, adds, order):
+    """A copy of {i: canonically ordered tuple}, edited at the keys of
+    `drops` and `adds` ({i: vertices})."""
+    out = table.copy()
+    for i in {**drops, **adds}:
+        out[i] = _edited(table[i], drops.get(i, ()), adds.get(i, ()), order)
+    return out
+
+
+_UNCLASSIFIED = VertexClassification(
+    classes={}, exceptional=dict.fromkeys(range(1, 7), ()),
+    ordinary=dict.fromkeys(range(1, 7), ()), is_quadratic_string=True,
+    violations=(), diagnostics=(), exceptional_vertices=(),
+    local=_LocalResults({}, {}, {}, 0))
+
+
 def classify_vertices(a, previous=None, dirty=None):
     """Classify every vertex as gentle, exceptional (class 1..6), or neither.
 
@@ -288,7 +335,16 @@ def classify_vertices(a, previous=None, dirty=None):
     exact when `previous` classifies a presentation that agrees with `a`
     away from `dirty`: every other vertex keeps its arrows, the relations
     between them, and the arrows of its neighbours, which is all a
-    vertex's class and the string conditions at its arrows read.
+    vertex's class and the string conditions at its arrows read.  `dirty`
+    also names the vertices of `previous` that `a` no longer has.
+
+    The result is `previous` patched by delta: its dicts are copied and
+    changed at the dirty vertices and their arrows; the class tables, the
+    exceptional vertices and the diagnostics change only where an
+    exceptional vertex changed its class or its marked pair, and the
+    ordinary marks only at those pairs.  Nothing is read per vertex or per
+    arrow of the whole quiver, and `previous` is left as it is.  A fresh
+    classification is the same patch of the empty one, every vertex dirty.
 
     The quiver must be connected.  A fresh classification checks that over
     the whole quiver.  With `previous` it is not checked again: the
@@ -298,62 +354,116 @@ def classify_vertices(a, previous=None, dirty=None):
     """
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("classification needs an AlgebraPresentation")
-    if previous is None and not _is_connected(a.quiver):
-        raise QsaError("classification needs a connected quiver")
+    if previous is None:
+        if not a.quiver._connected:
+            raise QsaError("classification needs a connected quiver")
+        previous, dirty = _UNCLASSIFIED, a.quiver.vertices
     rel = _quadratic_pairs(a)
     q = a.quiver
-    if previous is None:
-        dirty, was_ordinary = q.vertices, ()
-        classes, marks, vertex_faults, arrow_faults = {}, {}, {}, {}
-    else:
-        dirty = [x for x in dirty if q.has_vertex(x)]
-        was_ordinary = [v for v in previous.ordinary_vertices if q.has_vertex(v)]
-        old = previous.local
-        classes = {v: c for v, c in previous.classes.items() if q.has_vertex(v)}
-        marks = {v: m for v, m in old.marks.items() if q.has_vertex(v)}
-        vertex_faults = {v: f for v, f in old.vertex_faults.items() if q.has_vertex(v)}
-        arrow_faults = {n: f for n, f in old.arrow_faults.items() if q.has_arrow(n)}
+    order = q._order.__getitem__
+    old = previous.local
+    classes = previous.classes.copy()
+    marks = old.marks.copy()
+    vertex_faults = old.vertex_faults.copy()
+    arrow_faults = {n: f for n, f in old.arrow_faults.items() if q.has_arrow(n)}
+    others = old.others
 
-    arrows = {}  # the arrows at dirty vertices, in a hash-seed-free order
+    remarked = []      # (vertex, old entry, new entry); an entry is (class, pair, note)
+    was_ordinary = []  # dirty vertices marked ordinary before
+    arrows = {}        # the arrows at dirty vertices, in a hash-seed-free order
     for x in dirty:
-        classes[x], mark = _classify_vertex(a, rel, x)
-        _set_or_drop(marks, x, mark)
-        _set_or_drop(vertex_faults, x, tuple(_vertex_faults(q, x)))
-        arrows.update(dict.fromkeys(q.in_arrows(x) + q.out_arrows(x)))
+        was, was_mark = classes.get(x), marks.get(x)
+        if q.has_vertex(x):
+            vc, mark = _classify_vertex(a, rel, x)
+            classes[x] = vc
+            _set_or_drop(marks, x, mark)
+            _set_or_drop(vertex_faults, x, tuple(_vertex_faults(q, x)))
+            arrows.update(dict.fromkeys(q.in_arrows(x) + q.out_arrows(x)))
+            others += vc.kind == OTHER
+        else:
+            mark = None
+            for table in (classes, marks, vertex_faults):
+                table.pop(x, None)
+        if was is not None:
+            others -= was.kind == OTHER
+            if was.ordinary_in:
+                was_ordinary.append(x)
+        if mark != was_mark or (mark and vc.exceptional_class != was.exceptional_class):
+            remarked.append((x, was_mark and (was.exceptional_class, *was_mark),
+                             mark and (vc.exceptional_class, *mark)))
     for ar in arrows:
         _set_or_drop(arrow_faults, ar.name, tuple(_arrow_faults(q, rel, ar)))
 
-    exceptional = {i: [] for i in range(1, 7)}
-    ordinary = {i: set() for i in range(1, 7)}
-    ordinary_by_vertex = {}
-    diagnostics = []
-    for x in q.vertices:
-        if x not in marks:
-            continue
-        marked, note = marks[x]
-        idx = classes[x].exceptional_class
-        exceptional[idx].append(x)
-        ordinary[idx].update(marked)
-        for v in marked:
-            ordinary_by_vertex.setdefault(v, set()).add(idx)
-        if note:
-            diagnostics.append(note)
-    for v in set(ordinary_by_vertex).union(was_ordinary):
-        ordinary_in = tuple(sorted(ordinary_by_vertex.get(v, ())))
-        if classes[v].ordinary_in != ordinary_in:
-            classes[v] = classes[v]._replace(ordinary_in=ordinary_in)
+    drops, adds = {}, {}
+    for x, before, after in remarked:
+        if before:
+            drops.setdefault(before[0], []).append(x)
+        if after:
+            adds.setdefault(after[0], []).append(x)
+    exceptional = _patched(previous.exceptional, drops, adds, order)
+    exceptional_vertices = previous.exceptional_vertices
+    if remarked:
+        exceptional_vertices = _edited(
+            exceptional_vertices, [x for x, before, _ in remarked if before],
+            [x for x, _, after in remarked if after], order)
+    ordinary = _patch_ordinary(q, previous, classes, marks, remarked, was_ordinary)
 
-    violations = [m for v in q.vertices for m in vertex_faults.get(v, ())]
-    violations += [m for ar in q.arrows for m in arrow_faults.get(ar.name, ())]
+    diagnostics = previous.diagnostics
+    if any(entry and entry[2] for _, *entries in remarked for entry in entries):
+        diagnostics = tuple(marks[x][1] for x in exceptional_vertices if marks[x][1])
+    violations = ()
+    if vertex_faults or arrow_faults:
+        violations = tuple(
+            [m for v in sorted(vertex_faults, key=order) for m in vertex_faults[v]]
+            + [m for n in sorted(arrow_faults, key=natural_key) for m in arrow_faults[n]])
     return VertexClassification(
         classes=classes,
-        exceptional={i: tuple(sorted(vs, key=natural_key)) for i, vs in exceptional.items()},
-        ordinary={i: tuple(sorted(vs, key=natural_key)) for i, vs in ordinary.items()},
+        exceptional=exceptional,
+        ordinary=ordinary,
         is_quadratic_string=not violations,
-        violations=tuple(violations),
-        diagnostics=tuple(diagnostics),
-        local=_LocalResults(marks, vertex_faults, arrow_faults),
+        violations=violations,
+        diagnostics=diagnostics,
+        exceptional_vertices=exceptional_vertices,
+        local=_LocalResults(marks, vertex_faults, arrow_faults, others),
     )
+
+
+def _patch_ordinary(q, previous, classes, marks, remarked, was_ordinary):
+    """The ordinary table of the patched classification, with the
+    `ordinary_in` of every vertex whose marks changed set in `classes`.
+
+    Marks change only at the pairs of the remarked exceptional vertices,
+    and at the dirty vertices that were ordinary, whose class was just
+    computed afresh.  A vertex that a remarked vertex no longer marks may
+    still be marked by another vertex of the same class, so its classes
+    are read off its neighbours; for the others, the classes they had and
+    the ones they gained are enough.
+    """
+    gained, lost = {}, {}   # vertex -> classes of the marks it gained / lost
+    for _, before, after in remarked:
+        for entry, table in ((before, lost), (after, gained)):
+            if entry:
+                for v in entry[1]:
+                    table.setdefault(v, set()).add(entry[0])
+    drops, adds = {}, {}
+    for v in {**dict.fromkeys(was_ordinary), **gained, **lost}:
+        was = previous.classes.get(v)
+        was_in = was.ordinary_in if was is not None else ()
+        if v not in classes:
+            now_in = ()
+        elif v in lost:
+            now_in = _ordinary_in(q, classes, marks, v)
+        else:
+            now_in = tuple(sorted(gained.get(v, set()).union(was_in)))
+        if v in classes and classes[v].ordinary_in != now_in:
+            classes[v] = classes[v]._replace(ordinary_in=now_in)
+        for i in was_in:
+            if i not in now_in:
+                drops.setdefault(i, []).append(v)
+        for i in now_in:
+            if i not in was_in:
+                adds.setdefault(i, []).append(v)
+    return _patched(previous.ordinary, drops, adds, q._order.__getitem__)
 
 
 def is_gqs(a):
@@ -377,6 +487,8 @@ def _is_special(a, v):
 
 def special_vertices(a):
     """Vertices with at most one arrow in, at most one out, composite surviving."""
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("special vertices need an AlgebraPresentation")
     _quadratic_pairs(a)  # shape errors come before the connectivity check
     special = [v for v in a.quiver.vertices if _is_special(a, v)]
     ordinary = classify_vertices(a).ordinary_vertices

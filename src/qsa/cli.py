@@ -8,6 +8,7 @@ file; `--json` switches the output to a single JSON document.  Exit codes:
 
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -449,7 +450,16 @@ def run_cli(argv=None):
 
 
 def main():
-    sys.exit(run_cli())
+    try:
+        status = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of the output went away (`qsa ... | head`): the standard
+        # library recipe points stdout at devnull, so the flush at exit does
+        # not fail again, and exits 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ a Wild verdict when a wildness certificate turns up, and an explicit
 NotQuadraticString verdict otherwise.
 """
 
-from .presentation import QsaError, validate, is_tree
+from .presentation import AlgebraPresentation, QsaError, validate, is_tree
 from .classify import OTHER, classify_vertices, is_quadratic_string
 from .transform import certificate_payload, _reduce_classified
 from .euler import euler_matrix, is_nonnegative_form
@@ -84,6 +84,8 @@ def decide_derived_type(a, witness_radius=None, witness_size=None):
     The witness bounds only affect the best-effort certificate search on
     wild or out-of-class inputs; None picks up the environment defaults.
     """
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("the decision needs an AlgebraPresentation")
     report = validate(a)
     if not report.connected:
         raise QsaError("the decision needs a connected quiver")

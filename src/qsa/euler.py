@@ -124,6 +124,8 @@ def euler_eval(e, x):
     an int product.  A vector of the wrong length, or with an entry that
     is not a rational number, is refused.
     """
+    if not isinstance(e, EulerData):
+        raise QsaError("the form value needs an EulerData form")
     if len(x) != len(e.vertices):
         raise QsaError(
             f"vector has {len(x)} entries, form has {len(e.vertices)}")

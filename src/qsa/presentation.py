@@ -10,10 +10,11 @@ Path composition is written left to right: the path (a, b) means "a then b"
 and requires target(a) == source(b).
 """
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, permutations, product
+from operator import attrgetter
 import re
 from typing import NamedTuple
 
@@ -54,6 +55,10 @@ def natural_key(s):
     return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p) + ((-1, s),)
 
 
+def _arrow_line(a):
+    return f"arrow {a.name}: {a.source} -> {a.target}"
+
+
 def _check_id(kind, name):
     if not isinstance(name, str) or not _ID_RE.match(name):
         raise QsaError(f"invalid {kind} identifier {name!r}")
@@ -63,8 +68,7 @@ def _arrow_key(a):
     return natural_key(a.name)
 
 
-def _relation_key(r):
-    return r.sort_key
+_relation_key = attrgetter("sort_key")
 
 
 class Arrow(NamedTuple):
@@ -124,7 +128,10 @@ class Quiver:
         Only what is new is checked: the new identifiers, their ends, and
         that `vertex` loses every arrow it has.  The kept vertices and
         arrows were checked when this quiver was built; the new arrows are
-        merged into the sorted tuples.
+        merged into the sorted tuples and their text lines into the kept
+        ones, each found by bisection.  Dict copies use `.copy()`, which
+        clones the table even after deletions, where `dict(...)` would
+        insert every item again.
         """
         removed = set(removed)
         for name in removed:
@@ -148,23 +155,27 @@ class Quiver:
 
         q = Quiver.__new__(Quiver)
         q.name = self.name
-        i = self.vertices.index(vertex)
+        i = bisect_left(self.vertices, self._order[vertex], key=self._order.__getitem__)
         q.vertices = self.vertices[:i] + self.vertices[i + 1:]
-        kept = list(self.arrows)
-        q._by_name = dict(self._by_name)
+        kept, lines = list(self.arrows), list(self._arrow_lines)
+        q._by_name = self._by_name.copy()
         for name in removed:
-            kept.remove(q._by_name.pop(name))
+            i = bisect_left(kept, _arrow_key(q._by_name.pop(name)), key=_arrow_key)
+            del kept[i], lines[i]
         for a in new:
-            insort(kept, a, key=_arrow_key)
+            i = bisect_right(kept, _arrow_key(a), key=_arrow_key)
+            kept.insert(i, a)
+            lines.insert(i, _arrow_line(a))
             q._by_name[a.name] = a
         q.arrows = tuple(kept)
+        q._arrow_lines = tuple(lines)
 
         ends = {v for n in removed for v in self._by_name[n][1:]}
         ends.update(v for a in new for v in a[1:])
         ends.discard(vertex)
 
         def incident(old, end):  # the lists of untouched vertices are shared
-            table = dict(old)
+            table = old.copy()
             del table[vertex]
             for v in ends:
                 table[v] = at = [a for a in old[v] if a.name not in removed]
@@ -175,7 +186,28 @@ class Quiver:
 
         q._out = incident(self._out, 1)
         q._in = incident(self._in, 2)
+        q._order = self._order
         return q
+
+    @cached_property
+    def _connected(self):
+        """Whether the underlying graph is connected; validation and a
+        fresh classification both ask."""
+        return _is_connected(self)
+
+    @cached_property
+    def _arrow_lines(self):
+        """The arrow lines of the text format, in arrow order.  A derived
+        quiver edits the tuple of the quiver it comes from."""
+        return tuple(map(_arrow_line, self.arrows))
+
+    @cached_property
+    def _order(self):
+        """{vertex: rank}, a sort key for the vertices in canonical order
+        that computes no `natural_key`.  A derived quiver shares the map of
+        the quiver it comes from: dropping a vertex keeps the order of the
+        rest, and a derivation adds none."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def arrow(self, name):
         try:
@@ -224,6 +256,26 @@ def _path_sort_key(arrows):
     return (len(arrows), *map(natural_key, arrows))
 
 
+def _fmt_coef(c):
+    return str(c) if c.denominator != 1 else str(c.numerator)
+
+
+def _relation_line(r):
+    """A relation as a line of the text format."""
+    if r.is_monomial:
+        return " ".join(r.terms[0][1])
+    bits = []
+    for k, (c, p) in enumerate(r.terms):
+        mag = abs(c)
+        coef = "" if mag == 1 else _fmt_coef(mag) + " "
+        body = f"{coef}( " + " ".join(p) + " )"
+        if k == 0:
+            bits.append(body if c > 0 else f"- {body}")
+        else:
+            bits.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(bits)
+
+
 class RelationTerm:
     """One relation: a canonical combination of parallel paths.
 
@@ -269,10 +321,9 @@ class RelationTerm:
     def paths(self):
         return tuple(p for _, p in self.terms)
 
-    @cached_property
+    @property
     def arrow_names(self):
-        """The arrows the paths use; a derivation reads it for every
-        relation it keeps, so it is computed once per relation."""
+        """The arrows the paths use."""
         return frozenset().union(*self.paths())
 
     def _fits(self, quiver):
@@ -339,7 +390,9 @@ class AlgebraPresentation:
         self.monomials = monomials
         self._is_monomial = len(monomials) == len(relations)
         self._is_quadratic = quadratic
-        self._monomial_lengths = tuple(sorted(set(map(len, monomials))))
+        self._monomial_lengths = (
+            ((2,) if monomials else ()) if quadratic  # every path has length two
+            else tuple(sorted(set(map(len, monomials)))))
         self._report = None  # the ValidationReport, set by the first validate()
 
     def _derive(self, vertex, removed, arrows, relations):
@@ -349,23 +402,38 @@ class AlgebraPresentation:
 
         Equal to `AlgebraPresentation` built on the kept and new lists, at
         the cost of what changes.  The quiver comes from `Quiver._derive`.
-        Only the new relations are built and checked; the kept ones pass
-        through as they are, since every arrow they use keeps its ends.  The
-        new ones are merged into the sorted relation tuple, and the monomial
-        set and the quadratic flag are updated from what was added and
-        dropped (the kept relations are read again only when this
+        The relations through a removed arrow are read off the index
+        `_relations_at`, and only the new relations are built and checked;
+        the kept ones pass through as they are, since every arrow they use
+        keeps its ends.  The relation tuple, its text lines and the index
+        are copied and edited where relations leave and arrive, and the
+        monomial set and the quadratic flag are updated from what was added
+        and dropped (the kept relations are read again only when this
         presentation is not quadratic).
         """
         quiver = self.quiver._derive(vertex, removed, arrows)
         removed = set(removed)
-        kept, dropped = [], []
-        for r in self.relations:
-            (kept if removed.isdisjoint(r.arrow_names) else dropped).append(r)
+        at = self._relations_at.copy()
+        dropped = {}  # by identity: hashing a relation hashes its coefficients
+        for name in removed:
+            dropped.update((id(r), r) for r in at.pop(name, ()))
+        dropped = list(dropped.values())
+        kept, lines = list(self.relations), list(self._relation_lines)
+        for r in dropped:
+            i = bisect_left(kept, r.sort_key, key=_relation_key)
+            del kept[i], lines[i]
+            for name in r.arrow_names - removed:
+                at[name] = [x for x in at[name] if x is not r]
+                if not at[name]:
+                    del at[name]
         added = [RelationTerm(quiver, combo) for combo in relations]
         for r in added:  # distinct relations have distinct keys
             i = bisect_left(kept, r.sort_key, key=_relation_key)
             if kept[i:i + 1] != [r]:
                 kept.insert(i, r)
+                lines.insert(i, _relation_line(r))
+                for name in r.arrow_names:
+                    at[name] = at.get(name, []) + [r]
         monomials = self.monomials.difference(
             r.terms[0][1] for r in dropped if r.is_monomial).union(
             r.terms[0][1] for r in added if r.is_monomial)
@@ -373,7 +441,23 @@ class AlgebraPresentation:
             self._is_quadratic or all(len(p) == 2 for r in kept for _, p in r.terms))
         b = AlgebraPresentation.__new__(AlgebraPresentation)
         b._fill(quiver, tuple(kept), monomials, quadratic)
+        b._relations_at = at
+        b._relation_lines = tuple(lines)
         return b
+
+    @cached_property
+    def _relations_at(self):
+        """{arrow name: list of the relations whose paths use the arrow}."""
+        at = {}
+        for r in self.relations:
+            for name in r.arrow_names:
+                at.setdefault(name, []).append(r)
+        return at
+
+    @cached_property
+    def _relation_lines(self):
+        """The relation lines of the text format, in relation order."""
+        return tuple(map(_relation_line, self.relations))
 
     @property
     def name(self):
@@ -573,32 +657,19 @@ def parse_presentation(text):
     return AlgebraPresentation(quiver, relations)
 
 
-def _fmt_coef(c):
-    return str(c) if c.denominator != 1 else str(c.numerator)
-
-
 def serialize_presentation(a):
-    """Canonical text form; parsing it back gives an equal presentation."""
+    """Canonical text form; parsing it back gives an equal presentation.
+
+    Each arrow's and each relation's line is formatted once and kept, so
+    the text of a presentation derived from another one joins kept lines.
+    """
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("serialization needs an AlgebraPresentation")
     q = a.quiver
-    out = [f"quiver {q.name}", "vertices: " + " ".join(q.vertices)]
-    for ar in q.arrows:
-        out.append(f"arrow {ar.name}: {ar.source} -> {ar.target}")
+    out = [f"quiver {q.name}", "vertices: " + " ".join(q.vertices), *q._arrow_lines]
     if a.relations:
         out.append("relations:")
-        for r in a.relations:
-            if r.is_monomial:
-                out.append(" ".join(r.terms[0][1]))
-            else:
-                bits = []
-                for k, (c, p) in enumerate(r.terms):
-                    mag = abs(c)
-                    coef = "" if mag == 1 else _fmt_coef(mag) + " "
-                    body = f"{coef}( " + " ".join(p) + " )"
-                    if k == 0:
-                        bits.append(body if c > 0 else f"- {body}")
-                    else:
-                        bits.append(("+ " if c > 0 else "- ") + body)
-                out.append(" ".join(bits))
+        out += a._relation_lines
     return "\n".join(out) + "\n"
 
 
@@ -793,11 +864,13 @@ def validate(a):
 
     Presentations are immutable, so the report is computed once and kept.
     """
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("validation needs an AlgebraPresentation")
     if a._report is not None:
         return a._report
     q = a.quiver
     problems = []
-    connected = _is_connected(q)
+    connected = q._connected
     if not connected:
         problems.append("quiver is not connected")
     monomial = a.is_monomial
@@ -845,11 +918,13 @@ def underlying_graph(a):
 def is_tree(a):
     """True when the underlying multigraph is a tree (connected, acyclic)."""
     q = a.quiver if isinstance(a, AlgebraPresentation) else a
-    return len(q.arrows) == len(q.vertices) - 1 and _is_connected(q)
+    return len(q.arrows) == len(q.vertices) - 1 and q._connected
 
 
 def path_basis(a, i, j, max_len=None):
     """Ordered basis of relation-free paths from i to j (monomial input)."""
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("path_basis needs an AlgebraPresentation")
     if not a.is_monomial:
         raise QsaError("path_basis needs a monomial presentation")
     q = a.quiver

@@ -17,10 +17,15 @@ A move derives its result from the presentation it changes
 drops and the arrows and relations it adds.  Only those are checked and
 built; the kept arrows and relations pass through unchanged.  A move
 keeps the quiver connected by construction (see `_move`), and it
-classifies its result once: only the vertices near the arrows it
-changed are examined again, the rest are read from the previous
-classification.  That classification drives the next move, and each
-intermediate presentation is serialized once.
+classifies its result once, by delta: only the ends of the arrows it
+changed, and the neighbours of an end that became or stopped being a
+single source or sink, are examined again (`_dirty_vertices`); the rest
+is copied from the previous classification.  That classification drives
+the next move.  The special set is checked in full once, on the input;
+after a move only the carried special vertices the move touched are
+tested again.  Each intermediate presentation is serialized once, as a
+join of the arrow and relation lines it kept from the presentation it
+came from and the few lines the move formatted.
 """
 
 import json
@@ -241,11 +246,10 @@ def _peel(a, x, case, witness):
 
 
 def _check_special(a, ds, classification):
-    ordinary = classification.ordinary_vertices
     for d in ds:
         if not _is_special(a, d):
             raise QsaError(f"vertex {d!r} is not special")
-        if d in ordinary:
+        if classification.classes[d].ordinary_in:
             raise QsaError(f"vertex {d!r} is special but ordinary")
 
 
@@ -262,36 +266,56 @@ def _gqs_classification(a):
     return c
 
 
+def _lone_arrow(q, v):
+    """(arrow name, v is its source) when v has exactly one arrow; else None."""
+    if not q.has_vertex(v):
+        return None
+    outs, ins = q.out_arrows(v), q.in_arrows(v)
+    if len(outs) + len(ins) != 1:
+        return None
+    return (outs + ins)[0].name, bool(outs)
+
+
 def _dirty_vertices(a, b, meta):
-    """Vertices of `b` whose class the move from `a` to `b` can change.
+    """Vertices whose class the move from `a` to `b` can change.
 
     A move removes and adds arrows, with the relations through them, and
     drops a vertex together with its arrows.  A vertex's class reads only
     its own arrows, the relations between them, and whether its
-    neighbours are single sources or sinks.  So only the ends of removed
-    and added arrows and their neighbours can change class.  Neighbours
-    in `a` and in `b` differ only through those arrows, whose ends are
-    already in the set.  Ends and neighbours do not depend on orientation,
-    so the class 5 and 6 moves, which read arrows backwards, are covered
-    too.
+    neighbours are single sources or sinks of the arrows it shares with
+    them.  So the ends of removed and added arrows can change class, and
+    so can the neighbours of an end that gained or lost that status.
+    Every other vertex keeps its arrows, its relations and the status of
+    its neighbours: a neighbour in `a` or in `b` that is not an end meets
+    it through an arrow the move left alone.  Ends and neighbours do not
+    depend on orientation, so the class 5 and 6 moves, which read arrows
+    backwards, are covered too.  The vertex a move drops is the end of an
+    arrow it removes, so the set holds it as well, and `classify_vertices`
+    drops it.
     """
     ends = {v for name in meta["removed_arrows"] for v in a.quiver.arrow(name)[1:]}
     ends.update(v for _name, source, target in meta["new_arrows"]
                 for v in (source, target))
     q = b.quiver
-    dirty = {v for v in ends if q.has_vertex(v)}
-    for v in tuple(dirty):
-        dirty.update(ar.target for ar in q.out_arrows(v))
-        dirty.update(ar.source for ar in q.in_arrows(v))
+    dirty = set(ends)
+    for v in ends:
+        if q.has_vertex(v) and _lone_arrow(a.quiver, v) != _lone_arrow(q, v):
+            dirty.update(ar.target for ar in q.out_arrows(v))
+            dirty.update(ar.source for ar in q.in_arrows(v))
     return dirty
 
 
 def _move(a, c, special, before):
     """One reduction move on `a`, whose gqs classification is `c` and
     whose serialization is `before`.  The caller has checked that `c` has
-    an exceptional vertex and that `special` is valid on `a`; the move
-    checks the special set of its result, so each presentation of a
-    reduction is checked once.
+    an exceptional vertex and that the set `special` is valid on `a`; the
+    move checks the special set of its result, so each presentation of a
+    reduction is checked once.  Only the vertices whose check can change
+    are tested: the one the move adds, and the carried ones the move
+    touched.  A vertex stays special unless its arrows or the relations
+    between them change, which makes it dirty, and it turns ordinary only
+    when it lies in the marked pair of an exceptional vertex whose mark
+    changed, which is dirty too.
 
     Returns (smaller presentation, ReductionStep, its classification).
     The classification of the result reuses `c`, which does not check
@@ -306,14 +330,21 @@ def _move(a, c, special, before):
     move = _peel if vc.exceptional_class in (3, 5) else _rewire
     b, meta = move(a, x, vc.exceptional_class, vc.witness)
 
-    cb = classify_vertices(b, c, _dirty_vertices(a, b, meta))
+    dirty = _dirty_vertices(a, b, meta)
+    cb = classify_vertices(b, c, dirty)
     if not cb.is_quadratic_string or not cb.gqs:
         raise QsaError("reduction move left the quadratic string class")
     if len(cb.exceptional_vertices) != len(exc) - 1:
         raise QsaError("reduction move did not remove one exceptional vertex")
-    new_special = tuple(sorted(set(special) | {meta["special_added"]},
-                               key=natural_key))
-    _check_special(b, new_special, cb)
+    touched = set(dirty)
+    for v in dirty:
+        for mark in (c.local.marks.get(v), cb.local.marks.get(v)):
+            if mark:
+                touched.update(mark[0])
+    added = meta["special_added"]
+    recheck = touched.intersection(special)
+    recheck.add(added)
+    _check_special(b, sorted(recheck, key=natural_key), cb)
 
     step = ReductionStep(before=before, after=serialize_presentation(b), **meta)
     return b, step, cb
@@ -330,7 +361,7 @@ def reduce_step(a, special=()):
     if not c.exceptional_vertices:
         raise QsaError("no exceptional vertex to reduce")
     _check_special(a, special, c)
-    b, step, _ = _move(a, c, special, serialize_presentation(a))
+    b, step, _ = _move(a, c, set(special), serialize_presentation(a))
     return b, step
 
 
@@ -346,20 +377,24 @@ def reduce_to_skewed_gentle(a, special=()):
 
 
 def _reduce_classified(a, c, special=()):
-    """reduce_to_skewed_gentle for `a` whose gqs classification is `c`."""
+    """reduce_to_skewed_gentle for `a` whose gqs classification is `c`.
+
+    The special vertices are carried as a set and put in canonical order
+    once, at the end: no move reads their order.
+    """
     cur = a
     text = serialize_presentation(a)
-    ds = tuple(sorted(set(special), key=natural_key))
+    carried = set(special)
     steps = []
     if c.exceptional_vertices:
-        _check_special(a, ds, c)
+        _check_special(a, sorted(carried, key=natural_key), c)
     while c.exceptional_vertices:
-        cur, step, c = _move(cur, c, ds, text)
+        cur, step, c = _move(cur, c, carried, text)
         text = step.after
-        ds = tuple(sorted(set(ds) | {step.special_added}, key=natural_key))
+        carried.add(step.special_added)
         steps.append(step)
-    return ReductionCertificate(initial=a, final=cur,
-                                steps=tuple(steps), special=ds)
+    return ReductionCertificate(initial=a, final=cur, steps=tuple(steps),
+                                special=tuple(sorted(carried, key=natural_key)))
 
 
 def certificate_payload(cert):

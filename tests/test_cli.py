@@ -445,6 +445,25 @@ def test_python_m_qsa_without_arguments_exits_two():
     assert "usage" in done.stderr
 
 
+def test_closed_output_pipe_ends_without_a_traceback(tmp_path):
+    # `qsa euler chain.qsa | head -1`: the output (about 180 kB) outgrows
+    # the pipe buffer, so the CLI is still printing when the reader leaves
+    n = 300
+    chain = tmp_path / "chain.qsa"
+    chain.write_text(f"quiver chain\nvertices: {' '.join(map(str, range(1, n + 1)))}\n"
+                     + "".join(f"arrow a{i}: {i} -> {i + 1}\n" for i in range(1, n)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen([sys.executable, "-m", "qsa", "euler", str(chain)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == f"vertices: {' '.join(map(str, range(1, n + 1)))}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_python_m_qsa_cli_runs_the_cli():
     done = run_module("check", fixture_path("a5-chain"), module="qsa.cli")
     assert done.returncode == 0

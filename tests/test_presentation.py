@@ -19,7 +19,9 @@ from qsa.presentation import (
     _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra
-from qsa.classify import special_vertices
+from qsa.classify import is_quadratic_string, special_vertices
+from qsa.decide import decide_derived_type
+from qsa.euler import euler_eval
 from qsa.transform import blow_up
 
 from conftest import load_fixture, all_fixture_names
@@ -680,6 +682,14 @@ def test_derived_presentation_equals_fresh_construction(case):
                                                 removed - {x.name for x in new})
     if b.is_monomial:
         assert validate(b) == validate(fresh)
+    # what a derivation edits instead of recomputing: the text lines, the
+    # relations at each arrow, and the vertex order
+    assert q._arrow_lines == f._arrow_lines
+    assert b._relation_lines == fresh._relation_lines
+    assert {n: set(map(id, rs)) for n, rs in b._relations_at.items()} == {
+        n: set(map(id, rs)) for n, rs in
+        AlgebraPresentation._relations_at.func(b).items()}
+    assert sorted(q.vertices, key=q._order.__getitem__) == list(q.vertices)
 
 
 def test_derivation_drops_a_bare_vertex_and_keeps_relations_once():
@@ -693,3 +703,25 @@ def test_derivation_drops_a_bare_vertex_and_keeps_relations_once():
         "5", ("delta",), (), [[(1, ("alpha", "beta"))]])) == (
         "quiver a5_chain\nvertices: 1 2 3 4\narrow alpha: 1 -> 2\n"
         "arrow beta: 2 -> 3\narrow gamma: 3 -> 4\nrelations:\nalpha beta\n")
+
+
+# --- refusals ------------------------------------------------------------------------
+
+
+_QUIVER_REFUSALS = [
+    (is_quadratic_string, (), "the quadratic string test needs an AlgebraPresentation"),
+    (special_vertices, (), "special vertices need an AlgebraPresentation"),
+    (validate, (), "validation needs an AlgebraPresentation"),
+    (decide_derived_type, (), "the decision needs an AlgebraPresentation"),
+    (serialize_presentation, (), "serialization needs an AlgebraPresentation"),
+    (path_basis, ("a", "b"), "path_basis needs an AlgebraPresentation"),
+    (euler_eval, ((1, 1, 1),), "the form value needs an EulerData form"),
+]
+
+
+@pytest.mark.parametrize("call,args,message", _QUIVER_REFUSALS,
+                         ids=[call.__name__ for call, *_ in _QUIVER_REFUSALS])
+def test_library_entry_points_refuse_a_quiver(call, args, message):
+    with pytest.raises(QsaError) as err:
+        call(load_fixture("three-vertex-wild").quiver, *args)
+    assert str(err.value) == message

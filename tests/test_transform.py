@@ -243,8 +243,9 @@ def test_certificate_digest_is_frozen(name, side):
     assert digest == CERTIFICATE_SHA256[(name, side)]
 
 
-def _count_calls(monkeypatch, func):
-    """Count calls to `func` made through any qsa module that imported it."""
+def _count_calls(monkeypatch, func, modules=None):
+    """Count calls to `func` made through any qsa module that imported it,
+    or through the names in `modules` only."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -253,6 +254,8 @@ def _count_calls(monkeypatch, func):
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "qsa" or mod_name.startswith("qsa."):
+            if modules is not None and mod_name not in modules:
+                continue
             for attr, value in list(vars(mod).items()):
                 if value is func:
                     monkeypatch.setattr(mod, attr, counting)
@@ -343,7 +346,8 @@ def _count_method(monkeypatch, cls, name):
 def _move_costs(monkeypatch, a):
     """Per reduction move: (vertices classified, identifiers checked,
     relations built, relations re-fitted to a quiver, whole-quiver
-    connectivity checks)."""
+    connectivity checks, special vertices tested, sort keys computed by the
+    classification and the reduction, vertex lookups)."""
     with monkeypatch.context() as mp:
         counters = [
             _count_calls(mp, classify._is_gentle_vertex),
@@ -351,6 +355,9 @@ def _move_costs(monkeypatch, a):
             _count_method(mp, RelationTerm, "__init__"),
             _count_method(mp, RelationTerm, "_fits"),
             _count_calls(mp, presentation._is_connected),
+            _count_calls(mp, classify._is_special),
+            _count_calls(mp, presentation.natural_key, ("qsa.classify", "qsa.transform")),
+            _count_method(mp, Quiver, "has_vertex"),
         ]
         costs = []
         move = transform._move
@@ -369,8 +376,10 @@ def _move_costs(monkeypatch, a):
 def test_move_cost_does_not_grow_with_the_presentation(monkeypatch):
     # a move's result is derived from the presentation it changes: only the
     # new arrows and relations are checked and built, and the quiver is not
-    # walked for connectivity again; so every count is the same for k = 2
-    # and k = 6, and the opposite (classes 5, 1, 2) costs the same
+    # walked for connectivity again; its classification is patched at the
+    # vertices the move touched, and only the carried special vertices there
+    # are tested again; so every count is the same for k = 2 and k = 6, and
+    # the opposite (classes 5, 1, 2) costs the same
     for side in (lambda a: a, opposite):
         two = _move_costs(monkeypatch, side(glued_twelve_gqs(2)))
         six = _move_costs(monkeypatch, side(glued_twelve_gqs(6)))
@@ -417,6 +426,29 @@ def test_classification_reuse_after_any_added_arrow(name, side):
                    for v in dirty - {u, w}):
                 seen.add("neighbour")
     assert seen == {"string", "neighbour"}
+
+
+@pytest.mark.parametrize("name,side", _reducing_fixtures())
+def test_classification_reuse_after_any_removed_arrow(name, side):
+    # one arrow fewer, with the relations through it: its ends lose an
+    # arrow, a neighbour may become a single source or sink, and the quiver
+    # may fall apart (a fresh classification of the whole quiver, without
+    # its connectivity check, is the reference then); the patched
+    # classification must match field by field, and the one it was patched
+    # from must still classify its own presentation
+    a = _reduction_input(name, side)
+    q = a.quiver
+    fresh = classify_vertices(a)
+    for ar in q.arrows:
+        b = AlgebraPresentation(
+            Quiver(q.name, q.vertices, [x for x in q.arrows if x != ar]),
+            [r for r in a.relations if ar.name not in r.arrow_names])
+        meta = {"removed_arrows": (ar.name,), "new_arrows": ()}
+        patched = classify_vertices(b, fresh, transform._dirty_vertices(a, b, meta))
+        whole = classify_vertices(b, classify._UNCLASSIFIED, b.quiver.vertices)
+        for field, value in whole._asdict().items():
+            assert getattr(patched, field) == value, (ar.name, field)
+        assert fresh == classify_vertices(a)
 
 
 # --- sink/source mutations -----------------------------------------------------
