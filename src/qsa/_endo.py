@@ -50,7 +50,7 @@ endomorphism algebra, reports it rather than papering over it.
 
 from ._linalg import ONE, ZERO, identity, nullspace, reduce_vec, rref, transpose
 from ._algebra import TruncatedAlgebra
-from .presentation import QsaError, Arrow, Quiver, AlgebraPresentation, natural_key
+from .presentation import QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, natural_key
 
 
 # --- chain-map hom spaces -----------------------------------------------------
@@ -399,8 +399,8 @@ def mutate_minus(a, x):
                     srows, spiv = rref(srows + [red])
 
     result = AlgebraPresentation._trusted(new_q, [
-        (u, v, {p: c for c, p in combo}) for (_, u, v), combos in kernels.items()
-        for combo in combos])
+        RelationTerm._trusted(u, v, {p: c for c, p in combo})
+        for (_, u, v), combos in kernels.items() for combo in combos])
     # the stalk pairs are A's blocks; the pairs at x are the solved spaces
     expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in eng.pred[x])
                 + sum(h.dim for h in eng.homs.values()))

@@ -64,6 +64,19 @@ def _check_id(kind, name):
         raise QsaError(f"invalid {kind} identifier {name!r}")
 
 
+def _as_arrow(a):
+    """`a` as an Arrow; anything but a triple of names is refused."""
+    if isinstance(a, Arrow):
+        return a
+    try:
+        arrow = Arrow(*a)
+    except TypeError:
+        arrow = None
+    if arrow is None or not all(isinstance(x, str) for x in arrow):
+        raise QsaError(f"an arrow is a (name, source, target) triple of strings, not {a!r}")
+    return arrow
+
+
 def _arrow_key(a):
     return natural_key(a.name)
 
@@ -94,14 +107,17 @@ class Quiver:
 
     def __init__(self, name, vertices, arrows):
         _check_id("quiver name", name)
-        vertices = list(vertices)
+        try:
+            vertices = list(vertices)
+            arrows = list(map(_as_arrow, arrows))
+        except TypeError:
+            raise QsaError("a quiver needs lists of vertices and arrows") from None
         if not vertices:
             raise QsaError("quiver needs at least one vertex")
         for v in vertices:
             _check_id("vertex", v)
         if len(set(vertices)) != len(vertices):
             raise QsaError("duplicate vertex identifier")
-        arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
         seen = set()
         vset = set(vertices)
         for a in arrows:
@@ -142,7 +158,7 @@ class Quiver:
             raise QsaError(f"vertex {vertex!r} keeps an arrow")
         if len(self.vertices) == 1:
             raise QsaError("quiver needs at least one vertex")
-        new = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
+        new = list(map(_as_arrow, arrows))
         seen = set()
         for a in new:
             _check_id("arrow", a.name)
@@ -212,7 +228,7 @@ class Quiver:
     def arrow(self, name):
         try:
             return self._by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise QsaError(f"unknown arrow {name!r}") from None
 
     def out_arrows(self, v):
@@ -276,20 +292,37 @@ def _relation_line(r):
     return " ".join(bits)
 
 
+_ONE = _linalg.ONE
+
+
 class RelationTerm:
     """One relation: a canonical combination of parallel paths.
 
     Terms are merged, sorted, and scaled so the first coefficient is 1;
     monomial relations are combinations with a single path.  `sort_key`
-    orders relations canonically.
+    orders relations canonically, and equal keys mean equal relations.
     """
 
     def __init__(self, quiver, combination):
+        try:
+            if isinstance(combination, str):
+                raise TypeError
+            terms = iter(combination)
+        except TypeError:
+            raise QsaError(f"a relation is a list of (coefficient, path) pairs, "
+                           f"not {combination!r}") from None
         merged = {}
         endpoints = None
-        for coef, arrows in combination:
-            coef = Fraction(coef)
-            p = quiver.path(arrows)
+        for term in terms:
+            try:
+                coef, arrows = term
+                coef = Fraction(coef)
+                if isinstance(arrows, str):
+                    raise TypeError
+                p = quiver.path(arrows)
+            except (TypeError, ValueError):
+                raise QsaError(f"a relation term is a (rational coefficient, arrow names) "
+                               f"pair, not {term!r}") from None
             if len(p.arrows) < 2:
                 raise QsaError("relation paths must have length >= 2")
             if endpoints is None:
@@ -298,17 +331,34 @@ class RelationTerm:
                 raise QsaError("relation mixes non-parallel paths")
             key = p.arrows
             merged[key] = merged[key] + coef if key in merged else coef
+        if endpoints is None:
+            raise QsaError("a relation needs at least one path")
         self._canonical(merged, *endpoints)
+
+    @classmethod
+    def _trusted(cls, source, target, merged):
+        """The relation of {path: coefficient}, whose paths are known to
+        run from source to target; equal to the constructor on the same
+        combination, without its checks."""
+        r = cls.__new__(cls)
+        r._canonical(merged, source, target)
+        return r
 
     def _canonical(self, merged, source, target):
         """Set the terms from {path: coefficient}: zero terms dropped, the
         rest sorted and scaled so the first coefficient is 1."""
+        self.source, self.target = source, target
+        if len(merged) == 1:
+            ((p, c),) = merged.items()
+            if c:
+                self.terms = ((_ONE, p),)
+                self.sort_key = ((_path_sort_key(p), _ONE),)
+                return
         keys = {p: _path_sort_key(p) for p, c in merged.items() if c}
         if not keys:
             raise QsaError("relation cancels to zero")
         ordered = sorted(keys, key=keys.__getitem__)
         lead = merged[ordered[0]]
-        self.source, self.target = source, target
         if lead != 1:
             merged = {p: c / lead for p, c in merged.items()}
         self.terms = tuple([(merged[p], p) for p in ordered])
@@ -344,10 +394,29 @@ class RelationTerm:
         return f"RelationTerm({self.terms!r})"
 
 
+def _canonical_order(relations):
+    """The relations sorted by `sort_key`, each once.  Equal keys mean
+    equal relations, so the duplicates are neighbours after the sort, and
+    no coefficient is hashed."""
+    out = []
+    last = None
+    for r in sorted(relations, key=_relation_key):
+        if r.sort_key != last:
+            out.append(r)
+            last = r.sort_key
+    return out
+
+
 class AlgebraPresentation:
     """A quiver with relations; the value is canonical on construction."""
 
     def __init__(self, quiver, relations):
+        if not isinstance(quiver, Quiver):
+            raise QsaError("a presentation needs a Quiver")
+        try:
+            relations = iter(relations)
+        except TypeError:
+            raise QsaError("a presentation needs a list of relations") from None
         rels = []
         for r in relations:
             if not isinstance(r, RelationTerm):
@@ -356,24 +425,18 @@ class AlgebraPresentation:
                 # terms may come from another quiver: rebuild, or raise
                 r = RelationTerm(quiver, r.terms)
             rels.append(r)
-        self._fill(quiver, sorted(set(rels), key=_relation_key))
+        self._fill(quiver, _canonical_order(rels))
 
     @classmethod
     def _trusted(cls, quiver, relations):
-        """The presentation of `quiver` with `relations`, triples (source,
-        target, {path: coefficient}) of distinct relations whose paths are
-        known to run from source to target in `quiver`.
+        """The presentation of `quiver` with `relations`, RelationTerms
+        whose paths are known to compose in `quiver`.
 
-        Equal to the constructor on the same combinations, without its
-        checks: each relation is only made canonical.
+        Equal to the constructor on the same relations, without its
+        checks: the relations are only put in canonical order, each once.
         """
-        rels = []
-        for source, target, merged in relations:
-            r = RelationTerm.__new__(RelationTerm)
-            r._canonical(merged, source, target)
-            rels.append(r)
         b = cls.__new__(cls)
-        b._fill(quiver, sorted(rels, key=_relation_key))
+        b._fill(quiver, _canonical_order(relations))
         return b
 
     def _fill(self, quiver, relations, monomials=None, quadratic=None):
@@ -519,71 +582,68 @@ def opposite(a, name=None):
     qop._out = {v: [qop._by_name[x.name] for x in at] for v, at in q._in.items()}
     qop._in = {v: [qop._by_name[x.name] for x in at] for v, at in q._out.items()}
     return AlgebraPresentation._trusted(qop, [
-        (r.target, r.source, {p[::-1]: c for c, p in r.terms}) for r in a.relations])
+        RelationTerm._trusted(r.target, r.source, {p[::-1]: c for c, p in r.terms})
+        for r in a.relations])
 
 
 # --- parsing and serialization --------------------------------------------
 
 
 def _tokenize(line):
-    for ch in ("(", ")"):
-        line = line.replace(ch, f" {ch} ")
-    line = line.replace("->", " -> ")
+    if "(" in line or ")" in line or "->" in line:
+        line = line.replace("(", " ( ").replace(")", " ) ").replace("->", " -> ")
     return line.split()
 
 
 _COEF_RE = re.compile(r"-?\d+(/\d+)?\Z")
 
 
-def _parse_combination(tokens, where):
+def _parse_combination(tokens):
     """Parse `coef? ( path ) (+|-) coef? ( path ) ...` into (coef, arrows) pairs."""
     out = []
     i = 0
-    sign = Fraction(1)
-    first = True
     while i < len(tokens):
-        if not first:
-            if tokens[i] == "+":
-                sign = Fraction(1)
-            elif tokens[i] == "-":
-                sign = Fraction(-1)
-            else:
-                raise QsaError(f"{where}: expected '+' or '-', got {tokens[i]!r}")
+        negative = tokens[i] == "-"
+        if out or negative:  # a sign, required between terms
+            if not negative and tokens[i] != "+":
+                raise QsaError(f"expected '+' or '-', got {tokens[i]!r}")
             i += 1
-        elif tokens[i] == "-":
-            sign = Fraction(-1)
-            i += 1
-        coef = Fraction(1)
+        coef = _ONE
         if i < len(tokens) and _COEF_RE.match(tokens[i]):
             try:
                 coef = Fraction(tokens[i])
             except ZeroDivisionError:
-                raise QsaError(
-                    f"{where}: zero denominator in {tokens[i]!r}") from None
+                raise QsaError(f"zero denominator in {tokens[i]!r}") from None
+            except ValueError:  # beyond the int conversion digit limit
+                raise QsaError(f"coefficient {tokens[i][:10]}... is too large") from None
             i += 1
         if i >= len(tokens) or tokens[i] != "(":
-            raise QsaError(f"{where}: expected '(' before a path")
-        i += 1
-        arrows = []
-        while i < len(tokens) and tokens[i] != ")":
-            arrows.append(tokens[i])
-            i += 1
-        if i >= len(tokens):
-            raise QsaError(f"{where}: unclosed '(' in relation")
-        i += 1
-        if not arrows:
-            raise QsaError(f"{where}: empty path in relation")
-        out.append((sign * coef, tuple(arrows)))
-        first = False
-        sign = Fraction(1)
+            raise QsaError("expected '(' before a path")
+        try:
+            j = tokens.index(")", i)
+        except ValueError:
+            raise QsaError("unclosed '(' in relation") from None
+        if j == i + 1:
+            raise QsaError("empty path in relation")
+        out.append((-coef if negative else coef, tuple(tokens[i + 1:j])))
+        i = j + 1
     return out
 
 
 def parse_presentation(text):
-    """Parse the presentation file format; errors carry 1-based line numbers."""
+    """Parse the presentation file format; errors carry 1-based line numbers.
+
+    Each relation is built once, on the quiver just checked: a path line
+    walks its arrows once, a combination line is merged and scaled.
+    Duplicate relations, scalar multiples of one another included, are
+    kept once.  A coefficient beyond Python's limit on the digits of an
+    int read from a string (4,300 by default) is refused.
+    """
+    if not isinstance(text, str):
+        raise QsaError("a presentation is parsed from a string")
     lines = []
     for num, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+        body = raw.partition("#")[0].strip()
         if body:
             lines.append((num, body))
     if not lines:
@@ -632,29 +692,26 @@ def parse_presentation(text):
                 raise QsaError(f"line {num}: expected 'arrow <name>:'")
             if len(rest) != 3 or rest[1] != "->":
                 raise QsaError(f"line {num}: expected '<source> -> <target>'")
-            arrows.append((num, Arrow(aname, rest[0], rest[2])))
+            arrows.append(Arrow(aname, rest[0], rest[2]))
         else:
             relation_lines.append((num, tokens))
 
-    try:
-        quiver = Quiver(name, vertices, [a for _, a in arrows])
-    except QsaError as e:
-        raise QsaError(str(e)) from None
+    quiver = Quiver(name, vertices, arrows)
 
     relations = []
     for num, tokens in relation_lines:
-        where = f"line {num}"
-        if "(" in tokens:
-            combo = _parse_combination(tokens, where)
-        else:
-            if len(tokens) < 2:
-                raise QsaError(f"{where}: relation paths must have length >= 2")
-            combo = [(Fraction(1), tuple(tokens))]
         try:
-            relations.append(RelationTerm(quiver, combo))
+            if "(" in tokens:
+                r = RelationTerm(quiver, _parse_combination(tokens))
+            elif len(tokens) < 2:
+                raise QsaError("relation paths must have length >= 2")
+            else:
+                p = quiver.path(tokens)
+                r = RelationTerm._trusted(p.source, p.target, {p.arrows: _ONE})
         except QsaError as e:
-            raise QsaError(f"{where}: {e}") from None
-    return AlgebraPresentation(quiver, relations)
+            raise QsaError(f"line {num}: {e}") from None
+        relations.append(r)
+    return AlgebraPresentation._trusted(quiver, relations)
 
 
 def serialize_presentation(a):

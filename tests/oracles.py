@@ -353,7 +353,7 @@ def commuting_mutation_cases(extra_bases=()):
 # --- seeded random presentations for the mutation digest --------------------
 
 
-def _acyclic_binomial_text(rng, idx):
+def _acyclic_binomial_lists(rng, idx):
     """An acyclic quiver built from commuting squares, three-diamonds and
     one non-homogeneous pentagon at random, glued at shared vertices, plus
     random forward arrows and length-2 zero relations."""
@@ -374,14 +374,14 @@ def _acyclic_binomial_text(rng, idx):
             m1, m2, m3, v = vertex(), vertex(), vertex(), vertex()
             p = (arrow(u, m1), arrow(m1, v))
             r = (arrow(u, m2), arrow(m2, m3), arrow(m3, v))
-            rels.append(f"( {' '.join(p)} ) - ( {' '.join(r)} )")
+            rels.append([(1, p), (-1, r)])
             continue
         mids = [vertex() for _ in range(2 if shape == "square" else 3)]
         v = vertex()
         legs = [(arrow(u, m), arrow(m, v)) for m in mids]
         for leg in legs[1:]:
-            c = rng.choice(("", "2 ", "1/2 "))
-            rels.append(f"( {' '.join(legs[0])} ) - {c}( {' '.join(leg)} )")
+            c = rng.choice((1, 2, Fraction(1, 2)))
+            rels.append([(1, legs[0]), (-c, leg)])
     for _ in range(rng.randint(0, 3)):
         s = rng.choice(verts[:-1])
         arrow(s, rng.choice([t for t in verts if t > s]))
@@ -390,11 +390,11 @@ def _acyclic_binomial_text(rng, idx):
         outs.setdefault(s, []).append((name, t))
     for name, s, t in rng.sample(arrows, len(arrows)):
         if rng.random() < 0.3 and outs.get(t):
-            rels.append(f"{name} {rng.choice(outs[t])[0]}")
-    return _presentation_text(f"acyclic{idx}", verts, arrows, rels)
+            rels.append([(1, (name, rng.choice(outs[t])[0]))])
+    return f"acyclic{idx}", verts, arrows, rels
 
 
-def _cyclic_monomial_text(rng, idx):
+def _cyclic_monomial_lists(rng, idx):
     """An oriented cycle with one zero relation on it and a few tails, plus
     random extra monomial relations of length 2 to 4."""
     m = rng.randint(1, 4)
@@ -409,7 +409,7 @@ def _cyclic_monomial_text(rng, idx):
     for name, s, t in arrows:
         outs.setdefault(s, []).append((name, t))
     k = rng.randint(1, m)
-    rels = {f"c{k} c{k % m + 1}"}
+    paths = {(f"c{k}", f"c{k % m + 1}")}
     for _ in range(rng.randint(0, 4)):
         name, _, t = rng.choice(arrows)
         path = [name]
@@ -419,25 +419,48 @@ def _cyclic_monomial_text(rng, idx):
             name, t = rng.choice(outs[t])
             path.append(name)
         if len(path) > 1:
-            rels.add(" ".join(path))
-    return _presentation_text(f"cyclic{idx}", verts, arrows, sorted(rels))
+            paths.add(tuple(path))
+    return (f"cyclic{idx}", verts, arrows,
+            [[(1, p)] for p in sorted(paths, key=" ".join)])
 
 
-def _presentation_text(name, verts, arrows, rels):
+def _relation_text(combo):
+    """A relation line: a path line for a path with coefficient 1, else a
+    combination `( p ) - 2 ( q ) + 1/2 ( r )`."""
+    if len(combo) == 1 and combo[0][0] == 1:
+        return " ".join(combo[0][1])
+    bits = []
+    for k, (c, path) in enumerate(combo):
+        c = Fraction(c)
+        sign = ("- " if c < 0 else "+ ") if k else ("- " if c < 0 else "")
+        coef = "" if abs(c) == 1 else f"{abs(c)} "
+        bits.append(f"{sign}{coef}( {' '.join(path)} )")
+    return " ".join(bits)
+
+
+def presentation_text(name, verts, arrows, rels):
+    """The text of a presentation from its lists: vertices, (name, source,
+    target) arrows and relations as lists of (coefficient, path) pairs."""
     lines = [f"quiver {name}", "vertices: " + " ".join(map(str, verts))]
     lines += [f"arrow {a}: {s} -> {t}" for a, s, t in arrows]
     if rels:
-        lines += ["relations:"] + list(rels)
+        lines += ["relations:"] + [_relation_text(r) for r in rels]
     return "\n".join(lines) + "\n"
 
 
-def random_mutation_texts(count=60, seed=2026):
-    """`count` seeded presentation texts, alternately acyclic with binomial
-    relations and cyclic monomial; every one is valid and admissible."""
+def random_presentation_lists(count=60, seed=2026):
+    """`count` seeded presentations as (name, vertices, arrows, relations)
+    lists, alternately acyclic with binomial relations and cyclic
+    monomial; every one is valid and admissible."""
     import random
     rng = random.Random(seed)
-    return [(_acyclic_binomial_text if i % 2 == 0 else _cyclic_monomial_text)(rng, i)
+    return [(_acyclic_binomial_lists if i % 2 == 0 else _cyclic_monomial_lists)(rng, i)
             for i in range(count)]
+
+
+def random_mutation_texts(count=60, seed=2026):
+    """The texts of `random_presentation_lists(count, seed)`."""
+    return [presentation_text(*lists) for lists in random_presentation_lists(count, seed)]
 
 
 # --- radical of End(R_x) by the trace form ---------------------------------------

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -25,7 +26,7 @@ from qsa.euler import euler_eval
 from qsa.transform import blow_up
 
 from conftest import load_fixture, all_fixture_names
-from oracles import relabel
+from oracles import presentation_text, random_presentation_lists, relabel
 
 
 # --- file format ---------------------------------------------------------------
@@ -92,9 +93,10 @@ _SQUARE_HEAD = ("quiver x\nvertices: 1 2 3 4\narrow p: 1 -> 2\narrow q: 2 -> 4\n
     ("quiver x\nvertices: 1 1\n", "duplicate"),
     ("quiver x\nvertices: 1\narrow a: 1 -> 2\n", "endpoint outside"),
     ("quiver x\nvertices: 1 2\narrow a: 1 -> 2\narrow a: 2 -> 1\n", "duplicate"),
-    ("quiver x\nvertices: 1 2\narrow a: 1 -> 2\nrelations:\nb a\n", "unknown"),
+    ("quiver x\nvertices: 1 2\narrow a: 1 -> 2\nrelations:\nb a\n",
+     "line 5: unknown arrow 'b'"),
     ("quiver x\nvertices: 1 2 3\narrow a: 1 -> 2\narrow b: 1 -> 3\n"
-     "relations:\na b\n", "compose"),
+     "relations:\na b\n", "line 6: arrows 'a' and 'b' do not compose"),
     ("quiver x\nvertices: 1 2 3 4\narrow p: 1 -> 2\narrow q: 2 -> 4\n"
      "arrow r: 1 -> 3\narrow s: 3 -> 4\nrelations:\n1/0 ( p q ) - ( r s )\n",
      "line 8: zero denominator"),
@@ -115,6 +117,9 @@ _SQUARE_HEAD = ("quiver x\nvertices: 1 2 3 4\narrow p: 1 -> 2\narrow q: 2 -> 4\n
     (_SQUARE_HEAD + "( p q ) - ( r s\n", "line 8: unclosed '(' in relation"),
     (_SQUARE_HEAD + "( ) - ( r s )\n", "line 8: empty path in relation"),
     (_SQUARE_HEAD + "( p q ) - ( p q )\n", "line 8: relation cancels to zero"),
+    # beyond Python's limit on the digits of an int read from a string
+    (_SQUARE_HEAD + "1" + "0" * 5000 + " ( p q ) - ( r s )\n",
+     "line 8: coefficient 1000000000... is too large"),
 ])
 def test_parse_rejects_bad_input(text, fragment):
     with pytest.raises(QsaError) as err:
@@ -152,6 +157,37 @@ def _small_presentations(draw):
 def test_serialize_parse_round_trip(a):
     text = serialize_presentation(a)
     assert serialize_presentation(parse_presentation(text)) == text
+
+
+@st.composite
+def _generated_lists(draw):
+    """Lists of a seeded `oracles` presentation with relations repeated
+    (verbatim or as scalar multiples) and relations and arrows shuffled."""
+    seed = draw(st.integers(0, 2 ** 32))
+    name, verts, arrows, rels = random_presentation_lists(2, seed)[draw(st.integers(0, 1))]
+    scalars = st.sampled_from([1, 1, -1, 2, "-3/4"])
+    extra = [[(Fraction(c) * Fraction(k), p) for c, p in combo]
+             for combo, k in draw(st.lists(st.tuples(st.sampled_from(rels), scalars),
+                                           max_size=5))]
+    relations = draw(st.permutations(rels + extra))
+    return name, verts, draw(st.permutations(arrows)), relations, len(rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generated_lists())
+def test_parse_equals_the_generic_constructor(case):
+    name, verts, arrows, relations, distinct = case
+    parsed = parse_presentation(presentation_text(name, verts, arrows, relations))
+    built = AlgebraPresentation(
+        Quiver(name, [str(v) for v in verts], [Arrow(a, str(s), str(t)) for a, s, t in arrows]),
+        relations)
+    assert parsed == built and len(parsed.relations) == distinct
+    assert all(r.terms[0][0] == 1 for r in parsed.relations)
+    assert [(r.terms, r.sort_key, r.source, r.target) for r in parsed.relations] == \
+        [(r.terms, r.sort_key, r.source, r.target) for r in built.relations]
+    assert (parsed.monomials, parsed.is_monomial, parsed.is_quadratic) == \
+        (built.monomials, built.is_monomial, built.is_quadratic)
+    assert serialize_presentation(parsed) == serialize_presentation(built)
 
 
 # --- relations carried to another quiver ------------------------------------
@@ -724,4 +760,43 @@ _QUIVER_REFUSALS = [
 def test_library_entry_points_refuse_a_quiver(call, args, message):
     with pytest.raises(QsaError) as err:
         call(load_fixture("three-vertex-wild").quiver, *args)
+    assert str(err.value) == message
+
+
+_CHAIN = Quiver("chain", ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+
+_CONSTRUCTOR_REFUSALS = [
+    (lambda: Quiver("x", ["1"], [("a", "1")]),
+     "an arrow is a (name, source, target) triple of strings, not ('a', '1')"),
+    (lambda: Quiver("x", ["1"], [5]),
+     "an arrow is a (name, source, target) triple of strings, not 5"),
+    (lambda: Quiver("x", ["1"], [("a", ["1"], "1")]),
+     "an arrow is a (name, source, target) triple of strings, not ('a', ['1'], '1')"),
+    (lambda: Quiver("x", 5, []), "a quiver needs lists of vertices and arrows"),
+    (lambda: AlgebraPresentation(_CHAIN, [[("abc", ["a", "b"])]]),
+     "a relation term is a (rational coefficient, arrow names) pair, not ('abc', ['a', 'b'])"),
+    (lambda: AlgebraPresentation(_CHAIN, [[(None, ["a", "b"])]]),
+     "a relation term is a (rational coefficient, arrow names) pair, not (None, ['a', 'b'])"),
+    (lambda: AlgebraPresentation(_CHAIN, ["a b"]),
+     "a relation is a list of (coefficient, path) pairs, not 'a b'"),
+    (lambda: AlgebraPresentation(_CHAIN, [[(1, 5)]]),
+     "a relation term is a (rational coefficient, arrow names) pair, not (1, 5)"),
+    (lambda: AlgebraPresentation(_CHAIN, [[(1, "ab")]]),
+     "a relation term is a (rational coefficient, arrow names) pair, not (1, 'ab')"),
+    (lambda: AlgebraPresentation(_CHAIN, [[(1, [["a"], "b"])]]), "unknown arrow ['a']"),
+    (lambda: AlgebraPresentation(_CHAIN, [[]]), "a relation needs at least one path"),
+    (lambda: AlgebraPresentation(_CHAIN, [5]),
+     "a relation is a list of (coefficient, path) pairs, not 5"),
+    (lambda: AlgebraPresentation(_CHAIN, 5), "a presentation needs a list of relations"),
+    (lambda: AlgebraPresentation(load_fixture("a5-chain"), []),
+     "a presentation needs a Quiver"),
+    (lambda: parse_presentation(5), "a presentation is parsed from a string"),
+]
+
+
+@pytest.mark.parametrize("build,message", _CONSTRUCTOR_REFUSALS,
+                         ids=[m for _, m in _CONSTRUCTOR_REFUSALS])
+def test_constructors_refuse_malformed_arguments(build, message):
+    with pytest.raises(QsaError) as err:
+        build()
     assert str(err.value) == message
