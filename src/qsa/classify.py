@@ -6,19 +6,25 @@ failing that, against the six local exceptional configurations that keep a
 cyclic algebra derived tame. A presentation is "gqs" when it is a quadratic
 string algebra and every vertex is gentle or exceptional.
 
+A `VertexClassification` stores only what `classify_vertices` examines:
+each vertex's class (without its ordinary marks), the marked pair and
+note of each exceptional vertex, the string faults of each vertex and
+arrow, the count of vertices neither gentle nor exceptional, and the
+exceptional vertices in canonical order.  That answers `gqs` and drives
+a reduction.  The tables a report reads (`classes` with `ordinary_in`,
+`exceptional`, `ordinary`, `diagnostics`, `violations`,
+`ordinary_vertices`) are derived from those facts together, on first
+read.
+
 A classification is maintained by delta.  Given the classification before
 a change and the vertices the change can affect, `classify_vertices`
-copies the previous dicts (classes, marks, faults) at C level and patches
-them at those vertices and their arrows.  The class tables, the sorted
-tuple of exceptional vertices and the diagnostics change only where an
-exceptional vertex changed its class or marked pair, the ordinary marks
-only at those pairs, and the string violations are rebuilt only from the
-faults there are.  The count of vertices neither gentle nor exceptional
-is kept too, so `gqs` and `exceptional_vertices` read no vertex.  A fresh
-classification is the same patch of the empty one.
+copies the stored facts and re-examines only those vertices and their
+arrows.  A fresh classification examines every vertex the same way.
 """
 
 from bisect import insort
+from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .presentation import AlgebraPresentation, QsaError, natural_key
@@ -42,41 +48,96 @@ class VertexClass(NamedTuple):
     ordinary_in: tuple        # class indices whose marking made this vertex ordinary
 
 
-class _LocalResults(NamedTuple):
-    """Per-vertex and per-arrow results behind a VertexClassification.
-
-    A reduction move changes a few arrows; the next classification copies
-    these and patches them only where the move can have changed them.
-    """
-    marks: dict               # exceptional vertex -> (marked pair, diagnostic or None)
-    vertex_faults: dict       # vertex -> its quadratic-string violations, if any
-    arrow_faults: dict        # arrow name -> its quadratic-string violations, if any
-    others: int               # how many vertices are neither gentle nor exceptional
-
-
-class VertexClassification(NamedTuple):
-    classes: dict             # vertex -> VertexClass
+class _Tables(NamedTuple):
+    classes: dict             # vertex -> VertexClass, with ordinary_in
     exceptional: dict         # i -> tuple of vertices in class i
     ordinary: dict            # i -> tuple of vertices marked ordinary by class i
-    is_quadratic_string: bool
-    violations: tuple
     diagnostics: tuple
-    exceptional_vertices: tuple   # every exceptional vertex, in canonical order
-    local: _LocalResults
+    violations: tuple
+    ordinary_vertices: tuple  # vertices marked ordinary by some class
+
+
+class VertexClassification:
+    """The facts `classify_vertices` examines, and the tables derived from them.
+
+    Stored: `raw_classes` (vertex -> VertexClass with `ordinary_in`
+    empty), `marks` (exceptional vertex -> (marked pair, note or None)),
+    `vertex_faults` and `arrow_faults` (vertex or arrow name -> its
+    quadratic-string violations, if any), `others` (how many vertices are
+    neither gentle nor exceptional) and `exceptional_vertices` (in
+    canonical order).  Two classifications are equal when these are.
+    """
+
+    def __init__(self, raw_classes, marks, vertex_faults, arrow_faults, others,
+                 exceptional_vertices):
+        self.raw_classes = raw_classes
+        self.marks = marks
+        self.vertex_faults = vertex_faults
+        self.arrow_faults = arrow_faults
+        self.others = others
+        self.exceptional_vertices = exceptional_vertices
+
+    def _facts(self):
+        return (self.raw_classes, self.marks, self.vertex_faults,
+                self.arrow_faults, self.others, self.exceptional_vertices)
+
+    def __eq__(self, other):
+        return isinstance(other, VertexClassification) and self._facts() == other._facts()
+
+    @cached_property
+    def _tables(self):
+        """Every derived table, read off the stored facts together."""
+        raw, marks, exc = self.raw_classes, self.marks, self.exceptional_vertices
+        ordinary_in = {}
+        for x in exc:
+            for v in marks[x][0]:
+                ordinary_in.setdefault(v, set()).add(raw[x].exceptional_class)
+        ordinary_vertices = tuple(sorted(ordinary_in, key=natural_key))
+        faults = [self.vertex_faults[v] for v in sorted(self.vertex_faults, key=natural_key)]
+        faults += [self.arrow_faults[n] for n in sorted(self.arrow_faults, key=natural_key)]
+        return _Tables(
+            classes={v: vc._replace(ordinary_in=tuple(sorted(ordinary_in[v])))
+                     if v in ordinary_in else vc for v, vc in raw.items()},
+            exceptional={i: tuple(x for x in exc if raw[x].exceptional_class == i)
+                         for i in range(1, 7)},
+            ordinary={i: tuple(v for v in ordinary_vertices if i in ordinary_in[v])
+                      for i in range(1, 7)},
+            diagnostics=tuple(marks[x][1] for x in exc if marks[x][1]),
+            violations=tuple(m for ms in faults for m in ms),
+            ordinary_vertices=ordinary_vertices,
+        )
+
+    classes = property(attrgetter("_tables.classes"))
+    exceptional = property(attrgetter("_tables.exceptional"))
+    ordinary = property(attrgetter("_tables.ordinary"))
+    diagnostics = property(attrgetter("_tables.diagnostics"))
+    violations = property(attrgetter("_tables.violations"))
+    ordinary_vertices = property(attrgetter("_tables.ordinary_vertices"))
+
+    @property
+    def is_quadratic_string(self):
+        return not self.vertex_faults and not self.arrow_faults
 
     @property
     def is_gentle_presentation(self):
-        return not self.exceptional_vertices and not self.local.others
-
-    @property
-    def ordinary_vertices(self):
-        """Vertices marked ordinary by some exceptional class."""
-        out = {v for vs in self.ordinary.values() for v in vs}
-        return tuple(sorted(out, key=natural_key))
+        return not self.exceptional_vertices and not self.others
 
     @property
     def gqs(self):
-        return self.is_quadratic_string and not self.local.others
+        return self.is_quadratic_string and not self.others
+
+    def __repr__(self):
+        # every table, then the stored facts, in the layout this class has
+        # always printed, so a saved repr still compares equal
+        t = self._tables
+        return (f"VertexClassification(classes={t.classes!r}, "
+                f"exceptional={t.exceptional!r}, ordinary={t.ordinary!r}, "
+                f"is_quadratic_string={self.is_quadratic_string!r}, "
+                f"violations={t.violations!r}, diagnostics={t.diagnostics!r}, "
+                f"exceptional_vertices={self.exceptional_vertices!r}, "
+                f"local=_LocalResults(marks={self.marks!r}, "
+                f"vertex_faults={self.vertex_faults!r}, "
+                f"arrow_faults={self.arrow_faults!r}, others={self.others!r}))")
 
 
 class QuadraticStringReport:
@@ -290,14 +351,14 @@ def _set_or_drop(table, key, value):
         table.pop(key, None)
 
 
-def _ordinary_in(q, classes, marks, v):
+def _ordinary_in(q, classification, v):
     """Classes whose exceptional vertices mark v ordinary.  A vertex marks
     only neighbours of its own, so only the neighbours of v are read."""
     found = set()
     for y in [ar.source for ar in q.in_arrows(v)] + [ar.target for ar in q.out_arrows(v)]:
-        mark = marks.get(y)
+        mark = classification.marks.get(y)
         if mark and v in mark[0]:
-            found.add(classes[y].exceptional_class)
+            found.add(classification.raw_classes[y].exceptional_class)
     return tuple(sorted(found))
 
 
@@ -311,22 +372,6 @@ def _edited(items, drops, adds, order):
     return tuple(out)
 
 
-def _patched(table, drops, adds, order):
-    """A copy of {i: canonically ordered tuple}, edited at the keys of
-    `drops` and `adds` ({i: vertices})."""
-    out = table.copy()
-    for i in {**drops, **adds}:
-        out[i] = _edited(table[i], drops.get(i, ()), adds.get(i, ()), order)
-    return out
-
-
-_UNCLASSIFIED = VertexClassification(
-    classes={}, exceptional=dict.fromkeys(range(1, 7), ()),
-    ordinary=dict.fromkeys(range(1, 7), ()), is_quadratic_string=True,
-    violations=(), diagnostics=(), exceptional_vertices=(),
-    local=_LocalResults({}, {}, {}, 0))
-
-
 def classify_vertices(a, previous=None, dirty=None):
     """Classify every vertex as gentle, exceptional (class 1..6), or neither.
 
@@ -338,13 +383,11 @@ def classify_vertices(a, previous=None, dirty=None):
     vertex's class and the string conditions at its arrows read.  `dirty`
     also names the vertices of `previous` that `a` no longer has.
 
-    The result is `previous` patched by delta: its dicts are copied and
-    changed at the dirty vertices and their arrows; the class tables, the
-    exceptional vertices and the diagnostics change only where an
-    exceptional vertex changed its class or its marked pair, and the
-    ordinary marks only at those pairs.  Nothing is read per vertex or per
-    arrow of the whole quiver, and `previous` is left as it is.  A fresh
-    classification is the same patch of the empty one, every vertex dirty.
+    The stored facts of `previous` are copied and changed at the dirty
+    vertices and their arrows; the exceptional vertices change only where
+    a dirty vertex became or stopped being exceptional.  Nothing is read
+    per vertex or per arrow of the whole quiver, and `previous` is left as
+    it is.  A fresh classification examines every vertex, from nothing.
 
     The quiver must be connected.  A fresh classification checks that over
     the whole quiver.  With `previous` it is not checked again: the
@@ -354,116 +397,53 @@ def classify_vertices(a, previous=None, dirty=None):
     """
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("classification needs an AlgebraPresentation")
-    if previous is None:
-        if not a.quiver._connected:
-            raise QsaError("classification needs a connected quiver")
-        previous, dirty = _UNCLASSIFIED, a.quiver.vertices
-    rel = _quadratic_pairs(a)
     q = a.quiver
-    order = q._order.__getitem__
-    old = previous.local
-    classes = previous.classes.copy()
-    marks = old.marks.copy()
-    vertex_faults = old.vertex_faults.copy()
-    arrow_faults = {n: f for n, f in old.arrow_faults.items() if q.has_arrow(n)}
-    others = old.others
+    if previous is None:
+        if dirty is not None:
+            raise QsaError("dirty vertices need the previous classification")
+        if not q._connected:
+            raise QsaError("classification needs a connected quiver")
+        raw, marks, vertex_faults, arrow_faults = {}, {}, {}, {}
+        others, exceptional, dirty = 0, (), q.vertices
+    elif not isinstance(previous, VertexClassification):
+        raise QsaError("the previous classification must be a VertexClassification")
+    else:
+        try:
+            dirty = dict.fromkeys(dirty)
+        except TypeError:
+            raise QsaError("a reclassification needs the dirty vertices, "
+                           "as an iterable of names") from None
+        raw, marks = previous.raw_classes.copy(), previous.marks.copy()
+        vertex_faults = previous.vertex_faults.copy()
+        arrow_faults = {n: f for n, f in previous.arrow_faults.items() if q.has_arrow(n)}
+        others, exceptional = previous.others, previous.exceptional_vertices
+    rel = _quadratic_pairs(a)
 
-    remarked = []      # (vertex, old entry, new entry); an entry is (class, pair, note)
-    was_ordinary = []  # dirty vertices marked ordinary before
-    arrows = {}        # the arrows at dirty vertices, in a hash-seed-free order
+    drops, adds = [], []   # dirty vertices that stopped / started being exceptional
+    arrows = {}            # the arrows at dirty vertices, in a hash-seed-free order
     for x in dirty:
-        was, was_mark = classes.get(x), marks.get(x)
-        if q.has_vertex(x):
-            vc, mark = _classify_vertex(a, rel, x)
-            classes[x] = vc
-            _set_or_drop(marks, x, mark)
-            _set_or_drop(vertex_faults, x, tuple(_vertex_faults(q, x)))
-            arrows.update(dict.fromkeys(q.in_arrows(x) + q.out_arrows(x)))
-            others += vc.kind == OTHER
-        else:
-            mark = None
-            for table in (classes, marks, vertex_faults):
-                table.pop(x, None)
+        was = raw.get(x)
         if was is not None:
             others -= was.kind == OTHER
-            if was.ordinary_in:
-                was_ordinary.append(x)
-        if mark != was_mark or (mark and vc.exceptional_class != was.exceptional_class):
-            remarked.append((x, was_mark and (was.exceptional_class, *was_mark),
-                             mark and (vc.exceptional_class, *mark)))
+        if q.has_vertex(x):
+            vc, mark = _classify_vertex(a, rel, x)
+            raw[x] = vc
+            others += vc.kind == OTHER
+            _set_or_drop(vertex_faults, x, tuple(_vertex_faults(q, x)))
+            arrows.update(dict.fromkeys(q.in_arrows(x) + q.out_arrows(x)))
+        else:
+            mark = None
+            raw.pop(x, None)
+            vertex_faults.pop(x, None)
+        if (x in marks) != (mark is not None):
+            (adds if mark else drops).append(x)
+        _set_or_drop(marks, x, mark)
     for ar in arrows:
         _set_or_drop(arrow_faults, ar.name, tuple(_arrow_faults(q, rel, ar)))
-
-    drops, adds = {}, {}
-    for x, before, after in remarked:
-        if before:
-            drops.setdefault(before[0], []).append(x)
-        if after:
-            adds.setdefault(after[0], []).append(x)
-    exceptional = _patched(previous.exceptional, drops, adds, order)
-    exceptional_vertices = previous.exceptional_vertices
-    if remarked:
-        exceptional_vertices = _edited(
-            exceptional_vertices, [x for x, before, _ in remarked if before],
-            [x for x, _, after in remarked if after], order)
-    ordinary = _patch_ordinary(q, previous, classes, marks, remarked, was_ordinary)
-
-    diagnostics = previous.diagnostics
-    if any(entry and entry[2] for _, *entries in remarked for entry in entries):
-        diagnostics = tuple(marks[x][1] for x in exceptional_vertices if marks[x][1])
-    violations = ()
-    if vertex_faults or arrow_faults:
-        violations = tuple(
-            [m for v in sorted(vertex_faults, key=order) for m in vertex_faults[v]]
-            + [m for n in sorted(arrow_faults, key=natural_key) for m in arrow_faults[n]])
-    return VertexClassification(
-        classes=classes,
-        exceptional=exceptional,
-        ordinary=ordinary,
-        is_quadratic_string=not violations,
-        violations=violations,
-        diagnostics=diagnostics,
-        exceptional_vertices=exceptional_vertices,
-        local=_LocalResults(marks, vertex_faults, arrow_faults, others),
-    )
-
-
-def _patch_ordinary(q, previous, classes, marks, remarked, was_ordinary):
-    """The ordinary table of the patched classification, with the
-    `ordinary_in` of every vertex whose marks changed set in `classes`.
-
-    Marks change only at the pairs of the remarked exceptional vertices,
-    and at the dirty vertices that were ordinary, whose class was just
-    computed afresh.  A vertex that a remarked vertex no longer marks may
-    still be marked by another vertex of the same class, so its classes
-    are read off its neighbours; for the others, the classes they had and
-    the ones they gained are enough.
-    """
-    gained, lost = {}, {}   # vertex -> classes of the marks it gained / lost
-    for _, before, after in remarked:
-        for entry, table in ((before, lost), (after, gained)):
-            if entry:
-                for v in entry[1]:
-                    table.setdefault(v, set()).add(entry[0])
-    drops, adds = {}, {}
-    for v in {**dict.fromkeys(was_ordinary), **gained, **lost}:
-        was = previous.classes.get(v)
-        was_in = was.ordinary_in if was is not None else ()
-        if v not in classes:
-            now_in = ()
-        elif v in lost:
-            now_in = _ordinary_in(q, classes, marks, v)
-        else:
-            now_in = tuple(sorted(gained.get(v, set()).union(was_in)))
-        if v in classes and classes[v].ordinary_in != now_in:
-            classes[v] = classes[v]._replace(ordinary_in=now_in)
-        for i in was_in:
-            if i not in now_in:
-                drops.setdefault(i, []).append(v)
-        for i in now_in:
-            if i not in was_in:
-                adds.setdefault(i, []).append(v)
-    return _patched(previous.ordinary, drops, adds, q._order.__getitem__)
+    if drops or adds:
+        exceptional = _edited(exceptional, drops, adds, q._order.__getitem__)
+    return VertexClassification(raw, marks, vertex_faults, arrow_faults, others,
+                                exceptional)
 
 
 def is_gqs(a):

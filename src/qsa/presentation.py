@@ -66,13 +66,12 @@ def _check_id(kind, name):
 
 def _as_arrow(a):
     """`a` as an Arrow; anything but a triple of names is refused."""
-    if isinstance(a, Arrow):
-        return a
     try:
-        arrow = Arrow(*a)
+        arrow = a if isinstance(a, Arrow) else Arrow(*a)
     except TypeError:
         arrow = None
-    if arrow is None or not all(isinstance(x, str) for x in arrow):
+    if arrow is None or not (isinstance(arrow.name, str) and isinstance(arrow.source, str)
+                             and isinstance(arrow.target, str)):
         raise QsaError(f"an arrow is a (name, source, target) triple of strings, not {a!r}")
     return arrow
 

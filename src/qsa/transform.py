@@ -35,7 +35,7 @@ from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation,
     opposite, serialize_presentation, natural_key,
 )
-from .classify import classify_vertices, OTHER, _is_special
+from .classify import classify_vertices, OTHER, _is_special, _ordinary_in
 
 
 # --- step kinds ---------------------------------------------------------------
@@ -249,7 +249,7 @@ def _check_special(a, ds, classification):
     for d in ds:
         if not _is_special(a, d):
             raise QsaError(f"vertex {d!r} is not special")
-        if classification.classes[d].ordinary_in:
+        if _ordinary_in(a.quiver, classification, d):
             raise QsaError(f"vertex {d!r} is special but ordinary")
 
 
@@ -326,19 +326,19 @@ def _move(a, c, special, before):
     """
     exc = c.exceptional_vertices
     x = exc[0]
-    vc = c.classes[x]
+    vc = c.raw_classes[x]
     move = _peel if vc.exceptional_class in (3, 5) else _rewire
     b, meta = move(a, x, vc.exceptional_class, vc.witness)
 
     dirty = _dirty_vertices(a, b, meta)
     cb = classify_vertices(b, c, dirty)
-    if not cb.is_quadratic_string or not cb.gqs:
+    if not cb.gqs:
         raise QsaError("reduction move left the quadratic string class")
     if len(cb.exceptional_vertices) != len(exc) - 1:
         raise QsaError("reduction move did not remove one exceptional vertex")
     touched = set(dirty)
     for v in dirty:
-        for mark in (c.local.marks.get(v), cb.local.marks.get(v)):
+        for mark in (c.marks.get(v), cb.marks.get(v)):
             if mark:
                 touched.update(mark[0])
     added = meta["special_added"]

@@ -772,6 +772,12 @@ _CONSTRUCTOR_REFUSALS = [
      "an arrow is a (name, source, target) triple of strings, not 5"),
     (lambda: Quiver("x", ["1"], [("a", ["1"], "1")]),
      "an arrow is a (name, source, target) triple of strings, not ('a', ['1'], '1')"),
+    (lambda: Quiver("x", ["1"], [Arrow("a", ["1"], "1")]),
+     "an arrow is a (name, source, target) triple of strings, "
+     "not Arrow(name='a', source=['1'], target='1')"),
+    (lambda: _CHAIN._derive("3", ["b"], [Arrow("c", "2", 3)]),
+     "an arrow is a (name, source, target) triple of strings, "
+     "not Arrow(name='c', source='2', target=3)"),
     (lambda: Quiver("x", 5, []), "a quiver needs lists of vertices and arrows"),
     (lambda: AlgebraPresentation(_CHAIN, [[("abc", ["a", "b"])]]),
      "a relation term is a (rational coefficient, arrow names) pair, not ('abc', ['a', 'b'])"),

@@ -10,10 +10,10 @@ from qsa.presentation import (
     QsaError, AlgebraPresentation, Arrow, Quiver, RelationTerm, opposite,
     parse_presentation, presentations_isomorphic, serialize_presentation, validate,
 )
-from qsa import _endo, classify, presentation, transform
+from qsa import _endo, classify, decide, presentation, transform
 from qsa._algebra import TruncatedAlgebra
 from qsa._linalg import identity, rref
-from qsa.classify import classify_vertices, special_vertices
+from qsa.classify import VertexClassification, classify_vertices, special_vertices
 from qsa.decide import decide_derived_type
 from qsa.transform import (
     CASE_REWRITE, DIRECT_BLOWUP,
@@ -313,6 +313,19 @@ def _recorded_classifications(monkeypatch):
     return seen
 
 
+_TABLES = ("classes", "exceptional", "ordinary", "diagnostics", "violations",
+           "ordinary_vertices", "exceptional_vertices", "is_quadratic_string",
+           "gqs", "is_gentle_presentation")
+
+
+def _assert_same_classification(c, reference):
+    """Equal stored facts, and equal derived tables and flags: `==` reads
+    only the stored facts."""
+    assert c == reference
+    for table in _TABLES:
+        assert getattr(c, table) == getattr(reference, table), table
+
+
 @pytest.mark.parametrize(
     "name,side", _reducing_fixtures() + [("glued", k) for k in range(1, 5)])
 def test_move_classification_equals_fresh_one(monkeypatch, name, side):
@@ -320,7 +333,28 @@ def test_move_classification_equals_fresh_one(monkeypatch, name, side):
     cert = reduce_to_skewed_gentle(_reduction_input(name, side))
     assert len(seen) == len(cert.steps) + 1
     for b, c in seen:
-        assert c == classify_vertices(b)
+        fresh = classify_vertices(b)
+        _assert_same_classification(c, fresh)
+        # the neighbour scan the special-set check reads
+        for v in b.quiver.vertices:
+            assert classify._ordinary_in(b.quiver, c, v) == fresh.classes[v].ordinary_in
+
+
+def test_tame_decision_derives_no_classification_table(monkeypatch):
+    # a reduction reads only the stored facts; the tables a report reads
+    # are derived on first read, so a tame decision derives none
+    made = []
+
+    def recording(a, *args):
+        made.append(classify_vertices(a, *args))
+        return made[-1]
+
+    monkeypatch.setattr(transform, "classify_vertices", recording)
+    monkeypatch.setattr(decide, "classify_vertices", recording)
+    verdict = decide_derived_type(glued_twelve_gqs(4))
+    assert verdict.tame and len(made) == len(verdict.certificate.steps) + 1 == 13
+    assert not any("_tables" in vars(c) for c in made)
+    assert made[-1].classes and "_tables" in vars(made[-1])
 
 
 def test_reducing_fixtures_cover_every_class():
@@ -418,8 +452,8 @@ def test_classification_reuse_after_any_added_arrow(name, side):
             meta = {"removed_arrows": (), "new_arrows": (("extra", u, w),)}
             dirty = transform._dirty_vertices(a, b, meta)
             c = classify_vertices(b)
-            assert classify_vertices(b, fresh, dirty) == c
-            assert classify_vertices(a, c, dirty) == fresh
+            _assert_same_classification(classify_vertices(b, fresh, dirty), c)
+            _assert_same_classification(classify_vertices(a, c, dirty), fresh)
             if not c.is_quadratic_string:
                 seen.add("string")
             if any(c.classes[v].kind != fresh.classes[v].kind
@@ -432,23 +466,23 @@ def test_classification_reuse_after_any_added_arrow(name, side):
 def test_classification_reuse_after_any_removed_arrow(name, side):
     # one arrow fewer, with the relations through it: its ends lose an
     # arrow, a neighbour may become a single source or sink, and the quiver
-    # may fall apart (a fresh classification of the whole quiver, without
-    # its connectivity check, is the reference then); the patched
-    # classification must match field by field, and the one it was patched
-    # from must still classify its own presentation
+    # may fall apart (every vertex classified again from the empty
+    # classification, which skips the connectivity check, is the reference
+    # then); the patched classification must match table by table, and the
+    # one it was patched from must still classify its own presentation
     a = _reduction_input(name, side)
     q = a.quiver
     fresh = classify_vertices(a)
+    empty = VertexClassification({}, {}, {}, {}, 0, ())
     for ar in q.arrows:
         b = AlgebraPresentation(
             Quiver(q.name, q.vertices, [x for x in q.arrows if x != ar]),
             [r for r in a.relations if ar.name not in r.arrow_names])
         meta = {"removed_arrows": (ar.name,), "new_arrows": ()}
         patched = classify_vertices(b, fresh, transform._dirty_vertices(a, b, meta))
-        whole = classify_vertices(b, classify._UNCLASSIFIED, b.quiver.vertices)
-        for field, value in whole._asdict().items():
-            assert getattr(patched, field) == value, (ar.name, field)
-        assert fresh == classify_vertices(a)
+        _assert_same_classification(
+            patched, classify_vertices(b, empty, b.quiver.vertices))
+        _assert_same_classification(fresh, classify_vertices(a))
 
 
 # --- sink/source mutations -----------------------------------------------------
