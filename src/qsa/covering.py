@@ -226,10 +226,11 @@ class CoverBall:
     projection maps send the ball back onto the base presentation.
 
     The ball is built as plain arrays, its vertices indexed in `natural_key`
-    order: names, levels, projected base vertices, the arrows in the order
-    the breadth-first walk made them, and per vertex its out-arrows (target
-    index, base arrow, cover arrow).  The witness search reads only those;
-    the presentation `cover` and the three maps are built on first use.
+    order: names, levels, projected base vertices, the arrows (source index,
+    target index, base arrow) in the order the breadth-first walk made them,
+    and per vertex its out-arrows (target index, base arrow).  The witness
+    search reads only those; the cover arrow names, the presentation `cover`
+    and the three maps are built on first use.
     The base must be a connected monomial presentation with a certified
     admissible ideal, the basepoint one of its vertices and the radius an
     integer of at least 0; anything else is refused with a QsaError.
@@ -261,7 +262,19 @@ class CoverBall:
         # vertex indices in the order the walk reached them: each arrow
         # reached the end one level further out
         lv = self._levels
-        return [lv.index(0)] + [s if lv[s] > lv[t] else t for s, t, _, _ in self._edges]
+        return [lv.index(0)] + [s if lv[s] > lv[t] else t for s, t, _ in self._edges]
+
+    @cached_property
+    def _arrow_names(self):
+        """(source index, base arrow) -> cover arrow name, in walk order.
+
+        An arrow is named base_arrow@source_vertex, claimed in the order the
+        walk made the arrows, so a name that two arrows share gets its ~
+        suffixes in walk order.  A source and a base arrow pick out one
+        cover arrow, since each base arrow lifts once at each vertex."""
+        names = self._names
+        taken = set()
+        return {(s, b): _claim(taken, b + "@" + names[s]) for s, _, b in self._edges}
 
     @cached_property
     def vertex_map(self):
@@ -271,7 +284,7 @@ class CoverBall:
     @cached_property
     def arrow_map(self):
         """cover arrow -> base arrow"""
-        return {c: b for _, _, b, c in self._edges}
+        return {c: b for (_, b), c in self._arrow_names.items()}
 
     @cached_property
     def level(self):
@@ -283,18 +296,16 @@ class CoverBall:
         """The ball as a presentation: every relation generator whose whole
         lifted path fits inside the ball is a relation."""
         names = self._names
+        at = self._arrow_names
         relations = []
         for mono in self.base.monomials:
             for v in range(len(names)):
-                chain = _lift(self._out, v, mono)
-                if chain is not None:
-                    relations.append([(1, chain)])
-        arrows = [Arrow(c, names[s], names[t]) for s, t, _, c in self._edges]
+                walk = _lift(self._out, v, mono)
+                if walk is not None:
+                    relations.append([(1, [at[s, b] for s, b in zip(walk, mono)])])
+        arrows = [Arrow(at[s, b], names[s], names[t]) for s, t, b in self._edges]
         cname = f"{self.base.quiver.name}@{self.basepoint}.r{self.radius}"
         return AlgebraPresentation(Quiver(cname, names, arrows), relations)
-
-    def interior_vertices(self):
-        return tuple(v for v, lv in zip(self._names, self._levels) if lv < self.radius)
 
     def __repr__(self):
         return (f"CoverBall({self.base.name!r} at {self.basepoint!r}, "
@@ -309,25 +320,36 @@ def _claim(taken, name):
 
 
 def _lift(out, v, path):
-    """The cover arrows of the path from vertex v that projects onto the
-    base arrows `path`, or None when it leaves the ball."""
-    chain = []
+    """The source vertex of each arrow of the path from vertex v that
+    projects onto the base arrows `path`, or None when it leaves the ball."""
+    walk = []
     for b in path:
-        for t, b2, c in out[v]:
+        for t, b2 in out[v]:
             if b2 == b:
+                walk.append(v)
                 v = t
-                chain.append(c)
                 break
         else:
             return None
-    return chain
+    return walk
+
+
+@lru_cache(maxsize=1024)
+def _step_key(step):
+    # the natural_key parts of a walk step ".arrow" or ".arrow'", split as
+    # (text of the leading part, the parts after it); the step starts with
+    # ".", so its leading part is text
+    parts = natural_key.__wrapped__(step)[:-1]
+    return parts[0][2], parts[1:]
 
 
 def _ball_arrays(q, base, radius):
     """(names, levels, projections, arrows, out-arrows) of the radius-r
     ball of quiver q at `base`; see `CoverBall`."""
-    taken_v, taken_a = set(), set()
-    names = [_claim(taken_v, base)]
+    key = natural_key.__wrapped__   # uncached: no ball evicts the shared cache
+    taken = {base}
+    names = [base]
+    keys = [key(base)]
     levels = [0]
     proj = [base]
     last = [None]   # (base arrow, direction) of the step that reached a vertex
@@ -337,40 +359,52 @@ def _ball_arrays(q, base, radius):
         nxt = []
         for w in frontier:
             u, wname, back = proj[w], names[w], last[w]
-            for ar in q.out_arrows(u):
-                if back == (ar.name, -1):
-                    continue
-                k = len(names)
-                names.append(_claim(taken_v, wname + "." + ar.name))
-                levels.append(depth)
-                proj.append(ar.target)
-                last.append((ar.name, 1))
-                edges.append((w, k, ar.name, _claim(taken_a, ar.name + "@" + wname)))
-                nxt.append(k)
-            for ar in q.in_arrows(u):
-                if back == (ar.name, 1):
-                    continue
-                k = len(names)
-                vid = _claim(taken_v, wname + "." + ar.name + "'")
-                names.append(vid)
-                levels.append(depth)
-                proj.append(ar.source)
-                last.append((ar.name, -1))
-                edges.append((k, w, ar.name, _claim(taken_a, ar.name + "@" + vid)))
-                nxt.append(k)
+            # a child's name is its parent's plus a step, so its key is the
+            # parent's parts plus the step's, closed by (-1, name); the
+            # step's leading text part joins a text part that ends the
+            # parent's parts
+            wkey = keys[w]
+            if wkey[-2][0]:
+                head, tail = wkey[:-2], wkey[-2][2]
+            else:
+                head, tail = wkey[:-1], ""
+            for arrows, sign, tick in ((q.out_arrows(u), 1, ""), (q.in_arrows(u), -1, "'")):
+                for ar in arrows:
+                    if back == (ar.name, -sign):
+                        continue
+                    step = "." + ar.name + tick
+                    k = len(names)
+                    vid = wname + step
+                    if vid in taken:   # renamed by _claim, so keyed in full
+                        vid = _claim(taken, vid)
+                        keys.append(key(vid))
+                    else:
+                        taken.add(vid)
+                        text, rest = _step_key(step)
+                        keys.append(head + ((1, 0, tail + text),) + rest + ((-1, vid),))
+                    names.append(vid)
+                    levels.append(depth)
+                    if sign > 0:
+                        proj.append(ar.target)
+                        edges.append((w, k, ar.name))
+                    else:
+                        proj.append(ar.source)
+                        edges.append((k, w, ar.name))
+                    last.append((ar.name, sign))
+                    nxt.append(k)
         frontier = nxt
 
-    # reindex in name order; the names of one ball are sorted once, with
-    # the uncached key, so they do not evict the shared natural_key cache
-    key = natural_key.__wrapped__
-    order = sorted(range(len(names)), key=lambda k: key(names[k]))
+    # reindex in name order: the derived keys equal natural_key's, so this
+    # is sorted(names, key=natural_key), with no name split again
+    order = sorted(range(len(names)), key=keys.__getitem__)
+    del keys   # they copy the names' text: free them before the arrays grow
     pos = [0] * len(order)
     for i, k in enumerate(order):
         pos[k] = i
-    edges = [(pos[s], pos[t], b, c) for s, t, b, c in edges]
+    edges = [(pos[s], pos[t], b) for s, t, b in edges]
     out = [[] for _ in order]
-    for s, t, b, c in edges:
-        out[s].append((t, b, c))
+    for s, t, b in edges:
+        out[s].append((t, b))
     return (tuple(names[k] for k in order), [levels[k] for k in order],
             [proj[k] for k in order], edges, out)
 
@@ -428,17 +462,18 @@ class _Budget(Exception):
 def find_wild_witness(a, radius=None, max_size=None, like=None):
     """Search cover balls for a wildness witness; None when none is found.
 
-    Basepoints are tried in vertex order, ball vertices in name order (the
-    names encode the walks, so this is a depth-first sweep of the tree), and
-    subsets grown by rooted expansion, so the first hit is deterministic.
+    Basepoints are tried in vertex order, ball vertices in `natural_key`
+    order of the walk names, and subsets grown by rooted expansion, so the
+    first hit is deterministic.
     Each ball is searched as the plain arrays of `CoverBall`: a directed
     path in the ball is relation-free when no suffix of its projection is a
     base relation, and only the witness found becomes a presentation.
     Each subset is grown from a valid one by a single vertex, so only the
     new vertex's surviving paths are checked, plus the union of the
-    interiors of the paths already in the subset; each valid subset of two
+    interiors of the paths already in the subset; each valid subset of four
     or more vertices is classified by one `graph_type` call, whose bounded
-    memo makes repeated graph shapes cheap.  The first witness found is not
+    memo makes repeated graph shapes cheap (a connected simple graph on at
+    most three vertices is never Other).  The first witness found is not
     the only one in the ball; passing a target presentation as `like` keeps
     the same enumeration but only accepts witnesses isomorphic to the
     target.  Absence within the bounds proves nothing; a returned witness is
@@ -505,7 +540,7 @@ def _survival(ball, budget):
         stack = [(u, (), 0)]
         while stack:
             v, names, imask = stack.pop()
-            for t, b, _ in out[v]:
+            for t, b in out[v]:
                 names2 = names + (b,)
                 if ends_in_relation(names2):
                     continue
@@ -528,7 +563,9 @@ def _assemble(ball, pairs, members, arcs, shape):
     for i, j in sorted(arcs):
         path = pairs[(i, j)][1]
         arrows.append(Arrow(_claim(taken, "*".join(path)), names[i], names[j]))
-        realized.append((names[i], names[j], tuple(_lift(ball._out, i, path))))
+        walk = _lift(ball._out, i, path)
+        realized.append((names[i], names[j],
+                         tuple(ball._arrow_names[s, b] for s, b in zip(walk, path))))
     verts = [names[i] for i in members]
     quiver = Quiver(f"{ball.base.quiver.name}.witness@{ball.basepoint}", verts, arrows)
     rels = [[(1, [p.name, r.name])]
@@ -610,9 +647,15 @@ def _search_ball(ball, max_size, budget, like=None):
                 grown = members[:]
                 insort(grown, i)
                 grown_arcs = arcs + new   # graph_type sorts the pairs itself
-                result = witness(grown, grown_arcs)
-                if result is not None:
-                    return
+                # a subset's graph is simple: a tree holds at most one
+                # directed geodesic per unordered pair, and none from a
+                # vertex to itself.  A connected simple graph on at most 3
+                # vertices is A2, A3 or ~A2, never Other, so only subsets
+                # of 4 or more vertices are classified
+                if len(grown) >= 4:
+                    result = witness(grown, grown_arcs)
+                    if result is not None:
+                        return
                 if len(grown) < max_size:
                     grow = adj[i] & ~nm & ~ban & ~cand & allowed
                     enum(grown, grown_arcs, grown_blocked, nm, cand | grow, ban)

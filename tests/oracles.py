@@ -238,6 +238,84 @@ def random_multigraph(rng, max_vertices=9, max_edges=10):
     return verts, edges
 
 
+# --- cover ball oracles ---------------------------------------------------------
+
+
+def interior_vertices(ball):
+    """The cover vertices strictly inside a `CoverBall`, where the ball
+    looks locally like the base."""
+    return tuple(v for v, lv in ball.level.items() if lv < ball.radius)
+
+
+def _relation_free_pairs(ball):
+    # (i, j) -> interior vertices of the directed tree path from i to j, for
+    # every path with no window of its base arrows among the base monomials;
+    # each path is read off the undirected tree, not grown step by step
+    mono = ball.base.monomials
+    longest = max(map(len, mono), default=0)
+    near = [[] for _ in ball._names]
+    for s, t, b in ball._edges:
+        near[s].append((t, (s, t, b)))
+        near[t].append((s, (s, t, b)))
+    pairs = {}
+    for u in range(len(near)):
+        via = {u: None}
+        order = [u]
+        for v in order:
+            for w, edge in near[v]:
+                if w not in via:
+                    via[w] = (v, edge)
+                    order.append(w)
+        for j in order[1:]:
+            path = []   # (from, to, ball arrow) per step, u to j
+            v = j
+            while v != u:
+                prev, edge = via[v]
+                path.append((prev, v, edge))
+                v = prev
+            path.reverse()
+            if any(edge[:2] != (a, c) for a, c, edge in path):
+                continue   # some arrow points back towards u
+            arrows = [edge[2] for _, _, edge in path]
+            if any(tuple(arrows[k:k + ln]) in mono
+                   for ln in range(1, longest + 1) for k in range(len(arrows) - ln + 1)):
+                continue
+            pairs[(u, j)] = {c for _, c, _ in path[:-1]}
+    return pairs
+
+
+def valid_subset_counts(ball, max_size):
+    """{size: count} of the valid connected vertex subsets of a `CoverBall`
+    with 2 to max_size vertices, by brute force.
+
+    A subset is valid when no relation-free directed path between two of
+    its vertices passes through a third; it is connected when those paths
+    join it.  Validity passes to subsets, and a connected graph keeps a
+    vertex whose removal leaves it connected, so growing the valid
+    connected subsets one neighbour at a time, with the full validity test
+    on every candidate, reaches each of them.
+    """
+    pairs = _relation_free_pairs(ball)
+    near = [set() for _ in ball._names]
+    for i, j in pairs:
+        near[i].add(j)
+        near[j].add(i)
+
+    def valid(sub):
+        return not any(i in sub and j in sub and inner & sub
+                       for (i, j), inner in pairs.items())
+
+    level = {frozenset([v]) for v in range(len(near))}
+    counts = {}
+    for size in range(2, max_size + 1):
+        level = {sub | {w} for sub in level for v in sub for w in near[v] - sub
+                 if valid(sub | {w})}
+        if not level:
+            break
+        counts[size] = len(level)
+    return counts
+
+
 # --- presentation rebuilding ----------------------------------------------------
 
 

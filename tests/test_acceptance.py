@@ -27,7 +27,7 @@ from qsa.decide import TAME, WILD, decide_derived_type
 
 from conftest import all_fixture_names, fixture_path, load_fixture
 from oracles import (
-    chi_form_value, commuting_mutation_cases, random_multigraph,
+    chi_form_value, commuting_mutation_cases, interior_vertices, random_multigraph,
     sympy_graph_kind, tree_presentations,
 )
 
@@ -267,7 +267,7 @@ def test_criterion_09_cover_properties():
                 for mono in ball.cover.monomials:
                     if tuple(ball.arrow_map[x] for x in mono) not in a.monomials:
                         bad.append((name, base, radius, "bad relation"))
-                for v in ball.interior_vertices():
+                for v in interior_vertices(ball):
                     bv = ball.vertex_map[v]
                     if (sorted(ball.arrow_map[x.name]
                                for x in q.out_arrows(v))

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsa.presentation import (
     AlgebraPresentation, QsaError, Quiver, RelationTerm, natural_key,
-    parse_presentation, presentations_isomorphic, underlying_graph,
+    parse_presentation, presentations_isomorphic, serialize_presentation,
+    underlying_graph, validate,
 )
 from qsa.decide import decide_derived_type
 from qsa import covering
@@ -17,8 +18,10 @@ from qsa.covering import (
     CoverBall, detect_local_wild_pattern, find_wild_witness, graph_type, truncated_cover,
 )
 
-from conftest import load_fixture
-from oracles import random_multigraph, sympy_graph_kind
+from conftest import all_fixture_names, load_fixture
+from oracles import (
+    interior_vertices, random_multigraph, sympy_graph_kind, valid_subset_counts,
+)
 
 
 def _arms(*lengths):
@@ -177,7 +180,7 @@ def test_cover_invariants_on_cyclic_fixture(base):
         assert ball.vertex_map[ar.source] == base_ar.source
         assert ball.vertex_map[ar.target] == base_ar.target
     # interior vertices look locally like the base
-    for v in ball.interior_vertices():
+    for v in interior_vertices(ball):
         bv = ball.vertex_map[v]
         assert sorted(ball.arrow_map[x.name] for x in q4.out_arrows(v)) == \
             sorted(x.name for x in wild.quiver.out_arrows(bv))
@@ -217,6 +220,66 @@ def test_cover_ball_checks_its_arguments(build, name, basepoint, radius, message
     with pytest.raises(QsaError) as err:
         build(a, basepoint, radius)
     assert str(err.value) == message
+
+
+_LOOP_BALL = ("quiver loopb\nvertices: 1 2\narrow a1: 1 -> 1\narrow b: 1 -> 2\n"
+              "relations:\na1 a1\n")
+
+# names that a derived sort key could get wrong: dots, primes and @ inside
+# arrow names, leading zeros and digit-ending arrows; in "collide" the walk
+# a, b and the arrow a.b both give the name 1.a.b, and in "clash" the cover
+# arrows x@(p.a@p.c) and x@p.a@(p.c) collide, so _claim renames one of each;
+# the source p.c is reached first but p.a@p.c sorts first
+_NAMED_BALLS = {
+    "loop": _LOOP_BALL,
+    "collide": ("quiver collide\nvertices: 1 2 3 4\narrow a: 1 -> 2\n"
+                "arrow a.b: 1 -> 3\narrow b: 2 -> 4\n"),
+    "clash": ("quiver clash\nvertices: p s t\narrow c: p -> p\narrow a@p: p -> p\n"
+              "arrow x: p -> s\narrow x@p.a: p -> t\n"
+              "relations:\nc c\nc a@p\na@p c\na@p a@p\n"),
+    "zeros": ("quiver zeros\nvertices: 01 1 007 v10\narrow a1: 01 -> 1\n"
+              "arrow a01: 01 -> 1\narrow b10: 1 -> 007\narrow b': 007 -> v10\n"
+              "arrow c2: v10 -> 01\nrelations:\na1 b10\nb10 b'\nb' c2\nc2 a01\n"),
+}
+
+
+def test_ball_vertices_are_in_name_order_not_depth_first():
+    # ' sorts before ., so the subtree of 1.a1' comes between 1.a1 and its
+    # own child 1.a1.a1
+    ball = CoverBall(parse_presentation(_LOOP_BALL), "1", 3)
+    assert ball._names == (
+        "1", "1.a1", "1.a1'", "1.a1'.a1'", "1.a1'.a1'.a1'", "1.a1'.a1'.b",
+        "1.a1'.b", "1.a1.a1", "1.a1.a1.a1", "1.a1.a1.b", "1.a1.b", "1.b")
+
+
+def test_claimed_names_are_keyed_in_full():
+    ball = CoverBall(parse_presentation(_NAMED_BALLS["collide"]), "1", 2)
+    assert ball._names == ("1", "1.a", "1.a.b", "1.a.b~")
+    assert ball.vertex_map == {"1": "1", "1.a": "2", "1.a.b": "3", "1.a.b~": "4"}
+    # arrows are claimed in walk order, not in the order of their sources
+    clash = CoverBall(parse_presentation(_NAMED_BALLS["clash"]), "p", 3)
+    assert (clash.arrow_map["x@p.a@p.c"], clash.arrow_map["x@p.a@p.c~"]) == ("x@p.a", "x")
+
+
+def test_ball_keys_and_covers_match_the_oracle():
+    # every connected monomial fixture and named example, at every
+    # basepoint and radius 0..5: vertices in natural_key order, and the
+    # cover and its maps frozen
+    cases = [load_fixture(n) for n in all_fixture_names()]
+    cases += [parse_presentation(text) for text in _NAMED_BALLS.values()]
+    digest = hashlib.sha256()
+    for a in cases:
+        if not (a.is_monomial and validate(a).connected):
+            continue
+        for base in a.quiver.vertices:
+            for radius in range(6):
+                ball = CoverBall(a, base, radius)
+                assert ball._names == tuple(sorted(ball._names, key=natural_key))
+                digest.update(serialize_presentation(ball.cover).encode())
+                digest.update(json.dumps([sorted(ball.arrow_map.items()),
+                                          sorted(ball.vertex_map.items())]).encode())
+    assert digest.hexdigest() == (
+        "62a211937cf1f2b789445273c3ee946650ab1c9afec42e1fc203dc39de753c5f")
 
 
 # --- wild witnesses ---------------------------------------------------------------
@@ -269,21 +332,27 @@ def _cubic_cycle(n=6):
 
 
 def test_exhaustive_search_classifies_every_valid_subset(monkeypatch):
-    # one graph_type call per valid subset of size 2..10 in every ball: a
-    # subset that the enumeration drops or adds changes the count
+    # one graph_type call per valid subset of size 4..10 in every ball: a
+    # subset that the enumeration drops or adds changes the count.  Subsets
+    # of 2 and 3 vertices are never Other, so they are not classified; the
+    # brute-force oracle counts every size
     monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
     cycle = _cubic_cycle()
-    calls = 0
+    calls = {}
     classify = covering.graph_type
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return classify(*args)
+    def counting(vertices, edges):
+        calls[len(vertices)] = calls.get(len(vertices), 0) + 1
+        return classify(vertices, edges)
 
     monkeypatch.setattr(covering, "graph_type", counting)
     assert covering._witness_search(cycle, 8, 10) == (None, False)
-    assert calls == 1504
+    assert calls == {4: 448, 5: 32}
+    valid = {}
+    for base in cycle.quiver.vertices:
+        for size, count in valid_subset_counts(CoverBall(cycle, base, 8), 10).items():
+            valid[size] = valid.get(size, 0) + count
+    assert valid == {2: 376, 3: 648, 4: 448, 5: 32}
 
 
 def _count_builds(monkeypatch):
