@@ -7,11 +7,14 @@ symmetric form, with a negative vector when there is one, and the inverse
 of a square matrix come from fraction-free eliminations on integers
 (Bareiss, Math. Comp. 22, 1968): rational input is first scaled by the lcm
 of its denominators, and no Fraction is built until `inverse` returns its
-entries.  The symmetric kernel `_congruence` stores rows sparsely, as
-dicts of their nonzero entries, each over its own positive denominator,
-so a pivot costs only the rows that meet its column: on the form of a
-tree that is a few rows.  Everything that decides something downstream
-(ranks, kernels, positivity) runs on exact arithmetic.
+entries.  The symmetric kernel `_eliminate` stores rows sparsely, as
+dicts of their nonzero entries, each a positive multiple of its rational
+row, so a pivot costs only the rows that meet its column: on the form of
+a tree that is a few rows.  It carries no basis change: a row is never
+changed after its pivot, so the pivot rows hold every multiplier, and
+`_witness` rebuilds a negative vector from them only when one is asked
+for.  Everything that decides something downstream (ranks, kernels,
+positivity) runs on exact arithmetic.
 """
 
 import math
@@ -137,91 +140,116 @@ def inverse(a):
 # --- symmetric forms -------------------------------------------------------
 
 
-def _congruence(sym):
-    """(semidefinite, definite, witness) for a symmetric int or Fraction matrix M.
+def _eliminate(sym):
+    """(semidefinite, definite, rows, pivots, start) for a symmetric int or
+    Fraction matrix M.
 
     Each row of M is a sequence of entries or a dict {column: entry} of
     its nonzero entries.  Symmetric congruence elimination: pivot on the
-    first positive diagonal entry and clear its row and column, tracking
-    the basis change.  A negative diagonal entry, or a zero diagonal block
-    with a nonzero off-diagonal entry, gives a vector x with x^T M x < 0,
-    returned as a primitive integer vector.  M is semidefinite exactly when
-    no such vector turns up, and definite when every row was pivoted on a
-    positive diagonal entry.
+    first positive diagonal entry and clear its row and column.  A negative
+    diagonal entry, or a zero diagonal block with a nonzero off-diagonal
+    entry, shows that M is not semidefinite; `start` is then the
+    combination {row: coefficient} of the basis change rows whose vector x
+    has x^T M x < 0, and `_witness` builds that vector.  M is semidefinite
+    exactly when no such combination turns up (`start` is None), and
+    definite when every row was pivoted on a positive diagonal entry.
 
-    The elimination is fraction-free on d·M, d the lcm of M's denominators,
-    and sparse: row j keeps its nonzero entries R_j and basis coordinates
-    B_j as dicts of ints over a positive denominator D_j, so the rational
-    row is R_j / D_j.  A pivot at p with diagonal P touches only the rows
-    j with a nonzero entry F in column p, which by symmetry are the columns
-    of R_p: R_j <- P·R_j - F·R_p, B_j likewise and D_j <- D_j·P, all three
-    then divided by their gcd.  Signs, zero tests and primitive witnesses
-    are those of the rational elimination.
+    The elimination is fraction-free and sparse: each row is a dict of its
+    nonzero ints, a positive multiple of the rational row.  A pivot at p
+    with diagonal P touches only the rows j with a nonzero entry F in
+    column p, which by symmetry are the columns of row p:
+    R_j <- (P·R_j - F·R_p) / gcd(P, F), then divided by the gcd of its
+    entries.  Signs and zero tests are those of the rational elimination.
+    A row is never changed once it is pivoted on, so `rows` with the pivot
+    order `pivots` records every multiplier of the basis change.
     """
     rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in sym]
     d = math.lcm(*(x.denominator for row in rows for x in row.values()))
     a = [{j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
          for row in rows]
-    n = len(a)
-    basis = [{j: 1} for j in range(n)]
-    den = [1] * n
-    remaining = list(range(n))
+    pivots = []
+    remaining = list(range(len(a)))
     # only the rows a pivot touches change, so only they can turn negative
     neg = next((k for k in remaining if a[k].get(k, 0) < 0), None)
     while remaining:
         if neg is not None:
-            return False, False, _primitive(basis[neg], n)
+            return False, False, a, pivots, {neg: 1}
         p = next((k for k in remaining if a[k].get(k, 0) > 0), None)
         if p is None:
             for j in remaining:
                 l = min((l for l in a[j] if l > j), default=None)
                 if l is not None:
-                    s = 1 if a[j][l] > 0 else -1
-                    v = {t: den[l] * x for t, x in basis[j].items()}
-                    for t, y in basis[l].items():
-                        v[t] = v.get(t, 0) - s * den[j] * y
-                    return False, False, _primitive(v, n)
-            return True, False, None
+                    return False, False, a, pivots, {j: 1, l: -1 if a[j][l] > 0 else 1}
+            return True, False, a, pivots, None
         remaining.remove(p)
-        top, btop = a[p], basis[p]
+        pivots.append(p)
+        top = a[p]
         piv = top[p]
         for j in top:
             if j == p:
                 continue
-            f = a[j][p]
-            row = {l: piv * x for l, x in a[j].items()}
+            row = a[j]
+            f = row[p]
+            g = math.gcd(piv, f)
+            if piv != g:
+                row = {l: piv // g * x for l, x in row.items()}
+            f //= g
             for l, y in top.items():
                 row[l] = row.get(l, 0) - f * y
-            brow = {l: piv * x for l, x in basis[j].items()}
-            for l, y in btop.items():
-                brow[l] = brow.get(l, 0) - f * y
-            g = math.gcd(den[j] * piv, *row.values(), *brow.values())
-            a[j] = {l: x // g for l, x in row.items() if x}
-            basis[j] = {l: x // g for l, x in brow.items() if x}
-            den[j] = den[j] * piv // g
-            if a[j].get(j, 0) < 0 and (neg is None or j < neg):
+            del row[p]  # P·F - F·P
+            g = math.gcd(*row.values())
+            if g != 1 or 0 in row.values():
+                row = {l: x // g for l, x in row.items() if x}
+            a[j] = row
+            if row.get(j, 0) < 0 and (neg is None or j < neg):
                 neg = j
-    return True, True, None
+    return True, True, a, pivots, None
 
 
-def _primitive(v, n):
-    """The integer vector of length n with the nonzero coordinates v, a dict
-    {index: int}, divided by their gcd.
+def _witness(a, pivots, start):
+    """The primitive integer vector x = sum of c·B_k over {k: c} in `start`,
+    B_k the basis change row of the unpivoted row k, from `_eliminate`'s
+    rows `a` and pivot order.
 
-    v is a positive multiple of a basis row (or of a combination of two
-    with their own indices nonzero), whose coordinate at its own unpivoted
-    index is nonzero, so the gcd is positive and the sign stays.
+    B_j = e_j - sum over the pivots p that touched row j of m_jp·B_p, with
+    m_jp = M_jp / M_pp = a[p][j] / a[p][p] read off row p by symmetry.  So
+    x_p = -sum_j x_j·a[p][j] / a[p][p] over the rows j that p touched, and
+    one pass in reverse pivot order, with no recursion, finds every x_p
+    from coordinates already final; a pivot that no row of the witness
+    depends on gets none.  x is kept as ints, a positive multiple of the
+    rational vector, scaled up when a division is not exact, and divided
+    by the gcd of its coordinates at the end.
     """
-    g = math.gcd(*v.values())
-    out = [0] * n
-    for t, x in v.items():
-        out[t] = x // g
+    x = dict(start)
+    for p in reversed(pivots):
+        top = a[p]
+        s = sum(x[j] * f for j, f in top.items() if j in x)
+        if s:
+            g = math.gcd(s, top[p])
+            if g != top[p]:
+                m = top[p] // g
+                for t in x:
+                    x[t] *= m
+            x[p] = -s // g
+    g = math.gcd(*x.values())
+    out = [0] * len(a)
+    for t, c in x.items():
+        out[t] = c // g
     return out
 
 
+def _congruence(sym):
+    """(semidefinite, definite, witness) for a symmetric int or Fraction
+    matrix M: `_eliminate`, and the primitive integer vector with negative
+    value from `_witness` when M is not semidefinite, else None."""
+    psd, pd, a, pivots, start = _eliminate(sym)
+    return psd, pd, None if start is None else _witness(a, pivots, start)
+
+
 def psd_flags(sym):
-    """(semidefinite, definite) for a symmetric rational matrix."""
-    return _congruence(sym)[:2]
+    """(semidefinite, definite) for a symmetric rational matrix; no witness
+    is built."""
+    return _eliminate(sym)[:2]
 
 
 def negative_vector(sym):

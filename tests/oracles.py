@@ -1,10 +1,11 @@
 """Independent oracles and input generators for the test suite.
 
 Everything here recomputes expected values by a different route than the
-library: Ext groups between simples come from relation chains, sign tests
+library: the Euler matrix comes from inverting the Cartan matrix by
+substitution (and, for quadratic relations, from arrow chains), sign tests
 come from sympy's exact rational arithmetic (and the witness of a symmetric
-form from a congruence elimination over Fraction), and the tree/multigraph
-generators are plain combinatorics.
+form from a congruence elimination over Fraction, carrying every basis
+row), and the tree/multigraph generators are plain combinatorics.
 """
 
 import math
@@ -56,6 +57,45 @@ def chain_chi(a):
     return verts, chi
 
 
+def substitution_euler(a):
+    """E = C^-T of an acyclic monomial presentation, dense, with int entries,
+    from the relation-free path counts of `qsa.euler.cartan_matrix`.
+
+    C[t][s] counts the paths s -> t, so C is lower unitriangular in a
+    topological order.  Row i of E is the x with C x = e_i: in topological
+    order from vertex i, x_t is what is left at t once every earlier x_s
+    has been subtracted along the paths s -> t.
+    """
+    from qsa.euler import cartan_matrix
+    c = cartan_matrix(a)
+    vs = c.vertices
+    n = len(vs)
+    idx = {v: k for k, v in enumerate(vs)}
+    into = [0] * n
+    for ar in a.quiver.arrows:
+        into[idx[ar.target]] += 1
+    order = [k for k in range(n) if not into[k]]
+    for s in order:  # Kahn: a vertex joins once all its arrows in are passed
+        for ar in a.quiver.out_arrows(vs[s]):
+            t = idx[ar.target]
+            into[t] -= 1
+            if not into[t]:
+                order.append(t)
+    rows = []
+    for i in range(n):
+        x = [0] * n
+        rest = [0] * n
+        rest[i] = 1
+        for s in order:
+            if rest[s]:
+                x[s] = rest[s]
+                for t in range(n):
+                    if t != s:
+                        rest[t] -= c.entries[t][s] * x[s]
+        rows.append(x)
+    return vs, rows
+
+
 def chi_form_value(a, order, x):
     """Quadratic form value at x from the Ext oracle, x ordered by `order`."""
     verts, chi = chain_chi(a)
@@ -93,7 +133,9 @@ def fraction_congruence(sym):
     entry of the unpivoted rows and clear its row and column; a negative
     diagonal entry gives that row's basis vector, a zero diagonal block
     with a nonzero off-diagonal entry the difference or sum of two basis
-    vectors.  Witnesses are scaled by the lcm of their denominators.
+    vectors.  Witnesses are scaled by the lcm of their denominators.  Here
+    every basis row is carried along; the library keeps none, and rebuilds
+    only the witness from its pivot rows once it needs one.
     """
     n = len(sym)
     a = [[Fraction(x) for x in row] for row in sym]
@@ -236,6 +278,38 @@ def random_multigraph(rng, max_vertices=9, max_edges=10):
         else:
             edges.append((u, verts[rng.randrange(n)]))
     return verts, edges
+
+
+def chain_text(n):
+    """The text of A_n, arrows a1: 1 -> 2, ..., a(n-1): n-1 -> n."""
+    return ("quiver chain\nvertices: " + " ".join(map(str, range(1, n + 1))) + "\n"
+            + "".join(f"arrow a{i}: {i} -> {i + 1}\n" for i in range(1, n)))
+
+
+def wild_tail_text(n=1200):
+    """A_n, arrows i -> i + 1, with three leaves x1, x2, x3 on vertex n: a
+    star with four arms, one of them long, so wild."""
+    return (f"quiver tail{n}\nvertices: " + " ".join(map(str, range(1, n + 1)))
+            + " x1 x2 x3\n" + "".join(f"arrow a{i}: {i} -> {i + 1}\n" for i in range(1, n))
+            + "".join(f"arrow b{k}: {n} -> x{k}\n" for k in (1, 2, 3)))
+
+
+def deep_tree_text(n=600):
+    """A spine 1 .. n whose arrows run in threes, two forward and one back,
+    with a zero relation on the composable pair at every fifth arrow, and
+    three leaves y1, y2, y3 on vertex n."""
+    arrows = [(f"a{i}",) + ((i, i + 1) if i % 3 else (i + 1, i)) for i in range(1, n)]
+    rels = []
+    for x, y in zip(arrows, arrows[1:]):
+        if int(x[0][1:]) % 5 == 0:
+            if x[2] == y[1]:
+                rels.append(f"{x[0]} {y[0]}")
+            elif y[2] == x[1]:
+                rels.append(f"{y[0]} {x[0]}")
+    arrows += [("b1", n, "y1"), ("b2", n, "y2"), ("b3", "y3", n)]
+    return (f"quiver deep{n}\nvertices: " + " ".join(map(str, range(1, n + 1)))
+            + " y1 y2 y3\n" + "".join(f"arrow {a}: {s} -> {t}\n" for a, s, t in arrows)
+            + "relations:\n" + "".join(r + "\n" for r in rels))
 
 
 # --- cover ball oracles ---------------------------------------------------------

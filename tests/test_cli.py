@@ -13,6 +13,7 @@ from qsa.cli import run_cli
 from qsa.presentation import is_tree
 
 from conftest import all_fixture_names, fixture_path, load_fixture
+from oracles import wild_tail_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -159,6 +160,18 @@ def test_decide_text(capsys, name, expected):
     code, out, _ = run(capsys, "decide", fixture_path(name))
     assert code == 0
     assert out.splitlines()[0] == expected
+
+
+def test_decide_text_on_a_wild_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # A_1,200 with three leaves on its end: the negative vector is rebuilt
+    # from 1,202 pivots, one after the other
+    path = tmp_path / "tail.qsa"
+    path.write_text(wild_tail_text(1200))
+    code, out, err = run(capsys, "decide", str(path))
+    assert code == 0 and err == ""
+    assert out.startswith("WILD (tree; Euler form negative at (1, 2, 3, ")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e4bc270845540128508adffbdcc2f07b77b64de91f0def95a548fbb12dcf7712")
 
 
 def test_decide_with_bounds(capsys):

@@ -16,7 +16,8 @@ from qsa.decide import (
 
 from conftest import load_fixture
 from oracles import (
-    SIX_VERTEX_TREE_SHAPES, TREE_SHAPES, relabel, tree_presentations,
+    SIX_VERTEX_TREE_SHAPES, TREE_SHAPES, chain_text, deep_tree_text, relabel,
+    tree_presentations,
 )
 
 
@@ -167,6 +168,22 @@ def test_tree_verdicts_are_frozen(shapes, max_relations, wild, digest):
         h.update(_payload_bytes(v) + b"\n")
     assert count == wild
     assert h.hexdigest() == digest
+
+
+# Deep trees, frozen byte for byte: the 603-vertex spine of `deep_tree_text`,
+# wild with a negative vector that reaches back along the whole spine, and
+# the A_1,280 chain, tame.  The text verdict does not build the dense matrix.
+@pytest.mark.parametrize("text, tag, digest", [
+    (deep_tree_text(600), WILD,
+     "d8740e98eb526251f90bf41db2a3adfef84047b696f63348464f6ba798dfab6e"),
+    (chain_text(1280), TAME,
+     "6f7814719e22bdef8525bd0dcda04801309a8dc27603e3c3e6d36fc2a8630531"),
+], ids=["deep600", "chain1280"])
+def test_deep_tree_verdict_is_frozen(text, tag, digest):
+    v = decide_derived_type(parse_presentation(text))
+    assert v.tag == tag and v.branch == TREE_EULER
+    assert "entries" not in vars(v.euler)
+    assert hashlib.sha256(_payload_bytes(v)).hexdigest() == digest
 
 
 # --- outside the quadratic string world ------------------------------------------------

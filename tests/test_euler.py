@@ -15,7 +15,7 @@ from qsa.euler import (
 from qsa._linalg import inverse, transpose
 
 from conftest import load_fixture
-from oracles import chain_chi, chi_form_value, tree_presentations
+from oracles import chain_chi, chi_form_value, substitution_euler, tree_presentations
 
 
 # --- small frozen cases --------------------------------------------------------
@@ -111,6 +111,47 @@ def test_sign_test_refuses_a_bare_matrix():
     assert str(err.value) == "the sign test needs an EulerData form"
 
 
+@pytest.mark.parametrize("vertices, entries, message", [
+    (("1", "2"), ((1,), (1, 2)), "row 1 of the form has 1 entries for 2 vertices"),
+    (("1", "2"), ((1, 2),), "the form has 1 rows for 2 vertices"),
+    (("1",), (("x",),), "form entry 'x' is not an int or Fraction"),
+    (("1",), ((1.5,),), "form entry 1.5 is not an int or Fraction"),
+    (("1",), ((True,),), "form entry True is not an int or Fraction"),
+    (("1",), None, "a form is a matrix of int or Fraction entries, not None"),
+    (("1",), (1,), "a form is a matrix of int or Fraction entries, not (1,)"),
+    (None, ((1,),), "the form's vertices are a list of names, not None"),
+])
+def test_a_malformed_form_is_refused_where_it_is_built(vertices, entries, message):
+    with pytest.raises(QsaError) as err:
+        EulerData(vertices, entries)
+    assert str(err.value) == message
+
+
+def test_a_form_built_from_entries_keeps_them():
+    e = EulerData(["1", "2"], [[1, Fraction(-1, 2)], [0, 1]])
+    assert e.vertices == ("1", "2")
+    assert e.entries == ((1, Fraction(-1, 2)), (0, 1))
+    assert euler_eval(e, (1, 1)) == Fraction(3, 2)
+    assert is_nonnegative_form(e).positive_definite
+    a2 = parse_presentation("quiver a2\nvertices: 1 2\narrow a: 1 -> 2\n")
+    assert EulerData(("1", "2"), ((1, -1), (0, 1))) == euler_matrix(a2) != e
+
+
+def test_a_deep_witness_is_rebuilt_without_recursion():
+    # E + E^T is the tridiagonal 2/-1 matrix of order 1,500 with a 0 last:
+    # every pivot is positive until the last diagonal entry turns negative,
+    # so the witness depends on all 1,499 pivots in a chain
+    n = 1500
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i], rows[i][i + 1] = 1, -1
+    e = EulerData(tuple(map(str, range(n))), rows)
+    rep = is_nonnegative_form(e)
+    assert not rep.nonnegative
+    assert rep.witness == tuple(range(1, n + 1))
+    assert euler_eval(e, rep.witness) == rep.value < 0
+
+
 # --- E without an inverse ------------------------------------------------------
 
 
@@ -176,6 +217,28 @@ def test_euler_matrix_is_the_inverse_transpose_on_random_trees(seed):
         a = _random_tree(rng, rng.randint(2, 24), rng.randint(0, 6))
         want = transpose(inverse(cartan_matrix(a).entries))
         assert [list(row) for row in euler_matrix(a).entries] == want
+
+
+_A5 = ("quiver a5\nvertices: 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+       "arrow c: 3 -> 4\narrow d: 4 -> 5\n")
+_A6 = ("quiver a6\nvertices: 1 2 3 4 5 6\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+       "arrow c: 3 -> 4\narrow x: 4 -> 5\narrow y: 5 -> 6\n")
+
+
+@pytest.mark.parametrize("quiver, relations, first_row", [
+    # a b c and b c d overlap in b c: the 3-chain a b c d gives Ext^3(S1, S5) = 1
+    (_A5, ["a b c", "b c d"], (1, -1, 0, 1, -1)),
+    # a b and c d do not overlap: there is no 3-chain from 1, so E[1][5] = 0
+    (_A5, ["a b", "c d"], (1, -1, 1, 0, 0)),
+    # b c is a relation that does not start in a, so a b c is no 2-chain;
+    # the longer relation c x y makes the walk look two arrows past a
+    (_A6, ["b c", "c x y"], (1, -1, 0, 0, 0, 0)),
+], ids=["overlap", "disjoint", "inner"])
+def test_euler_matrix_on_frozen_chains(quiver, relations, first_row):
+    a = parse_presentation(quiver + "relations:\n" + "\n".join(relations) + "\n")
+    e = euler_matrix(a)
+    assert e.entries[0] == first_row
+    assert [list(row) for row in e.entries] == substitution_euler(a)[1]
 
 
 # --- independent oracle: extension chains --------------------------------------
@@ -257,6 +320,27 @@ def _acyclic_monomial(draw):
     return AlgebraPresentation(q, [[(1, list(p))] for p in rels])
 
 
+@st.composite
+def _spined_monomial(draw):
+    """An acyclic quiver with a spine 1 -> 2 -> ... -> n, so that long paths
+    exist, and up to four more forward arrows (parallel arrows and cycles
+    of the underlying graph allowed), with up to six zero relations whose
+    lengths, 2 to 4, are drawn first (one may contain another)."""
+    n = draw(st.integers(2, 7))
+    verts = [str(i + 1) for i in range(n)]
+    pairs = [(s, t) for i, s in enumerate(verts) for t in verts[i + 1:]]
+    ends = list(zip(verts, verts[1:])) + draw(st.lists(st.sampled_from(pairs), max_size=4))
+    q = Quiver("gen", verts, [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    by_length = {}
+    for _, _, p in _raw_paths(q):
+        by_length.setdefault(len(p), []).append(p)
+    rels = set()
+    for k in draw(st.lists(st.sampled_from((2, 3, 4)), max_size=6)):
+        if k in by_length:
+            rels.add(draw(st.sampled_from(sorted(by_length[k]))))
+    return AlgebraPresentation(q, [[(1, list(p))] for p in sorted(rels)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(_acyclic_monomial())
 def test_path_counts_match_brute_force(a):
@@ -271,3 +355,18 @@ def test_path_counts_match_brute_force(a):
         for j, vj in enumerate(c.vertices):
             assert c.entries[i][j] == counts.get((vj, vi), 0)
             assert len(path_basis(a, vj, vi)) == counts.get((vj, vi), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spined_monomial())
+def test_chain_euler_matrix_matches_substitution(a):
+    # E from relation chains equals C^-T by substitution, and C·E^T = I with
+    # C from the relation-free path counts
+    e = euler_matrix(a)
+    vs, want = substitution_euler(a)
+    assert e.vertices == vs
+    assert [list(row) for row in e.entries] == want
+    c = cartan_matrix(a).entries
+    n = len(vs)
+    assert all(sum(c[i][k] * e.entries[j][k] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
