@@ -2,26 +2,24 @@
 
 An element of a block e_u A e_v is a list of coordinates, one for each
 basis path of the block, and no other representation leaves this module.
-The basis paths are the relation-free paths from u to v shorter than the
-nilpotency bound, in (length, path) order, less the pivots of the ideal
-inside the block.  Blocks are stored only for the pairs joined by such a
-path; every other block is the zero space, and the accessors treat a
-missing pair as the empty block.  Non-monomial relations are handled
-linearly: the ideal inside a block is spanned by the products
-(left path) * (relation) * (right path), and a product of basis paths
-that lands on a pivot is reduced against an echelon basis of those
-spans.  The paths and the spans come from the path table in
-`presentation`, which the graded admissibility scan uses too.  The
-constructor accepts what `validate` certifies finite-dimensional and
-admissible: monomial ideals, length-homogeneous ideals with a vanishing
-graded component, and any relations on an acyclic quiver,
-non-homogeneous ones such as ( d e ) - ( a b c ) included.
+The basis paths are the normal words from u to v shorter than the
+nilpotency bound, in (length, path) order.  For a monomial ideal these
+are the relation-free paths, and a product of basis paths is the joined
+path or zero; for any other ideal a path that is not a normal word is
+rewritten by the normal form of a Gröbner basis truncated at the bound
+(`presentation._GroebnerBasis`).  Blocks are stored only for the pairs
+joined by a normal word; every other block is the zero space, and the
+accessors treat a missing pair as the empty block.  The constructor
+accepts what `validate` certifies finite-dimensional and admissible:
+monomial ideals, length-homogeneous ideals with a vanishing graded
+component, and any relations on an acyclic quiver, non-homogeneous ones
+such as ( d e ) - ( a b c ) included.
 """
 
 from itertools import islice
 
-from ._linalg import ZERO, ONE, rref, reduce_vec
-from .presentation import QsaError, validate, _ideal_rows, _relation_free_levels
+from ._linalg import ZERO, ONE
+from .presentation import QsaError, validate, _GroebnerBasis, _relation_free_levels
 
 
 class TruncatedAlgebra:
@@ -41,35 +39,18 @@ class TruncatedAlgebra:
     # --- construction ---------------------------------------------------
 
     def _build(self, a):
-        paths = {}
-        for level in islice(_relation_free_levels(a), self.bound):
+        # a monomial presentation is the basis of its own ideal
+        self._normal = None if a.is_monomial else _GroebnerBasis(
+            a.quiver, [r.terms for r in a.relations], self.bound)
+        blocks = {}
+        for level in islice(_relation_free_levels(self._normal or a), self.bound):
             for src, tgt, path in level:
-                paths.setdefault((src, tgt), []).append(path)
-        for block in paths.values():
+                blocks.setdefault((src, tgt), []).append(path)
+        self._index, self._basis = {}, {}
+        for key, block in blocks.items():
             block.sort(key=lambda p: (len(p), p))
-
-        # each block indexes the products landing in it by all its paths;
-        # where the ideal meets the block, an echelon basis of it reduces
-        # them and the paths off its pivots are the basis
-        combos = [r for r in a.relations if not r.is_monomial]
-        self._index, self._basis, self._ideal = {}, {}, {}
-        for (u, v), block in paths.items():
-            index = self._index[(u, v)] = {p: i for i, p in enumerate(block)}
-            if combos:
-                rows, pivots = rref(_ideal_rows(combos, paths, u, v, index, self.bound))
-                if rows:
-                    free = sorted(set(range(len(block))).difference(pivots))
-                    self._ideal[(u, v)] = rows, pivots, free
-                    block = [block[i] for i in free]
-            self._basis[(u, v)] = tuple(block)
-
-    def _reduce(self, key, vec):
-        """Coordinates of a vector indexed by all the paths of a block."""
-        if key not in self._ideal:
-            return vec
-        rows, pivots, free = self._ideal[key]
-        vec = reduce_vec(vec, rows, pivots)
-        return [vec[i] for i in free]
+            self._basis[key] = tuple(block)
+            self._index[key] = {p: i for i, p in enumerate(block)}
 
     # --- inspection -------------------------------------------------------
 
@@ -81,7 +62,7 @@ class TruncatedAlgebra:
 
     def nonzero_blocks(self):
         """The pairs (u, v) with dim_block(u, v) > 0."""
-        return [key for key, basis in self._basis.items() if basis]
+        return list(self._basis)
 
     def free_paths(self, u, v):
         """The basis paths of e_u A e_v, in coordinate order."""
@@ -93,10 +74,14 @@ class TruncatedAlgebra:
         """Coordinates of a single path given as a tuple of arrow names."""
         index = self._index.get((u, v), {})
         vec = [ZERO] * len(index)
-        i = index.get(tuple(arrows))
-        if i is not None:
-            vec[i] = ONE
-        return self._reduce((u, v), vec)
+        arrows = tuple(arrows)
+        if arrows in index:
+            vec[index[arrows]] = ONE
+        elif self._normal is not None:
+            for word, c in self._normal.word(arrows).items():
+                if word in index:
+                    vec[index[word]] = c
+        return vec
 
     def mult(self, u, v, w, p, q):
         """Coordinates of the product of p in e_u A e_v with q in e_v A e_w."""
@@ -114,4 +99,7 @@ class TruncatedAlgebra:
                 k = idx.get(left + pw[j])
                 if k is not None:
                     out[k] += ci * cj
-        return self._reduce((u, w), out)
+                elif self._normal is not None:
+                    for word, c in self._normal.word(left + pw[j]).items():
+                        out[idx[word]] += ci * cj * c
+        return out

@@ -1,20 +1,20 @@
 """Exact linear algebra for small dense systems and sparse symmetric forms.
 
 Two kinds of elimination live here.  Row reduction over the rationals
-(`rref`, `nullspace`, `reduce_vec`) works on lists of lists of Fraction,
-because the tilting engine feeds it rational coefficients.  The sign of a
-symmetric form, with a negative vector when there is one, and the inverse
-of a square matrix come from fraction-free eliminations on integers
-(Bareiss, Math. Comp. 22, 1968): rational input is first scaled by the lcm
-of its denominators, and no Fraction is built until `inverse` returns its
-entries.  The symmetric kernel `_eliminate` stores rows sparsely, as
-dicts of their nonzero entries, each a positive multiple of its rational
-row, so a pivot costs only the rows that meet its column: on the form of
-a tree that is a few rows.  It carries no basis change: a row is never
-changed after its pivot, so the pivot rows hold every multiplier, and
-`_witness` rebuilds a negative vector from them only when one is asked
-for.  Everything that decides something downstream (ranks, kernels,
-positivity) runs on exact arithmetic.
+(`rref`, `nullspace`, `reduce_vec`, and `inverse` as the echelon form of
+[A | I]) works on lists of lists of Fraction, because the tilting engine
+feeds it rational coefficients.  The sign of a symmetric form, with a
+negative vector when there is one, comes from a fraction-free
+elimination on integers (Bareiss, Math. Comp. 22, 1968): rational input
+is first scaled by the lcm of its denominators.  The symmetric kernel
+`_eliminate` stores rows sparsely, as dicts of their nonzero entries,
+each a positive multiple of its rational row, so a pivot costs only the
+rows that meet its column: on the form of a tree that is a few rows.  It
+carries no basis change: a row is never changed after its pivot, so the
+pivot rows hold every multiplier, and `_witness` rebuilds a negative
+vector from them only when one is asked for.  Everything that decides
+something downstream (kernels, inverses, positivity) runs on exact
+arithmetic.
 """
 
 import math
@@ -76,10 +76,6 @@ def rref(rows):
     return mat[:r], pivots
 
 
-def rank(rows):
-    return len(rref(rows)[0])
-
-
 def reduce_vec(v, basis, pivots):
     """Residue of v after elimination against an rref basis."""
     v = list(map(fr, v))
@@ -110,31 +106,15 @@ def nullspace(a, ncols):
 
 
 def inverse(a):
-    """Inverse of a square int or Fraction matrix, as rows of Fraction.
-
-    Fraction-free Gauss-Jordan on [d·A | I], d the lcm of A's denominators:
-    each step scales every row by the new pivot and divides exactly by the
-    previous one, so it ends at [c·I | adj] with c = ±det(d·A) and
-    adj = c·(d·A)^-1, and A^-1 = d·adj / c.  Raises ValueError when A is
-    singular.
-    """
+    """Inverse of a square int or Fraction matrix, as rows of Fraction: the
+    right half of the reduced echelon form of [A | I].  Raises ValueError
+    when A is singular, that is when some column of A has no pivot."""
     n = len(a)
-    d, rows = _integer_rows(a)
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        top = m[k]
-        p = top[k]
-        for i in range(n):
-            f = m[i][k]
-            if i != k and (f or p != prev):
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-    return [[Fraction(d * x, prev) for x in row[n:]] for row in m]
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 # --- symmetric forms -------------------------------------------------------

@@ -228,9 +228,10 @@ class CoverBall:
     The ball is built as plain arrays, its vertices indexed in `natural_key`
     order: names, levels, projected base vertices, the arrows (source index,
     target index, base arrow) in the order the breadth-first walk made them,
-    and per vertex its out-arrows (target index, base arrow).  The witness
-    search reads only those; the cover arrow names, the presentation `cover`
-    and the three maps are built on first use.
+    per vertex its out-arrows (target index, base arrow), and the vertex
+    indices in the order the walk reached them, which the maps keep.  The
+    witness search reads only the first five; the cover arrow names, the
+    presentation `cover` and the three maps are built on first use.
     The base must be a connected monomial presentation with a certified
     admissible ideal, the basepoint one of its vertices and the radius an
     integer of at least 0; anything else is refused with a QsaError.
@@ -255,14 +256,8 @@ class CoverBall:
         self.base = base
         self.basepoint = basepoint
         self.radius = radius
-        self._names, self._levels, self._proj, self._edges, self._out = _ball_arrays(
-            base.quiver, basepoint, radius)
-
-    def _born(self):
-        # vertex indices in the order the walk reached them: each arrow
-        # reached the end one level further out
-        lv = self._levels
-        return [lv.index(0)] + [s if lv[s] > lv[t] else t for s, t, _ in self._edges]
+        (self._names, self._levels, self._proj, self._edges, self._out,
+         self._reached) = _ball_arrays(base.quiver, basepoint, radius)
 
     @cached_property
     def _arrow_names(self):
@@ -279,7 +274,7 @@ class CoverBall:
     @cached_property
     def vertex_map(self):
         """cover vertex -> base vertex"""
-        return {self._names[i]: self._proj[i] for i in self._born()}
+        return {self._names[i]: self._proj[i] for i in self._reached}
 
     @cached_property
     def arrow_map(self):
@@ -289,7 +284,7 @@ class CoverBall:
     @cached_property
     def level(self):
         """cover vertex -> walk length"""
-        return {self._names[i]: self._levels[i] for i in self._born()}
+        return {self._names[i]: self._levels[i] for i in self._reached}
 
     @cached_property
     def cover(self):
@@ -344,8 +339,9 @@ def _step_key(step):
 
 
 def _ball_arrays(q, base, radius):
-    """(names, levels, projections, arrows, out-arrows) of the radius-r
-    ball of quiver q at `base`; see `CoverBall`."""
+    """(names, levels, projections, arrows, out-arrows, walk order) of the
+    radius-r ball of quiver q at `base`; see `CoverBall`.  The walk order
+    lists the vertex indices in the order the walk reached them."""
     key = natural_key.__wrapped__   # uncached: no ball evicts the shared cache
     taken = {base}
     names = [base]
@@ -406,7 +402,7 @@ def _ball_arrays(q, base, radius):
     for s, t, b in edges:
         out[s].append((t, b))
     return (tuple(names[k] for k in order), [levels[k] for k in order],
-            [proj[k] for k in order], edges, out)
+            [proj[k] for k in order], edges, out, pos)
 
 
 def truncated_cover(a, base, radius):

@@ -854,65 +854,108 @@ def _relation_free_levels(a, starts=None):
         level = nxt
 
 
-def _ideal_rows(combos, blocks, u, v, index, limit):
-    """Rows spanning the relations `combos` inside e_u KQ e_v.
+def _check_homogeneous(relations, what):
+    """Refuse relations, given by their terms, whose paths differ in length."""
+    for terms in relations:
+        if len({len(p) for _, p in terms}) != 1:
+            raise QsaError(f"{what} needs length-homogeneous relations")
 
-    One row per translate x r y with x in blocks[(u, r.source)], y in
-    blocks[(r.target, v)] and len(x) + len(first term of r) + len(y) <
-    limit; the row holds the coefficients at the positions `index` gives,
-    and translates that hit no indexed path are dropped.  Each block list
-    must be ordered by length.
+
+class _GroebnerBasis:
+    """A Gröbner basis of the ideal of `relations` in KQ, truncated below
+    a length limit: every path of length >= `limit` counts as zero.
+
+    An element's leading word is its first path in (len(p), p) order, the
+    column a row echelon form of a block pivots on.  `rules` maps each
+    leading word to the ((coefficient, path), ...) it equals modulo I; a
+    monomial relation has no terms.  Buchberger completion (E. L. Green,
+    Progr. Math. 173, 1999) reduces every overlap of two leading words
+    below the limit to zero, and a rule again when a new leading word is
+    its factor, so the normal words, the paths below the limit with no
+    leading word as a factor, are a basis of KQ/I modulo the longer paths.
+    The basis reads as the monomial presentation of its leading words
+    (`monomials`, `ends_in_relation`) for `_relation_free_levels` and
+    `_monomial_admissibility`.
     """
-    rows = []
-    if not index:
-        return rows
-    for r in combos:
-        rights = blocks.get((r.target, v), ())
-        for x in blocks.get((u, r.source), ()):
-            room = limit - len(r.terms[0][1]) - len(x)
-            for y in rights:
-                if len(y) >= room:
-                    break
-                row = None
-                for coef, term in r.terms:
-                    i = index.get(x + term + y)
-                    if i is not None:
-                        if row is None:
-                            row = [_linalg.ZERO] * len(index)
-                        row[i] += coef
-                if row is not None:
-                    rows.append(row)
-    return rows
 
+    ends_in_relation = AlgebraPresentation.ends_in_relation
 
-def _graded_dimensions(a, cutoff):
-    """Dimensions of the graded components, for length-homogeneous ideals.
+    def __init__(self, quiver, relations, limit):
+        self.quiver, self.limit = quiver, limit
+        self.rules = self.monomials = {}
+        self._monomial_lengths = ()
+        self._words = {}   # the normal forms of single paths, once complete
+        todo = []   # the elements to reduce, the shortest path first
 
-    Returns (dims, certified_bound) where certified_bound is the first degree
-    with dimension zero, or None when the scan hits the cutoff first.
-    """
-    for r in a.relations:
-        if len({len(p) for p in r.paths()}) != 1:
-            raise QsaError("graded scan needs length-homogeneous relations")
-    combos = [r for r in a.relations if not r.is_monomial]
-    dims = {1: len(a.quiver.arrows)}
-    blocks = {}
-    for d, level in enumerate(islice(_relation_free_levels(a), cutoff + 1)):
-        degree = {}
-        for src, tgt, path in level:
-            blocks.setdefault((src, tgt), []).append(path)
-            degree.setdefault((src, tgt), []).append(path)
-        if d < 2:
-            continue
-        dim = 0
-        for (u, v), paths in degree.items():
-            rows = _ideal_rows(combos, blocks, u, v,
-                               {p: i for i, p in enumerate(paths)}, d + 1)
-            dim += len(paths) - _linalg.rank(rows)
-        dims[d] = dim
-        if dim == 0:
-            return dims, d
-    return dims, None
+        def push(element):
+            if element:
+                insort(todo, element, key=lambda e: min(map(len, e)))
+
+        for terms in relations:
+            push({p: c for c, p in terms})
+        while todo:
+            g = self.reduce(todo.pop(0))
+            if not g:
+                continue
+            lead = min(g, key=lambda p: (len(p), p))
+            c, k = g.pop(lead), len(lead)
+            for w in [w for w in self.rules if any(
+                    w[i:i + k] == lead for i in range(len(w) - k + 1))]:
+                push({w: _ONE, **{p: -x for x, p in self.rules.pop(w)}})
+            self.rules[lead] = tuple((-x / c, p) for p, x in g.items())
+            self._monomial_lengths = tuple(sorted({len(w) for w in self.rules}))
+            for w in list(self.rules):
+                self._overlaps(lead, w, push)
+                if w != lead:
+                    self._overlaps(w, lead, push)
+
+    def _overlaps(self, left, right, push):
+        """Push g·v - u·h for each overlap left·v = u·right of the leading
+        words of g and h below the limit."""
+        if not (self.rules[left] or self.rules[right]):
+            return   # two monomials: every overlap is zero
+        for k in range(1, min(len(left), len(right))):
+            if left[-k:] == right[:k] and len(left) + len(right) - k < self.limit:
+                u, v, s = left[:-k], right[k:], {}
+                for c, p in self.rules[left]:   # g·v, less left·v
+                    s[p + v] = s.get(p + v, 0) - c
+                for c, p in self.rules[right]:   # -u·h, less -u·right
+                    s[u + p] = s.get(u + p, 0) + c
+                push({p: c for p, c in s.items() if c and len(p) < self.limit})
+
+    def reduce(self, element):
+        """The normal form of {path: coefficient}, as {normal word:
+        coefficient} without zeros.  Paths are rewritten in (len(p), p)
+        order: a rule only makes later paths, so each is seen once."""
+        element = {p: c for p, c in element.items() if c and len(p) < self.limit}
+        todo = sorted((len(p), p) for p in element)
+        out = {}
+        while todo:
+            w = todo.pop(0)[1]
+            c = element.pop(w)
+            if not c:
+                continue
+            hit = next(((i, w[i:i + k]) for i in range(len(w)) for k in self._monomial_lengths
+                        if w[i:i + k] in self.rules), None)
+            if hit is None:
+                out[w] = c
+                continue
+            i, lead = hit
+            for d, t in self.rules[lead]:
+                z = w[:i] + t + w[i + len(lead):]
+                if len(z) >= self.limit:
+                    continue
+                if z not in element:
+                    element[z] = 0
+                    insort(todo, (len(z), z))
+                element[z] += c * d
+        return out
+
+    def word(self, w):
+        """The normal form of the path w, memoized."""
+        if w not in self._words:
+            self._words[w] = self.reduce({w: _ONE})
+        return self._words[w]
 
 
 def validate(a):
@@ -945,17 +988,16 @@ def validate(a):
         bound = max(walks.values()) + 1
     else:
         cutoff = max(16, 2 * len(q.arrows) + 2)
+        terms = [r.terms for r in a.relations]
         try:
-            _, stop = _graded_dimensions(a, cutoff)
+            _check_homogeneous(terms, "graded scan")
+            finite, bound = _monomial_admissibility(_GroebnerBasis(q, terms, cutoff + 1))
         except QsaError as e:
             problems.append(str(e))
-            stop = None
-        if stop is None:
-            certified = False
-            admissible = False
+            finite = False
+        if not (finite and bound <= cutoff):
+            certified, admissible, bound = False, False, 0
             problems.append("admissibility not certified for this cyclic non-monomial ideal")
-        else:
-            bound = stop
     a._report = ValidationReport(connected, monomial, quadratic_monomial, admissible,
                                  certified, bound, loop_free, tuple(problems))
     return a._report
@@ -984,13 +1026,15 @@ def path_basis(a, i, j, max_len=None):
     if not a.is_monomial:
         raise QsaError("path_basis needs a monomial presentation")
     q = a.quiver
-    if not q.has_vertex(i) or not q.has_vertex(j):
+    if not (isinstance(i, str) and isinstance(j, str) and q.has_vertex(i) and q.has_vertex(j)):
         raise QsaError("path_basis: unknown vertex")
     if max_len is None:
         rep = validate(a)
         if not rep.admissible:
             raise QsaError("path_basis needs an admissible ideal (or an explicit max_len)")
         max_len = rep.nilpotency_bound - 1
+    elif not isinstance(max_len, int):
+        raise QsaError(f"path_basis: max_len must be an integer, not {max_len!r}")
     elif max_len < 0:
         raise QsaError("path_basis: max_len must be >= 0")
     out = [Path(i, j, path)
@@ -1015,37 +1059,22 @@ def _parallel_counts(q):
     return counts
 
 
-def _ideal_spans(p, blocks, degree_cap):
-    """Graded spans of the ideal of `p`: {(u, v, d): rref basis}.
-
-    For each block (u, v) of the raw path table `blocks` and each degree
-    d in 2..degree_cap, the basis spans the degree-d part of the ideal
-    inside e_u KQ e_v, over the block's paths of length d in table order.
-    Empty spans are left out.  Needs length-homogeneous relation terms.
-    """
-    for r in p.relations:
-        if len({len(x) for x in r.paths()}) != 1:
-            raise QsaError("isomorphism check needs length-homogeneous relations")
-    spans = {}
-    for (u, v), paths in blocks.items():
-        for d in range(2, degree_cap + 1):
-            index = {x: i for i, x in enumerate(y for y in paths if len(y) == d)}
-            basis, _ = _linalg.rref(_ideal_rows(p.relations, blocks, u, v, index, d + 1))
-            if basis:
-                spans[(u, v, d)] = basis
-    return spans
-
-
 def presentations_isomorphic(a, b, max_vertices=14):
     """Search for an isomorphism of presentations; returns the maps or None.
 
     An isomorphism is a vertex bijection plus an arrow bijection carrying the
     ideal of `a` onto the ideal of `b`; generator lists may differ as long as
     the generated ideals agree.  For each candidate the relations of `a` are
-    moved onto the quiver of `b`, and the two ideals are compared as graded
-    spans over the raw path table of that quiver, degree by degree up to the
-    longest generator length.
+    moved onto the quiver of `b`, and the two ideals are equal when the
+    generators of each reduce to zero modulo the Gröbner basis of the other,
+    truncated above the longest generator: the relations must be
+    length-homogeneous, so both ideals are generated below that length.
     """
+    if not (isinstance(a, AlgebraPresentation) and isinstance(b, AlgebraPresentation)):
+        raise QsaError("isomorphism check needs two AlgebraPresentations")
+    if not isinstance(max_vertices, int):
+        raise QsaError(f"isomorphism check: max_vertices must be an integer, "
+                       f"not {max_vertices!r}")
     qa, qb = a.quiver, b.quiver
     if len(qa.vertices) > max_vertices or len(qb.vertices) > max_vertices:
         raise QsaError("isomorphism search bound exceeded; raise max_vertices to override")
@@ -1062,17 +1091,19 @@ def presentations_isomorphic(a, b, max_vertices=14):
         by_sig_b.setdefault(_signature(qb, v), []).append(v)
     order = sorted(qa.vertices,
                    key=lambda v: (len(by_sig_b.get(_signature(qa, v), [])), natural_key(v)))
-    degree_cap = max(a.max_relation_length(), b.max_relation_length())
-    blocks = {}
-    for level in islice(_relation_free_levels(AlgebraPresentation(qb, ())), degree_cap + 1):
-        for u, v, path in level:
-            blocks.setdefault((u, v), []).append(path)
-    spans_b = _ideal_spans(b, blocks, degree_cap)
+    limit = max(a.max_relation_length(), b.max_relation_length()) + 1
+    terms_b = [r.terms for r in b.relations]
+    _check_homogeneous(terms_b, "isomorphism check")
+    basis_b = _GroebnerBasis(qb, terms_b, limit)
 
     def relations_match(amap):
-        moved = AlgebraPresentation(qb, [[(c, tuple(amap[x] for x in path))
-                                          for c, path in r.terms] for r in a.relations])
-        return _ideal_spans(moved, blocks, degree_cap) == spans_b
+        moved = [[(c, tuple(amap[x] for x in path)) for c, path in r.terms]
+                 for r in a.relations]
+        _check_homogeneous(moved, "isomorphism check")
+        basis = _GroebnerBasis(qb, moved, limit)
+        return not any(one.reduce({p: c for c, p in terms})
+                       for one, side in ((basis_b, moved), (basis, terms_b))
+                       for terms in side)
 
     def arrow_bijections(vmap):
         options = []

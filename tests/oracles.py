@@ -5,15 +5,21 @@ library: the Euler matrix comes from inverting the Cartan matrix by
 substitution (and, for quadratic relations, from arrow chains), sign tests
 come from sympy's exact rational arithmetic (and the witness of a symmetric
 form from a congruence elimination over Fraction, carrying every basis
-row), and the tree/multigraph generators are plain combinatorics.
+row), non-monomial quotients come from ranks and row echelon forms of
+the spans of relation translates, and the tree/multigraph generators are
+plain combinatorics.
 """
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import sympy
 
-from qsa.presentation import Arrow, Quiver, AlgebraPresentation, natural_key
+from qsa.presentation import (
+    Arrow, Quiver, AlgebraPresentation, QsaError, natural_key, _relation_free_levels,
+)
+from qsa._linalg import reduce_vec, rref
 from qsa.classify import special_vertices
 
 
@@ -310,6 +316,148 @@ def deep_tree_text(n=600):
     return (f"quiver deep{n}\nvertices: " + " ".join(map(str, range(1, n + 1)))
             + " y1 y2 y3\n" + "".join(f"arrow {a}: {s} -> {t}\n" for a, s, t in arrows)
             + "relations:\n" + "".join(r + "\n" for r in rels))
+
+
+# --- non-monomial ideals by rank and row echelon form ---------------------------
+
+# The route the library used before its Gröbner normal form: the ideal
+# inside each (source, target) block of relation-free paths is spanned by
+# the translates x r y of the non-monomial relations, the graded scan ranks
+# those spans degree by degree, and an algebra element is reduced against
+# an echelon basis of its block.  It shares only the relation-free path
+# table with the library.
+
+
+def ideal_rows(combos, blocks, u, v, index, limit):
+    """Rows spanning the relations `combos` inside e_u KQ e_v.
+
+    One row per translate x r y with x in blocks[(u, r.source)], y in
+    blocks[(r.target, v)] and len(x) + len(first term of r) + len(y) <
+    limit; the row holds the coefficients at the positions `index` gives,
+    and translates that hit no indexed path are dropped.  Each block list
+    must be ordered by length.
+    """
+    rows = []
+    if not index:
+        return rows
+    for r in combos:
+        rights = blocks.get((r.target, v), ())
+        for x in blocks.get((u, r.source), ()):
+            room = limit - len(r.terms[0][1]) - len(x)
+            for y in rights:
+                if len(y) >= room:
+                    break
+                row = None
+                for coef, term in r.terms:
+                    i = index.get(x + term + y)
+                    if i is not None:
+                        if row is None:
+                            row = [Fraction(0)] * len(index)
+                        row[i] += coef
+                if row is not None:
+                    rows.append(row)
+    return rows
+
+
+def graded_dimensions(a, cutoff):
+    """Dimensions of the graded components, for length-homogeneous ideals.
+
+    Returns (dims, certified_bound) where certified_bound is the first degree
+    with dimension zero, or None when the scan hits the cutoff first.
+    """
+    for r in a.relations:
+        if len({len(p) for p in r.paths()}) != 1:
+            raise QsaError("graded scan needs length-homogeneous relations")
+    combos = [r for r in a.relations if not r.is_monomial]
+    dims = {1: len(a.quiver.arrows)}
+    blocks = {}
+    for d, level in enumerate(islice(_relation_free_levels(a), cutoff + 1)):
+        degree = {}
+        for src, tgt, path in level:
+            blocks.setdefault((src, tgt), []).append(path)
+            degree.setdefault((src, tgt), []).append(path)
+        if d < 2:
+            continue
+        dim = 0
+        for (u, v), paths in degree.items():
+            rows = ideal_rows(combos, blocks, u, v, {p: i for i, p in enumerate(paths)}, d + 1)
+            dim += len(paths) - len(rref(rows)[0])
+        dims[d] = dim
+        if dim == 0:
+            return dims, d
+    return dims, None
+
+
+def graded_admissibility(a):
+    """(certified, admissible, nilpotency bound, problems) of a cyclic
+    non-monomial presentation by the graded scan, up to the cutoff
+    max(16, 2·|Q1| + 2) that `validate` uses."""
+    problems = []
+    try:
+        _, stop = graded_dimensions(a, max(16, 2 * len(a.quiver.arrows) + 2))
+    except QsaError as e:
+        problems.append(str(e))
+        stop = None
+    if stop is None:
+        problems.append("admissibility not certified for this cyclic non-monomial ideal")
+        return False, False, 0, tuple(problems)
+    return True, True, stop, ()
+
+
+class RrefAlgebra:
+    """Basis paths and products of a certified quotient algebra with
+    nilpotency bound `bound`, reduced block by block against an echelon
+    basis of the ideal; the same interface as `TruncatedAlgebra`."""
+
+    def __init__(self, a, bound):
+        self.bound = bound
+        paths = {}
+        for level in islice(_relation_free_levels(a), bound):
+            for src, tgt, path in level:
+                paths.setdefault((src, tgt), []).append(path)
+        for block in paths.values():
+            block.sort(key=lambda p: (len(p), p))
+        combos = [r for r in a.relations if not r.is_monomial]
+        self._index, self._basis, self._ideal = {}, {}, {}
+        for (u, v), block in paths.items():
+            index = self._index[(u, v)] = {p: i for i, p in enumerate(block)}
+            if combos:
+                rows, pivots = rref(ideal_rows(combos, paths, u, v, index, bound))
+                if rows:
+                    free = sorted(set(range(len(block))).difference(pivots))
+                    self._ideal[(u, v)] = rows, pivots, free
+                    block = [block[i] for i in free]
+            self._basis[(u, v)] = tuple(block)
+
+    def _reduce(self, key, vec):
+        if key not in self._ideal:
+            return vec
+        rows, pivots, free = self._ideal[key]
+        vec = reduce_vec(vec, rows, pivots)
+        return [vec[i] for i in free]
+
+    def free_paths(self, u, v):
+        return self._basis.get((u, v), ())
+
+    def path_vec(self, u, v, arrows):
+        index = self._index.get((u, v), {})
+        vec = [Fraction(0)] * len(index)
+        i = index.get(tuple(arrows))
+        if i is not None:
+            vec[i] = Fraction(1)
+        return self._reduce((u, v), vec)
+
+    def mult(self, u, v, w, p, q):
+        pu = self.free_paths(u, v)
+        pw = self.free_paths(v, w)
+        idx = self._index.get((u, w), {})
+        out = [Fraction(0)] * len(idx)
+        for i, ci in enumerate(p):
+            for j, cj in enumerate(q):
+                k = idx.get(pu[i] + pw[j])
+                if k is not None and ci and cj:
+                    out[k] += ci * cj
+        return self._reduce((u, w), out)
 
 
 # --- cover ball oracles ---------------------------------------------------------

@@ -1,14 +1,19 @@
 """Finite-dimensional path algebra arithmetic behind the main routines."""
 
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
-from qsa.presentation import parse_presentation
+from qsa.presentation import (
+    AlgebraPresentation, Arrow, Quiver, parse_presentation, validate, _relation_free_levels,
+)
 from qsa._algebra import TruncatedAlgebra
 from qsa._linalg import identity
 
 from conftest import load_fixture, glued_twelve_gqs, all_fixture_names
+from oracles import RrefAlgebra, graded_admissibility
 
 SQUARE = (
     "quiver square\nvertices: 1 2 3 4\n"
@@ -177,3 +182,97 @@ def test_product_is_associative_on_basis_vectors(name):
                         for e in identity(t.dim_block(w, z)):
                             assert t.mult(u, w, z, xy, e) == t.mult(
                                 u, v, z, x, t.mult(v, w, z, y, e)), (u, v, w, z)
+
+
+# --- the normal form against the rank and echelon route ---------------------------
+
+
+_ORACLE_PATHS = 300   # relation-free paths up to the cutoff the oracle may rank
+
+
+def _is_acyclic(q):
+    """No path of length |Q0|, so no path visits a vertex twice."""
+    n = len(q.vertices)
+    return all(len(p) < n for _, _, p in _paths(q, n + 1))
+
+
+@st.composite
+def _binomial_presentations(draw):
+    """A quiver, on one to three vertices with two to four arrows or acyclic
+    on three to five with up to six, with one to three binomial relations
+    between parallel paths of length 2 or 3 (of equal length, or of any
+    lengths on an acyclic quiver) and up to six monomial relations; the
+    oracle's scan must meet few paths."""
+    acyclic = draw(st.integers(0, 2)) == 0
+    n = draw(st.integers(3, 5) if acyclic else st.integers(1, 3))
+    verts = [str(i + 1) for i in range(n)]
+    pairs = [(s, t) for s in verts for t in verts if s < t or not acyclic]
+    ends = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=4 + 2 * acyclic))
+    q = Quiver("gen", verts, [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    parallel = {}
+    level = [(v, v, ()) for v in verts]
+    for d in range(1, 4):
+        level = [(s, ar.target, p + (ar.name,)) for s, t, p in level for ar in q.out_arrows(t)]
+        for s, t, p in level if d > 1 else ():
+            parallel.setdefault((s, t), []).append(p)
+    groups = sorted(ps for ps in parallel.values() if len(ps) > 1)
+    assume(groups)
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        ps = draw(st.sampled_from(groups))
+        p = draw(st.sampled_from(ps))
+        others = [x for x in ps if x != p and (acyclic or len(x) == len(p))]
+        if others:
+            c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+            rels.append([(1, p), (c, draw(st.sampled_from(others)))])
+    assume(rels)
+    paths = sorted(p for ps in parallel.values() for p in ps)
+    rels += [[(1, p)] for p in draw(st.lists(st.sampled_from(paths), max_size=6))]
+    a = AlgebraPresentation(q, rels)
+    cutoff = max(16, 2 * len(q.arrows) + 2)
+    seen = 0
+    for level in islice(_relation_free_levels(a), cutoff + 1):
+        seen += len(level)
+        assume(seen <= _ORACLE_PATHS)
+    return a
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_binomial_presentations())
+def test_normal_form_matches_rank_and_echelon_route(a):
+    rep = validate(a)
+    cyclic = not _is_acyclic(a.quiver)
+    event(f"{'cyclic' if cyclic else 'acyclic'}, certified {rep.certified}")
+    if not a.is_monomial and cyclic:
+        admissibility = (rep.certified, rep.admissible, rep.nilpotency_bound,
+                         tuple(p for p in rep.problems if p != "quiver is not connected"))
+        assert admissibility == graded_admissibility(a)
+    if rep.certified and rep.admissible:
+        _assert_matches_rank_and_echelon_route(a)
+
+
+def _assert_matches_rank_and_echelon_route(a):
+    t = TruncatedAlgebra(a)
+    oracle = RrefAlgebra(a, t.bound)
+    verts = a.quiver.vertices
+    for u, v in product(verts, repeat=2):
+        assert t.free_paths(u, v) == oracle.free_paths(u, v), (u, v)
+    for u, v, w in product(verts, repeat=3):
+        for x in identity(t.dim_block(u, v)):
+            for y in identity(t.dim_block(v, w)):
+                assert t.mult(u, v, w, x, y) == oracle.mult(u, v, w, x, y), (u, v, w)
+
+
+def test_rule_is_reduced_again_when_a_new_leading_word_is_its_factor():
+    # a b dies, so the second relation's leading word is c d e f; the third
+    # then makes d e a leading word, and c d e f = c x y f must become the
+    # rule, or c x y f would stay a basis path of e_1 A e_6 beside g h i j
+    a = parse_presentation(
+        "quiver incl\nvertices: 1 2 3 4 5 6 7 8 9 10\n"
+        "arrow a: 1 -> 2\narrow b: 2 -> 6\narrow c: 1 -> 3\narrow d: 3 -> 4\n"
+        "arrow e: 4 -> 5\narrow f: 5 -> 6\narrow g: 1 -> 7\narrow h: 7 -> 8\n"
+        "arrow i: 8 -> 9\narrow j: 9 -> 6\narrow x: 3 -> 10\narrow y: 10 -> 5\n"
+        "relations:\na b\n( a b ) + ( c d e f ) + ( g h i j )\n( d e ) - ( x y )\n")
+    assert TruncatedAlgebra(a).free_paths("1", "6") == (("g", "h", "i", "j"),)
+    _assert_matches_rank_and_echelon_route(a)

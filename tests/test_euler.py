@@ -342,7 +342,7 @@ def _spined_monomial(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_acyclic_monomial())
+@given(st.one_of(_acyclic_monomial(), _spined_monomial()))
 def test_path_counts_match_brute_force(a):
     rels = [r.terms[0][1] for r in a.relations]
     counts = {}

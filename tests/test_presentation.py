@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -16,17 +17,20 @@ from hypothesis import given, settings, strategies as st
 from qsa.presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, parse_presentation,
     serialize_presentation, validate, natural_key, underlying_graph, is_tree,
-    path_basis, presentations_isomorphic, opposite, _graded_dimensions,
+    path_basis, presentations_isomorphic, opposite, _GroebnerBasis,
     _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra
 from qsa.classify import is_quadratic_string, special_vertices
 from qsa.decide import decide_derived_type
 from qsa.euler import euler_eval
-from qsa.transform import blow_up
+from qsa.transform import blow_up, mutate_at
 
 from conftest import load_fixture, all_fixture_names
-from oracles import presentation_text, random_presentation_lists, relabel
+from oracles import (
+    RrefAlgebra, graded_admissibility, graded_dimensions, presentation_text,
+    random_presentation_lists, relabel,
+)
 
 
 # --- file format ---------------------------------------------------------------
@@ -318,8 +322,18 @@ def test_validate_reports_disconnected():
     assert not rep.connected
 
 
-# Cyclic non-monomial ideals go through the graded scan, which certifies the
-# first degree whose component vanishes.
+# Cyclic non-monomial ideals are certified from the leading words of a
+# truncated Gröbner basis: the first degree with no normal word is the
+# first whose graded component vanishes, as the oracle's rank scan finds.
+
+
+def _normal_word_counts(a, cutoff):
+    """{degree: number of normal words} for 1 <= degree <= cutoff, up to
+    the first degree with none."""
+    words = _GroebnerBasis(a.quiver, [r.terms for r in a.relations], cutoff + 1)
+    levels = islice(_relation_free_levels(words), cutoff + 1)
+    return {d: len(level) for d, level in enumerate(levels) if d}
+
 
 def test_graded_scan_certifies_cyclic_binomial_ideal():
     a = parse_presentation(
@@ -328,16 +342,15 @@ def test_graded_scan_certifies_cyclic_binomial_ideal():
     rep = validate(a)
     assert rep.certified and rep.admissible and rep.ok
     assert rep.nilpotency_bound == 3
-    assert _graded_dimensions(a, 16) == ({1: 3, 2: 1, 3: 0}, 3)
+    assert graded_dimensions(a, 16) == ({1: 3, 2: 1, 3: 0}, 3)
+    assert _normal_word_counts(a, 16) == {1: 3, 2: 1, 3: 0}
     # 2 units + 3 arrows + the one class of a b = c b
     assert TruncatedAlgebra(a).dimension() == 6
 
 
 def test_graded_scan_gives_up_on_infinite_ideal():
     # the loop keeps every degree alive; each degree has 5 relation-free
-    # paths, and l^k a b = l^k c d leaves 4.  (A branching example such as
-    # b, c: 2 -> 1 after a: 1 -> 2 with ( a b ) - ( a c ) is far slower:
-    # its components double every other degree up to the cutoff.)
+    # paths, and l^k a b = l^k c d leaves 4
     a = parse_presentation(
         "quiver g\nvertices: 1 2 3 4\narrow l: 1 -> 1\narrow a: 1 -> 2\n"
         "arrow b: 2 -> 3\narrow c: 1 -> 4\narrow d: 4 -> 3\n"
@@ -346,8 +359,48 @@ def test_graded_scan_gives_up_on_infinite_ideal():
     assert not rep.certified and not rep.admissible
     assert rep.problems == (
         "admissibility not certified for this cyclic non-monomial ideal",)
-    assert _graded_dimensions(a, 16) == (
+    assert graded_dimensions(a, 16) == (
         {1: 5, **{d: 4 for d in range(2, 17)}}, None)
+    assert _normal_word_counts(a, 16) == {1: 5, **{d: 4 for d in range(2, 17)}}
+
+
+_NOT_CERTIFIED = "admissibility not certified for this cyclic non-monomial ideal"
+
+# a seeded three-vertex input whose plus mutation at 2 is cyclic and
+# non-monomial; the final dimension check validates it
+_MUTATION_INPUT = (
+    "quiver m\nvertices: 1 2 3\narrow a9: 2 -> 1\narrow a39: 2 -> 1\n"
+    "arrow b5: 2 -> 3\narrow a21: 2 -> 3\narrow a38: 2 -> 3\narrow a27: 3 -> 1\n"
+    "arrow a13: 1 -> 1\nrelations:\na13 a13 a13\na21 a27\na27 a13 a13\na38 a27\n"
+    "a39 a13\na9 a13\n")
+
+
+@pytest.mark.parametrize("text", [
+    "quiver l\nvertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+    "relations:\n( a b ) - ( b a )\n",
+    "quiver m\nvertices: 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\narrow c: 2 -> 1\n"
+    "relations:\n( a b ) - ( a c )\n",
+])
+def test_branching_cyclic_ideal_is_not_certified_within_a_second(text):
+    # the relation-free paths double with every degree or two, which a
+    # degree-by-degree scan up to the cutoff pays for; the one leading
+    # word, a b, leaves a cycle of normal words that the automaton finds
+    # at once
+    a = parse_presentation(text)
+    start = time.perf_counter()
+    rep = validate(a)
+    assert time.perf_counter() - start < 1
+    assert not rep.certified and not rep.admissible
+    assert rep.problems == (_NOT_CERTIFIED,)
+
+
+def test_mutation_to_an_uncertified_ideal_is_refused_within_a_second():
+    a = parse_presentation(_MUTATION_INPUT)
+    start = time.perf_counter()
+    with pytest.raises(QsaError) as err:
+        mutate_at(a, "2", "plus")
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == "algebra could not be certified finite-dimensional: " + _NOT_CERTIFIED
 
 
 def test_graded_scan_refuses_non_homogeneous_relation():
@@ -403,6 +456,10 @@ def test_path_basis_skips_dead_paths():
     ("a5-chain", "9", "1", None, "path_basis: unknown vertex"),
     ("loop", "v", "v", None, "path_basis needs an admissible ideal (or an explicit max_len)"),
     ("a5-chain", "1", "2", -1, "path_basis: max_len must be >= 0"),
+    ("a5-chain", "1", "2", "x", "path_basis: max_len must be an integer, not 'x'"),
+    ("a5-chain", "1", "2", 1.5, "path_basis: max_len must be an integer, not 1.5"),
+    ("a5-chain", ["1"], "2", None, "path_basis: unknown vertex"),
+    ("a5-chain", "1", ["2"], 3, "path_basis: unknown vertex"),
 ])
 def test_path_basis_refusals(name, i, j, max_len, message):
     a = _BUILT[name] if name in _BUILT else load_fixture(name)
@@ -511,6 +568,18 @@ def test_isomorphism_on_binomial_relations():
     assert presentations_isomorphic(ab, cd) == {
         "vertices": {"1": "1", "2": "3", "3": "2", "4": "4"},
         "arrows": {"a": "c", "b": "d", "c": "a", "d": "b"}}
+
+
+@pytest.mark.parametrize("args, message", [
+    (("x", "a5-chain"), "isomorphism check needs two AlgebraPresentations"),
+    (("a5-chain", "x"), "isomorphism check needs two AlgebraPresentations"),
+    (("a5-chain", "a5-chain", "x"), "isomorphism check: max_vertices must be an integer, not 'x'"),
+])
+def test_isomorphism_refuses_malformed_arguments(args, message):
+    args = [load_fixture(x) if x == "a5-chain" else x for x in args]
+    with pytest.raises(QsaError) as err:
+        presentations_isomorphic(*args)
+    assert str(err.value) == message
 
 
 def test_isomorphism_refuses_non_homogeneous_relation():
