@@ -90,6 +90,12 @@ def _arm_lengths(center, mult, deg, n):
     return sorted(arms)
 
 
+# the trees with one branch vertex, of degree 3, by their sorted arm lengths
+_E_SHAPES = {(1, 2, 2): GraphType("Dynkin", "E", 6), (1, 2, 3): GraphType("Dynkin", "E", 7),
+             (1, 2, 4): GraphType("Dynkin", "E", 8), (2, 2, 2): GraphType("Euclidean", "E", 6),
+             (1, 3, 3): GraphType("Euclidean", "E", 7), (1, 2, 5): GraphType("Euclidean", "E", 8)}
+
+
 def _structural_shape(n, m, loops, mult, deg):
     if sum(loops):
         if n == 1 and m == 1:
@@ -113,19 +119,7 @@ def _structural_shape(n, m, loops, mult, deg):
         if deg[c] == 3:
             if arms[0] == 1 and arms[1] == 1:
                 return GraphType("Dynkin", "D", n)
-            if arms == [1, 2, 2]:
-                return GraphType("Dynkin", "E", 6)
-            if arms == [1, 2, 3]:
-                return GraphType("Dynkin", "E", 7)
-            if arms == [1, 2, 4]:
-                return GraphType("Dynkin", "E", 8)
-            if arms == [2, 2, 2]:
-                return GraphType("Euclidean", "E", 6)
-            if arms == [1, 3, 3]:
-                return GraphType("Euclidean", "E", 7)
-            if arms == [1, 2, 5]:
-                return GraphType("Euclidean", "E", 8)
-            return GraphType("Other")
+            return _E_SHAPES.get(tuple(arms), GraphType("Other"))
         if deg[c] == 4 and arms == [1, 1, 1, 1]:
             return GraphType("Euclidean", "D", 4)
         return GraphType("Other")
@@ -242,7 +236,7 @@ class CoverBall:
             raise QsaError("truncated_cover needs an AlgebraPresentation")
         if not base.is_monomial:
             raise QsaError("covers are only built for monomial presentations")
-        if not isinstance(radius, int):
+        if type(radius) is not int:
             raise QsaError(f"cover radius must be an integer, got {radius!r}")
         if radius < 0:
             raise QsaError("cover radius must be >= 0")
@@ -473,8 +467,8 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     the only one in the ball; passing a target presentation as `like` keeps
     the same enumeration but only accepts witnesses isomorphic to the
     target.  Absence within the bounds proves nothing; a returned witness is
-    a complete certificate.  A radius or size that is not an int, or is
-    negative, is refused; a size below 2 finds nothing.
+    a complete certificate.  A radius or size that is not an int (a bool
+    is not), or is negative, is refused; a size below 2 finds nothing.
     QSA_WITNESS_RADIUS, QSA_WITNESS_SIZE and QSA_WITNESS_BUDGET override the
     defaults.
     """
@@ -495,9 +489,9 @@ def _witness_search(a, radius=None, max_size=None, like=None):
         raise QsaError("the wildness witness search needs a monomial presentation")
     if like is not None and not isinstance(like, AlgebraPresentation):
         raise QsaError("the witness target must be an AlgebraPresentation")
-    if not isinstance(radius, int):
+    if type(radius) is not int:
         raise QsaError(f"cover radius must be an integer, got {radius!r}")
-    if not isinstance(max_size, int):
+    if type(max_size) is not int:
         raise QsaError(f"witness size must be an integer, got {max_size!r}")
     if radius < 0:
         raise QsaError("cover radius must be >= 0")

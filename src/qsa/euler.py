@@ -16,13 +16,14 @@ when something reads `EulerData.entries`.
 """
 
 import math
+from collections.abc import Sized
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from ._linalg import fr, _congruence, _integer_rows
 from .presentation import (
-    AlgebraPresentation, QsaError, is_tree, _arrow_targets, _longest_walks,
+    AlgebraPresentation, QsaError, is_tree, _monomial_admissibility,
     _relation_free_levels,
 )
 
@@ -117,8 +118,7 @@ def _check_acyclic_monomial(a):
         raise QsaError("Cartan and Euler matrices need an AlgebraPresentation")
     if not a.is_monomial:
         raise QsaError("Cartan matrix requires a monomial presentation")
-    q = a.quiver
-    if not is_tree(a) and _longest_walks(q.vertices, _arrow_targets(q)) is None:
+    if not (is_tree(a) or _monomial_admissibility(AlgebraPresentation._trusted(a.quiver, ()))[0]):
         raise QsaError("Cartan matrix requires an acyclic quiver")
 
 
@@ -223,6 +223,8 @@ def euler_eval(e, x):
     """
     if not isinstance(e, EulerData):
         raise QsaError("the form value needs an EulerData form")
+    if isinstance(x, str) or not isinstance(x, Sized):
+        raise QsaError(f"the form is evaluated at a list of numbers, not {x!r}")
     if len(x) != len(e.vertices):
         raise QsaError(
             f"vector has {len(x)} entries, form has {len(e.vertices)}")

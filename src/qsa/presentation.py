@@ -237,7 +237,7 @@ class Quiver:
         return tuple(self._in[v])
 
     def has_vertex(self, v):
-        return v in self._out
+        return isinstance(v, str) and v in self._out  # False for an unhashable name
 
     def has_arrow(self, name):
         return name in self._by_name
@@ -570,6 +570,8 @@ def opposite(a, name=None):
     were checked when `a` was built, and the arrows keep their names and
     so their order.
     """
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("the opposite needs an AlgebraPresentation")
     q = a.quiver
     qop = Quiver.__new__(Quiver)
     qop.name = name or q.name
@@ -762,72 +764,54 @@ def _is_connected(q):
     return len(seen) == len(q.vertices)
 
 
-def _longest_walks(roots, successors):
-    """{node: length of the longest walk from it} over the nodes reachable
-    from `roots`, or None when one of them reaches a directed cycle.
-
-    Depth first from each root in turn, successors in the order
-    `successors(node)` gives them.  The stack is explicit, so a path
-    longer than the recursion limit is no problem.
-    """
-    height = {}  # None while the node is on the current path
-    for root in roots:
-        if root in height:
-            continue
-        height[root] = None
-        path, todo, best = [root], [iter(successors(root))], [0]
-        while todo:
-            for w in todo[-1]:
-                if w not in height:
-                    height[w] = None
-                    path.append(w)
-                    todo.append(iter(successors(w)))
-                    best.append(0)
-                    break
-                h = height[w]
-                if h is None:
-                    return None
-                if h >= best[-1]:
-                    best[-1] = h + 1
-            else:
-                todo.pop()
-                h = best.pop()
-                height[path.pop()] = h
-                if best and h >= best[-1]:
-                    best[-1] = h + 1
-    return height
-
-
-def _arrow_targets(q):
-    return lambda v: [a.target for a in q.out_arrows(v)]
-
-
 def _monomial_admissibility(a):
-    """(admissible, bound m) via the forbidden-factor window automaton.
+    """(admissible, bound m) from the prefix automaton of the relations.
 
-    The states are the relation-free paths of length k - 1, k the longest
-    relation, and an arrow leads from a state to the last k - 1 arrows of
-    the path it makes when that path is relation-free.  With no state the
-    first empty level of the path table is the bound.
+    A state is a vertex and the longest suffix of the path read so far
+    that is a proper prefix of a monomial relation, so there are at most
+    |Q0| + sum |relation| states: the Ufnarovski graph (Math. Notes 31,
+    1982), built as Aho and Corasick build theirs (CACM 18, 1975).  An
+    arrow leads on unless the path it makes ends in a relation.  The
+    relation-free paths are the walks from the empty states: the ideal is
+    admissible when no walk reaches a cycle, and m is one more than the
+    longest walk.  With no relations the automaton is the quiver, and the
+    answer says whether the quiver is acyclic.  The walk is depth first on
+    an explicit stack, so a path longer than the recursion limit is no
+    problem.
     """
     q = a.quiver
-    k = max((len(m) for m in a.monomials), default=2)
-    levels = list(islice(_relation_free_levels(a), k))
-    windows = {path: tgt for _, tgt, path in levels[-1]}
-    if not windows:
-        return True, len(levels) - 1
+    prefixes = {w[:i] for w in a.monomials for i in range(len(w))} | {()}
 
-    edges = {w: [] for w in windows}
-    for window, at in windows.items():
-        for ar in q.out_arrows(at):
-            new = window + (ar.name,)
+    def successors(state):
+        v, word = state
+        for ar in q._out[v]:
+            new = word + (ar.name,)
             if not a.ends_in_relation(new):
-                edges[window].append(new[1:])
+                while new not in prefixes:
+                    new = new[1:]
+                yield ar.target, new
 
-    walks = _longest_walks(sorted(windows), edges.__getitem__)
-    if walks is None:
-        return False, 0
-    return True, k + max(walks.values())
+    height = {}  # the longest walk from a state; None while on the current walk
+    # [state, successors left, longest walk so far]; a start state leads to the empty states
+    stack = [[None, ((v, ()) for v in q.vertices), 0]]
+    while stack:
+        top = stack[-1]
+        for w in top[1]:
+            if w not in height:
+                height[w] = None
+                stack.append([w, successors(w), 0])
+                break
+            h = height[w]
+            if h is None:
+                return False, 0
+            if h >= top[2]:
+                top[2] = h + 1
+        else:
+            stack.pop()
+            height[top[0]] = h = top[2]
+            if stack and h >= stack[-1][2]:
+                stack[-1][2] = h + 1
+    return True, height[None]
 
 
 def _relation_free_levels(a, starts=None):
@@ -978,26 +962,23 @@ def validate(a):
     loop_free = tuple(v for v in q.vertices if v not in loops)
 
     certified = True
-    admissible = True
-    bound = 0
     if monomial:
         admissible, bound = _monomial_admissibility(a)
         if not admissible:
             problems.append("ideal is not admissible: arbitrarily long relation-free paths")
-    elif (walks := _longest_walks(q.vertices, _arrow_targets(q))) is not None:
-        bound = max(walks.values()) + 1
-    else:
-        cutoff = max(16, 2 * len(q.arrows) + 2)
-        terms = [r.terms for r in a.relations]
-        try:
-            _check_homogeneous(terms, "graded scan")
-            finite, bound = _monomial_admissibility(_GroebnerBasis(q, terms, cutoff + 1))
-        except QsaError as e:
-            problems.append(str(e))
-            finite = False
-        if not (finite and bound <= cutoff):
-            certified, admissible, bound = False, False, 0
-            problems.append("admissibility not certified for this cyclic non-monomial ideal")
+    else:   # the paths of an acyclic quiver are bounded; else ask the leading words
+        admissible, bound = _monomial_admissibility(AlgebraPresentation._trusted(q, ()))
+        if not admissible:
+            cutoff = max(16, 2 * len(q.arrows) + 2)
+            terms = [r.terms for r in a.relations]
+            try:
+                _check_homogeneous(terms, "graded scan")
+                admissible, bound = _monomial_admissibility(_GroebnerBasis(q, terms, cutoff + 1))
+            except QsaError as e:
+                problems.append(str(e))
+            if not (admissible and bound <= cutoff):
+                certified, admissible, bound = False, False, 0
+                problems.append("admissibility not certified for this cyclic non-monomial ideal")
     a._report = ValidationReport(connected, monomial, quadratic_monomial, admissible,
                                  certified, bound, loop_free, tuple(problems))
     return a._report
@@ -1006,16 +987,23 @@ def validate(a):
 # --- graphs and path bases -------------------------------------------------
 
 
+def _quiver_of(a, what):
+    q = a.quiver if isinstance(a, AlgebraPresentation) else a
+    if not isinstance(q, Quiver):
+        raise QsaError(f"{what} needs a Quiver or an AlgebraPresentation")
+    return q
+
+
 def underlying_graph(a):
     """(vertices, edges) of the underlying multigraph; one edge per arrow."""
-    q = a.quiver if isinstance(a, AlgebraPresentation) else a
+    q = _quiver_of(a, "the underlying graph")
     edges = tuple(tuple(sorted((ar.source, ar.target), key=natural_key)) for ar in q.arrows)
     return q.vertices, edges
 
 
 def is_tree(a):
     """True when the underlying multigraph is a tree (connected, acyclic)."""
-    q = a.quiver if isinstance(a, AlgebraPresentation) else a
+    q = _quiver_of(a, "the tree test")
     return len(q.arrows) == len(q.vertices) - 1 and q._connected
 
 
@@ -1026,14 +1014,14 @@ def path_basis(a, i, j, max_len=None):
     if not a.is_monomial:
         raise QsaError("path_basis needs a monomial presentation")
     q = a.quiver
-    if not (isinstance(i, str) and isinstance(j, str) and q.has_vertex(i) and q.has_vertex(j)):
+    if not (q.has_vertex(i) and q.has_vertex(j)):
         raise QsaError("path_basis: unknown vertex")
     if max_len is None:
         rep = validate(a)
         if not rep.admissible:
             raise QsaError("path_basis needs an admissible ideal (or an explicit max_len)")
         max_len = rep.nilpotency_bound - 1
-    elif not isinstance(max_len, int):
+    elif type(max_len) is not int:
         raise QsaError(f"path_basis: max_len must be an integer, not {max_len!r}")
     elif max_len < 0:
         raise QsaError("path_basis: max_len must be >= 0")
@@ -1072,7 +1060,7 @@ def presentations_isomorphic(a, b, max_vertices=14):
     """
     if not (isinstance(a, AlgebraPresentation) and isinstance(b, AlgebraPresentation)):
         raise QsaError("isomorphism check needs two AlgebraPresentations")
-    if not isinstance(max_vertices, int):
+    if type(max_vertices) is not int:
         raise QsaError(f"isomorphism check: max_vertices must be an integer, "
                        f"not {max_vertices!r}")
     qa, qb = a.quiver, b.quiver

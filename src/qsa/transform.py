@@ -29,6 +29,7 @@ came from and the few lines the move formatted.
 """
 
 import json
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .presentation import (
@@ -82,10 +83,12 @@ def blow_up(a, blown, name=None):
     binomial relation per blown vertex with both an arrow in and out,
     for each sign choice at the blown outer ends of those two arrows.
     """
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("blow-up needs an AlgebraPresentation")
     if not (a.is_monomial and a.is_quadratic):
         raise QsaError("blow-up requires a monomial quadratic presentation")
     q = a.quiver
-    blown = sorted(set(blown), key=natural_key)
+    blown = sorted(set(_vertex_names(blown, "the blown vertices")), key=natural_key)
     for d in blown:
         if not q.has_vertex(d):
             raise QsaError(f"unknown vertex {d!r}")
@@ -253,6 +256,14 @@ def _check_special(a, ds, classification):
             raise QsaError(f"vertex {d!r} is special but ordinary")
 
 
+def _vertex_names(vs, what):
+    """`vs` as a list of vertex names; a bare string, one vertex per character, is refused."""
+    names = list(vs) if isinstance(vs, Iterable) and not isinstance(vs, str) else [None]
+    if not all(isinstance(v, str) for v in names):
+        raise QsaError(f"{what} must be a list of vertex names, not {vs!r}")
+    return names
+
+
 def _gqs_classification(a):
     """classify_vertices(a), refusing presentations that are not gqs."""
     c = classify_vertices(a)
@@ -360,6 +371,7 @@ def reduce_step(a, special=()):
     c = _gqs_classification(a)
     if not c.exceptional_vertices:
         raise QsaError("no exceptional vertex to reduce")
+    special = _vertex_names(special, "the special vertices")
     _check_special(a, special, c)
     b, step, _ = _move(a, c, set(special), serialize_presentation(a))
     return b, step
@@ -384,7 +396,7 @@ def _reduce_classified(a, c, special=()):
     """
     cur = a
     text = serialize_presentation(a)
-    carried = set(special)
+    carried = set(_vertex_names(special, "the special vertices"))
     steps = []
     if c.exceptional_vertices:
         _check_special(a, sorted(carried, key=natural_key), c)
@@ -399,6 +411,8 @@ def _reduce_classified(a, c, special=()):
 
 def certificate_payload(cert):
     """Plain-data dict form of a ReductionCertificate."""
+    if not isinstance(cert, ReductionCertificate):
+        raise QsaError("the certificate payload needs a ReductionCertificate")
     return {
         "initial": serialize_presentation(cert.initial),
         "final": serialize_presentation(cert.final),
@@ -437,6 +451,8 @@ def mutate_at(a, x, direction):
     algebra.
     """
     from ._endo import mutate_minus
+    if not isinstance(a, AlgebraPresentation):
+        raise QsaError("mutation needs an AlgebraPresentation")
     if direction in ("minus", "-"):
         return mutate_minus(a, x)
     if direction in ("plus", "+"):

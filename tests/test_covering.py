@@ -206,6 +206,7 @@ _REFUSED = {
     ("square", "1", -1, "covers are only built for monomial presentations"),
     ("three-vertex-wild", "zz", -1, "cover radius must be >= 0"),
     ("three-vertex-wild", "a", "2", "cover radius must be an integer, got '2'"),
+    ("three-vertex-wild", "a", True, "cover radius must be an integer, got True"),
     ("three-vertex-wild", "zz", 2, "unknown basepoint 'zz'"),
     ("two-points", "v", 2, "cover construction needs a connected quiver"),
     ("free-loop", "v", 2, "cover construction needs a certified admissible ideal"),
@@ -420,6 +421,8 @@ def test_search_refuses_bad_input(name, like, message):
     (2.5, 4, "cover radius must be an integer, got 2.5"),
     (3, "4", "witness size must be an integer, got '4'"),
     (None, 4.0, "witness size must be an integer, got 4.0"),
+    (True, 4, "cover radius must be an integer, got True"),
+    (3, True, "witness size must be an integer, got True"),
 ])
 def test_search_refuses_non_integer_bounds(radius, max_size, message):
     with pytest.raises(QsaError) as err:

@@ -23,8 +23,9 @@ from qsa.presentation import (
 from qsa._algebra import TruncatedAlgebra
 from qsa.classify import is_quadratic_string, special_vertices
 from qsa.decide import decide_derived_type
-from qsa.euler import euler_eval
-from qsa.transform import blow_up, mutate_at
+from qsa.covering import truncated_cover
+from qsa.euler import euler_eval, euler_matrix
+from qsa.transform import blow_up, certificate_payload, mutate_at, reduce_step
 
 from conftest import load_fixture, all_fixture_names
 from oracles import (
@@ -322,6 +323,47 @@ def test_validate_reports_disconnected():
     assert not rep.connected
 
 
+_TWO_LOOPS = "quiver f\nvertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\nrelations:\n"
+
+
+# (presentation, admissible, nilpotency bound): answers of the prefix
+# automaton, whose states are the longest suffixes read that are proper
+# prefixes of a relation
+@pytest.mark.parametrize("text, admissible, bound", [
+    # a a a is no prefix of a a b: the state falls back to a a, so the path
+    # a a a b dies (b^n keeps the ideal from being admissible)
+    (_TWO_LOOPS + "a a b\n", False, 0),
+    # a b falls back to b, a prefix of b a and b b, and dies with either
+    # arrow; an automaton that dropped to the empty state would loop on (a b)^n
+    (_TWO_LOOPS + "a a a\na a b\nb a\nb b\n", True, 3),
+    # a 1 -> 2 -> 1 cycle killed by a relation that starts on the far side
+    ("quiver c\nvertices: 1 2\narrow x: 1 -> 2\narrow y: 2 -> 1\nrelations:\ny x y\n",
+     True, 4),
+])
+def test_admissibility_falls_back_to_the_longest_prefix(text, admissible, bound):
+    a = parse_presentation(text)
+    rep = validate(a)
+    assert (rep.certified, rep.admissible, rep.nilpotency_bound) == (True, admissible, bound)
+    rels = [r.terms[0][1] for r in a.relations]
+    free = [p for level in _raw_paths_upto(a.quiver, MAX_DEGREE) for _, _, p in level
+            if _factor_free(p, rels)]
+    longest = max(map(len, free))
+    assert longest == (bound - 1 if admissible else MAX_DEGREE)
+    assert ("a", "a", "a", "b") not in free
+
+
+def test_long_relation_on_three_loops_is_not_admissible_within_a_second():
+    # 16 automaton states, one per proper prefix of a^16, although there
+    # are 3^15 relation-free paths of length 15
+    a = parse_presentation("quiver l\nvertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+                           "arrow c: 1 -> 1\nrelations:\n" + " ".join(["a"] * 16) + "\n")
+    start = time.perf_counter()
+    rep = validate(a)
+    assert time.perf_counter() - start < 1
+    assert rep.certified and not rep.admissible and rep.nilpotency_bound == 0
+    assert rep.problems == ("ideal is not admissible: arbitrarily long relation-free paths",)
+
+
 # Cyclic non-monomial ideals are certified from the leading words of a
 # truncated Gröbner basis: the first degree with no normal word is the
 # first whose graded component vanishes, as the oracle's rank scan finds.
@@ -380,6 +422,10 @@ _MUTATION_INPUT = (
     "relations:\n( a b ) - ( b a )\n",
     "quiver m\nvertices: 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\narrow c: 2 -> 1\n"
     "relations:\n( a b ) - ( a c )\n",
+    # 23 leading words up to the cutoff, normal words on 5 loops in between
+    "quiver f\nvertices: 1\n" + "".join(f"arrow a{i}: 1 -> 1\n" for i in range(5))
+    + "relations:\na0 a1 a4\n( a0 a3 a0 ) + 2 ( a1 a0 a1 )\na1 a0 a4\n"
+    "( a2 a1 a3 ) + 1/2 ( a3 a0 a4 )\na2 a2 a1\na3 a1 a4\n",
 ])
 def test_branching_cyclic_ideal_is_not_certified_within_a_second(text):
     # the relation-free paths double with every degree or two, which a
@@ -458,6 +504,7 @@ def test_path_basis_skips_dead_paths():
     ("a5-chain", "1", "2", -1, "path_basis: max_len must be >= 0"),
     ("a5-chain", "1", "2", "x", "path_basis: max_len must be an integer, not 'x'"),
     ("a5-chain", "1", "2", 1.5, "path_basis: max_len must be an integer, not 1.5"),
+    ("a5-chain", "1", "2", True, "path_basis: max_len must be an integer, not True"),
     ("a5-chain", ["1"], "2", None, "path_basis: unknown vertex"),
     ("a5-chain", "1", ["2"], 3, "path_basis: unknown vertex"),
 ])
@@ -574,6 +621,8 @@ def test_isomorphism_on_binomial_relations():
     (("x", "a5-chain"), "isomorphism check needs two AlgebraPresentations"),
     (("a5-chain", "x"), "isomorphism check needs two AlgebraPresentations"),
     (("a5-chain", "a5-chain", "x"), "isomorphism check: max_vertices must be an integer, not 'x'"),
+    (("a5-chain", "a5-chain", True),
+     "isomorphism check: max_vertices must be an integer, not True"),
 ])
 def test_isomorphism_refuses_malformed_arguments(args, message):
     args = [load_fixture(x) if x == "a5-chain" else x for x in args]
@@ -875,3 +924,50 @@ def test_constructors_refuse_malformed_arguments(build, message):
     with pytest.raises(QsaError) as err:
         build()
     assert str(err.value) == message
+
+
+# arguments of the wrong type, which would otherwise end in a TypeError or an
+# AttributeError, or (a bare string of vertex names) be read character by character
+_ARGUMENT_REFUSALS = [
+    (lambda: opposite(5), "the opposite needs an AlgebraPresentation"),
+    (lambda: is_tree(5), "the tree test needs a Quiver or an AlgebraPresentation"),
+    (lambda: underlying_graph(5),
+     "the underlying graph needs a Quiver or an AlgebraPresentation"),
+    (lambda: certificate_payload(5), "the certificate payload needs a ReductionCertificate"),
+    (lambda: blow_up(5, ["1"]), "blow-up needs an AlgebraPresentation"),
+    (lambda: blow_up(load_fixture("a5-chain"), [["1"]]),
+     "the blown vertices must be a list of vertex names, not [['1']]"),
+    (lambda: blow_up(load_fixture("a5-chain"), "13"),
+     "the blown vertices must be a list of vertex names, not '13'"),
+    (lambda: blow_up(load_fixture("a5-chain"), 1),
+     "the blown vertices must be a list of vertex names, not 1"),
+    (lambda: mutate_at(5, "1", "minus"), "mutation needs an AlgebraPresentation"),
+    (lambda: mutate_at(load_fixture("a5-chain"), ["5"], "minus"), "unknown vertex ['5']"),
+    (lambda: mutate_at(load_fixture("a5-chain"), ["1"], "plus"), "unknown vertex ['1']"),
+    (lambda: truncated_cover(load_fixture("three-vertex-wild"), ["a"], 2),
+     "unknown basepoint ['a']"),
+    (lambda: euler_eval(euler_matrix(load_fixture("a5-chain")), 5),
+     "the form is evaluated at a list of numbers, not 5"),
+    (lambda: euler_eval(euler_matrix(load_fixture("a5-chain")), "11111"),
+     "the form is evaluated at a list of numbers, not '11111'"),
+    (lambda: reduce_step(load_fixture("twelve-vertex-gqs"), special=5),
+     "the special vertices must be a list of vertex names, not 5"),
+    (lambda: reduce_step(load_fixture("twelve-vertex-gqs"), special=[["1"]]),
+     "the special vertices must be a list of vertex names, not [['1']]"),
+]
+
+
+@pytest.mark.parametrize("call,message", _ARGUMENT_REFUSALS,
+                         ids=[m for _, m in _ARGUMENT_REFUSALS])
+def test_entry_points_refuse_arguments_of_the_wrong_type(call, message):
+    with pytest.raises(QsaError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_has_vertex_answers_false_for_an_unhashable_name():
+    q = load_fixture("a5-chain").quiver
+    assert q.has_vertex("1")
+    assert not q.has_vertex(["1"])
+    assert not q.has_vertex({"1": 1})
+    assert not q.has_vertex(1)
