@@ -2,6 +2,8 @@
 
 An element of a block e_u A e_v is a list of coordinates, one for each
 basis path of the block, and no other representation leaves this module.
+Coordinates are ints; a Fraction enters only through the coefficients of
+a Gröbner normal form.
 The basis paths are the normal words from u to v shorter than the
 nilpotency bound, in (length, path) order.  For a monomial ideal these
 are the relation-free paths, and a product of basis paths is the joined
@@ -18,37 +20,43 @@ such as ( d e ) - ( a b c ) included.
 
 from itertools import islice
 
-from ._linalg import ZERO, ONE
 from .presentation import QsaError, validate, _GroebnerBasis, _relation_free_levels
+
+
+def _normal_words(a):
+    """(bound, words) for a presentation `validate` certifies admissible:
+    its nilpotency bound, and the monomial relations whose relation-free
+    paths below the bound are its normal words.  A monomial presentation
+    is the basis of its own ideal; any other gives the leading words of
+    its Gröbner basis truncated at the bound.  A presentation that is not
+    certified admissible is refused with the QsaError that
+    `TruncatedAlgebra` raises."""
+    rep = validate(a)
+    if not rep.certified:
+        raise QsaError(
+            "algebra could not be certified finite-dimensional: "
+            + "; ".join(rep.problems))
+    if not rep.admissible:
+        raise QsaError("relation ideal is not admissible")
+    bound = rep.nilpotency_bound
+    if a.is_monomial:
+        return bound, a
+    return bound, _GroebnerBasis(a.quiver, [r.terms for r in a.relations], bound)
 
 
 class TruncatedAlgebra:
     """Basis paths and products in coordinates for a certified quotient algebra."""
 
     def __init__(self, a):
-        rep = validate(a)
-        if not rep.certified:
-            raise QsaError(
-                "algebra could not be certified finite-dimensional: "
-                + "; ".join(rep.problems))
-        if not rep.admissible:
-            raise QsaError("relation ideal is not admissible")
-        self.bound = rep.nilpotency_bound
-        self._build(a)
-
-    # --- construction ---------------------------------------------------
-
-    def _build(self, a):
-        # a monomial presentation is the basis of its own ideal
-        self._normal = None if a.is_monomial else _GroebnerBasis(
-            a.quiver, [r.terms for r in a.relations], self.bound)
+        self.bound, words = _normal_words(a)
+        self._normal = None if words is a else words
+        # (length, path) order: the levels come by length, each sorted
         blocks = {}
-        for level in islice(_relation_free_levels(self._normal or a), self.bound):
-            for src, tgt, path in level:
+        for level in islice(_relation_free_levels(words), self.bound):
+            for src, tgt, path in sorted(level):
                 blocks.setdefault((src, tgt), []).append(path)
         self._index, self._basis = {}, {}
         for key, block in blocks.items():
-            block.sort(key=lambda p: (len(p), p))
             self._basis[key] = tuple(block)
             self._index[key] = {p: i for i, p in enumerate(block)}
 
@@ -73,10 +81,10 @@ class TruncatedAlgebra:
     def path_vec(self, u, v, arrows):
         """Coordinates of a single path given as a tuple of arrow names."""
         index = self._index.get((u, v), {})
-        vec = [ZERO] * len(index)
+        vec = [0] * len(index)
         arrows = tuple(arrows)
         if arrows in index:
-            vec[index[arrows]] = ONE
+            vec[index[arrows]] = 1
         elif self._normal is not None:
             for word, c in self._normal.word(arrows).items():
                 if word in index:
@@ -88,7 +96,7 @@ class TruncatedAlgebra:
         pu = self.free_paths(u, v)
         pw = self.free_paths(v, w)
         idx = self._index.get((u, w), {})
-        out = [ZERO] * len(idx)
+        out = [0] * len(idx)
         for i, ci in enumerate(p):
             if not ci:
                 continue

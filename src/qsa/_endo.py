@@ -45,12 +45,22 @@ the ones of length three with no relation of length two inside, renamed.
 These pass through, and only the blocks with a path through N or M are
 evaluated.  A relation of A longer than three is found by neither route,
 and the final dimension count, compared against the abstract
-endomorphism algebra, reports it rather than papering over it.
+endomorphism algebra, reports it rather than papering over it.  That
+count builds no algebra of the result: its dimension is the number of
+normal words below its nilpotency bound, walks on the prefix automaton
+of its relations (or of the leading words of its truncated Gröbner
+basis), counted by `presentation._normal_word_counts`.  Coordinates are
+plain ints throughout; only relation coefficients become Fractions.
 """
 
-from ._linalg import ONE, ZERO, identity, nullspace, reduce_vec, rref, transpose
-from ._algebra import TruncatedAlgebra
-from .presentation import QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, natural_key
+from fractions import Fraction
+
+from ._linalg import identity, nullspace, reduce_vec, rref, transpose
+from ._algebra import TruncatedAlgebra, _normal_words
+from .presentation import (
+    QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, natural_key,
+    _normal_word_counts,
+)
 
 
 # --- chain-map hom spaces -----------------------------------------------------
@@ -105,7 +115,7 @@ class _HomSpace:
                 parts = self.split(unit)
                 col = []
                 for i in range(len(zu)):
-                    acc = [ZERO] * alg.dim_block(zu[i], x)
+                    acc = [0] * alg.dim_block(zu[i], x)
                     for j in range(len(zv)):
                         comp = alg.mult(zu[i], zv[j], x,
                                         parts[self.pos_index(i, j)], eng.diff[j])
@@ -130,7 +140,7 @@ class _HomSpace:
         return coords
 
     def rep(self, coords):
-        amb = [ZERO] * self.ambient_dim
+        amb = [0] * self.ambient_dim
         for c, row in zip(coords, self.qrows):
             if c:
                 amb = [a + c * b for a, b in zip(amb, row)]
@@ -204,7 +214,7 @@ class _Engine:
         if not self.live(u, w):
             return []
         hr = self.homs.get((u, w))
-        zero = [ZERO] * (hr.ambient_dim if hr else alg.dim_block(u, w))
+        zero = [0] * (hr.ambient_dim if hr else alg.dim_block(u, w))
         if not (self.live(u, v) and self.live(v, w)):
             return zero
         fp, fq = self._split(u, v, amb_p), self._split(v, w, amb_q)
@@ -368,7 +378,7 @@ def mutate_minus(a, x):
         if r.is_monomial and len(p) < 4 and all(n in renamed for n in p) and not (
                 len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
             key = (len(p), r.source, r.target)
-            kernels.setdefault(key, []).append([(ONE, tuple(renamed[n] for n in p))])
+            kernels.setdefault(key, []).append([(1, tuple(renamed[n] for n in p))])
     hot = set(near)
     for r in a.relations:
         if not r.is_monomial:
@@ -384,7 +394,7 @@ def mutate_minus(a, x):
         shifts = []
         for combos, left, right in sides:
             for combo in combos:
-                row = [ZERO] * len(paths)
+                row = [0] * len(paths)
                 for c, p in combo:
                     row[index[left + p + right]] += c
                 shifts.append(row)
@@ -398,13 +408,15 @@ def mutate_minus(a, x):
                 if d > 2:
                     srows, spiv = rref(srows + [red])
 
+    # coefficients stay Fractions: `_canonical` divides by the first one
     result = AlgebraPresentation._trusted(new_q, [
-        RelationTerm._trusted(u, v, {p: c for c, p in combo})
+        RelationTerm._trusted(u, v, {p: Fraction(c) for c, p in combo})
         for (_, u, v), combos in kernels.items() for combo in combos])
     # the stalk pairs are A's blocks; the pairs at x are the solved spaces
     expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in eng.pred[x])
                 + sum(h.dim for h in eng.homs.values()))
-    found = TruncatedAlgebra(result).dimension()
+    bound, words = _normal_words(result)
+    found = sum(sum(ends.values()) for ends in _normal_word_counts(words, bound).values())
     if found != expected:
         raise QsaError(
             f"relation search exceeds length bound: presentation has "

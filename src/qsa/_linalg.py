@@ -1,27 +1,27 @@
 """Exact linear algebra for small dense systems and sparse symmetric forms.
 
-Two kinds of elimination live here.  Row reduction over the rationals
-(`rref`, `nullspace`, `reduce_vec`, and `inverse` as the echelon form of
-[A | I]) works on lists of lists of Fraction, because the tilting engine
-feeds it rational coefficients.  The sign of a symmetric form, with a
-negative vector when there is one, comes from a fraction-free
-elimination on integers (Bareiss, Math. Comp. 22, 1968): rational input
-is first scaled by the lcm of its denominators.  The symmetric kernel
-`_eliminate` stores rows sparsely, as dicts of their nonzero entries,
-each a positive multiple of its rational row, so a pivot costs only the
-rows that meet its column: on the form of a tree that is a few rows.  It
-carries no basis change: a row is never changed after its pivot, so the
-pivot rows hold every multiplier, and `_witness` rebuilds a negative
-vector from them only when one is asked for.  Everything that decides
-something downstream (kernels, inverses, positivity) runs on exact
-arithmetic.
+Two kinds of elimination live here.  Row reduction (`rref`, `nullspace`,
+`reduce_vec`, and `inverse` as the echelon form of [A | I]) works on
+lists of lists of int or Fraction entries.  The tilting engine feeds it
+integer coordinates, so a row stays a list of plain ints: a pivot of 1
+is kept, a pivot of -1 scales its row by its sign, and only a pivot of
+any other value turns that one row into Fractions (times Fraction(1, p)),
+so the arithmetic stays exact.  `inverse` returns rows of Fraction.  The
+sign of a symmetric form, with a negative vector when there is one,
+comes from a fraction-free elimination on integers (Bareiss, Math. Comp.
+22, 1968): rational input is first scaled by the lcm of its
+denominators.  The symmetric kernel `_eliminate` stores rows sparsely, as
+dicts of their nonzero entries, each a positive multiple of its rational
+row, so a pivot costs only the rows that meet its column: on the form of
+a tree that is a few rows.  It carries no basis change: a row is never
+changed after its pivot, so the pivot rows hold every multiplier, and
+`_witness` rebuilds a negative vector from them only when one is asked
+for.  Everything that decides something downstream (kernels, inverses,
+positivity) runs on exact arithmetic.
 """
 
 import math
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def fr(x):
@@ -29,7 +29,7 @@ def fr(x):
 
 
 def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def transpose(a):
@@ -46,10 +46,11 @@ def _integer_rows(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (nonzero rows, pivot column indices)."""
+    """Reduced row echelon form of int or Fraction rows. Returns (nonzero
+    rows, pivot column indices)."""
     if not rows:
         return [], []
-    mat = [list(map(fr, row)) for row in rows]
+    mat = [list(row) for row in rows]
     pivots = []
     r = 0
     ncols = len(mat[0]) if mat else 0
@@ -62,8 +63,11 @@ def rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        if mat[r][c] != ONE:
-            inv = ONE / mat[r][c]
+        p = mat[r][c]
+        if p == -1:
+            mat[r] = [-x for x in mat[r]]
+        elif p != 1:
+            inv = Fraction(1, p)
             mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
@@ -78,7 +82,7 @@ def rref(rows):
 
 def reduce_vec(v, basis, pivots):
     """Residue of v after elimination against an rref basis."""
-    v = list(map(fr, v))
+    v = list(v)
     for row, c in zip(basis, pivots):
         if v[c]:
             f = v[c]
@@ -97,8 +101,8 @@ def nullspace(a, ncols):
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for c in free:
-        v = [ZERO] * ncols
-        v[c] = ONE
+        v = [0] * ncols
+        v[c] = 1
         for row, p in zip(basis, pivots):
             v[p] = -row[c]
         out.append(v)
@@ -114,7 +118,7 @@ def inverse(a):
                          for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [list(map(fr, row[n:])) for row in rows]
 
 
 # --- symmetric forms -------------------------------------------------------

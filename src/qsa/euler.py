@@ -1,9 +1,9 @@
 """Homological bilinear form of an acyclic monomial presentation.
 
-The Cartan matrix counts relation-free paths between vertices, read off
-the presentation's path table in one pass.  Its inverse transpose E is the
-bilinear form on dimension vectors whose value at (x, x) is the alternating
-sum of Hom and Ext dimensions.  E is not found by inverting C: for a
+The Cartan matrix counts relation-free paths between vertices, as walks
+on the prefix automaton of the relations, with no path built.  Its
+inverse transpose E is the bilinear form on dimension vectors whose value
+at (x, x) is the alternating sum of Hom and Ext dimensions.  E is not found by inverting C: for a
 monomial algebra the minimal projective resolution of the simple at i has
 a basis of chains of overlapping relations (Green, Happel and Zacharia,
 Illinois J. Math. 29, 1985; Bardzell, J. Algebra 188, 1997), so
@@ -24,7 +24,7 @@ from typing import NamedTuple
 from ._linalg import fr, _congruence, _integer_rows
 from .presentation import (
     AlgebraPresentation, QsaError, is_tree, _monomial_admissibility,
-    _relation_free_levels,
+    _normal_word_counts,
 )
 
 
@@ -133,9 +133,11 @@ def cartan_matrix(a):
     vs = a.quiver.vertices
     idx = {v: k for k, v in enumerate(vs)}
     entries = [[0] * len(vs) for _ in vs]
-    for level in _relation_free_levels(a):  # ends: the quiver is acyclic
-        for src, tgt, _ in level:
-            entries[idx[tgt]][idx[src]] += 1
+    # a path of an acyclic quiver is shorter than the number of vertices
+    for src, ends in _normal_word_counts(a, len(vs)).items():
+        j = idx[src]
+        for tgt, n in ends.items():
+            entries[idx[tgt]][j] = n
     return CartanMatrix(vs, tuple(tuple(row) for row in entries))
 
 

@@ -18,7 +18,6 @@ from operator import attrgetter
 import re
 from typing import NamedTuple
 
-from . import _linalg
 
 __all__ = [
     "QsaError", "Arrow", "Path", "RelationTerm", "Quiver",
@@ -291,7 +290,7 @@ def _relation_line(r):
     return " ".join(bits)
 
 
-_ONE = _linalg.ONE
+_ONE = Fraction(1)
 
 
 class RelationTerm:
@@ -764,20 +763,17 @@ def _is_connected(q):
     return len(seen) == len(q.vertices)
 
 
-def _monomial_admissibility(a):
-    """(admissible, bound m) from the prefix automaton of the relations.
+def _prefix_automaton(a):
+    """The transition function of the prefix automaton of the monomial
+    relations of `a` (a presentation, or a `_GroebnerBasis` and its
+    leading words): a state maps to the states one arrow on.
 
     A state is a vertex and the longest suffix of the path read so far
     that is a proper prefix of a monomial relation, so there are at most
     |Q0| + sum |relation| states: the Ufnarovski graph (Math. Notes 31,
     1982), built as Aho and Corasick build theirs (CACM 18, 1975).  An
     arrow leads on unless the path it makes ends in a relation.  The
-    relation-free paths are the walks from the empty states: the ideal is
-    admissible when no walk reaches a cycle, and m is one more than the
-    longest walk.  With no relations the automaton is the quiver, and the
-    answer says whether the quiver is acyclic.  The walk is depth first on
-    an explicit stack, so a path longer than the recursion limit is no
-    problem.
+    relation-free paths are the walks from the empty states (v, ()).
     """
     q = a.quiver
     prefixes = {w[:i] for w in a.monomials for i in range(len(w))} | {()}
@@ -791,9 +787,22 @@ def _monomial_admissibility(a):
                     new = new[1:]
                 yield ar.target, new
 
+    return successors
+
+
+def _monomial_admissibility(a):
+    """(admissible, bound m) from the prefix automaton of the relations.
+
+    The ideal is admissible when no walk from an empty state reaches a
+    cycle, and m is one more than the longest walk.  With no relations
+    the automaton is the quiver, and the answer says whether the quiver
+    is acyclic.  The walk is depth first on an explicit stack, so a path
+    longer than the recursion limit is no problem.
+    """
+    successors = _prefix_automaton(a)
     height = {}  # the longest walk from a state; None while on the current walk
     # [state, successors left, longest walk so far]; a start state leads to the empty states
-    stack = [[None, ((v, ()) for v in q.vertices), 0]]
+    stack = [[None, ((v, ()) for v in a.quiver.vertices), 0]]
     while stack:
         top = stack[-1]
         for w in top[1]:
@@ -812,6 +821,80 @@ def _monomial_admissibility(a):
             if stack and h >= stack[-1][2]:
                 stack[-1][2] = h + 1
     return True, height[None]
+
+
+def _normal_word_counts(a, bound):
+    """{v: {w: number of normal words from v to w shorter than `bound`}}
+    for the relations of `a`, or the leading words of a `_GroebnerBasis`:
+    the walks of length < bound from the empty states of the prefix
+    automaton, by end vertex (the Hilbert series of the Ufnarovski graph).
+
+    Counted bottom up in one depth-first pass on an explicit stack, a
+    state's counts the sum of its successors' plus its own empty walk.  A
+    state none of whose walks the bound cuts is counted once, with its
+    height, the longest walk from it, and serves every later visit that
+    has at least that much length left.  For a monomial ideal that
+    `validate` certified, with its bound, this is every state: the bound
+    is one more than the longest walk.  The automaton of a basis
+    truncated at the bound can have a cycle that only the bound ends;
+    a state on a walk that the bound cuts is counted per length left.
+    """
+    successors = _prefix_automaton(a)
+    whole = {}   # state -> (height, counts), for states with no walk cut
+    cut = {}     # (state, length left) -> counts, for the others
+
+    def lookup(state, left):
+        """(height, counts, cut) of the walks of length <= left, or None."""
+        found = whole.get(state)
+        if found is not None and found[0] <= left:
+            return found[0], found[1], False
+        found = cut.get((state, left))
+        return None if found is None else (left, found, True)
+
+    def merge(frame, found):
+        height, counts, was_cut = found
+        if height >= frame[3]:
+            frame[3] = height + 1
+        frame[5] = frame[5] or was_cut
+        if frame[4] is None:
+            frame[4] = dict(counts)
+        else:
+            mine = frame[4]
+            for w, n in counts.items():
+                mine[w] = mine.get(w, 0) + n
+
+    out = {}
+    for v in a.quiver.vertices:
+        found = lookup((v, ()), bound - 1)
+        # [state, length left, successors left, height, counts, some walk cut]
+        stack = [] if found else [[(v, ()), bound - 1, successors((v, ())), 0, None, False]]
+        while stack:
+            top = stack[-1]
+            child = None
+            for t in top[2]:
+                if not top[1]:  # a walk goes on past the bound
+                    top[5] = True
+                    break
+                found = lookup(t, top[1] - 1)
+                if found is None:
+                    child = [t, top[1] - 1, successors(t), 0, None, False]
+                    break
+                merge(top, found)
+            if child is not None:
+                stack.append(child)
+                continue
+            state, left, _, height, counts, was_cut = stack.pop()
+            counts = counts or {}
+            counts[state[0]] = counts.get(state[0], 0) + 1
+            if was_cut:
+                cut[(state, left)] = counts
+            else:
+                whole[state] = (height, counts)
+            found = height, counts, was_cut
+            if stack:
+                merge(stack[-1], found)
+        out[v] = found[1]
+    return out
 
 
 def _relation_free_levels(a, starts=None):

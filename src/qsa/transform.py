@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation,
-    opposite, serialize_presentation, natural_key,
+    opposite, serialize_presentation, natural_key, validate,
 )
 from .classify import classify_vertices, OTHER, _is_special, _ordinary_in
 
@@ -265,7 +265,11 @@ def _vertex_names(vs, what):
 
 
 def _gqs_classification(a):
-    """classify_vertices(a), refusing presentations that are not gqs."""
+    """classify_vertices(a), refusing presentations that are not certified
+    admissible or not gqs."""
+    rep = validate(a)
+    if not (rep.certified and rep.admissible):
+        raise QsaError("the reduction needs a certified admissible ideal")
     c = classify_vertices(a)
     if not c.is_quadratic_string:
         raise QsaError("not a quadratic string algebra: "

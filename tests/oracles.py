@@ -292,6 +292,14 @@ def chain_text(n):
             + "".join(f"arrow a{i}: {i} -> {i + 1}\n" for i in range(1, n)))
 
 
+def loose_loop_text():
+    """Four vertices whose loop a2 has no relation, so a2 a2 ... never
+    dies: the ideal is not admissible."""
+    return ("quiver loose-loop\nvertices: 1 2 3 4\narrow a0: 4 -> 1\n"
+            "arrow a1: 2 -> 1\narrow a2: 2 -> 2\narrow a3: 1 -> 3\n"
+            "relations:\na0 a3\na1 a3\na2 a1\n")
+
+
 def wild_tail_text(n=1200):
     """A_n, arrows i -> i + 1, with three leaves x1, x2, x3 on vertex n: a
     star with four arms, one of them long, so wild."""

@@ -13,7 +13,7 @@ from qsa.cli import run_cli
 from qsa.presentation import is_tree
 
 from conftest import all_fixture_names, fixture_path, load_fixture
-from oracles import wild_tail_text
+from oracles import loose_loop_text, wild_tail_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -239,6 +239,14 @@ def test_mutate_refuses_a_non_admissible_input(tmp_path, capsys, text, sink, mes
     code, out, err = run(capsys, "mutate", "--vertex", sink, "--sign", "minus", str(path))
     assert code == 1
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_reduce_refuses_a_non_admissible_input(tmp_path, capsys):
+    path = tmp_path / "in.qsa"
+    path.write_text(loose_loop_text())
+    code, out, err = run(capsys, "reduce", str(path))
+    assert code == 1
+    assert out == "" and err == "error: the reduction needs a certified admissible ideal\n"
 
 
 def test_reduce_text_and_certificate(tmp_path, capsys):

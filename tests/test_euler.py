@@ -1,6 +1,7 @@
 """Cartan and Euler matrices, form evaluation, non-negativity decisions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from qsa.euler import (
 from qsa._linalg import inverse, transpose
 
 from conftest import load_fixture
-from oracles import chain_chi, chi_form_value, substitution_euler, tree_presentations
+from oracles import (
+    chain_chi, chain_text, chi_form_value, substitution_euler, tree_presentations,
+)
 
 
 # --- small frozen cases --------------------------------------------------------
@@ -355,6 +358,18 @@ def test_path_counts_match_brute_force(a):
         for j, vj in enumerate(c.vertices):
             assert c.entries[i][j] == counts.get((vj, vi), 0)
             assert len(path_basis(a, vj, vi)) == counts.get((vj, vi), 0)
+
+
+def test_cartan_matrix_of_a_long_chain_counts_without_listing_paths():
+    # A_1,280 has 819,840 paths; they are counted on the prefix automaton,
+    # one state per vertex, in well under a second (listing them took 3.6 s)
+    a = parse_presentation(chain_text(1280))
+    start = time.perf_counter()
+    c = cartan_matrix(a)
+    assert time.perf_counter() - start < 1
+    assert c.entries[-1] == (1,) * 1280
+    assert c.entries[0] == (1,) + (0,) * 1279
+    assert sum(map(sum, c.entries)) == 1280 * 1281 // 2
 
 
 @settings(max_examples=200, deadline=None)

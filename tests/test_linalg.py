@@ -245,6 +245,23 @@ def test_nullspace_is_a_kernel_basis(case):
         assert all(sum((r[j] * x[j] for j in range(ncols)), Fraction(0)) == 0
                    for r in a)
         assert [x[f] for f in free] == [1 if f == c else 0 for f in free]
+    # the same rows scaled to plain ints give the same echelon form and kernel
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    ints = [[int(x * d) for x in row] for row in a]
+    assert rref(ints) == rref(a)
+    assert nullspace(ints, ncols) == kernel
+
+
+def test_integer_rows_stay_integers_on_unit_pivots():
+    rows, pivots = rref([[0, -1, 2], [1, 3, 0]])
+    assert (rows, pivots) == ([[1, 0, 6], [0, 1, -2]], [0, 1])
+    assert all(type(x) is int for row in rows for x in row)
+    assert nullspace([[0, -1, 2], [1, 3, 0]], 3) == [[-6, 2, 1]]
+    # a pivot of 2 makes its row, and what it clears, exact Fractions
+    rows, _ = rref([[2, 1], [1, 1]])
+    assert rows == [[1, 0], [0, 1]]
+    assert rref([[2, 1]])[0] == [[1, Fraction(1, 2)]]
+    assert type(rref([[2, 1]])[0][0][1]) is Fraction
 
 
 def test_empty_input_has_every_column_free():

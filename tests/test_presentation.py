@@ -12,13 +12,13 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qsa.presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, parse_presentation,
     serialize_presentation, validate, natural_key, underlying_graph, is_tree,
     path_basis, presentations_isomorphic, opposite, _GroebnerBasis,
-    _relation_free_levels,
+    _normal_word_counts, _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra
 from qsa.classify import is_quadratic_string, special_vertices
@@ -369,7 +369,7 @@ def test_long_relation_on_three_loops_is_not_admissible_within_a_second():
 # first whose graded component vanishes, as the oracle's rank scan finds.
 
 
-def _normal_word_counts(a, cutoff):
+def _graded_normal_words(a, cutoff):
     """{degree: number of normal words} for 1 <= degree <= cutoff, up to
     the first degree with none."""
     words = _GroebnerBasis(a.quiver, [r.terms for r in a.relations], cutoff + 1)
@@ -385,7 +385,7 @@ def test_graded_scan_certifies_cyclic_binomial_ideal():
     assert rep.certified and rep.admissible and rep.ok
     assert rep.nilpotency_bound == 3
     assert graded_dimensions(a, 16) == ({1: 3, 2: 1, 3: 0}, 3)
-    assert _normal_word_counts(a, 16) == {1: 3, 2: 1, 3: 0}
+    assert _graded_normal_words(a, 16) == {1: 3, 2: 1, 3: 0}
     # 2 units + 3 arrows + the one class of a b = c b
     assert TruncatedAlgebra(a).dimension() == 6
 
@@ -403,7 +403,7 @@ def test_graded_scan_gives_up_on_infinite_ideal():
         "admissibility not certified for this cyclic non-monomial ideal",)
     assert graded_dimensions(a, 16) == (
         {1: 5, **{d: 4 for d in range(2, 17)}}, None)
-    assert _normal_word_counts(a, 16) == {1: 5, **{d: 4 for d in range(2, 17)}}
+    assert _graded_normal_words(a, 16) == {1: 5, **{d: 4 for d in range(2, 17)}}
 
 
 _NOT_CERTIFIED = "admissibility not certified for this cyclic non-monomial ideal"
@@ -569,6 +569,124 @@ def test_relation_free_levels_match_factor_scan(a):
         assert longest == rep.nilpotency_bound - 1
     else:
         assert longest == MAX_DEGREE
+
+
+# --- normal words counted on the prefix automaton --------------------------------
+
+# The count must agree with the listed relation-free paths, in total and per
+# (source, target), at the nilpotency bound and at any cut below it, also
+# where the automaton has a cycle and only the cut ends the walks.
+
+
+def _listed_counts(words, bound):
+    """{(source, target): number} of the relation-free paths of `words`
+    shorter than `bound`, listed level by level."""
+    out = {}
+    for level in islice(_relation_free_levels(words), bound):
+        for src, tgt, _ in level:
+            out[(src, tgt)] = out.get((src, tgt), 0) + 1
+    return out
+
+
+def _assert_counts_match(words, bound):
+    """Compare the counts with the listed paths; return their total."""
+    counts = _normal_word_counts(words, bound)
+    assert set(counts) == set(words.quiver.vertices)
+    got = {(src, tgt): n for src, ends in counts.items() for tgt, n in ends.items()}
+    assert got == _listed_counts(words, bound)
+    return sum(got.values())
+
+
+@st.composite
+def _long_monomial_presentations(draw):
+    """Quivers on 1-4 vertices, with loops and cycles unless drawn acyclic,
+    and monomial relations of length 2 to 5; when those leave the ideal
+    not admissible, every relation-free path of one drawn length joins
+    them."""
+    acyclic = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    verts = [str(i + 1) for i in range(n)]
+    pairs = [(s, t) for i, s in enumerate(verts) for j, t in enumerate(verts)
+             if i < j or not acyclic]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    q = Quiver("gen", verts, [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    candidates = sorted({p for level in _raw_paths_upto(q, 5)[2:] for _, _, p in level})
+    rels = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=5)) \
+        if candidates else []
+    a = AlgebraPresentation(q, [[(1, list(p))] for p in rels])
+    if not validate(a).admissible:
+        length = draw(st.integers(2, 4))
+        level = list(islice(_relation_free_levels(a), length + 1))[length]
+        a = AlgebraPresentation(q, [[(1, list(p))] for p in rels]
+                                + [[(1, list(p))] for _, _, p in level])
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(_long_monomial_presentations(), st.integers(1, 7))
+def test_normal_word_counts_match_listed_paths(a, cut):
+    rep = validate(a)
+    assert rep.admissible
+    _assert_counts_match(a, rep.nilpotency_bound)
+    _assert_counts_match(a, min(cut, rep.nilpotency_bound))
+
+
+@st.composite
+def _binomial_presentations(draw):
+    """Quivers on 1-3 vertices with loops and cycles, one or two
+    length-homogeneous binomial relations of length 2 or 3 and up to three
+    monomial ones; often every path of one drawn length is a relation too,
+    which makes the ideal admissible."""
+    n = draw(st.integers(1, 3))
+    verts = [str(i + 1) for i in range(n)]
+    pairs = [(s, t) for s in verts for t in verts]
+    ends = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=4))
+    q = Quiver("gen", verts, [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    levels = _raw_paths_upto(q, 4)
+    parallel = {}
+    for level in levels[2:4]:
+        for src, tgt, p in level:
+            parallel.setdefault((src, tgt, len(p)), []).append(p)
+    groups = [g for g in parallel.values() if len(g) > 1]
+    assume(groups)
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        p, r = draw(st.lists(st.sampled_from(draw(st.sampled_from(groups))),
+                             min_size=2, max_size=2, unique=True))
+        rels.append([(1, list(p)), (-draw(st.sampled_from([1, 2, Fraction(1, 2)])), list(r))])
+    paths = sorted(p for level in levels[2:4] for _, _, p in level)
+    rels += [[(1, list(p))] for p in draw(st.lists(st.sampled_from(paths), max_size=3))]
+    if draw(st.booleans()):
+        rels += [[(1, list(p))] for _, _, p in levels[draw(st.sampled_from([3, 4]))]]
+    return AlgebraPresentation(q, rels)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_binomial_presentations(), st.integers(1, 7))
+def test_normal_word_counts_match_on_leading_words(a, cut):
+    # the leading words of a basis truncated at a cut, where the automaton
+    # may have a cycle; and, for a certified ideal, of the basis truncated
+    # at the bound, as `TruncatedAlgebra` builds it
+    terms = [r.terms for r in a.relations]
+    _assert_counts_match(_GroebnerBasis(a.quiver, terms, cut), cut)
+    rep = validate(a)
+    if rep.certified and rep.admissible and not a.is_monomial:
+        bound = rep.nilpotency_bound
+        words = _GroebnerBasis(a.quiver, terms, bound)
+        assert _assert_counts_match(words, bound) == TruncatedAlgebra(a).dimension()
+
+
+def test_normal_word_counts_cut_a_cyclic_automaton_at_the_bound():
+    # a a = b b, a b = b a = 0 on two loops: rad^3 = 0, but the basis
+    # truncated at 3 lacks the cubic leading word b b b, so b b b ... is a
+    # walk of its automaton that only the bound ends
+    a = parse_presentation("quiver g\nvertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+                           "relations:\n( a a ) - ( b b )\na b\nb a\n")
+    rep = validate(a)
+    assert rep.nilpotency_bound == 3
+    words = _GroebnerBasis(a.quiver, [r.terms for r in a.relations], 3)
+    assert _normal_word_counts(words, 3) == {"1": {"1": 4}}
+    assert TruncatedAlgebra(a).dimension() == 4
 
 
 # --- isomorphism -------------------------------------------------------------------

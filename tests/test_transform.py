@@ -22,7 +22,10 @@ from qsa.transform import (
 )
 
 from conftest import all_fixture_names, load_fixture, glued_twelve_gqs
-from oracles import commuting_mutation_cases, random_mutation_texts, trace_form_radical
+from oracles import (
+    chain_text, commuting_mutation_cases, loose_loop_text, random_mutation_texts,
+    trace_form_radical,
+)
 
 
 # --- blow-up -----------------------------------------------------------------
@@ -108,10 +111,13 @@ def test_reduce_step_class_four_rewrites():
     ("twelve-vertex-gqs", ["1"], "vertex '1' is special but ordinary"),
     # not gqs: refused before the special set is read
     ("two-cycle", [], "vertices neither gentle nor exceptional: 2"),
+    # not admissible: refused before the classification
+    ("loose-loop", ["3"], "the reduction needs a certified admissible ideal"),
 ])
 def test_reduction_refuses_a_bad_special_set(reduce, name, special, message):
+    a = parse_presentation(loose_loop_text()) if name == "loose-loop" else load_fixture(name)
     with pytest.raises(QsaError) as err:
-        reduce(load_fixture(name), special)
+        reduce(a, special)
     assert str(err.value) == message
 
 
@@ -623,8 +629,9 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
     # hom spaces are built only for live pairs with an end in x or its
     # in-neighbours, the hom spaces built and the relation blocks evaluated
     # per mutation do not grow with the number of copies, and the final
-    # dimension check builds the algebra of every result
-    built, blocks, algebras = [], [], []
+    # dimension check counts the normal words of the result once and
+    # builds no algebra of it
+    built, blocks, algebras, counted = [], [], [], []
 
     class CountingHomSpace(_endo._HomSpace):
         def __init__(self, engine, u, v):
@@ -643,9 +650,16 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
         blocks.append(len(found))
         return found
 
+    word_counts = _endo._normal_word_counts
+
+    def counting_words(words, bound):
+        counted.append(words)
+        return word_counts(words, bound)
+
     monkeypatch.setattr(_endo, "_HomSpace", CountingHomSpace)
     monkeypatch.setattr(_endo, "TruncatedAlgebra", CountingAlgebra)
     monkeypatch.setattr(_endo, "_region_blocks", counting_blocks)
+    monkeypatch.setattr(_endo, "_normal_word_counts", counting_words)
     for sign in ("minus", "plus"):
         counts = []
         for k in range(1, 5):
@@ -654,10 +668,12 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
             built.clear()
             blocks.clear()
             algebras.clear()
+            counted.clear()
             b = mutate_at(a, x, sign)
             tilted = a if sign == "minus" else opposite(a)
             assert built and set(built) <= _live_pairs_near(tilted, x)
-            assert algebras == [tilted, b if sign == "minus" else opposite(b)]
+            assert algebras == [tilted]
+            assert counted == [b if sign == "minus" else opposite(b)]
             counts.append((len(built), blocks[0]))
         # the sink is vertex 6 of a copy for odd k, vertex 12 for even k
         # (the source 5 or 11)
@@ -794,6 +810,22 @@ def test_mutation_refuses_a_vertex_without_arrows_in_its_own_terms():
     with pytest.raises(QsaError) as plus:
         mutate_at(one, "1", "plus")
     assert str(plus.value) == "plus mutation needs at least one arrow out of '1'"
+
+
+@pytest.mark.parametrize("n, relation, x, sign, found, expected", [
+    (6, "a1 a2 a3 a4", "6", "minus", 17, 16),
+    (7, "a3 a4 a5 a6", "1", "plus", 23, 21),
+])
+def test_mutation_refuses_a_relation_longer_than_three(n, relation, x, sign, found, expected):
+    # A's relation of length four is found neither by the pass-through nor
+    # by the kernels of length two and three; the dimension count of the
+    # result reports it instead of returning a bigger algebra
+    a = parse_presentation(chain_text(n) + f"relations:\n{relation}\n")
+    with pytest.raises(QsaError) as err:
+        mutate_at(a, x, sign)
+    assert str(err.value) == (
+        f"relation search exceeds length bound: presentation has dimension "
+        f"{found}, endomorphism algebra {expected}")
 
 
 # --- blow-up and mutation commute when they do not touch ------------------------
