@@ -793,3 +793,85 @@ def trace_form_radical(engine):
     gram = [[sum(table[i][j][t] * tau[t] for t in range(n))
              for j in range(n)] for i in range(n)]
     return nullspace(gram, n)
+
+
+# --- reduction corpora for the frozen reduction digests -----------------------
+
+
+def glued_reduction_inputs(max_k=12):
+    """`glued_twelve_gqs(k)` and its opposite for k = 1..max_k: 3k
+    reduction moves each, classes 3, 1, 2 (5, 1, 2 on the opposite), with
+    relations kept across copies."""
+    from conftest import glued_twelve_gqs
+    from qsa.presentation import opposite
+    out = []
+    for k in range(1, max_k + 1):
+        a = glued_twelve_gqs(k)
+        out += [a, opposite(a)]
+    return out
+
+
+def random_reducing_texts(seed, count=120):
+    """`count` seeded presentation texts that the reduction accepts and
+    makes at least one move on.
+
+    A draw has 3 to 8 vertices and n - 1 to n + 2 arrows, loops allowed,
+    with in- and out-degree at most 2: the first n - 1 arrows join each
+    vertex to an earlier one, in a random direction, and the rest join
+    random vertices.  Each composable pair of arrows is a relation with
+    probability one half; then, while an arrow has two relation-free
+    continuations (or predecessors), one of them at random joins the
+    relations, so most draws satisfy the string conditions.  A draw is
+    kept when `validate` reports no problem and `reduce_to_skewed_gentle`
+    makes a step; draws it refuses or leaves as they are are skipped.
+    """
+    import random
+    from qsa.presentation import parse_presentation, validate
+    from qsa.transform import reduce_to_skewed_gentle
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 8)
+        verts = [str(i) for i in range(1, n + 1)]
+        outs = {v: [] for v in verts}
+        ins = {v: [] for v in verts}
+
+        def arrow(s, t):
+            name = f"a{sum(map(len, outs.values()))}"
+            outs[s].append((name, t))
+            ins[t].append((name, s))
+
+        for i, v in enumerate(verts[1:], 1):
+            w = rng.choice(verts[:i])
+            ends = [(w, v), (v, w)]
+            rng.shuffle(ends)
+            ends = [(s, t) for s, t in ends if len(outs[s]) < 2 and len(ins[t]) < 2]
+            if ends:
+                arrow(*ends[0])
+        for _ in range(rng.randint(0, 3)):
+            free_s = [v for v in verts if len(outs[v]) < 2]
+            free_t = [v for v in verts if len(ins[v]) < 2]
+            if free_s and free_t:
+                arrow(rng.choice(free_s), rng.choice(free_t))
+        arrows = sorted(((x, s, t) for s in verts for x, t in outs[s]),
+                        key=lambda ar: int(ar[0][1:]))
+        rels = {(x, y) for x, _, t in arrows for y, _ in outs[t] if rng.random() < 0.5}
+        for x, s, t in arrows:
+            free = [y for y, _ in outs[t] if (x, y) not in rels]
+            if len(free) == 2:
+                rels.add((x, rng.choice(free)))
+            free = [w for w, _ in ins[s] if (w, x) not in rels]
+            if len(free) == 2:
+                rels.add((rng.choice(free), x))
+        text = presentation_text(f"r{seed}_{len(out)}", verts, arrows,
+                                 [[(1, p)] for p in sorted(rels)])
+        a = parse_presentation(text)
+        if validate(a).problems:
+            continue
+        try:
+            steps = reduce_to_skewed_gentle(a).steps
+        except QsaError:
+            continue
+        if steps:
+            out.append(text)
+    return out

@@ -14,6 +14,7 @@ from qsa import _endo, classify, decide, presentation, transform
 from qsa._algebra import TruncatedAlgebra
 from qsa._linalg import identity, rref
 from qsa.classify import VertexClassification, classify_vertices, special_vertices
+from qsa.cli import run_cli
 from qsa.decide import decide_derived_type
 from qsa.transform import (
     CASE_REWRITE, DIRECT_BLOWUP,
@@ -23,8 +24,8 @@ from qsa.transform import (
 
 from conftest import all_fixture_names, load_fixture, glued_twelve_gqs
 from oracles import (
-    chain_text, commuting_mutation_cases, loose_loop_text, random_mutation_texts,
-    trace_form_radical,
+    chain_text, commuting_mutation_cases, glued_reduction_inputs, loose_loop_text,
+    random_mutation_texts, random_reducing_texts, trace_form_radical,
 )
 
 
@@ -247,6 +248,45 @@ def test_certificate_digest_is_frozen(name, side):
     cert = reduce_to_skewed_gentle(opposite(a) if side == "opposite" else a)
     digest = hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
     assert digest == CERTIFICATE_SHA256[(name, side)]
+
+
+# The reduction corpora, frozen as one SHA-256 per family over, for each
+# input in order: its certificate JSON, the result and the step of one
+# `reduce_step` (presentation text, then the step's fields as JSON), and
+# the `qsa classify --json` document.  glued: `glued_reduction_inputs()`,
+# 24 inputs, 468 moves; random: `random_reducing_texts(seed)` at seeds 1
+# and 2, 120 inputs each.
+REDUCTION_CORPUS_SHA256 = {
+    "glued": "344fd8004054299665c56ed10dd5683b696ed845124b416914de15ea7287b1b9",
+    "random": "c31406c2acb28b98a1e7d58d267b20db45a4f57928db8c34aaba80a448ac442b",
+}
+
+
+def _reduction_corpus_digest(texts, tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "input.qsa"
+    for text in texts:
+        a = parse_presentation(text)
+        digest.update(certificate_to_json(reduce_to_skewed_gentle(a)).encode())
+        b, step = reduce_step(a)
+        digest.update(serialize_presentation(b).encode())
+        digest.update(json.dumps(step._asdict()).encode())
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["classify", str(path), "--json"])
+        digest.update(capsys.readouterr().out.encode())
+        assert code == 0
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(REDUCTION_CORPUS_SHA256))
+def test_reduction_corpus_digest_is_frozen(family, tmp_path, capsys):
+    if family == "glued":
+        texts = list(map(serialize_presentation, glued_reduction_inputs()))
+    else:
+        texts = random_reducing_texts(1) + random_reducing_texts(2)
+    assert _reduction_corpus_digest(texts, tmp_path, capsys) == \
+        REDUCTION_CORPUS_SHA256[family]
 
 
 def _count_calls(monkeypatch, func, modules=None):
