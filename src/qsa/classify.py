@@ -17,12 +17,15 @@ a reduction.  The tables a report reads (`classes` with `ordinary_in`,
 read.
 
 A classification is maintained by delta.  Given the classification before
-a change and the vertices the change can affect, `classify_vertices`
-copies the stored facts and re-examines only those vertices and their
-arrows.  A fresh classification examines every vertex the same way.
+a change and the vertices the change can affect, one routine re-examines
+only those vertices and their arrows and updates the stored facts in
+place (`_reclassify`).  `classify_vertices` runs it on a copy of the
+previous facts, or on empty ones for a fresh classification, which
+examines every vertex; a reduction runs it on the classification it
+carries.
 """
 
-from bisect import insort
+from bisect import bisect_left, insort
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
@@ -172,30 +175,36 @@ def _quadratic_pairs(a):
     return a.monomials
 
 
-def _vertex_faults(q, v):
-    """Quadratic-string violations of vertex v: more than two arrows in or out."""
+def _vertex_faults(v, ins, outs):
+    """Quadratic-string violations of vertex v, whose arrows in and out are
+    `ins` and `outs`: more than two arrows in or out."""
+    n_out, n_in = len(outs), len(ins)
+    if n_out <= 2 and n_in <= 2:
+        return ()
     out = []
-    if len(q.out_arrows(v)) > 2:
-        out.append(f"vertex {v} is the source of {len(q.out_arrows(v))} arrows")
-    if len(q.in_arrows(v)) > 2:
-        out.append(f"vertex {v} is the target of {len(q.in_arrows(v))} arrows")
-    return out
+    if n_out > 2:
+        out.append(f"vertex {v} is the source of {n_out} arrows")
+    if n_in > 2:
+        out.append(f"vertex {v} is the target of {n_in} arrows")
+    return tuple(out)
 
 
 def _arrow_faults(q, rel, ar):
     """Quadratic-string violations of arrow ar: two relation-free neighbours."""
-    out = []
     cont = [b.name for b in q.out_arrows(ar.target) if (ar.name, b.name) not in rel]
+    pre = [b.name for b in q.in_arrows(ar.source) if (b.name, ar.name) not in rel]
+    if len(cont) <= 1 and len(pre) <= 1:
+        return ()
+    out = []
     if len(cont) > 1:
         out.append(
             f"arrow {ar.name} has {len(cont)} relation-free continuations: "
             + ", ".join(sorted(cont, key=natural_key)))
-    pre = [b.name for b in q.in_arrows(ar.source) if (b.name, ar.name) not in rel]
     if len(pre) > 1:
         out.append(
             f"arrow {ar.name} has {len(pre)} relation-free predecessors: "
             + ", ".join(sorted(pre, key=natural_key)))
-    return out
+    return tuple(out)
 
 
 def is_quadratic_string(a):
@@ -207,7 +216,8 @@ def is_quadratic_string(a):
             False, ["the ideal is not generated by paths of length two"])
     q = a.quiver
     rel = _quadratic_pairs(a)
-    violations = [m for v in q.vertices for m in _vertex_faults(q, v)]
+    violations = [m for v in q.vertices
+                  for m in _vertex_faults(v, q.in_arrows(v), q.out_arrows(v))]
     violations += [m for ar in q.arrows for m in _arrow_faults(q, rel, ar)]
     return QuadraticStringReport(not violations, violations)
 
@@ -215,13 +225,15 @@ def is_quadratic_string(a):
 # --- gentleness and the exceptional classes ---------------------------------
 
 
-def _is_gentle_vertex(q, rel, x):
-    for b in q.out_arrows(x):
-        partners = [a for a in q.in_arrows(x) if (a.name, b.name) in rel]
+def _is_gentle_vertex(rel, ins, outs):
+    """Whether the arrows `ins` and `outs` at a vertex pair up partially:
+    each has at most one partner whose composite lies in `rel`."""
+    for b in outs:
+        partners = [a for a in ins if (a.name, b.name) in rel]
         if len(partners) > 1:
             return False
-    for a in q.in_arrows(x):
-        partners = [b for b in q.out_arrows(x) if (a.name, b.name) in rel]
+    for a in ins:
+        partners = [b for b in outs if (a.name, b.name) in rel]
         if len(partners) > 1:
             return False
     return True
@@ -239,8 +251,10 @@ def _single_sink(q, v, arrow):
 
 
 def _ordered_pairs(arrows):
+    """Ordered pairs of distinct names of `arrows`, which are in arrow
+    order, as `out_arrows` and `in_arrows` give them."""
     out = []
-    names = sorted((a.name for a in arrows), key=natural_key)
+    names = [a.name for a in arrows]
     for x in names:
         for y in names:
             if x != y:
@@ -248,15 +262,14 @@ def _ordered_pairs(arrows):
     return out
 
 
-def _class_witnesses(q, rel, x):
+def _class_witnesses(q, rel, x, ins, outs):
     """{class: (witness dict, pair of vertices marked ordinary)} for every
-    exceptional class that fits at x, in one pass over the candidates.
+    exceptional class that fits at x, whose arrows in and out are `ins`
+    and `outs`, in one pass over the candidates.
 
     Candidate arrows are scanned in name order and the first witness of
     each class is kept, so it is the lexicographically first one.
     """
-    ins = q.in_arrows(x)
-    outs = q.out_arrows(x)
     src = {ar.name: ar.source for ar in ins}
     tgt = {ar.name: ar.target for ar in outs}
     found = {}
@@ -326,13 +339,13 @@ def _class_witnesses(q, rel, x):
     return found
 
 
-def _classify_vertex(a, rel, x):
-    """VertexClass of x with `ordinary_in` empty, and for an exceptional x
-    its (marked pair, diagnostic or None); None for any other x."""
-    q = a.quiver
-    if _is_gentle_vertex(q, rel, x):
+def _classify_vertex(q, rel, x, ins, outs):
+    """VertexClass of x, whose arrows in and out are `ins` and `outs`, with
+    `ordinary_in` empty, and for an exceptional x its (marked pair,
+    diagnostic or None); None for any other x."""
+    if _is_gentle_vertex(rel, ins, outs):
         return VertexClass(x, GENTLE, 0, None, ()), None
-    found = _class_witnesses(q, rel, x)
+    found = _class_witnesses(q, rel, x, ins, outs)
     if not found:
         return VertexClass(x, OTHER, 0, None, ()), None
     idx, *higher = sorted(found)
@@ -362,14 +375,48 @@ def _ordinary_in(q, classification, v):
     return tuple(sorted(found))
 
 
-def _edited(items, drops, adds, order):
-    """The canonically ordered tuple `items` without `drops`, with `adds`."""
-    out = list(items)
-    for v in drops:
-        out.remove(v)
-    for v in adds:
-        insort(out, v, key=order)
-    return tuple(out)
+def _reclassify(q, rel, c, dirty):
+    """Examine the vertices in `dirty` and the arrows at them again, and
+    update the stored facts of the classification `c` in place.
+
+    `q` reads the quiver after a change (a `Quiver`, or the working state
+    of a reduction) and `rel` is its set of relation pairs.  `dirty` also
+    names the vertices `q` no longer has, and the faults of arrows `q` no
+    longer has are dropped.  `c.exceptional_vertices` is a list in
+    canonical order; it changes only where a dirty vertex became or
+    stopped being exceptional.
+    """
+    raw, marks, vertex_faults, arrow_faults = (
+        c.raw_classes, c.marks, c.vertex_faults, c.arrow_faults)
+    for name in [n for n in arrow_faults if not q.has_arrow(n)]:
+        del arrow_faults[name]
+    exceptional, order = c.exceptional_vertices, q._order.__getitem__
+    others = c.others
+    arrows = {}   # the arrows at dirty vertices, each once
+    for x in dirty:
+        was = raw.get(x)
+        if was is not None:
+            others -= was.kind == OTHER
+        if q.has_vertex(x):
+            ins, outs = q.in_arrows(x), q.out_arrows(x)
+            vc, mark = _classify_vertex(q, rel, x, ins, outs)
+            raw[x] = vc
+            others += vc.kind == OTHER
+            _set_or_drop(vertex_faults, x, _vertex_faults(x, ins, outs))
+            arrows.update(dict.fromkeys(ins + outs))
+        else:
+            mark = None
+            raw.pop(x, None)
+            vertex_faults.pop(x, None)
+        if (x in marks) != (mark is not None):
+            if mark:
+                insort(exceptional, x, key=order)
+            else:
+                del exceptional[bisect_left(exceptional, order(x), key=order)]
+        _set_or_drop(marks, x, mark)
+    for ar in arrows:
+        _set_or_drop(arrow_faults, ar.name, _arrow_faults(q, rel, ar))
+    c.others = others
 
 
 def classify_vertices(a, previous=None, dirty=None):
@@ -383,11 +430,11 @@ def classify_vertices(a, previous=None, dirty=None):
     vertex's class and the string conditions at its arrows read.  `dirty`
     also names the vertices of `previous` that `a` no longer has.
 
-    The stored facts of `previous` are copied and changed at the dirty
-    vertices and their arrows; the exceptional vertices change only where
-    a dirty vertex became or stopped being exceptional.  Nothing is read
-    per vertex or per arrow of the whole quiver, and `previous` is left as
-    it is.  A fresh classification examines every vertex, from nothing.
+    The stored facts of `previous` are copied and `_reclassify` updates
+    the copy at the dirty vertices and their arrows, the routine a
+    reduction runs in place on the classification it carries; `previous`
+    is left as it is.  A fresh classification runs the same routine from
+    empty facts, over every vertex.
 
     The quiver must be connected.  A fresh classification checks that over
     the whole quiver.  With `previous` it is not checked again: the
@@ -403,8 +450,8 @@ def classify_vertices(a, previous=None, dirty=None):
             raise QsaError("dirty vertices need the previous classification")
         if not q._connected:
             raise QsaError("classification needs a connected quiver")
-        raw, marks, vertex_faults, arrow_faults = {}, {}, {}, {}
-        others, exceptional, dirty = 0, (), q.vertices
+        c = VertexClassification({}, {}, {}, {}, 0, [])
+        dirty = q.vertices
     elif not isinstance(previous, VertexClassification):
         raise QsaError("the previous classification must be a VertexClassification")
     else:
@@ -413,37 +460,13 @@ def classify_vertices(a, previous=None, dirty=None):
         except TypeError:
             raise QsaError("a reclassification needs the dirty vertices, "
                            "as an iterable of names") from None
-        raw, marks = previous.raw_classes.copy(), previous.marks.copy()
-        vertex_faults = previous.vertex_faults.copy()
-        arrow_faults = {n: f for n, f in previous.arrow_faults.items() if q.has_arrow(n)}
-        others, exceptional = previous.others, previous.exceptional_vertices
-    rel = _quadratic_pairs(a)
-
-    drops, adds = [], []   # dirty vertices that stopped / started being exceptional
-    arrows = {}            # the arrows at dirty vertices, in a hash-seed-free order
-    for x in dirty:
-        was = raw.get(x)
-        if was is not None:
-            others -= was.kind == OTHER
-        if q.has_vertex(x):
-            vc, mark = _classify_vertex(a, rel, x)
-            raw[x] = vc
-            others += vc.kind == OTHER
-            _set_or_drop(vertex_faults, x, tuple(_vertex_faults(q, x)))
-            arrows.update(dict.fromkeys(q.in_arrows(x) + q.out_arrows(x)))
-        else:
-            mark = None
-            raw.pop(x, None)
-            vertex_faults.pop(x, None)
-        if (x in marks) != (mark is not None):
-            (adds if mark else drops).append(x)
-        _set_or_drop(marks, x, mark)
-    for ar in arrows:
-        _set_or_drop(arrow_faults, ar.name, tuple(_arrow_faults(q, rel, ar)))
-    if drops or adds:
-        exceptional = _edited(exceptional, drops, adds, q._order.__getitem__)
-    return VertexClassification(raw, marks, vertex_faults, arrow_faults, others,
-                                exceptional)
+        c = VertexClassification(
+            previous.raw_classes.copy(), previous.marks.copy(),
+            previous.vertex_faults.copy(), previous.arrow_faults.copy(),
+            previous.others, list(previous.exceptional_vertices))
+    _reclassify(q, _quadratic_pairs(a), c, dirty)
+    c.exceptional_vertices = tuple(c.exceptional_vertices)
+    return c
 
 
 def is_gqs(a):
@@ -451,16 +474,15 @@ def is_gqs(a):
     return classify_vertices(a).gqs
 
 
-def _is_special(a, v):
-    """At most one arrow in, one out, and their composite not a relation."""
-    q = a.quiver
+def _is_special(q, rel, v):
+    """At most one arrow in, one out, and their composite not in `rel`."""
     if not q.has_vertex(v):
         return False
     ins = q.in_arrows(v)
     outs = q.out_arrows(v)
     if len(ins) > 1 or len(outs) > 1:
         return False
-    if ins and outs and (ins[0].name, outs[0].name) in a.monomials:
+    if ins and outs and (ins[0].name, outs[0].name) in rel:
         return False
     return True
 
@@ -470,7 +492,7 @@ def special_vertices(a):
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("special vertices need an AlgebraPresentation")
     _quadratic_pairs(a)  # shape errors come before the connectivity check
-    special = [v for v in a.quiver.vertices if _is_special(a, v)]
+    special = [v for v in a.quiver.vertices if _is_special(a.quiver, a.monomials, v)]
     ordinary = classify_vertices(a).ordinary_vertices
     special_not_ordinary = [v for v in special if v not in ordinary]
     return SpecialVertices(tuple(special), ordinary, tuple(special_not_ordinary))

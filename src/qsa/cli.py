@@ -69,9 +69,12 @@ def _write_file(path, text):
 
 
 def _matrix_lines(rows):
-    cells = [[str(x) for x in row] for row in rows]
-    width = max((len(c) for row in cells for c in row), default=1)
-    return ["  " + " ".join(c.rjust(width) for c in row) for row in cells]
+    """The rows, each cell right-aligned to the widest one.  Each distinct
+    value is formatted once, so a row is one join of dictionary lookups."""
+    values = set().union(*map(set, rows))
+    width = max((len(str(x)) for x in values), default=1)
+    cell = {x: str(x).rjust(width) for x in values}
+    return ["  " + " ".join(map(cell.__getitem__, row)) for row in rows]
 
 
 # an exponent of six or more digits (underscores aside) gives a number too
@@ -265,7 +268,7 @@ def _cmd_euler(args):
         data = {
             "vertices": list(e.vertices),
             "cartan": [list(row) for row in c.entries],
-            "euler": [[str(x) for x in row] for row in e.entries],
+            "euler": [list(map(str, row)) for row in e.entries],
             "polynomial": _form_polynomial(e),
             "nonnegative": rep.nonnegative,
             "positive_definite": rep.positive_definite,
@@ -304,27 +307,24 @@ def _cmd_euler(args):
 
 
 def _form_polynomial(e):
-    n = len(e.vertices)
+    """The form as a polynomial, its terms in (i, j) order, read off the
+    sparse rows of E: E[i][j] + E[j][i] is the coefficient of x_i x_j."""
+    coefs = {}
+    for i, row in enumerate(e._rows):
+        for j, x in row.items():
+            key = (i, j) if i <= j else (j, i)
+            coefs[key] = coefs[key] + x if key in coefs else x
     terms = []
-    for i in range(n):
-        for j in range(i, n):
-            coef = e.entries[i][j] if i == j else e.entries[i][j] + e.entries[j][i]
-            if not coef:
-                continue
-            mono = f"x{i + 1}^2" if i == j else f"x{i + 1}*x{j + 1}"
-            if coef < 0:
-                sign, mag = " - ", -coef
-            else:
-                sign, mag = " + ", coef
-            body = mono if mag == 1 else f"{mag}*{mono}"
-            terms.append((sign, body))
+    for (i, j), coef in sorted(coefs.items()):
+        if not coef:
+            continue
+        mono = f"x{i + 1}^2" if i == j else f"x{i + 1}*x{j + 1}"
+        mag = -coef if coef < 0 else coef
+        terms.append((" - " if coef < 0 else " + ") + (mono if mag == 1 else f"{mag}*{mono}"))
     if not terms:
         return "0"
-    first_sign, first_body = terms[0]
-    out = ("-" if first_sign == " - " else "") + first_body
-    for sign, body in terms[1:]:
-        out += sign + body
-    return out
+    text = "".join(terms)
+    return ("-" if text.startswith(" - ") else "") + text[3:]
 
 
 def _cmd_cover(args):

@@ -228,7 +228,10 @@ class CoverBall:
     presentation `cover` and the three maps are built on first use.
     The base must be a connected monomial presentation with a certified
     admissible ideal, the basepoint one of its vertices and the radius an
-    integer of at least 0; anything else is refused with a QsaError.
+    integer of at least 0; anything else is refused with a QsaError.  So
+    is a ball of more vertices than the witness budget plus one
+    (`_ball_exceeds`, counted before anything is built): a search of it
+    would run out of budget on its arrows alone.
     """
 
     def __init__(self, base, basepoint, radius):
@@ -247,6 +250,12 @@ class CoverBall:
             raise QsaError("cover construction needs a connected quiver")
         if not (report.certified and report.admissible):
             raise QsaError("cover construction needs a certified admissible ideal")
+        cap = max(_env_int("QSA_WITNESS_BUDGET", DEFAULT_WITNESS_BUDGET), 0) + 1
+        if _ball_exceeds(base.quiver, basepoint, radius, cap):
+            raise _BallTooLarge(
+                f"the cover ball of radius {radius} at {basepoint!r} has more than "
+                f"{cap} vertices, the witness budget plus one (QSA_WITNESS_BUDGET "
+                f"raises it)")
         self.base = base
         self.basepoint = basepoint
         self.radius = radius
@@ -299,6 +308,52 @@ class CoverBall:
     def __repr__(self):
         return (f"CoverBall({self.base.name!r} at {self.basepoint!r}, "
                 f"radius {self.radius}, {len(self._names)} vertices)")
+
+
+class _BallTooLarge(QsaError):
+    """A cover ball over the vertex cap; a search counts it as a budget hit."""
+
+
+def _ball_exceeds(q, base, radius, cap):
+    """Whether the radius-r ball of quiver q at `base` has more than `cap`
+    vertices, counted without naming any.
+
+    The root has at most d children and every other vertex at most d - 1,
+    for d the largest number of arrows at a vertex (a loop counts twice),
+    so a crude bound comes first.  Only when it exceeds `cap` are the
+    vertices counted exactly, level by level, as walks in the states
+    (vertex, the step that reached it): a step leads on along every arrow
+    at the vertex but the one it came by, as `_ball_arrays` walks.
+    """
+    d = max(len(q._out[v]) + len(q._in[v]) for v in q.vertices)
+    bound = level = 1
+    for depth in range(radius):
+        level *= d if depth == 0 else d - 1
+        bound += level
+        if bound > cap or not level:
+            break
+    if bound <= cap:
+        return False
+    counts = {(base, None): 1}
+    total = 1
+    if total > cap:
+        return True
+    for _ in range(radius):
+        nxt = {}
+        for (u, back), n in counts.items():
+            for ar in q._out[u]:
+                if back != (ar.name, -1):
+                    state = (ar.target, (ar.name, 1))
+                    nxt[state] = nxt.get(state, 0) + n
+            for ar in q._in[u]:
+                if back != (ar.name, 1):
+                    state = (ar.source, (ar.name, -1))
+                    nxt[state] = nxt.get(state, 0) + n
+        total += sum(nxt.values())
+        if total > cap:
+            return True
+        counts = nxt
+    return False
 
 
 def _claim(taken, name):
@@ -501,10 +556,9 @@ def _witness_search(a, radius=None, max_size=None, like=None):
         return None, False
     budget_hit = False
     for base in a.quiver.vertices:
-        ball = CoverBall(a, base, radius)
         try:
-            found = _search_ball(ball, max_size, budget, like)
-        except _Budget:
+            found = _search_ball(CoverBall(a, base, radius), max_size, budget, like)
+        except (_Budget, _BallTooLarge):
             budget_hit = True
             continue
         if found is not None:

@@ -10,7 +10,7 @@ Path composition is written left to right: the path (a, b) means "a then b"
 and requires target(a) == source(b).
 """
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, permutations, product
@@ -135,72 +135,16 @@ class Quiver:
             self._out[a.source].append(a)
             self._in[a.target].append(a)
 
-    def _derive(self, vertex, removed, arrows):
-        """This quiver without `vertex` and the arrows named in `removed`,
-        plus `arrows`; equal to `Quiver` on the kept and the new lists.
-
-        Only what is new is checked: the new identifiers, their ends, and
-        that `vertex` loses every arrow it has.  The kept vertices and
-        arrows were checked when this quiver was built; the new arrows are
-        merged into the sorted tuples and their text lines into the kept
-        ones, each found by bisection.  Dict copies use `.copy()`, which
-        clones the table even after deletions, where `dict(...)` would
-        insert every item again.
-        """
-        removed = set(removed)
-        for name in removed:
-            self.arrow(name)
-        if not self.has_vertex(vertex):
-            raise QsaError(f"unknown vertex {vertex!r}")
-        if any(a.name not in removed for a in self.out_arrows(vertex) + self.in_arrows(vertex)):
-            raise QsaError(f"vertex {vertex!r} keeps an arrow")
-        if len(self.vertices) == 1:
-            raise QsaError("quiver needs at least one vertex")
-        new = list(map(_as_arrow, arrows))
-        seen = set()
-        for a in new:
-            _check_id("arrow", a.name)
-            if a.name in seen or (a.name in self._by_name and a.name not in removed):
-                raise QsaError(f"duplicate arrow identifier {a.name!r}")
-            seen.add(a.name)
-            if vertex in (a.source, a.target) or not (
-                    self.has_vertex(a.source) and self.has_vertex(a.target)):
-                raise QsaError(f"arrow {a.name!r} has an endpoint outside the vertex list")
-
-        q = Quiver.__new__(Quiver)
-        q.name = self.name
-        i = bisect_left(self.vertices, self._order[vertex], key=self._order.__getitem__)
-        q.vertices = self.vertices[:i] + self.vertices[i + 1:]
-        kept, lines = list(self.arrows), list(self._arrow_lines)
-        q._by_name = self._by_name.copy()
-        for name in removed:
-            i = bisect_left(kept, _arrow_key(q._by_name.pop(name)), key=_arrow_key)
-            del kept[i], lines[i]
-        for a in new:
-            i = bisect_right(kept, _arrow_key(a), key=_arrow_key)
-            kept.insert(i, a)
-            lines.insert(i, _arrow_line(a))
-            q._by_name[a.name] = a
-        q.arrows = tuple(kept)
-        q._arrow_lines = tuple(lines)
-
-        ends = {v for n in removed for v in self._by_name[n][1:]}
-        ends.update(v for a in new for v in a[1:])
-        ends.discard(vertex)
-
-        def incident(old, end):  # the lists of untouched vertices are shared
-            table = old.copy()
-            del table[vertex]
-            for v in ends:
-                table[v] = at = [a for a in old[v] if a.name not in removed]
-                for a in new:
-                    if a[end] == v:
-                        insort(at, a, key=_arrow_key)
-            return table
-
-        q._out = incident(self._out, 1)
-        q._in = incident(self._in, 2)
-        q._order = self._order
+    @classmethod
+    def _trusted(cls, name, vertices, arrows, out, in_):
+        """The quiver of checked tables: `vertices` and `arrows` in
+        canonical order, and `out` and `in_`, {vertex: list of its arrows
+        out or in, in arrow order}, which the quiver takes as they are.
+        Equal to the constructor on the same lists, without its checks."""
+        q = cls.__new__(cls)
+        q.name, q.vertices, q.arrows = name, tuple(vertices), tuple(arrows)
+        q._by_name = {a.name: a for a in q.arrows}
+        q._out, q._in = out, in_
         return q
 
     @cached_property
@@ -211,16 +155,15 @@ class Quiver:
 
     @cached_property
     def _arrow_lines(self):
-        """The arrow lines of the text format, in arrow order.  A derived
-        quiver edits the tuple of the quiver it comes from."""
+        """The arrow lines of the text format, in arrow order."""
         return tuple(map(_arrow_line, self.arrows))
 
     @cached_property
     def _order(self):
         """{vertex: rank}, a sort key for the vertices in canonical order
-        that computes no `natural_key`.  A derived quiver shares the map of
-        the quiver it comes from: dropping a vertex keeps the order of the
-        rest, and a derivation adds none."""
+        that computes no `natural_key`.  The result of a reduction shares
+        the map of its input: dropping a vertex keeps the order of the
+        rest, and a reduction adds none."""
         return {v: i for i, v in enumerate(self.vertices)}
 
     def arrow(self, name):
@@ -439,7 +382,7 @@ class AlgebraPresentation:
 
     def _fill(self, quiver, relations, monomials=None, quadratic=None):
         """Set the fields from the sorted relations; the monomial paths and
-        the quadratic flag are read off them unless a derivation gives them."""
+        the quadratic flag are read off them unless the caller gives them."""
         relations = tuple(relations)
         if monomials is None:
             monomials = frozenset(r.terms[0][1] for r in relations if r.is_monomial)
@@ -455,65 +398,6 @@ class AlgebraPresentation:
             ((2,) if monomials else ()) if quadratic  # every path has length two
             else tuple(sorted(set(map(len, monomials)))))
         self._report = None  # the ValidationReport, set by the first validate()
-
-    def _derive(self, vertex, removed, arrows, relations):
-        """This presentation without `vertex`, the arrows named in
-        `removed` and every relation through them, plus `arrows` and the
-        combinations `relations`.
-
-        Equal to `AlgebraPresentation` built on the kept and new lists, at
-        the cost of what changes.  The quiver comes from `Quiver._derive`.
-        The relations through a removed arrow are read off the index
-        `_relations_at`, and only the new relations are built and checked;
-        the kept ones pass through as they are, since every arrow they use
-        keeps its ends.  The relation tuple, its text lines and the index
-        are copied and edited where relations leave and arrive, and the
-        monomial set and the quadratic flag are updated from what was added
-        and dropped (the kept relations are read again only when this
-        presentation is not quadratic).
-        """
-        quiver = self.quiver._derive(vertex, removed, arrows)
-        removed = set(removed)
-        at = self._relations_at.copy()
-        dropped = {}  # by identity: hashing a relation hashes its coefficients
-        for name in removed:
-            dropped.update((id(r), r) for r in at.pop(name, ()))
-        dropped = list(dropped.values())
-        kept, lines = list(self.relations), list(self._relation_lines)
-        for r in dropped:
-            i = bisect_left(kept, r.sort_key, key=_relation_key)
-            del kept[i], lines[i]
-            for name in r.arrow_names - removed:
-                at[name] = [x for x in at[name] if x is not r]
-                if not at[name]:
-                    del at[name]
-        added = [RelationTerm(quiver, combo) for combo in relations]
-        for r in added:  # distinct relations have distinct keys
-            i = bisect_left(kept, r.sort_key, key=_relation_key)
-            if kept[i:i + 1] != [r]:
-                kept.insert(i, r)
-                lines.insert(i, _relation_line(r))
-                for name in r.arrow_names:
-                    at[name] = at.get(name, []) + [r]
-        monomials = self.monomials.difference(
-            r.terms[0][1] for r in dropped if r.is_monomial).union(
-            r.terms[0][1] for r in added if r.is_monomial)
-        quadratic = all(len(p) == 2 for r in added for _, p in r.terms) and (
-            self._is_quadratic or all(len(p) == 2 for r in kept for _, p in r.terms))
-        b = AlgebraPresentation.__new__(AlgebraPresentation)
-        b._fill(quiver, tuple(kept), monomials, quadratic)
-        b._relations_at = at
-        b._relation_lines = tuple(lines)
-        return b
-
-    @cached_property
-    def _relations_at(self):
-        """{arrow name: list of the relations whose paths use the arrow}."""
-        at = {}
-        for r in self.relations:
-            for name in r.arrow_names:
-                at.setdefault(name, []).append(r)
-        return at
 
     @cached_property
     def _relation_lines(self):
@@ -572,15 +456,13 @@ def opposite(a, name=None):
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("the opposite needs an AlgebraPresentation")
     q = a.quiver
-    qop = Quiver.__new__(Quiver)
-    qop.name = name or q.name
-    if qop.name != q.name:
-        _check_id("quiver name", qop.name)
-    qop.vertices = q.vertices
-    qop.arrows = tuple(Arrow(x.name, x.target, x.source) for x in q.arrows)
-    qop._by_name = {x.name: x for x in qop.arrows}
-    qop._out = {v: [qop._by_name[x.name] for x in at] for v, at in q._in.items()}
-    qop._in = {v: [qop._by_name[x.name] for x in at] for v, at in q._out.items()}
+    if name and name != q.name:
+        _check_id("quiver name", name)
+    arrows = {x.name: Arrow(x.name, x.target, x.source) for x in q.arrows}
+    qop = Quiver._trusted(
+        name or q.name, q.vertices, arrows.values(),
+        {v: [arrows[x.name] for x in at] for v, at in q._in.items()},
+        {v: [arrows[x.name] for x in at] for v, at in q._out.items()})
     return AlgebraPresentation._trusted(qop, [
         RelationTerm._trusted(r.target, r.source, {p[::-1]: c for c, p in r.terms})
         for r in a.relations])
@@ -717,8 +599,7 @@ def parse_presentation(text):
 def serialize_presentation(a):
     """Canonical text form; parsing it back gives an equal presentation.
 
-    Each arrow's and each relation's line is formatted once and kept, so
-    the text of a presentation derived from another one joins kept lines.
+    Each arrow's and each relation's line is formatted once and kept.
     """
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("serialization needs an AlgebraPresentation")

@@ -345,6 +345,20 @@ def test_cover_text_and_dot(tmp_path, capsys):
     assert text.startswith("digraph") and "->" in text
 
 
+def test_cover_and_witness_over_the_ball_cap(monkeypatch, capsys):
+    # the radius-30 ball of three-vertex-wild is counted, not built
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    code, out, err = run(capsys, "cover", "--base", "a", "--radius", "30",
+                         fixture_path("three-vertex-wild"))
+    assert code == 1 and out == ""
+    assert err == ("error: the cover ball of radius 30 at 'a' has more than 400001 "
+                   "vertices, the witness budget plus one (QSA_WITNESS_BUDGET raises it)\n")
+    code, out, _ = run(capsys, "witness", "--radius", "30", fixture_path("three-vertex-wild"))
+    assert code == 0
+    assert out == ("none found: the search budget ran out before the bounds were "
+                   "covered (QSA_WITNESS_BUDGET raises it)\n")
+
+
 # SHA-256 of the `qsa cover --json` documents of every cyclic monomial
 # fixture, concatenated over its basepoints in vertex order and radius 0..4
 # for each basepoint: presentation, vertex_map, arrow_map and levels

@@ -522,3 +522,58 @@ def test_pattern_search_refuses_a_quiver():
     with pytest.raises(QsaError) as err:
         detect_local_wild_pattern(load_fixture("three-vertex-wild").quiver)
     assert str(err.value) == "local wildness patterns need an AlgebraPresentation"
+
+
+# --- the ball bound ---------------------------------------------------------------
+
+
+_LOOP_TAIL = parse_presentation(
+    "quiver lt\nvertices: 1 2 3\narrow a: 1 -> 1\narrow b: 1 -> 2\narrow c: 3 -> 1\n"
+    "relations:\na a\nc b\n")
+
+
+@pytest.mark.parametrize("name", ["three-vertex-wild", "kronecker", "gentle-cycle",
+                                  "twelve-vertex-gqs", "loop-tail"])
+def test_ball_count_is_exact(monkeypatch, name):
+    # the count the bound reads equals the size of the ball it stands for,
+    # through the exact per-level count (cap n - 1, below the crude bound)
+    # and through the crude bound alone (cap n)
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    a = _LOOP_TAIL if name == "loop-tail" else load_fixture(name)
+    q = a.quiver
+    for base in q.vertices:
+        for radius in range(7):
+            n = len(CoverBall(a, base, radius)._names)
+            assert covering._ball_exceeds(q, base, radius, n - 1)
+            assert not covering._ball_exceeds(q, base, radius, n)
+
+
+def test_ball_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # radius 30 would build on the order of 10^7 vertices: the count refuses
+    # it at once, and a search records a budget hit for each basepoint
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    a = load_fixture("three-vertex-wild")
+    monkeypatch.setattr(covering, "_ball_arrays", None)   # never reached
+    with pytest.raises(QsaError) as err:
+        truncated_cover(a, "a", 30)
+    assert str(err.value) == (
+        "the cover ball of radius 30 at 'a' has more than 400001 vertices, the "
+        "witness budget plus one (QSA_WITNESS_BUDGET raises it)")
+    assert covering._witness_search(a, 30, 10) == (None, True)
+
+
+def test_ball_cap_changes_no_search_outcome(monkeypatch):
+    # a ball of n vertices has n - 1 arrows, each a step of the survival
+    # pass, so a budget below n - 1 runs out on the ball anyway: the cap
+    # (budget plus one) refuses exactly the balls the pass could not finish
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    a = load_fixture("three-vertex-wild")
+    ball = CoverBall(a, "a", 6)
+    n = len(ball._names)
+    with pytest.raises(covering._Budget):
+        covering._survival(ball, n - 2)
+    monkeypatch.setenv("QSA_WITNESS_BUDGET", str(n - 2))
+    with pytest.raises(QsaError, match=f"more than {n - 1} vertices"):
+        CoverBall(a, "a", 6)
+    monkeypatch.setenv("QSA_WITNESS_BUDGET", str(n - 1))
+    assert len(CoverBall(a, "a", 6)._names) == n

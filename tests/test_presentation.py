@@ -21,7 +21,8 @@ from qsa.presentation import (
     _normal_word_counts, _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra
-from qsa.classify import is_quadratic_string, special_vertices
+from qsa import transform
+from qsa.classify import VertexClassification, is_quadratic_string, special_vertices
 from qsa.decide import decide_derived_type
 from qsa.covering import truncated_cover
 from qsa.euler import euler_eval, euler_matrix
@@ -868,7 +869,7 @@ def test_opposite_equals_fresh_construction(case):
         [(f.out_arrows(v), f.in_arrows(v)) for v in f.vertices]
 
 
-# --- derived presentations -----------------------------------------------------------
+# --- the working state of a reduction -------------------------------------------
 
 
 def _relations_on(draw, arrows):
@@ -889,15 +890,25 @@ def _relations_on(draw, arrows):
     return rels
 
 
+def _pairs_on(draw, arrows):
+    """Up to three composable pairs of `arrows`."""
+    twos = [(x.name, y.name) for x in arrows for y in arrows if x.target == y.source]
+    return draw(st.lists(st.sampled_from(twos), unique=True, max_size=3)) if twos else []
+
+
+_NO_CLASSIFICATION = VertexClassification({}, {}, {}, {}, 0, ())
+
+
 @st.composite
-def _derivations(draw):
-    """A presentation, then a vertex and arrows to drop and arrows and
-    relations to add, with at most one faulty new arrow."""
+def _edits(draw):
+    """A quadratic monomial presentation, then a vertex and arrows to drop
+    and arrows and arrow pairs to add, with at most one faulty new arrow
+    or relation."""
     verts = [f"v{i + 1}" for i in range(draw(st.integers(2, 5)))]
     arrows = [Arrow(f"a{k}", draw(st.sampled_from(verts)), draw(st.sampled_from(verts)))
               for k in range(draw(st.integers(0, 6)))]
-    a = AlgebraPresentation(Quiver("gen", verts, arrows), _relations_on(draw, arrows))
-
+    a = AlgebraPresentation(Quiver("gen", verts, arrows),
+                            [[(1, p)] for p in _pairs_on(draw, arrows)])
     vertex = draw(st.sampled_from(verts))
     at_vertex = {x.name for x in arrows if vertex in (x.source, x.target)}
     removed = at_vertex | set(draw(st.lists(st.sampled_from(
@@ -907,7 +918,8 @@ def _derivations(draw):
     names = ["b0", "b1", "b10", "c"] + sorted(removed)
     new = [Arrow(nm, draw(st.sampled_from(left)), draw(st.sampled_from(left)))
            for nm in draw(st.lists(st.sampled_from(names), unique=True, max_size=3))]
-    fault = draw(st.sampled_from([None, None, "kept", "new", "malformed", "end"]))
+    fault = draw(st.sampled_from([None, None, "kept", "new", "malformed", "end",
+                                  "gone", "apart"]))
     if fault == "kept" and kept:
         new.append(Arrow(kept[0].name, left[0], left[-1]))
     elif fault == "new" and new:
@@ -918,31 +930,49 @@ def _derivations(draw):
     elif fault == "end":
         new.append(Arrow("z", left[0], vertex))
     # new relations may repeat kept ones, which must then appear once
-    relations = _relations_on(draw, kept + new)
+    relations = _pairs_on(draw, kept + new)
+    if fault == "gone" and removed - {x.name for x in new}:
+        relations.append((min(removed - {x.name for x in new}), (kept + new + arrows)[0].name))
+    elif fault == "apart":
+        apart = [(x.name, y.name) for x in kept + new for y in kept + new
+                 if x.target != y.source]
+        if apart:
+            relations.append(draw(st.sampled_from(apart)))
     return a, vertex, removed, left, kept, new, relations
 
 
-def _fresh_derivation(a, removed, left, kept, new, relations):
+def _fresh_edit(a, removed, left, kept, new, relations):
     kept_relations = [[(c, p) for c, p in r.terms] for r in a.relations
                       if not any(x in removed for p in r.paths() for x in p)]
     return AlgebraPresentation(Quiver(a.name, left, kept + new),
-                               kept_relations + relations)
+                               kept_relations + [[(1, p)] for p in relations])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_derivations())
-def test_derived_presentation_equals_fresh_construction(case):
+@given(_edits())
+def test_edited_state_equals_fresh_construction(case):
+    # one edit of the working state: its text parses to the presentation
+    # it builds, and both equal the presentation built from scratch on the
+    # kept and new lists; a refused edit raises what that build raises and
+    # changes nothing
     a, vertex, removed, left, kept, new, relations = case
+    state = transform._WorkingState(a, _NO_CLASSIFICATION)
+    before = state.text()
+    assert before == serialize_presentation(a)
     try:
-        fresh = _fresh_derivation(a, removed, left, kept, new, relations)
+        fresh = _fresh_edit(a, removed, left, kept, new, relations)
     except QsaError as e:
         with pytest.raises(QsaError) as err:
-            a._derive(vertex, removed, new, relations)
+            state.edit(vertex, removed, new, relations)
         assert str(err.value) == str(e)
+        assert state.text() == before
         return
-    b = a._derive(vertex, removed, new, relations)
-    assert b == fresh and hash(b) == hash(fresh)
-    assert serialize_presentation(b) == serialize_presentation(fresh)
+    dirty = state.edit(vertex, removed, new, relations)
+    assert vertex in dirty
+    text = state.text()
+    b = state.presentation()
+    assert parse_presentation(text) == b == fresh and hash(b) == hash(fresh)
+    assert text == serialize_presentation(b) == serialize_presentation(fresh)
     assert (b.monomials, b.is_monomial, b.is_quadratic, b._monomial_lengths) == \
         (fresh.monomials, fresh.is_monomial, fresh.is_quadratic,
          fresh._monomial_lengths)
@@ -952,29 +982,87 @@ def test_derived_presentation_equals_fresh_construction(case):
     assert all(q.arrow(x.name) == x for x in f.arrows)
     assert not q.has_vertex(vertex) and not any(q.has_arrow(n) for n in
                                                 removed - {x.name for x in new})
-    if b.is_monomial:
-        assert validate(b) == validate(fresh)
-    # what a derivation edits instead of recomputing: the text lines, the
-    # relations at each arrow, and the vertex order
+    assert validate(b) == validate(fresh)
+    # what the state hands over instead of recomputing: the text lines and
+    # the vertex order
     assert q._arrow_lines == f._arrow_lines
     assert b._relation_lines == fresh._relation_lines
-    assert {n: set(map(id, rs)) for n, rs in b._relations_at.items()} == {
-        n: set(map(id, rs)) for n, rs in
-        AlgebraPresentation._relations_at.func(b).items()}
     assert sorted(q.vertices, key=q._order.__getitem__) == list(q.vertices)
 
 
-def test_derivation_drops_a_bare_vertex_and_keeps_relations_once():
-    a = load_fixture("a5-chain")
-    with pytest.raises(QsaError, match="keeps an arrow"):
-        a._derive("5", (), (), ())
-    with pytest.raises(QsaError, match="unknown arrow"):
-        a._derive("5", ("delta", "omega"), (), ())
+def _a5_state():
+    return transform._WorkingState(load_fixture("a5-chain"), _NO_CLASSIFICATION)
+
+
+_EDIT_REFUSALS = [
+    (("5", ("delta", "omega"), (), ()), "unknown arrow 'omega'"),
+    (("9", (), (), ()), "unknown vertex '9'"),
+    (("5", (), (), ()), "vertex '5' keeps an arrow"),
+    (("5", ("delta",), [("b c", "1", "2")], ()), "invalid arrow identifier 'b c'"),
+    (("5", ("delta",), [("alpha", "1", "2")], ()), "duplicate arrow identifier 'alpha'"),
+    (("5", ("delta",), [("x", "1", "2"), ("x", "2", "3")], ()),
+     "duplicate arrow identifier 'x'"),
+    (("5", ("delta",), [("x", "1", "9")], ()),
+     "arrow 'x' has an endpoint outside the vertex list"),
+    (("5", ("delta",), [("x", "5", "1")], ()),
+     "arrow 'x' has an endpoint outside the vertex list"),
+    (("5", ("delta",), [("x", "1")], ()),
+     "an arrow is a (name, source, target) triple of strings, not ('x', '1')"),
+    (("5", ("delta",), (), [("gamma", "delta")]), "unknown arrow 'delta'"),
+    (("5", ("delta",), (), [("alpha", "gamma")]), "arrows 'alpha' and 'gamma' do not compose"),
+    (("5", ("delta",), [("x", "4", "1")], [("gamma", "x"), ("x", "beta")]),
+     "arrows 'x' and 'beta' do not compose"),
+    (("5", ("delta",), (), [("alpha", "beta", "gamma")]),
+     "a move adds pairs of arrows as relations, not ('alpha', 'beta', 'gamma')"),
+]
+
+
+@pytest.mark.parametrize("args,message", _EDIT_REFUSALS, ids=[m for _, m in _EDIT_REFUSALS])
+def test_edit_refuses_and_changes_nothing(args, message):
+    # every check an edit makes raises before any table changes
+    state = _a5_state()
+    before = state.text()
+    with pytest.raises(QsaError) as err:
+        state.edit(*args)
+    assert str(err.value) == message
+    assert state.text() == before
+    assert state.presentation() == load_fixture("a5-chain")
+
+
+def test_edit_refuses_to_drop_the_last_vertex():
+    a = parse_presentation("quiver one\nvertices: 1\n")
+    with pytest.raises(QsaError) as err:
+        transform._WorkingState(a, _NO_CLASSIFICATION).edit("1", (), (), ())
+    assert str(err.value) == "quiver needs at least one vertex"
+
+
+def test_edit_drops_a_bare_vertex_and_keeps_relations_once():
     # a new relation equal to a kept one is kept once
-    assert serialize_presentation(a._derive(
-        "5", ("delta",), (), [[(1, ("alpha", "beta"))]])) == (
+    state = _a5_state()
+    assert state.edit("5", ("delta",), (), [("alpha", "beta")]) == {"3", "4", "5"}
+    assert state.text() == (
         "quiver a5_chain\nvertices: 1 2 3 4\narrow alpha: 1 -> 2\n"
         "arrow beta: 2 -> 3\narrow gamma: 3 -> 4\nrelations:\nalpha beta\n")
+
+
+def test_edited_state_keeps_long_tables_in_blocks():
+    # past twice the block size, lines are split into blocks and each block
+    # caches its text; edits across block boundaries, which empty some
+    # blocks and split others, keep the text equal to the serialization of
+    # the presentation the state builds
+    n = 300
+    a = parse_presentation(
+        "quiver long\nvertices: " + " ".join(map(str, range(1, n + 1))) + "\n"
+        + "".join(f"arrow a{i}: {i} -> {i + 1}\n" for i in range(1, n)))
+    state = transform._WorkingState(a, _NO_CLASSIFICATION)
+    for i in range(1, 281, 2):
+        state.edit(str(i + 1), (f"a{i}", f"a{i + 1}"), [(f"a{i}x", str(i), str(i + 2))],
+                   [(f"a{i - 2}x", f"a{i}x")] if i > 1 else ())
+    text = state.text()
+    b = state.presentation()
+    assert len(b.quiver.vertices) == n - 140 and len(b.relations) == 139
+    assert parse_presentation(text) == b
+    assert serialize_presentation(b) == text
 
 
 # --- refusals ------------------------------------------------------------------------
@@ -1011,7 +1099,8 @@ _CONSTRUCTOR_REFUSALS = [
     (lambda: Quiver("x", ["1"], [Arrow("a", ["1"], "1")]),
      "an arrow is a (name, source, target) triple of strings, "
      "not Arrow(name='a', source=['1'], target='1')"),
-    (lambda: _CHAIN._derive("3", ["b"], [Arrow("c", "2", 3)]),
+    (lambda: transform._WorkingState(AlgebraPresentation(_CHAIN, []), _NO_CLASSIFICATION)
+     .edit("3", ["b"], [Arrow("c", "2", 3)], ()),
      "an arrow is a (name, source, target) triple of strings, "
      "not Arrow(name='c', source='2', target=3)"),
     (lambda: Quiver("x", 5, []), "a quiver needs lists of vertices and arrows"),

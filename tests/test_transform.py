@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from qsa.presentation import (
-    QsaError, AlgebraPresentation, Arrow, Quiver, RelationTerm, opposite,
+    QsaError, AlgebraPresentation, Arrow, Quiver, opposite,
     parse_presentation, presentations_isomorphic, serialize_presentation, validate,
 )
 from qsa import _endo, classify, decide, presentation, transform
@@ -129,22 +129,22 @@ def test_reduce_step_reports_a_missing_exceptional_vertex_first():
 
 
 def test_reduction_checks_the_special_set_once_per_presentation(monkeypatch):
+    # the input's quiver is checked, then the working state after each move
     checked = []
     check = transform._check_special
 
-    def counting_check(a, ds, classification):
-        checked.append(a)
-        check(a, ds, classification)
+    def counting_check(q, rel, ds, classification):
+        checked.append(q.text() if isinstance(q, transform._WorkingState) else q)
+        check(q, rel, ds, classification)
 
     monkeypatch.setattr(transform, "_check_special", counting_check)
     a = load_fixture("twelve-vertex-gqs")
     cert = reduce_to_skewed_gentle(a, ["8"])
     assert len(cert.steps) == 3
-    assert [serialize_presentation(b) for b in checked] == (
-        [cert.steps[0].before] + [s.after for s in cert.steps])
+    assert checked == [a.quiver] + [s.after for s in cert.steps]
     checked.clear()
     b, step = reduce_step(a, ["8"])
-    assert checked == [a, b]
+    assert checked == [a.quiver, serialize_presentation(b)]
 
 # --- full reduction on the twelve-vertex fixture -------------------------------
 
@@ -309,18 +309,21 @@ def _count_calls(monkeypatch, func, modules=None):
 
 
 def test_reduction_classifies_each_presentation_once(monkeypatch):
+    # the input is classified afresh, each move's result by delta on the
+    # working state: one pass of the classification routine each
     a = load_fixture("twelve-vertex-gqs")
     classified = _count_calls(monkeypatch, classify_vertices)
+    passes = _count_calls(monkeypatch, classify._reclassify)
     cert = reduce_to_skewed_gentle(a)
     assert len(cert.steps) == 3
-    assert len(classified) <= len(cert.steps) + 1
+    assert len(classified) == 1 and len(passes) == len(cert.steps) + 1
 
     # the opposite reduces classes 5, 1, 2; a class 5 step reads one vertex
     # of the opposite algebra, not its whole classification
-    del classified[:]
+    del classified[:], passes[:]
     cert = reduce_to_skewed_gentle(opposite(a))
     assert len(cert.steps) == 3
-    assert len(classified) == len(cert.steps) + 1
+    assert len(classified) == 1 and len(passes) == len(cert.steps) + 1
 
     validated = _count_calls(monkeypatch, validate)
     assert decide_derived_type(a).tame
@@ -346,16 +349,19 @@ def _reduction_input(name, side):
     return opposite(a) if side == "opposite" else a
 
 
-def _recorded_classifications(monkeypatch):
-    """(presentation, classification) for each classification a reduction makes."""
+def _recorded_moves(monkeypatch, check):
+    """Call `check(state, step)` after each move of a reduction, while the
+    working state holds the move's result."""
     seen = []
+    move = transform._move
 
-    def recording(a, *args):
-        c = classify_vertices(a, *args)
-        seen.append((a, c))
-        return c
+    def recording(state, *args):
+        step = move(state, *args)
+        check(state, step)
+        seen.append(step)
+        return step
 
-    monkeypatch.setattr(transform, "classify_vertices", recording)
+    monkeypatch.setattr(transform, "_move", recording)
     return seen
 
 
@@ -375,32 +381,46 @@ def _assert_same_classification(c, reference):
 @pytest.mark.parametrize(
     "name,side", _reducing_fixtures() + [("glued", k) for k in range(1, 5)])
 def test_move_classification_equals_fresh_one(monkeypatch, name, side):
-    seen = _recorded_classifications(monkeypatch)
-    cert = reduce_to_skewed_gentle(_reduction_input(name, side))
-    assert len(seen) == len(cert.steps) + 1
-    for b, c in seen:
+    # after each move, the classification the working state carries equals
+    # a fresh classification of the move's text, table by table
+    def check(state, step):
+        b = parse_presentation(step.after)
         fresh = classify_vertices(b)
+        carried = state.classification
+        assert isinstance(carried.exceptional_vertices, list)
+        c = VertexClassification(
+            carried.raw_classes, carried.marks, carried.vertex_faults,
+            carried.arrow_faults, carried.others, tuple(carried.exceptional_vertices))
         _assert_same_classification(c, fresh)
-        # the neighbour scan the special-set check reads
+        # the neighbour scan the special-set check reads, on the state
         for v in b.quiver.vertices:
-            assert classify._ordinary_in(b.quiver, c, v) == fresh.classes[v].ordinary_in
+            assert classify._ordinary_in(state, carried, v) == fresh.classes[v].ordinary_in
+
+    seen = _recorded_moves(monkeypatch, check)
+    cert = reduce_to_skewed_gentle(_reduction_input(name, side))
+    assert seen and len(seen) == len(cert.steps)
+    assert cert.final == parse_presentation(cert.steps[-1].after)
 
 
 def test_tame_decision_derives_no_classification_table(monkeypatch):
     # a reduction reads only the stored facts; the tables a report reads
-    # are derived on first read, so a tame decision derives none
+    # are derived on first read, so a tame decision derives none, neither
+    # on the input's classification nor on the one the moves carry
     made = []
 
     def recording(a, *args):
         made.append(classify_vertices(a, *args))
         return made[-1]
 
-    monkeypatch.setattr(transform, "classify_vertices", recording)
     monkeypatch.setattr(decide, "classify_vertices", recording)
+    carried = []
+    seen = _recorded_moves(monkeypatch, lambda state, step: carried.append(
+        "_tables" in vars(state.classification)))
     verdict = decide_derived_type(glued_twelve_gqs(4))
-    assert verdict.tame and len(made) == len(verdict.certificate.steps) + 1 == 13
-    assert not any("_tables" in vars(c) for c in made)
-    assert made[-1].classes and "_tables" in vars(made[-1])
+    assert verdict.tame and len(seen) == len(verdict.certificate.steps) == 12
+    assert len(made) == 1 and carried == [False] * 12
+    assert "_tables" not in vars(made[0])
+    assert made[0].classes and "_tables" in vars(made[0])
 
 
 def test_reducing_fixtures_cover_every_class():
@@ -425,19 +445,20 @@ def _count_method(monkeypatch, cls, name):
 
 def _move_costs(monkeypatch, a):
     """Per reduction move: (vertices classified, identifiers checked,
-    relations built, relations re-fitted to a quiver, whole-quiver
-    connectivity checks, special vertices tested, sort keys computed by the
-    classification and the reduction, vertex lookups)."""
+    relations added, arrow lines formatted, whole-quiver connectivity
+    checks, special vertices tested, sort keys computed by the
+    classification and the reduction, vertex lookups on the working
+    state)."""
     with monkeypatch.context() as mp:
         counters = [
             _count_calls(mp, classify._is_gentle_vertex),
             _count_calls(mp, presentation._check_id),
-            _count_method(mp, RelationTerm, "__init__"),
-            _count_method(mp, RelationTerm, "_fits"),
+            _count_calls(mp, presentation._relation_line),
+            _count_calls(mp, presentation._arrow_line),
             _count_calls(mp, presentation._is_connected),
             _count_calls(mp, classify._is_special),
             _count_calls(mp, presentation.natural_key, ("qsa.classify", "qsa.transform")),
-            _count_method(mp, Quiver, "has_vertex"),
+            _count_method(mp, transform._WorkingState, "has_vertex"),
         ]
         costs = []
         move = transform._move
@@ -454,19 +475,22 @@ def _move_costs(monkeypatch, a):
 
 
 def test_move_cost_does_not_grow_with_the_presentation(monkeypatch):
-    # a move's result is derived from the presentation it changes: only the
-    # new arrows and relations are checked and built, and the quiver is not
-    # walked for connectivity again; its classification is patched at the
-    # vertices the move touched, and only the carried special vertices there
-    # are tested again; so every count is the same for k = 2 and k = 6, and
-    # the opposite (classes 5, 1, 2) costs the same
+    # a move edits the working state in place: only the new arrows and
+    # relations are checked and formatted, and the quiver is not walked for
+    # connectivity again; its classification is patched at the vertices the
+    # move touched, and only the carried special vertices there are tested
+    # again; so every count is the same for k = 2 and k = 6, and the
+    # opposite (classes 5, 1, 2) costs the same
     for side in (lambda a: a, opposite):
         two = _move_costs(monkeypatch, side(glued_twelve_gqs(2)))
         six = _move_costs(monkeypatch, side(glued_twelve_gqs(6)))
         assert len(two) == 6 and len(six) == 18
         assert set(two) == set(six)
         assert max(c[0] for c in six) < len(glued_twelve_gqs(1).quiver.vertices)
-        assert all(c[3] == c[4] == 0 for c in six)
+        # no connectivity check, and one sort key per new arrow, the only
+        # name the move keys; every other count is nonzero on some move
+        assert all(c[4] == 0 and c[6] == c[3] for c in six)
+        assert all(any(c[i] for c in six) for i in (0, 1, 2, 3, 5, 6, 7))
 
 
 def test_opposite_reduction_builds_no_more_relations(monkeypatch):
@@ -475,10 +499,15 @@ def test_opposite_reduction_builds_no_more_relations(monkeypatch):
     for side in ("as-is", "opposite"):
         a = glued_twelve_gqs(6)
         a = opposite(a) if side == "opposite" else a
+        serialize_presentation(a)
         with monkeypatch.context() as mp:
-            built[side] = _count_method(mp, RelationTerm, "__init__")
+            built[side] = _count_calls(mp, presentation._relation_line)
             assert len(reduce_to_skewed_gentle(a).steps) == 18
-    assert len(built["opposite"]) <= len(built["as-is"])
+    assert 0 < len(built["opposite"]) <= len(built["as-is"])
+
+
+def _lone_before(q, *ends):
+    return {v: transform._lone_arrow(q, v) for v in ends}
 
 
 @pytest.mark.parametrize("name,side", _reducing_fixtures())
@@ -495,8 +524,7 @@ def test_classification_reuse_after_any_added_arrow(name, side):
             b = AlgebraPresentation(
                 Quiver(q.name, q.vertices, q.arrows + (Arrow("extra", u, w),)),
                 a.relations)
-            meta = {"removed_arrows": (), "new_arrows": (("extra", u, w),)}
-            dirty = transform._dirty_vertices(a, b, meta)
+            dirty = transform._dirty_vertices(b.quiver, _lone_before(q, u, w))
             c = classify_vertices(b)
             _assert_same_classification(classify_vertices(b, fresh, dirty), c)
             _assert_same_classification(classify_vertices(a, c, dirty), fresh)
@@ -524,8 +552,8 @@ def test_classification_reuse_after_any_removed_arrow(name, side):
         b = AlgebraPresentation(
             Quiver(q.name, q.vertices, [x for x in q.arrows if x != ar]),
             [r for r in a.relations if ar.name not in r.arrow_names])
-        meta = {"removed_arrows": (ar.name,), "new_arrows": ()}
-        patched = classify_vertices(b, fresh, transform._dirty_vertices(a, b, meta))
+        patched = classify_vertices(
+            b, fresh, transform._dirty_vertices(b.quiver, _lone_before(q, *ar[1:])))
         _assert_same_classification(
             patched, classify_vertices(b, empty, b.quiver.vertices))
         _assert_same_classification(fresh, classify_vertices(a))
