@@ -8,8 +8,8 @@ The basis paths are the normal words from u to v shorter than the
 nilpotency bound, in (length, path) order.  For a monomial ideal these
 are the relation-free paths, and a product of basis paths is the joined
 path or zero; for any other ideal a path that is not a normal word is
-rewritten by the normal form of a Gröbner basis truncated at the bound
-(`presentation._GroebnerBasis`).  Blocks are stored only for the pairs
+rewritten by the normal form of a Gröbner basis truncated at or above
+the bound (`presentation._GroebnerBasis`).  Blocks are stored only for the pairs
 joined by a normal word; every other block is the zero space, and the
 accessors treat a missing pair as the empty block.  The constructor
 accepts what `validate` certifies finite-dimensional and admissible:
@@ -28,9 +28,10 @@ def _normal_words(a):
     its nilpotency bound, and the monomial relations whose relation-free
     paths below the bound are its normal words.  A monomial presentation
     is the basis of its own ideal; any other gives the leading words of
-    its Gröbner basis truncated at the bound.  A presentation that is not
-    certified admissible is refused with the QsaError that
-    `TruncatedAlgebra` raises."""
+    its Gröbner basis, completed once and kept on `a`: by `validate`
+    above its cutoff on a cyclic quiver, else here at the bound.  A
+    presentation that is not certified admissible is refused with the
+    QsaError that `TruncatedAlgebra` raises."""
     rep = validate(a)
     if not rep.certified:
         raise QsaError(
@@ -41,7 +42,9 @@ def _normal_words(a):
     bound = rep.nilpotency_bound
     if a.is_monomial:
         return bound, a
-    return bound, _GroebnerBasis(a.quiver, [r.terms for r in a.relations], bound)
+    if a._basis is None:
+        a._basis = _GroebnerBasis(a.quiver, [r.terms for r in a.relations], bound)
+    return bound, a._basis
 
 
 class TruncatedAlgebra:

@@ -47,10 +47,11 @@ evaluated.  A relation of A longer than three is found by neither route,
 and the final dimension count, compared against the abstract
 endomorphism algebra, reports it rather than papering over it.  That
 count builds no algebra of the result: its dimension is the number of
-normal words below its nilpotency bound, walks on the prefix automaton
-of its relations (or of the leading words of its truncated Gröbner
-basis), counted by `presentation._normal_word_counts`.  Coordinates are
-plain ints throughout; only relation coefficients become Fractions.
+its normal words, walks on the prefix automaton of its relations (or of
+the leading words of its Gröbner basis), counted by
+`presentation._normal_word_counts` as a fold over the one walk of that
+automaton, which `validate` made unless the basis is new.  Coordinates
+are plain ints throughout; only relation coefficients become Fractions.
 """
 
 from fractions import Fraction
@@ -415,8 +416,8 @@ def mutate_minus(a, x):
     # the stalk pairs are A's blocks; the pairs at x are the solved spaces
     expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in eng.pred[x])
                 + sum(h.dim for h in eng.homs.values()))
-    bound, words = _normal_words(result)
-    found = sum(sum(ends.values()) for ends in _normal_word_counts(words, bound).values())
+    words = _normal_words(result)[1]
+    found = sum(sum(ends.values()) for ends in _normal_word_counts(words).values())
     if found != expected:
         raise QsaError(
             f"relation search exceeds length bound: presentation has "

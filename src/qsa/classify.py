@@ -19,10 +19,9 @@ read.
 A classification is maintained by delta.  Given the classification before
 a change and the vertices the change can affect, one routine re-examines
 only those vertices and their arrows and updates the stored facts in
-place (`_reclassify`).  `classify_vertices` runs it on a copy of the
-previous facts, or on empty ones for a fresh classification, which
-examines every vertex; a reduction runs it on the classification it
-carries.
+place (`_reclassify`).  `classify_vertices` runs it on empty facts,
+which examines every vertex; a reduction runs it on the classification
+it carries.
 """
 
 from bisect import bisect_left, insort
@@ -419,52 +418,20 @@ def _reclassify(q, rel, c, dirty):
     c.others = others
 
 
-def classify_vertices(a, previous=None, dirty=None):
+def classify_vertices(a):
     """Classify every vertex as gentle, exceptional (class 1..6), or neither.
 
-    With `previous`, only the vertices in `dirty` and the arrows at them
-    are examined again; everything else is read from `previous`.  That is
-    exact when `previous` classifies a presentation that agrees with `a`
-    away from `dirty`: every other vertex keeps its arrows, the relations
-    between them, and the arrows of its neighbours, which is all a
-    vertex's class and the string conditions at its arrows read.  `dirty`
-    also names the vertices of `previous` that `a` no longer has.
-
-    The stored facts of `previous` are copied and `_reclassify` updates
-    the copy at the dirty vertices and their arrows, the routine a
-    reduction runs in place on the classification it carries; `previous`
-    is left as it is.  A fresh classification runs the same routine from
-    empty facts, over every vertex.
-
-    The quiver must be connected.  A fresh classification checks that over
-    the whole quiver.  With `previous` it is not checked again: the
-    presentation `previous` classifies was connected, and the caller
-    vouches that the change keeps it so, as `transform._move` argues for
-    each reduction move.
+    `_reclassify` runs from empty facts over every vertex, the routine a
+    reduction runs in place on the classification it carries.  The
+    quiver must be connected.
     """
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("classification needs an AlgebraPresentation")
     q = a.quiver
-    if previous is None:
-        if dirty is not None:
-            raise QsaError("dirty vertices need the previous classification")
-        if not q._connected:
-            raise QsaError("classification needs a connected quiver")
-        c = VertexClassification({}, {}, {}, {}, 0, [])
-        dirty = q.vertices
-    elif not isinstance(previous, VertexClassification):
-        raise QsaError("the previous classification must be a VertexClassification")
-    else:
-        try:
-            dirty = dict.fromkeys(dirty)
-        except TypeError:
-            raise QsaError("a reclassification needs the dirty vertices, "
-                           "as an iterable of names") from None
-        c = VertexClassification(
-            previous.raw_classes.copy(), previous.marks.copy(),
-            previous.vertex_faults.copy(), previous.arrow_faults.copy(),
-            previous.others, list(previous.exceptional_vertices))
-    _reclassify(q, _quadratic_pairs(a), c, dirty)
+    if not q._connected:
+        raise QsaError("classification needs a connected quiver")
+    c = VertexClassification({}, {}, {}, {}, 0, [])
+    _reclassify(q, _quadratic_pairs(a), c, q.vertices)
     c.exceptional_vertices = tuple(c.exceptional_vertices)
     return c
 

@@ -133,8 +133,7 @@ def cartan_matrix(a):
     vs = a.quiver.vertices
     idx = {v: k for k, v in enumerate(vs)}
     entries = [[0] * len(vs) for _ in vs]
-    # a path of an acyclic quiver is shorter than the number of vertices
-    for src, ends in _normal_word_counts(a, len(vs)).items():
+    for src, ends in _normal_word_counts(a).items():
         j = idx[src]
         for tgt, n in ends.items():
             entries[idx[tgt]][j] = n

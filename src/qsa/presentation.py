@@ -398,6 +398,8 @@ class AlgebraPresentation:
             ((2,) if monomials else ()) if quadratic  # every path has length two
             else tuple(sorted(set(map(len, monomials)))))
         self._report = None  # the ValidationReport, set by the first validate()
+        self._walk = None    # the admissibility walk, set by _monomial_admissibility
+        self._basis = None   # the _GroebnerBasis of a non-monomial ideal, once completed
 
     @cached_property
     def _relation_lines(self):
@@ -678,104 +680,68 @@ def _monomial_admissibility(a):
     cycle, and m is one more than the longest walk.  With no relations
     the automaton is the quiver, and the answer says whether the quiver
     is acyclic.  The walk is depth first on an explicit stack, so a path
-    longer than the recursion limit is no problem.
+    longer than the recursion limit is no problem.  It is made once per
+    presentation or basis and kept on `a` as (admissible, m, states),
+    the states it finished in post-order, each with its successors, for
+    `_normal_word_counts`.
     """
+    if a._walk is not None:
+        return a._walk[:2]
     successors = _prefix_automaton(a)
     height = {}  # the longest walk from a state; None while on the current walk
-    # [state, successors left, longest walk so far]; a start state leads to the empty states
-    stack = [[None, ((v, ()) for v in a.quiver.vertices), 0]]
+    order = []   # (state, its successors), each after its successors
+    # [state, successors left, longest walk so far, successors]; the start leads to the empty states
+    start = [(v, ()) for v in a.quiver.vertices]
+    stack = [[None, iter(start), 0, start]]
     while stack:
         top = stack[-1]
         for w in top[1]:
             if w not in height:
                 height[w] = None
-                stack.append([w, successors(w), 0])
+                after = list(successors(w))
+                stack.append([w, iter(after), 0, after])
                 break
             h = height[w]
             if h is None:
+                a._walk = False, 0, ()
                 return False, 0
             if h >= top[2]:
                 top[2] = h + 1
         else:
             stack.pop()
             height[top[0]] = h = top[2]
-            if stack and h >= stack[-1][2]:
-                stack[-1][2] = h + 1
+            if stack:
+                order.append((top[0], top[3]))
+                if h >= stack[-1][2]:
+                    stack[-1][2] = h + 1
+    a._walk = True, height[None], order
     return True, height[None]
 
 
-def _normal_word_counts(a, bound):
-    """{v: {w: number of normal words from v to w shorter than `bound`}}
-    for the relations of `a`, or the leading words of a `_GroebnerBasis`:
-    the walks of length < bound from the empty states of the prefix
-    automaton, by end vertex (the Hilbert series of the Ufnarovski graph).
+def _normal_word_counts(a):
+    """{v: {w: number of normal words from v to w}} for the relations of
+    `a`, or the leading words of a `_GroebnerBasis`, whose prefix
+    automaton has no cycle from an empty state: the walks from the empty
+    states, by end vertex (the Hilbert series of the Ufnarovski graph).
 
-    Counted bottom up in one depth-first pass on an explicit stack, a
-    state's counts the sum of its successors' plus its own empty walk.  A
-    state none of whose walks the bound cuts is counted once, with its
-    height, the longest walk from it, and serves every later visit that
-    has at least that much length left.  For a monomial ideal that
-    `validate` certified, with its bound, this is every state: the bound
-    is one more than the longest walk.  The automaton of a basis
-    truncated at the bound can have a cycle that only the bound ends;
-    a state on a walk that the bound cuts is counted per length left.
+    A fold over the post-order of the admissibility walk, so the
+    automaton is walked once for both: a state's counts are its first
+    successor's, copied, plus the others', plus one for its own empty
+    walk.  A walk that found a cycle is refused; every basis that
+    `validate` certifies, or that `_algebra._normal_words` completes on an
+    acyclic quiver, has none.
     """
-    successors = _prefix_automaton(a)
-    whole = {}   # state -> (height, counts), for states with no walk cut
-    cut = {}     # (state, length left) -> counts, for the others
-
-    def lookup(state, left):
-        """(height, counts, cut) of the walks of length <= left, or None."""
-        found = whole.get(state)
-        if found is not None and found[0] <= left:
-            return found[0], found[1], False
-        found = cut.get((state, left))
-        return None if found is None else (left, found, True)
-
-    def merge(frame, found):
-        height, counts, was_cut = found
-        if height >= frame[3]:
-            frame[3] = height + 1
-        frame[5] = frame[5] or was_cut
-        if frame[4] is None:
-            frame[4] = dict(counts)
-        else:
-            mine = frame[4]
-            for w, n in counts.items():
+    if not _monomial_admissibility(a)[0]:
+        raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
+    counts = {}
+    for state, after in a._walk[2]:
+        mine = dict(counts[after[0]]) if after else {}
+        for t in after[1:]:
+            for w, n in counts[t].items():
                 mine[w] = mine.get(w, 0) + n
-
-    out = {}
-    for v in a.quiver.vertices:
-        found = lookup((v, ()), bound - 1)
-        # [state, length left, successors left, height, counts, some walk cut]
-        stack = [] if found else [[(v, ()), bound - 1, successors((v, ())), 0, None, False]]
-        while stack:
-            top = stack[-1]
-            child = None
-            for t in top[2]:
-                if not top[1]:  # a walk goes on past the bound
-                    top[5] = True
-                    break
-                found = lookup(t, top[1] - 1)
-                if found is None:
-                    child = [t, top[1] - 1, successors(t), 0, None, False]
-                    break
-                merge(top, found)
-            if child is not None:
-                stack.append(child)
-                continue
-            state, left, _, height, counts, was_cut = stack.pop()
-            counts = counts or {}
-            counts[state[0]] = counts.get(state[0], 0) + 1
-            if was_cut:
-                cut[(state, left)] = counts
-            else:
-                whole[state] = (height, counts)
-            found = height, counts, was_cut
-            if stack:
-                merge(stack[-1], found)
-        out[v] = found[1]
-    return out
+        mine[state[0]] = mine.get(state[0], 0) + 1
+        counts[state] = mine
+    return {v: counts[(v, ())] for v in a.quiver.vertices}
 
 
 def _relation_free_levels(a, starts=None):
@@ -822,14 +788,19 @@ class _GroebnerBasis:
     its factor, so the normal words, the paths below the limit with no
     leading word as a factor, are a basis of KQ/I modulo the longer paths.
     The basis reads as the monomial presentation of its leading words
-    (`monomials`, `ends_in_relation`) for `_relation_free_levels` and
-    `_monomial_admissibility`.
+    (`monomials`, `ends_in_relation`) for `_relation_free_levels`,
+    `_monomial_admissibility` and `_normal_word_counts`.  `validate` keeps
+    the basis it completes for a cyclic ideal, truncated above its
+    cutoff, on the presentation; for a homogeneous ideal whose normal
+    words end below the cutoff, its normal words and normal forms below
+    the bound are those of the basis truncated at the bound.
     """
 
     ends_in_relation = AlgebraPresentation.ends_in_relation
 
     def __init__(self, quiver, relations, limit):
         self.quiver, self.limit = quiver, limit
+        self._walk = None
         self.rules = self.monomials = {}
         self._monomial_lengths = ()
         self._words = {}   # the normal forms of single paths, once complete
@@ -937,11 +908,13 @@ def validate(a):
             terms = [r.terms for r in a.relations]
             try:
                 _check_homogeneous(terms, "graded scan")
-                admissible, bound = _monomial_admissibility(_GroebnerBasis(q, terms, cutoff + 1))
+                a._basis = _GroebnerBasis(q, terms, cutoff + 1)
+                admissible, bound = _monomial_admissibility(a._basis)
             except QsaError as e:
                 problems.append(str(e))
             if not (admissible and bound <= cutoff):
                 certified, admissible, bound = False, False, 0
+                a._basis = None
                 problems.append("admissibility not certified for this cyclic non-monomial ideal")
     a._report = ValidationReport(connected, monomial, quadratic_monomial, admissible,
                                  certified, bound, loop_free, tuple(problems))

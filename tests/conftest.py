@@ -34,3 +34,30 @@ def glued_twelve_gqs(k):
             arrows.append(Arrow(f"l_{c}", f"8_{c - 1}", f"8_{c}"))
             rels.append([(1, [f"l_{c}", f"mu_{c}"])])
     return AlgebraPresentation(Quiver(f"glued{k}", verts, arrows), rels)
+
+
+def record_automaton_work(monkeypatch):
+    """Two lists that collect, from now on, every object whose prefix
+    automaton is walked and every Gröbner completion, as (quiver,
+    relations)."""
+    from qsa import presentation
+    walked, completed = [], []
+    automaton, complete = presentation._prefix_automaton, presentation._GroebnerBasis.__init__
+
+    def walk(words):
+        walked.append(words)
+        return automaton(words)
+
+    def completion(self, quiver, relations, limit):
+        completed.append((quiver, tuple(relations)))
+        complete(self, quiver, relations, limit)
+
+    monkeypatch.setattr(presentation, "_prefix_automaton", walk)
+    monkeypatch.setattr(presentation._GroebnerBasis, "__init__", completion)
+    return walked, completed
+
+
+def each_once(objects):
+    """True when no object of the list is there twice; the list keeps each
+    alive, so ids tell them apart."""
+    return len({id(x) for x in objects}) == len(objects)

@@ -17,7 +17,8 @@ from itertools import islice
 import sympy
 
 from qsa.presentation import (
-    Arrow, Quiver, AlgebraPresentation, QsaError, natural_key, _relation_free_levels,
+    Arrow, Quiver, AlgebraPresentation, QsaError, natural_key, validate, _GroebnerBasis,
+    _relation_free_levels,
 )
 from qsa._linalg import reduce_vec, rref
 from qsa.classify import special_vertices
@@ -466,6 +467,23 @@ class RrefAlgebra:
                 if k is not None and ci and cj:
                     out[k] += ci * cj
         return self._reduce((u, w), out)
+
+
+def bound_basis_products(a):
+    """{(u, v, w, p, q): {normal word: coefficient}}: the product of every
+    normal word p from u to v with every normal word q from v to w of a
+    certified admissible presentation, reduced by a Gröbner basis of its
+    relations completed afresh and truncated at the nilpotency bound.
+
+    That is the basis `TruncatedAlgebra` read before it shared the one
+    `validate` keeps, truncated above its cutoff; for a monomial ideal
+    its rules are the monomial relations.  Every normal word q from v is
+    a key ((), q) at u = v."""
+    bound = validate(a).nilpotency_bound
+    basis = _GroebnerBasis(a.quiver, [r.terms for r in a.relations], bound)
+    words = [t for level in islice(_relation_free_levels(basis), bound) for t in level]
+    return {(u, v, w, p, q): basis.reduce({p + q: Fraction(1)})
+            for u, v, p in words for v2, w, q in words if v == v2}
 
 
 # --- cover ball oracles ---------------------------------------------------------

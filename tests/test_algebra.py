@@ -7,12 +7,15 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from qsa.presentation import (
-    AlgebraPresentation, Arrow, Quiver, parse_presentation, validate, _relation_free_levels,
+    AlgebraPresentation, Arrow, Quiver, parse_presentation, validate, _normal_word_counts,
+    _relation_free_levels,
 )
-from qsa._algebra import TruncatedAlgebra
+from qsa._algebra import TruncatedAlgebra, _normal_words
 from qsa._linalg import identity
 
-from conftest import load_fixture, glued_twelve_gqs, all_fixture_names
+from conftest import (
+    load_fixture, glued_twelve_gqs, all_fixture_names, each_once, record_automaton_work,
+)
 from oracles import RrefAlgebra, graded_admissibility
 
 SQUARE = (
@@ -33,8 +36,12 @@ THREE_DIAMOND = (
     "arrow c: 1 -> 7\n"
     "relations:\n( a1 b1 ) - ( a2 b2 )\n( a1 b1 ) - ( a3 b3 )\n")
 
+# rad^3 = 0 on two loops, certified from the leading words a a, a b, b a, b b b
+LOOPS = ("quiver g\nvertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+         "relations:\n( a a ) - ( b b )\na b\nb a\n")
+
 EXAMPLES = {"square": SQUARE, "non-homogeneous": NON_HOMOGENEOUS,
-            "three-diamond": THREE_DIAMOND}
+            "three-diamond": THREE_DIAMOND, "loops": LOOPS}
 
 
 def _example(name):
@@ -182,6 +189,21 @@ def test_product_is_associative_on_basis_vectors(name):
                         for e in identity(t.dim_block(w, z)):
                             assert t.mult(u, w, z, xy, e) == t.mult(
                                 u, v, z, x, t.mult(v, w, z, y, e)), (u, v, w, z)
+
+
+@pytest.mark.parametrize("name", all_fixture_names() + list(EXAMPLES))
+def test_each_automaton_is_walked_and_each_ideal_completed_once(monkeypatch, name):
+    # validate, two algebras and the normal word count share one walk of
+    # each prefix automaton and one completion of a non-monomial ideal
+    a = _example(name)
+    walked, completed = record_automaton_work(monkeypatch)
+    rep = validate(a)
+    if rep.certified and rep.admissible:
+        TruncatedAlgebra(a)
+        TruncatedAlgebra(a)
+        _normal_word_counts(_normal_words(a)[1])
+    assert walked and each_once(walked)
+    assert len(completed) == (not a.is_monomial)
 
 
 # --- the normal form against the rank and echelon route ---------------------------

@@ -172,29 +172,6 @@ def test_classify_refuses_a_quiver():
     assert str(err.value) == "classification needs an AlgebraPresentation"
 
 
-_DIRTY = "a reclassification needs the dirty vertices, as an iterable of names"
-
-
-@pytest.mark.parametrize("args,message", [
-    (lambda c: ((), {"dirty": ["1"]}),
-     "dirty vertices need the previous classification"),
-    (lambda c: (("not a classification", ["1"]), {}),
-     "the previous classification must be a VertexClassification"),
-    (lambda c: (({"raw_classes": {}},), {"dirty": ["1"]}),
-     "the previous classification must be a VertexClassification"),
-    (lambda c: ((c,), {}), _DIRTY),
-    (lambda c: ((c, None), {}), _DIRTY),
-    (lambda c: ((c, 5), {}), _DIRTY),
-    (lambda c: ((c, [["1"]]), {}), _DIRTY),
-])
-def test_classify_refuses_bad_reuse_arguments(args, message):
-    a = load_fixture("a5-chain")
-    positional, keywords = args(classify_vertices(a))
-    with pytest.raises(QsaError) as err:
-        classify_vertices(a, *positional, **keywords)
-    assert str(err.value) == message
-
-
 _FOUR_ARROW_FAULTS = ("quiver x\nvertices: 1 2 3 4 5\narrow a: 1 -> 2\n"
                       "arrow d: 5 -> 2\narrow b: 2 -> 3\narrow c: 2 -> 4\n")
 

@@ -20,7 +20,7 @@ from qsa.presentation import (
     path_basis, presentations_isomorphic, opposite, _GroebnerBasis,
     _normal_word_counts, _relation_free_levels,
 )
-from qsa._algebra import TruncatedAlgebra
+from qsa._algebra import TruncatedAlgebra, _normal_words
 from qsa import transform
 from qsa.classify import VertexClassification, is_quadratic_string, special_vertices
 from qsa.decide import decide_derived_type
@@ -30,8 +30,8 @@ from qsa.transform import blow_up, certificate_payload, mutate_at, reduce_step
 
 from conftest import load_fixture, all_fixture_names
 from oracles import (
-    RrefAlgebra, graded_admissibility, graded_dimensions, presentation_text,
-    random_presentation_lists, relabel,
+    RrefAlgebra, bound_basis_products, graded_admissibility, graded_dimensions,
+    presentation_text, random_presentation_lists, relabel,
 )
 
 
@@ -575,8 +575,7 @@ def test_relation_free_levels_match_factor_scan(a):
 # --- normal words counted on the prefix automaton --------------------------------
 
 # The count must agree with the listed relation-free paths, in total and per
-# (source, target), at the nilpotency bound and at any cut below it, also
-# where the automaton has a cycle and only the cut ends the walks.
+# (source, target), at the nilpotency bound, on the automaton `validate` walked.
 
 
 def _listed_counts(words, bound):
@@ -591,11 +590,23 @@ def _listed_counts(words, bound):
 
 def _assert_counts_match(words, bound):
     """Compare the counts with the listed paths; return their total."""
-    counts = _normal_word_counts(words, bound)
+    counts = _normal_word_counts(words)
     assert set(counts) == set(words.quiver.vertices)
     got = {(src, tgt): n for src, ends in counts.items() for tgt, n in ends.items()}
     assert got == _listed_counts(words, bound)
     return sum(got.values())
+
+
+def _assert_products_match(a):
+    """Every basis path and basis product of `TruncatedAlgebra(a)` is the
+    one read off a basis completed afresh at the bound."""
+    t = TruncatedAlgebra(a)
+    want = bound_basis_products(a)
+    assert {(u, v, p) for u, v in t.nonzero_blocks() for p in t.free_paths(u, v)} \
+        == {(v, w, q) for _, v, w, _, q in want}
+    for (u, v, w, p, q), form in want.items():
+        got = t.mult(u, v, w, t.path_vec(u, v, p), t.path_vec(v, w, q))
+        assert got == [form.get(word, 0) for word in t.free_paths(u, w)], (p, q)
 
 
 @st.composite
@@ -624,12 +635,12 @@ def _long_monomial_presentations(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_long_monomial_presentations(), st.integers(1, 7))
-def test_normal_word_counts_match_listed_paths(a, cut):
+@given(_long_monomial_presentations())
+def test_normal_word_counts_match_listed_paths(a):
     rep = validate(a)
     assert rep.admissible
     _assert_counts_match(a, rep.nilpotency_bound)
-    _assert_counts_match(a, min(cut, rep.nilpotency_bound))
+    _assert_products_match(a)
 
 
 @st.composite
@@ -663,30 +674,30 @@ def _binomial_presentations(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_binomial_presentations(), st.integers(1, 7))
-def test_normal_word_counts_match_on_leading_words(a, cut):
-    # the leading words of a basis truncated at a cut, where the automaton
-    # may have a cycle; and, for a certified ideal, of the basis truncated
-    # at the bound, as `TruncatedAlgebra` builds it
-    terms = [r.terms for r in a.relations]
-    _assert_counts_match(_GroebnerBasis(a.quiver, terms, cut), cut)
+@given(_binomial_presentations())
+def test_normal_word_counts_match_on_leading_words(a):
+    # the leading words of the basis `TruncatedAlgebra` reads: the one
+    # `validate` completed above its cutoff on a cyclic quiver, else one
+    # truncated at the bound
     rep = validate(a)
     if rep.certified and rep.admissible and not a.is_monomial:
-        bound = rep.nilpotency_bound
-        words = _GroebnerBasis(a.quiver, terms, bound)
+        bound, words = _normal_words(a)
         assert _assert_counts_match(words, bound) == TruncatedAlgebra(a).dimension()
+        _assert_products_match(a)
 
 
-def test_normal_word_counts_cut_a_cyclic_automaton_at_the_bound():
-    # a a = b b, a b = b a = 0 on two loops: rad^3 = 0, but the basis
+def test_normal_word_counts_refuse_a_cyclic_automaton():
+    # a a = b b, a b = b a = 0 on two loops: rad^3 = 0, but a basis
     # truncated at 3 lacks the cubic leading word b b b, so b b b ... is a
-    # walk of its automaton that only the bound ends
+    # cycle of its automaton; the count refuses it rather than cut it, and
+    # the algebra reads the basis `validate` completed above its cutoff
     a = parse_presentation("quiver g\nvertices: 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
                            "relations:\n( a a ) - ( b b )\na b\nb a\n")
-    rep = validate(a)
-    assert rep.nilpotency_bound == 3
     words = _GroebnerBasis(a.quiver, [r.terms for r in a.relations], 3)
-    assert _normal_word_counts(words, 3) == {"1": {"1": 4}}
+    with pytest.raises(QsaError) as err:
+        _normal_word_counts(words)
+    assert str(err.value).startswith("internal error: ")
+    assert validate(a).nilpotency_bound == 3
     assert TruncatedAlgebra(a).dimension() == 4
 
 

@@ -22,7 +22,9 @@ from qsa.transform import (
     reduce_to_skewed_gentle,
 )
 
-from conftest import all_fixture_names, load_fixture, glued_twelve_gqs
+from conftest import (
+    all_fixture_names, each_once, load_fixture, glued_twelve_gqs, record_automaton_work,
+)
 from oracles import (
     chain_text, commuting_mutation_cases, glued_reduction_inputs, loose_loop_text,
     random_mutation_texts, random_reducing_texts, trace_form_radical,
@@ -510,6 +512,18 @@ def _lone_before(q, *ends):
     return {v: transform._lone_arrow(q, v) for v in ends}
 
 
+def _reclassified(a, previous, dirty):
+    """`previous` copied and updated for `a` at `dirty` by `_reclassify`,
+    as a reduction updates the classification it carries; `previous` is
+    left as it is, and the connectivity of `a` is not checked."""
+    c = VertexClassification(
+        previous.raw_classes.copy(), previous.marks.copy(), previous.vertex_faults.copy(),
+        previous.arrow_faults.copy(), previous.others, list(previous.exceptional_vertices))
+    classify._reclassify(a.quiver, classify._quadratic_pairs(a), c, dirty)
+    c.exceptional_vertices = tuple(c.exceptional_vertices)
+    return c
+
+
 @pytest.mark.parametrize("name,side", _reducing_fixtures())
 def test_classification_reuse_after_any_added_arrow(name, side):
     # one arrow more, anywhere: it can break the string conditions or take
@@ -526,8 +540,8 @@ def test_classification_reuse_after_any_added_arrow(name, side):
                 a.relations)
             dirty = transform._dirty_vertices(b.quiver, _lone_before(q, u, w))
             c = classify_vertices(b)
-            _assert_same_classification(classify_vertices(b, fresh, dirty), c)
-            _assert_same_classification(classify_vertices(a, c, dirty), fresh)
+            _assert_same_classification(_reclassified(b, fresh, dirty), c)
+            _assert_same_classification(_reclassified(a, c, dirty), fresh)
             if not c.is_quadratic_string:
                 seen.add("string")
             if any(c.classes[v].kind != fresh.classes[v].kind
@@ -552,10 +566,9 @@ def test_classification_reuse_after_any_removed_arrow(name, side):
         b = AlgebraPresentation(
             Quiver(q.name, q.vertices, [x for x in q.arrows if x != ar]),
             [r for r in a.relations if ar.name not in r.arrow_names])
-        patched = classify_vertices(
+        patched = _reclassified(
             b, fresh, transform._dirty_vertices(b.quiver, _lone_before(q, *ar[1:])))
-        _assert_same_classification(
-            patched, classify_vertices(b, empty, b.quiver.vertices))
+        _assert_same_classification(patched, _reclassified(b, empty, b.quiver.vertices))
         _assert_same_classification(fresh, classify_vertices(a))
 
 
@@ -720,9 +733,9 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
 
     word_counts = _endo._normal_word_counts
 
-    def counting_words(words, bound):
+    def counting_words(words):
         counted.append(words)
-        return word_counts(words, bound)
+        return word_counts(words)
 
     monkeypatch.setattr(_endo, "_HomSpace", CountingHomSpace)
     monkeypatch.setattr(_endo, "TruncatedAlgebra", CountingAlgebra)
@@ -797,6 +810,41 @@ def test_random_mutation_digest_is_frozen():
                     out = "ERR " + str(e)
                 h.update(out.encode() + b"\n")
     assert h.hexdigest() == RANDOM_MUTATION_SHA256
+
+
+def test_cyclic_non_monomial_result_is_completed_and_walked_once(monkeypatch):
+    # acyclic20 at vertex 7 (minus) gives a cyclic result with the
+    # binomial ( 1~2 2~4 ) - ( 1~3 3~4 ): `validate` completes its
+    # relations above the cutoff and walks the leading words, and the
+    # dimension count folds that walk, with no second completion at the bound
+    text = next(t for t in random_mutation_texts() if t.startswith("quiver acyclic20\n"))
+    a = parse_presentation(text)
+    walked, completed = record_automaton_work(monkeypatch)
+    b = mutate_at(a, "7", "minus")
+    rep = validate(b)
+    assert not b.is_monomial and rep.certified and rep.nilpotency_bound == 5
+    assert not presentation._monomial_admissibility(AlgebraPresentation._trusted(b.quiver, ()))[0]
+    assert [q for q, _ in completed].count(b.quiver) == 1
+    assert sum(w.quiver == b.quiver and bool(w.monomials) for w in walked) == 1
+
+
+def test_mutations_walk_and_complete_each_presentation_once(monkeypatch):
+    # over the random corpus, at every vertex and both signs: each input is
+    # walked and completed once however often it is mutated, and each result
+    # is validated, and its dimension counted, on one walk and one completion
+    walked, completed = record_automaton_work(monkeypatch)
+    results = []
+    for text in random_mutation_texts():
+        a = parse_presentation(text)
+        for x in a.quiver.vertices:
+            for sign in ("minus", "plus"):
+                try:
+                    results.append(mutate_at(a, x, sign))
+                except QsaError:
+                    pass
+    assert len(results) > 100 and any(not b.is_monomial for b in results)
+    assert each_once(walked)
+    assert len({(id(q), relations) for q, relations in completed}) == len(completed)
 
 
 def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
