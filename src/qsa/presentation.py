@@ -661,14 +661,18 @@ def _prefix_automaton(a):
     q = a.quiver
     prefixes = {w[:i] for w in a.monomials for i in range(len(w))} | {()}
 
-    def successors(state):
+    out_arrows, ends_in_relation = q._out, a.ends_in_relation
+
+    def successors(state):   # a list: the walk keeps it for the count
         v, word = state
-        for ar in q._out[v]:
+        out = []
+        for ar in out_arrows[v]:
             new = word + (ar.name,)
-            if not a.ends_in_relation(new):
+            if not ends_in_relation(new):
                 while new not in prefixes:
                     new = new[1:]
-                yield ar.target, new
+                out.append((ar.target, new))
+        return out
 
     return successors
 
@@ -681,15 +685,15 @@ def _monomial_admissibility(a):
     the automaton is the quiver, and the answer says whether the quiver
     is acyclic.  The walk is depth first on an explicit stack, so a path
     longer than the recursion limit is no problem.  It is made once per
-    presentation or basis and kept on `a` as (admissible, m, states),
-    the states it finished in post-order, each with its successors, for
+    presentation or basis and kept on `a` as (admissible, m, frames),
+    the frames [state, _, _, successors] it finished, in post-order, for
     `_normal_word_counts`.
     """
     if a._walk is not None:
         return a._walk[:2]
     successors = _prefix_automaton(a)
     height = {}  # the longest walk from a state; None while on the current walk
-    order = []   # (state, its successors), each after its successors
+    order = []   # the finished frames, each after its successors' frames
     # [state, successors left, longest walk so far, successors]; the start leads to the empty states
     start = [(v, ()) for v in a.quiver.vertices]
     stack = [[None, iter(start), 0, start]]
@@ -698,7 +702,7 @@ def _monomial_admissibility(a):
         for w in top[1]:
             if w not in height:
                 height[w] = None
-                after = list(successors(w))
+                after = successors(w)
                 stack.append([w, iter(after), 0, after])
                 break
             h = height[w]
@@ -711,7 +715,7 @@ def _monomial_admissibility(a):
             stack.pop()
             height[top[0]] = h = top[2]
             if stack:
-                order.append((top[0], top[3]))
+                order.append(top)
                 if h >= stack[-1][2]:
                     stack[-1][2] = h + 1
     a._walk = True, height[None], order
@@ -734,7 +738,7 @@ def _normal_word_counts(a):
     if not _monomial_admissibility(a)[0]:
         raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
     counts = {}
-    for state, after in a._walk[2]:
+    for state, _, _, after in a._walk[2]:
         mine = dict(counts[after[0]]) if after else {}
         for t in after[1:]:
             for w, n in counts[t].items():

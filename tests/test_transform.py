@@ -410,8 +410,8 @@ def test_tame_decision_derives_no_classification_table(monkeypatch):
     # on the input's classification nor on the one the moves carry
     made = []
 
-    def recording(a, *args):
-        made.append(classify_vertices(a, *args))
+    def recording(a):
+        made.append(classify_vertices(a))
         return made[-1]
 
     monkeypatch.setattr(decide, "classify_vertices", recording)
