@@ -9,9 +9,9 @@ nilpotency bound, in (length, path) order.  For a monomial ideal these
 are the relation-free paths, and a product of basis paths is the joined
 path or zero; for any other ideal a path that is not a normal word is
 rewritten by the normal form of a Gröbner basis truncated at or above
-the bound (`presentation._GroebnerBasis`).  Blocks are stored only for the pairs
-joined by a normal word; every other block is the zero space, and the
-accessors treat a missing pair as the empty block.  The constructor
+the bound (`presentation._GroebnerBasis`).  Blocks are stored only for
+the pairs joined by a normal word; every other block is the zero space,
+and the accessors treat a missing pair as the empty block.  The constructor
 accepts what `validate` certifies finite-dimensional and admissible:
 monomial ideals, length-homogeneous ideals with a vanishing graded
 component, and any relations on an acyclic quiver, non-homogeneous ones

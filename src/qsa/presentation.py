@@ -694,7 +694,8 @@ def _monomial_admissibility(a):
     successors = _prefix_automaton(a)
     height = {}  # the longest walk from a state; None while on the current walk
     order = []   # the finished frames, each after its successors' frames
-    # [state, successors left, longest walk so far, successors]; the start leads to the empty states
+    # [state, successors left, longest walk so far, successors];
+    # the start state None leads to the empty states
     start = [(v, ()) for v in a.quiver.vertices]
     stack = [[None, iter(start), 0, start]]
     while stack:
