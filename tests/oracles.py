@@ -893,3 +893,82 @@ def random_reducing_texts(seed, count=120):
         if steps:
             out.append(text)
     return out
+
+
+# --- witness corpus for the frozen witness digest -------------------------------
+
+
+# names that the cover's walk names and arrow names can confuse: a step
+# ".a'" is both arrow a reversed and arrow a' forward, "a.b" is both one
+# arrow and two steps, and "@" inside a name can make two cover arrows
+# base_arrow@source share a name; digit runs with leading zeros tie
+_WITNESS_VERTEX_NAMES = ("1", "01", "007", "v", "v.a", "x'", "p@q", "r~", "u.1", "10")
+_WITNESS_ARROW_NAMES = ("a", "b", "a.b", "a'", "b'", "c@v", "d~", "a1", "a01", "e.1",
+                        "c", "f@p@q")
+
+
+def random_witness_texts(seed, count):
+    """`count` seeded texts of connected cyclic monomial presentations with
+    a certified admissible ideal, for the cover ball and witness search.
+
+    A draw has an oriented cycle of 1 to 3 vertices with a relation of
+    length 2 or 3 along it, 1 to 3 more vertices each joined to an earlier
+    one in a random direction, and 0 to 2 extra arrows between random
+    vertices, loops allowed; every vertex keeps at most three arrows, so a
+    ball of radius 6 has at most 190 vertices.  Each composable pair of
+    arrows is a relation with probability 0.4, and a few random paths of
+    length 3 join them.  Vertex and arrow names are drawn from pools with
+    dots, primes, @, ~ and leading zeros.  A draw is kept when `validate`
+    reports no problem.
+    """
+    import random
+    from qsa.presentation import parse_presentation
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(1, 3)
+        n = m + rng.randint(1, 3)
+        verts = rng.sample(_WITNESS_VERTEX_NAMES, n)
+        names = iter(rng.sample(_WITNESS_ARROW_NAMES, len(_WITNESS_ARROW_NAMES)))
+        degree = dict.fromkeys(verts, 0)
+        arrows = []
+
+        def arrow(s, t):
+            if degree[s] + (s == t) >= 3 or degree[t] >= 3:
+                return False
+            name = next(names, None)
+            if name is None:
+                return False
+            arrows.append((name, s, t))
+            degree[s] += 1
+            degree[t] += 1
+            return True
+
+        for i in range(m):
+            arrow(verts[i], verts[(i + 1) % m])
+        for i in range(m, n):
+            w = rng.choice(verts[:i])
+            arrow(*((w, verts[i]) if rng.random() < 0.5 else (verts[i], w)))
+        for _ in range(rng.randint(0, 2)):
+            arrow(rng.choice(verts), rng.choice(verts))
+        outs = {v: [] for v in verts}
+        for name, s, t in arrows:
+            outs[s].append((name, t))
+        cycle = [name for name, s, t in arrows[:m]]
+        k = rng.randrange(m)
+        rels = {tuple(cycle[(k + j) % m] for j in range(rng.randint(2, 3)))}
+        rels |= {(x, y) for x, _, t in arrows for y, _ in outs[t] if rng.random() < 0.4}
+        for _ in range(rng.randint(0, 2)):
+            name, _, t = rng.choice(arrows)
+            path = [name]
+            while len(path) < 3 and outs[t]:
+                name, t = rng.choice(outs[t])
+                path.append(name)
+            if len(path) == 3:
+                rels.add(tuple(path))
+        text = presentation_text(f"w{seed}_{len(out)}", verts, arrows,
+                                 [[(1, p)] for p in sorted(rels)])
+        if validate(parse_presentation(text)).problems:
+            continue
+        out.append(text)
+    return out

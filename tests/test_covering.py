@@ -20,7 +20,8 @@ from qsa.covering import (
 
 from conftest import all_fixture_names, load_fixture
 from oracles import (
-    interior_vertices, random_multigraph, sympy_graph_kind, valid_subset_counts,
+    interior_vertices, random_multigraph, random_witness_texts, sympy_graph_kind,
+    valid_subset_counts,
 )
 
 
@@ -470,6 +471,37 @@ def test_no_witness_in_tame_presentations():
     assert find_wild_witness(load_fixture("kronecker"),
                              radius=6, max_size=8) is None
 
+
+
+# the frozen outputs of the seeded witness corpus: 40 cyclic monomial
+# presentations whose names mix dots, primes, @, ~ and leading zeros
+WITNESS_CORPUS_SEED, WITNESS_CORPUS_SIZE = 5, 40
+WITNESS_CORPUS_SHA256 = "80f53ccb5e5db030fb1017d9b7cc31998779ca8c27609adc8c6ebcfc8502e5b9"
+
+
+def _search_record(a, radius, max_size, like=None):
+    w, budget_hit = covering._witness_search(a, radius, max_size, like)
+    return json.dumps([w and w.to_payload(), budget_hit]).encode(), w
+
+
+def test_witness_corpus_digest_is_frozen(monkeypatch):
+    # every basepoint's ball arrays at radius 4, the searches at (radius,
+    # size) (4, 6) and (6, 8), and a targeted search at (6, 8): for the
+    # (4, 6) witness where there is one, else for expected-delta
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    for text in random_witness_texts(WITNESS_CORPUS_SEED, WITNESS_CORPUS_SIZE):
+        a = parse_presentation(text)
+        for base in a.quiver.vertices:
+            ball = CoverBall(a, base, 4)
+            digest.update(json.dumps([ball._names, ball._levels, ball._proj, ball._edges,
+                                      ball._out, ball._reached]).encode())
+        record, small = _search_record(a, 4, 6)
+        digest.update(record)
+        digest.update(_search_record(a, 6, 8)[0])
+        like = small.presentation if small is not None else load_fixture("expected-delta")
+        digest.update(_search_record(a, 6, 8, like)[0])
+    assert digest.hexdigest() == WITNESS_CORPUS_SHA256
 
 # --- local wildness patterns ---------------------------------------------------------
 
