@@ -224,8 +224,11 @@ class CoverBall:
     target index, base arrow) in the order the breadth-first walk made them,
     per vertex its out-arrows (target index, base arrow), and the vertex
     indices in the order the walk reached them, which the maps keep.  The
-    witness search reads only the first five; the cover arrow names, the
-    presentation `cover` and the three maps are built on first use.
+    witness search reads the out-arrows, and the names of a witness's
+    vertices; the cover arrow names, the presentation `cover` and the
+    three maps are built on first use.  A search names the cover arrows of
+    the witness it returns itself, unless a base name holds an @
+    (`_arrow_namer`).
     The base must be a connected monomial presentation with a certified
     admissible ideal, the basepoint one of its vertices and the radius an
     integer of at least 0; anything else is refused with a QsaError.  So
@@ -387,23 +390,46 @@ def _step_key(step):
     return parts[0][2], parts[1:]
 
 
+def _step_table(q):
+    """{base vertex: its walk steps}, in the order a ball takes them: the
+    out-arrows, then the in-arrows, each in arrow order.
+
+    A step is (token, back, base arrow, forward, step text, `_step_key`
+    parts, vertex reached); the step text is ".arrow", or ".arrow'" for a
+    reversed arrow.  Arrow k has token 2k forward and 2k + 1 reversed, and
+    `back` is the token of the step back along the same arrow.
+    """
+    outs = {v: [] for v in q.vertices}
+    ins = {v: [] for v in q.vertices}
+    for k, ar in enumerate(q.arrows):
+        for tok, rows, at, tick, reached in ((2 * k, outs, ar.source, "", ar.target),
+                                             (2 * k + 1, ins, ar.target, "'", ar.source)):
+            step = "." + ar.name + tick
+            rows[at].append((tok, tok ^ 1, ar.name, not tick, step, *_step_key(step),
+                             reached))
+    return {v: outs[v] + ins[v] for v in q.vertices}
+
+
 def _ball_arrays(q, base, radius):
     """(names, levels, projections, arrows, out-arrows, walk order) of the
     radius-r ball of quiver q at `base`; see `CoverBall`.  The walk order
-    lists the vertex indices in the order the walk reached them."""
+    lists the vertex indices in the order the walk reached them.  Each
+    base vertex's steps are made once per ball (`_step_table`), so a child
+    costs its name and its key, and no step is keyed again."""
     key = natural_key.__wrapped__   # uncached: no ball evicts the shared cache
+    table = _step_table(q)
     taken = {base}
     names = [base]
     keys = [key(base)]
     levels = [0]
     proj = [base]
-    last = [None]   # (base arrow, direction) of the step that reached a vertex
+    last = [-1]   # the token of the step back to a vertex's parent
     edges = []
     frontier = [0]
     for depth in range(1, radius + 1):
         nxt = []
         for w in frontier:
-            u, wname, back = proj[w], names[w], last[w]
+            wname, back = names[w], last[w]
             # a child's name is its parent's plus a step, so its key is the
             # parent's parts plus the step's, closed by (-1, name); the
             # step's leading text part joins a text part that ends the
@@ -413,30 +439,23 @@ def _ball_arrays(q, base, radius):
                 head, tail = wkey[:-2], wkey[-2][2]
             else:
                 head, tail = wkey[:-1], ""
-            for arrows, sign, tick in ((q.out_arrows(u), 1, ""), (q.in_arrows(u), -1, "'")):
-                for ar in arrows:
-                    if back == (ar.name, -sign):
-                        continue
-                    step = "." + ar.name + tick
-                    k = len(names)
-                    vid = wname + step
-                    if vid in taken:   # renamed by _claim, so keyed in full
-                        vid = _claim(taken, vid)
-                        keys.append(key(vid))
-                    else:
-                        taken.add(vid)
-                        text, rest = _step_key(step)
-                        keys.append(head + ((1, 0, tail + text),) + rest + ((-1, vid),))
-                    names.append(vid)
-                    levels.append(depth)
-                    if sign > 0:
-                        proj.append(ar.target)
-                        edges.append((w, k, ar.name))
-                    else:
-                        proj.append(ar.source)
-                        edges.append((k, w, ar.name))
-                    last.append((ar.name, sign))
-                    nxt.append(k)
+            for tok, rev, b, forward, step, text, rest, reached in table[proj[w]]:
+                if tok == back:
+                    continue
+                k = len(names)
+                vid = wname + step
+                if vid in taken:   # renamed by _claim, so keyed in full
+                    vid = _claim(taken, vid)
+                    keys.append(key(vid))
+                else:
+                    taken.add(vid)
+                    keys.append((*head, (1, 0, tail + text), *rest, (-1, vid)))
+                names.append(vid)
+                levels.append(depth)
+                proj.append(reached)
+                edges.append((w, k, b) if forward else (k, w, b))
+                last.append(rev)
+                nxt.append(k)
         frontier = nxt
 
     # reindex in name order: the derived keys equal natural_key's, so this
@@ -510,9 +529,13 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     Basepoints are tried in vertex order, ball vertices in `natural_key`
     order of the walk names, and subsets grown by rooted expansion, so the
     first hit is deterministic.
-    Each ball is searched as the plain arrays of `CoverBall`: a directed
-    path in the ball is relation-free when no suffix of its projection is a
-    base relation, and only the witness found becomes a presentation.
+    Each ball is searched on tables of vertex indices: a directed path in
+    the ball is relation-free when no suffix of its projection is a base
+    relation, and the survival pass (`_survival`) writes the adjacency
+    bitmasks and one entry per relation-free pair, with its interior and
+    the predecessor on its path.  Only the witness found becomes a
+    presentation: its paths are rebuilt from the predecessors and their
+    cover arrows named then.
     Each subset is grown from a valid one by a single vertex, so only the
     new vertex's surviving paths are checked, plus the union of the
     interiors of the paths already in the subset; each valid subset of four
@@ -567,49 +590,98 @@ def _witness_search(a, radius=None, max_size=None, like=None):
 
 
 def _survival(ball, budget):
-    """All ordered pairs joined by a relation-free directed cover path.
+    """The search's tables of the ordered pairs joined by a relation-free
+    directed cover path.
 
-    Returns (pairs, steps) where pairs maps (i, j) to (interior mask, base
-    arrow names of the path).  Paths in a tree are geodesics, so each pair
-    carries exactly one path and a path between ball vertices never leaves
-    the ball.  Every suffix of such a path lies in the ball too, so the
-    suffix is a lifted relation exactly when its projection is a base
-    relation: the base presentation answers the relation test.
+    Returns (adj, link, steps).  adj[i] is the bitmask of the vertices
+    paired with i.  link[i][j] and link[j][i] hold the pair's one entry,
+    (arc (i, j), interior mask, predecessor of j on the path, last base
+    arrow), so following predecessors back from j rebuilds the path
+    (`_path`); a tree holds no directed path both ways.  Paths in a tree
+    are geodesics, so each pair carries exactly one path and a path
+    between ball vertices never leaves the ball.  Every suffix of such a
+    path lies in the ball too, so the suffix is a lifted relation exactly
+    when its projection is a base relation: a step dies when the base
+    presentation ends a relation at it.  That depends only on the last L
+    base arrows, L the longest relation, so the test is memoised for the
+    ball by (the last L - 1 base arrows, the next arrow).  Each surviving
+    step counts towards the budget.
     """
-    ends_in_relation = ball.base.ends_in_relation
+    base = ball.base
+    keep = max(base._monomial_lengths, default=1) - 1
+    ends_in_relation = base.ends_in_relation
     out = ball._out
-    pairs = {}
+    n = len(out)
+    adj = [0] * n
+    link = [{} for _ in range(n)]
+    memo = {}   # (window, arrow): the next window, or None when a relation ends
     steps = 0
-    for u in range(len(out)):
+    for u in range(n):
+        row = link[u]
         stack = [(u, (), 0)]
         while stack:
-            v, names, imask = stack.pop()
+            v, window, imask = stack.pop()
+            inner = imask | 1 << v if v != u else 0
             for t, b in out[v]:
-                names2 = names + (b,)
-                if ends_in_relation(names2):
+                try:
+                    nxt = memo[window, b]
+                except KeyError:
+                    path = window + (b,)
+                    nxt = memo[window, b] = (
+                        None if ends_in_relation(path) else path[len(path) - keep:])
+                if nxt is None:
                     continue
                 steps += 1
                 if steps > budget:
                     raise _Budget()
-                imask2 = imask | (1 << v if v != u else 0)
-                pairs[(u, t)] = (imask2, names2)
-                stack.append((t, names2, imask2))
-    return pairs, steps
+                row[t] = link[t][u] = ((u, t), inner, v, b)
+                adj[u] |= 1 << t
+                adj[t] |= 1 << u
+                stack.append((t, nxt, inner))
+    return adj, link, steps
 
 
-def _assemble(ball, pairs, members, arcs, shape):
-    # members come sorted by vertex index; each arc (i, j) is a surviving
-    # pair, whose path is lifted back to cover arrows from i
+def _path(link, i, j):
+    """(source vertices, base arrows) of the arrows of the surviving path
+    from i to j, read back along the predecessors in `link`."""
+    walk, arrows = [], []
+    row = link[i]
+    while j != i:
+        _, _, j, b = row[j]
+        walk.append(j)
+        arrows.append(b)
+    walk.reverse()
+    arrows.reverse()
+    return walk, arrows
+
+
+def _arrow_namer(ball):
+    """The function from (source index, base arrow) to the name of the
+    ball's cover arrow, as `CoverBall._arrow_names` has it.
+
+    With no @ in a base vertex or arrow, a name base_arrow@source splits
+    at its one @, so no two cover arrows share one and `_claim` renames
+    none: the name is made on the spot.  A base with @ reads the ball's
+    full table."""
+    q = ball.base.quiver
+    if any("@" in v for v in q.vertices) or any("@" in ar.name for ar in q.arrows):
+        return ball._arrow_names.__getitem__
     names = ball._names
+    return lambda sb: sb[1] + "@" + names[sb[0]]
+
+
+def _assemble(ball, link, members, arcs, shape):
+    # members come sorted by vertex index; each arc (i, j) is a surviving
+    # pair, whose path is rebuilt and named by its cover arrows
+    names = ball._names
+    cover_name = _arrow_namer(ball)
     taken = set()
     arrows = []
     realized = []
     for i, j in sorted(arcs):
-        path = pairs[(i, j)][1]
+        walk, path = _path(link, i, j)
         arrows.append(Arrow(_claim(taken, "*".join(path)), names[i], names[j]))
-        walk = _lift(ball._out, i, path)
-        realized.append((names[i], names[j],
-                         tuple(ball._arrow_names[s, b] for s, b in zip(walk, path))))
+        realized.append((names[i], names[j], tuple(map(cover_name, zip(walk, path)))))
     verts = [names[i] for i in members]
     quiver = Quiver(f"{ball.base.quiver.name}.witness@{ball.basepoint}", verts, arrows)
     rels = [[(1, [p.name, r.name])]
@@ -624,51 +696,33 @@ def _assemble(ball, pairs, members, arcs, shape):
 
 
 def _search_ball(ball, max_size, budget, like=None):
-    pairs, used = _survival(ball, budget)
-    n = len(ball._names)
-    adj = [0] * n
-    link = [{} for _ in range(n)]   # link[i][j]: the surviving pair at i and j
-    for arc, (imask, _) in pairs.items():
-        i, j = arc
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        link[i][j] = link[j][i] = (arc, imask)
-    want = None if like is None else len(like.quiver.vertices)
+    """The first witness in the ball, or None; `_Budget` when the survival
+    steps and the enumeration candidates together run past the budget.
 
+    Subsets are grown by rooted expansion on the tables of `_survival`:
+    each root takes, in index order, the candidates above it that join the
+    subset, and a candidate is banned from a branch once tried.  A subset
+    is valid when no surviving pair's geodesic interior meets it; then its
+    full subcategory is radical-square-zero with one arrow per surviving
+    pair.  A candidate i joins a valid subset when i is outside the union
+    of the members' interiors and no arc from i to a member passes through
+    a member, so only i's arcs are read.  Each valid subset of four or more
+    vertices is classified by one `graph_type` call on vertex indices.
+    """
+    adj, link, used = _survival(ball, budget)
+    want = None if like is None else len(like.quiver.vertices)
     remaining = budget - used
     result = None
 
-    def extend(blocked, mask, i):
-        # a subset is valid when no surviving pair's geodesic interior meets
-        # it; then its full subcategory is radical-square-zero with one arrow
-        # per surviving pair.  The members are valid and `blocked` is the
-        # union of their arcs' interiors, so adding i keeps the subset valid
-        # unless i is blocked or an arc at i passes through the new mask.
-        # Returns i's arcs and the new union, or None when invalid.
-        if blocked >> i & 1:
-            return None
-        new = []
-        at = link[i]
-        touch = adj[i] & mask   # the members paired with i
-        while touch:
-            b = touch & -touch
-            touch ^= b
-            arc, imask = at[b.bit_length() - 1]
-            if imask & mask:
-                return None
-            blocked |= imask
-            new.append(arc)
-        return new, blocked
-
     def witness(members, arcs):
         # a valid subset is a witness when its graph is neither Dynkin nor
-        # Euclidean; the graph is classified on vertex indices
+        # Euclidean
         if want is not None and len(members) != want:
             return None
         shape = graph_type(members, arcs)
         if shape.kind != "Other":
             return None
-        wit = _assemble(ball, pairs, members, arcs, shape)
+        wit = _assemble(ball, link, members, arcs, shape)
         if like is not None and presentations_isomorphic(wit.presentation, like) is None:
             return None   # a certificate, but not the requested shape
         return wit
@@ -676,36 +730,46 @@ def _search_ball(ball, max_size, budget, like=None):
     def enum(members, arcs, blocked, mask, cand, ban):
         nonlocal remaining, result
         while cand:
-            if result is not None:
-                return
             b = cand & -cand
             cand ^= b
             i = b.bit_length() - 1
             remaining -= 1
             if remaining <= 0:
                 raise _Budget()
-            nm = mask | b
-            ext = extend(blocked, nm, i)
-            if ext is not None:
-                new, grown_blocked = ext
-                grown = members[:]
-                insort(grown, i)
-                grown_arcs = arcs + new   # graph_type sorts the pairs itself
-                # a subset's graph is simple: a tree holds at most one
-                # directed geodesic per unordered pair, and none from a
-                # vertex to itself.  A connected simple graph on at most 3
-                # vertices is A2, A3 or ~A2, never Other, so only subsets
-                # of 4 or more vertices are classified
-                if len(grown) >= 4:
-                    result = witness(grown, grown_arcs)
-                    if result is not None:
-                        return
-                if len(grown) < max_size:
-                    grow = adj[i] & ~nm & ~ban & ~cand & allowed
-                    enum(grown, grown_arcs, grown_blocked, nm, cand | grow, ban)
+            if not blocked >> i & 1:
+                grown_arcs = arcs[:]   # graph_type sorts the pairs itself
+                grown_blocked = blocked
+                at = link[i]
+                touch = adj[i] & mask   # the members paired with i
+                while touch:
+                    t = touch & -touch
+                    touch ^= t
+                    arc, imask, _, _ = at[t.bit_length() - 1]
+                    if imask & mask:
+                        break
+                    grown_blocked |= imask
+                    grown_arcs.append(arc)
+                else:
+                    grown = members[:]
+                    insort(grown, i)
+                    # a subset's graph is simple: a tree holds at most one
+                    # directed geodesic per unordered pair, and none from a
+                    # vertex to itself.  A connected simple graph on at most
+                    # 3 vertices is A2, A3 or ~A2, never Other, so only
+                    # subsets of 4 or more vertices are classified
+                    if len(grown) >= 4:
+                        result = witness(grown, grown_arcs)
+                        if result is not None:
+                            return
+                    if len(grown) < max_size:
+                        nm = mask | b
+                        grow = adj[i] & ~nm & ~ban & ~cand & allowed
+                        enum(grown, grown_arcs, grown_blocked, nm, cand | grow, ban)
+                        if result is not None:
+                            return
             ban |= b
 
-    for root in range(n):
+    for root in range(len(adj)):
         if result is not None:
             break
         allowed = ~((1 << (root + 1)) - 1)   # strictly above the root index

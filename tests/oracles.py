@@ -495,17 +495,18 @@ def interior_vertices(ball):
     return tuple(v for v, lv in ball.level.items() if lv < ball.radius)
 
 
-def _relation_free_pairs(ball):
-    # (i, j) -> interior vertices of the directed tree path from i to j, for
-    # every path with no window of its base arrows among the base monomials;
-    # each path is read off the undirected tree, not grown step by step
+def relation_free_paths(ball):
+    """(i, j) -> (interior vertices, source vertices, base arrows) of the
+    directed tree path from i to j, for every path with no window of its
+    base arrows among the base monomials; each path is read off the
+    undirected tree, not grown step by step."""
     mono = ball.base.monomials
     longest = max(map(len, mono), default=0)
     near = [[] for _ in ball._names]
     for s, t, b in ball._edges:
         near[s].append((t, (s, t, b)))
         near[t].append((s, (s, t, b)))
-    pairs = {}
+    paths = {}
     for u in range(len(near)):
         via = {u: None}
         order = [u]
@@ -524,12 +525,18 @@ def _relation_free_pairs(ball):
             path.reverse()
             if any(edge[:2] != (a, c) for a, c, edge in path):
                 continue   # some arrow points back towards u
-            arrows = [edge[2] for _, _, edge in path]
-            if any(tuple(arrows[k:k + ln]) in mono
+            arrows = tuple(edge[2] for _, _, edge in path)
+            if any(arrows[k:k + ln] in mono
                    for ln in range(1, longest + 1) for k in range(len(arrows) - ln + 1)):
                 continue
-            pairs[(u, j)] = {c for _, c, _ in path[:-1]}
-    return pairs
+            paths[(u, j)] = ({c for _, c, _ in path[:-1]}, tuple(a for a, _, _ in path),
+                             arrows)
+    return paths
+
+
+def _relation_free_pairs(ball):
+    # (i, j) -> interior vertices of the relation-free directed path from i to j
+    return {pair: inner for pair, (inner, _, _) in relation_free_paths(ball).items()}
 
 
 def valid_subset_counts(ball, max_size):

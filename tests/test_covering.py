@@ -20,8 +20,8 @@ from qsa.covering import (
 
 from conftest import all_fixture_names, load_fixture
 from oracles import (
-    interior_vertices, random_multigraph, random_witness_texts, sympy_graph_kind,
-    valid_subset_counts,
+    interior_vertices, random_multigraph, random_witness_texts, relation_free_paths,
+    sympy_graph_kind, valid_subset_counts,
 )
 
 
@@ -283,6 +283,70 @@ def test_ball_keys_and_covers_match_the_oracle():
     assert digest.hexdigest() == (
         "62a211937cf1f2b789445273c3ee946650ab1c9afec42e1fc203dc39de753c5f")
 
+
+
+# --- the survival tables --------------------------------------------------------
+
+
+# the cover arrows p@r.q@(r) and p@(r.q@r) share a name: the second, made
+# later in the walk, is renamed p@r.q@r~
+_AT_BASE = ("quiver at\nvertices: r t u\narrow p@r.q: r -> u\narrow q@r: r -> t\n"
+            "arrow p: t -> u\n")
+
+
+def _check_survival_tables(ball):
+    # the search's tables against the oracle's relation-free tree paths:
+    # the pairs and their interiors, the base arrows and sources rebuilt
+    # from the predecessors, and the cover arrow names along each path
+    paths = relation_free_paths(ball)
+    adj, link, steps = covering._survival(ball, 10 ** 9)
+    name = covering._arrow_namer(ball)
+    found = {}
+    for i, row in enumerate(link):
+        assert adj[i] == sum(1 << j for j in row)
+        for j, (arc, imask, _, _) in row.items():
+            assert arc in ((i, j), (j, i)) and link[j][i] is row[j]
+            found[arc] = {k for k in range(imask.bit_length()) if imask >> k & 1}
+    assert found == {pair: inner for pair, (inner, _, _) in paths.items()}
+    assert steps == len(paths)
+    for (i, j), (_, sources, arrows) in paths.items():
+        walk, path = covering._path(link, i, j)
+        assert (tuple(walk), tuple(path)) == (sources, arrows)
+        for s, b in zip(walk, path):
+            assert name((s, b)) == ball._arrow_names[s, b]
+
+
+def test_survival_tables_match_the_oracle_on_the_fixtures():
+    # radius 0..6 on the fixtures, and 0..4 on the named balls, whose cover
+    # arrows in "clash" are renamed
+    cases = [(load_fixture(n), 7) for n in all_fixture_names()]
+    cases += [(parse_presentation(text), 5) for text in _NAMED_BALLS.values()]
+    for a, radii in cases:
+        report = validate(a)
+        if not (a.is_monomial and report.connected and report.admissible):
+            continue
+        for base in a.quiver.vertices:
+            for radius in range(radii):
+                _check_survival_tables(CoverBall(a, base, radius))
+
+
+def test_survival_tables_match_the_oracle_on_the_witness_corpus():
+    for text in random_witness_texts(WITNESS_CORPUS_SEED, WITNESS_CORPUS_SIZE):
+        a = parse_presentation(text)
+        for base in a.quiver.vertices:
+            _check_survival_tables(CoverBall(a, base, 4))
+
+
+def test_survival_tables_keep_a_renamed_cover_arrow():
+    ball = CoverBall(parse_presentation(_AT_BASE), "r", 3)
+    at = ball._arrow_names
+    first, second = ball._names.index("r"), ball._names.index("r.q@r")
+    assert (at[first, "p@r.q"], at[second, "p"]) == ("p@r.q@r", "p@r.q@r~")
+    _check_survival_tables(ball)
+    adj, link, _ = covering._survival(ball, 10 ** 6)
+    name = covering._arrow_namer(ball)
+    walk, path = covering._path(link, second, ball._names.index("r.q@r.p"))
+    assert [name(sb) for sb in zip(walk, path)] == ["p@r.q@r~"]
 
 # --- wild witnesses ---------------------------------------------------------------
 
