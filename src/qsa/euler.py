@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 from ._linalg import fr, _congruence, _integer_rows
 from .presentation import (
-    AlgebraPresentation, QsaError, is_tree, _monomial_admissibility,
-    _normal_word_counts,
+    AlgebraPresentation, QsaError, is_tree, _normal_word_counts,
 )
 
 
@@ -118,7 +117,7 @@ def _check_acyclic_monomial(a):
         raise QsaError("Cartan and Euler matrices need an AlgebraPresentation")
     if not a.is_monomial:
         raise QsaError("Cartan matrix requires a monomial presentation")
-    if not (is_tree(a) or _monomial_admissibility(AlgebraPresentation._trusted(a.quiver, ()))[0]):
+    if not (is_tree(a) or a.quiver._acyclicity[0]):
         raise QsaError("Cartan matrix requires an acyclic quiver")
 
 

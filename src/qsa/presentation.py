@@ -154,6 +154,14 @@ class Quiver:
         return _is_connected(self)
 
     @cached_property
+    def _acyclicity(self):
+        """(acyclic, m): whether the quiver has no oriented cycle, and one
+        more than its longest path, from the prefix automaton of no
+        relations.  Validation of a non-monomial ideal and the Euler
+        branch both ask."""
+        return _monomial_admissibility(AlgebraPresentation._trusted(self, ()))
+
+    @cached_property
     def _arrow_lines(self):
         """The arrow lines of the text format, in arrow order."""
         return tuple(map(_arrow_line, self.arrows))
@@ -907,7 +915,7 @@ def validate(a):
         if not admissible:
             problems.append("ideal is not admissible: arbitrarily long relation-free paths")
     else:   # the paths of an acyclic quiver are bounded; else ask the leading words
-        admissible, bound = _monomial_admissibility(AlgebraPresentation._trusted(q, ()))
+        admissible, bound = q._acyclicity
         if not admissible:
             cutoff = max(16, 2 * len(q.arrows) + 2)
             terms = [r.terms for r in a.relations]

@@ -12,7 +12,9 @@ from qsa import cli
 from qsa.cli import run_cli
 from qsa.presentation import is_tree
 
-from conftest import all_fixture_names, fixture_path, load_fixture
+from conftest import (
+    all_fixture_names, each_once, fixture_path, load_fixture, record_automaton_work,
+)
 from oracles import loose_loop_text, wild_tail_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -280,6 +282,15 @@ def test_euler_text(capsys):
     assert code == 0
     assert "cartan C" in out and "euler E" in out
     assert "nonnegative: true (positive definite)" in out
+
+
+def test_euler_walks_the_bare_quiver_once(capsys, monkeypatch):
+    # validate walks the presentation's automaton, and the Cartan and Euler
+    # matrices share one walk of the quiver with no relations, kept on it
+    walked, _ = record_automaton_work(monkeypatch)
+    code, _, _ = run(capsys, "euler", fixture_path("kronecker"))
+    assert code == 0
+    assert len(walked) == 2 and each_once(walked)
 
 
 def test_euler_eval(capsys):
