@@ -757,13 +757,14 @@ def _search_ball(ball, max_size, budget, like=None):
                     # vertex to itself.  A connected simple graph on at most
                     # 3 vertices is A2, A3 or ~A2, never Other, so only
                     # subsets of 4 or more vertices are classified
-                    if len(grown) >= 4:
+                    size = len(grown)
+                    if size >= 4:
                         result = witness(grown, grown_arcs)
                         if result is not None:
                             return
-                    if len(grown) < max_size:
+                    if size < max_size:
                         nm = mask | b
-                        grow = adj[i] & ~nm & ~ban & ~cand & allowed
+                        grow = adj[i] & ~(nm | ban | cand) & allowed
                         enum(grown, grown_arcs, grown_blocked, nm, cand | grow, ban)
                         if result is not None:
                             return
