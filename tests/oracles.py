@@ -979,3 +979,94 @@ def random_witness_texts(seed, count):
             continue
         out.append(text)
     return out
+
+
+# --- canonical-order corpus for the frozen canonical-order digest --------------
+
+
+# the identifier alphabet after the first character; a first character is
+# a letter, a digit or _
+_NAME_TEXT = "aAbZ_+-~*.'@"
+
+
+def _adversarial_name(rng, taken):
+    """A fresh identifier of one to four alternating text and digit runs:
+    digit runs of 1 to 25 digits, some with leading zeros, text runs over
+    the whole identifier alphabet; a third of the names extend, or cut
+    short, a name already taken, so names are often prefixes of others."""
+    while True:
+        if taken and rng.random() < 0.35:
+            base = rng.choice(taken)
+            if rng.random() < 0.5 and len(base) > 1:
+                name = base[:rng.randrange(1, len(base))]
+            else:
+                name = base + rng.choice(("0", "00", "1", "a", ".", "'", "10", "@b"))
+        else:
+            runs = []
+            digits = rng.random() < 0.5
+            for _ in range(rng.randint(1, 4)):
+                if digits:
+                    zeros = "0" * rng.choice((0, 0, 1, 3))
+                    runs.append(zeros + str(rng.randrange(10 ** rng.choice((1, 1, 2, 9, 25)))))
+                else:
+                    runs.append("".join(rng.choice(_NAME_TEXT) for _ in range(rng.randint(1, 3))))
+                digits = not digits
+            name = "".join(runs)
+        if not (name[0].isalnum() or name[0] == "_"):
+            name = rng.choice("a_Z") + name
+        if name not in taken:
+            taken.append(name)
+            return name
+
+
+def random_canonical_texts(seed, count):
+    """`count` seeded presentation texts whose names are drawn by
+    `_adversarial_name`, each line block written in a random order.
+
+    A draw has 2 to 7 vertices joined as a tree, each vertex to an earlier
+    one in a random direction; half the draws add 1 to 3 arrows between
+    random vertices, loops allowed.  The relations are 0 to 4 random paths
+    of length 2 or 3, and on a draw with parallel paths of those lengths
+    up to 3 binomial relations with coefficients among 1, -1, 2, 1/2 and
+    -3/4; one relation in four is written twice, the second time scaled by
+    3 when it is a combination.  Every parsed draw is kept: the corpus
+    pins canonical order, not admissibility.
+    """
+    import random
+    rng = random.Random(seed)
+    out = []
+    for idx in range(count):
+        taken = []
+        n = rng.randint(2, 7)
+        verts = [_adversarial_name(rng, taken) for _ in range(n)]
+        names = []
+        arrows = []
+        for i in range(1, n):
+            w = rng.choice(verts[:i])
+            ends = (w, verts[i]) if rng.random() < 0.5 else (verts[i], w)
+            arrows.append((_adversarial_name(rng, names), *ends))
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                arrows.append((_adversarial_name(rng, names), rng.choice(verts),
+                               rng.choice(verts)))
+        outs = {v: [] for v in verts}
+        for name, s, t in arrows:
+            outs[s].append((name, t))
+        paths = [((name,), s, t) for name, s, t in arrows]
+        for _ in range(2):
+            paths += [(p + (x,), s, t2) for p, s, t in paths if len(p) == len(paths[-1][0])
+                      for x, t2 in outs[t]]
+        long = [p for p in paths if len(p[0]) > 1]
+        rels = [[(1, p)] for p, _, _ in rng.sample(long, min(len(long), rng.randint(0, 4)))]
+        parallel = [(p, q) for i, (p, s, t) in enumerate(long) for q, s2, t2 in long[i + 1:]
+                    if (s, t) == (s2, t2)]
+        for p, q in rng.sample(parallel, min(len(parallel), rng.randint(0, 3))):
+            rels.append([(rng.choice((1, -1, 2, Fraction(1, 2))), p),
+                         (rng.choice((1, -1, Fraction(-3, 4))), q)])
+        for r in list(rels):
+            if rng.random() < 0.25:
+                rels.append(r if len(r) == 1 else [(3 * c, p) for c, p in r])
+        for block in (verts, arrows, rels):
+            rng.shuffle(block)
+        out.append(presentation_text(f"n{seed}_{idx}", verts, arrows, rels))
+    return out

@@ -27,11 +27,12 @@ from qsa.decide import decide_derived_type
 from qsa.covering import truncated_cover
 from qsa.euler import euler_eval, euler_matrix
 from qsa.transform import blow_up, certificate_payload, mutate_at, reduce_step
+from qsa.cli import run_cli
 
 from conftest import load_fixture, all_fixture_names
 from oracles import (
     RrefAlgebra, bound_basis_products, graded_admissibility, graded_dimensions,
-    presentation_text, random_presentation_lists, relabel,
+    presentation_text, random_canonical_texts, random_presentation_lists, relabel,
 )
 
 
@@ -281,6 +282,32 @@ def test_natural_key_breaks_ties_on_the_raw_string():
         "quiver tie\nvertices: 1 2 3\n"
         "arrow a01: 1 -> 2\narrow a1: 1 -> 2\narrow b: 2 -> 3\n"
         "relations:\na01 b\na1 b\n")
+
+
+# The canonical-order corpus, frozen as one SHA-256 over, for each text of
+# `random_canonical_texts(seed, size)` in order: the serialized parse, the
+# serialized opposite, the exit code and output of `qsa classify --json`,
+# and on trees those of `qsa decide --json`.  Names mix every identifier
+# character, leading zeros, digit runs of up to 25 digits and prefixes of
+# one another; relations are monomial and binomial, shuffled and repeated.
+CANONICAL_CORPUS_SEED, CANONICAL_CORPUS_SIZE = 3, 150
+CANONICAL_CORPUS_SHA256 = "5aefda2edc3fbc9cea7441c379a699a4425ef0b612b958177d3cb30db27cf93b"
+
+
+def test_canonical_corpus_digest_is_frozen(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "input.qsa"
+    for text in random_canonical_texts(CANONICAL_CORPUS_SEED, CANONICAL_CORPUS_SIZE):
+        a = parse_presentation(text)
+        digest.update(serialize_presentation(a).encode())
+        digest.update(serialize_presentation(opposite(a)).encode())
+        path.write_text(text, encoding="utf-8")
+        for command in ("classify", "decide")[:1 + is_tree(a)]:
+            capsys.readouterr()
+            code = run_cli([command, str(path), "--json"])
+            out, err = capsys.readouterr()
+            digest.update(f"{code}\n{out}{err.replace(str(path), 'input')}".encode())
+    assert digest.hexdigest() == CANONICAL_CORPUS_SHA256
 
 
 def test_canonical_order_does_not_depend_on_the_hash_seed():
