@@ -383,11 +383,13 @@ def _lift(out, v, path):
 
 @lru_cache(maxsize=1024)
 def _step_key(step):
-    # the natural_key parts of a walk step ".arrow" or ".arrow'", split as
-    # (text of the leading part, the parts after it); the step starts with
-    # ".", so its leading part is text
-    parts = natural_key.__wrapped__(step)[:-1]
-    return parts[0][2], parts[1:]
+    # the natural_key runs of a walk step ".arrow" or ".arrow'", without the
+    # closing "\x00" + step; the step starts with ".", so the runs start
+    # with its leading text run, and the pair is (the runs without that
+    # run's "\x02", the runs): the first extends a name ending in text,
+    # the second one ending in a digit
+    runs = natural_key.__wrapped__(step)[:-len(step) - 1]
+    return runs[1:], runs
 
 
 def _step_table(q):
@@ -395,7 +397,7 @@ def _step_table(q):
     out-arrows, then the in-arrows, each in arrow order.
 
     A step is (token, back, base arrow, forward, step text, `_step_key`
-    parts, vertex reached); the step text is ".arrow", or ".arrow'" for a
+    runs, vertex reached); the step text is ".arrow", or ".arrow'" for a
     reversed arrow.  Arrow k has token 2k forward and 2k + 1 reversed, and
     `back` is the token of the step back along the same arrow.
     """
@@ -405,8 +407,7 @@ def _step_table(q):
         for tok, rows, at, tick, reached in ((2 * k, outs, ar.source, "", ar.target),
                                              (2 * k + 1, ins, ar.target, "'", ar.source)):
             step = "." + ar.name + tick
-            rows[at].append((tok, tok ^ 1, ar.name, not tick, step, *_step_key(step),
-                             reached))
+            rows[at].append((tok, tok ^ 1, ar.name, not tick, step, _step_key(step), reached))
     return {v: outs[v] + ins[v] for v in q.vertices}
 
 
@@ -431,15 +432,13 @@ def _ball_arrays(q, base, radius):
         for w in frontier:
             wname, back = names[w], last[w]
             # a child's name is its parent's plus a step, so its key is the
-            # parent's parts plus the step's, closed by (-1, name); the
-            # step's leading text part joins a text part that ends the
-            # parent's parts
+            # parent's without the closing "\x00" + name, then the step's
+            # runs, its leading text run joining a text run that ends the
+            # parent's name, then "\x00" + the child's name
             wkey = keys[w]
-            if wkey[-2][0]:
-                head, tail = wkey[:-2], wkey[-2][2]
-            else:
-                head, tail = wkey[:-1], ""
-            for tok, rev, b, forward, step, text, rest, reached in table[proj[w]]:
+            head = wkey[:len(wkey) - len(wname) - 1]
+            digit = "0" <= wname[-1] <= "9"
+            for tok, rev, b, forward, step, runs, reached in table[proj[w]]:
                 if tok == back:
                     continue
                 k = len(names)
@@ -449,7 +448,7 @@ def _ball_arrays(q, base, radius):
                     keys.append(key(vid))
                 else:
                     taken.add(vid)
-                    keys.append((*head, (1, 0, tail + text), *rest, (-1, vid)))
+                    keys.append(head + runs[digit] + "\x00" + vid)
                 names.append(vid)
                 levels.append(depth)
                 proj.append(reached)

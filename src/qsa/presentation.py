@@ -34,24 +34,40 @@ class QsaError(Exception):
 _ID_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_+\-~*.'@]*\Z")
 
 
-_DIGITS_RE = re.compile(r"(\d+)")
+_DIGITS_RE = re.compile(r"([0-9]+)")
+
+
+def _length_prefix(n):
+    """n in decimal after one character giving its number of digits, so
+    prefixes compare as the numbers do, with no bound on n."""
+    digits = str(n)
+    return chr(len(digits)) + digits
 
 
 @lru_cache(maxsize=2048)
 def natural_key(s):
-    """Sort key treating digit runs numerically, so v2 sorts before v10.
+    r"""Sort key treating digit runs numerically, so v2 sorts before v10.
 
-    Names whose digit runs differ only in leading zeros, such as a1 and
-    a01, tie on the runs and are ordered by the raw string: it closes the
-    key as a last part that sorts before every other part, so a key that
-    is a prefix of another still sorts first.  Distinct names never share
-    a key, and every canonical order is total.  The key stays one flat
-    tuple, which compares faster than a (parts, name) pair.  Memoized in a
+    The key is one string: each digit run becomes "\x01", the
+    `_length_prefix` of its length without leading zeros, and those digits,
+    so runs compare as numbers with no int() built; each text run becomes
+    "\x02" and the run; and "\x00" and the name close the key.  Every
+    identifier character is ' (0x27) or above, so the three markers sort
+    below all of them: a digit run before a text run, the end of a name's
+    runs before either, and a text run before its own extensions.  Names
+    whose digit runs differ only in leading zeros, such as a1 and a01, tie
+    on the runs and are ordered by the raw string.  Distinct names never
+    share a key, and every canonical order is total.  Memoized in a
     bounded cache: a presentation and the ones derived from it sort the
     same few hundred names over and over.
     """
-    parts = _DIGITS_RE.split(s)
-    return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in parts if p) + ((-1, s),)
+    runs = _DIGITS_RE.split(s)
+    for i in range(1, len(runs), 2):
+        digits = runs[i].lstrip("0")
+        runs[i] = "\x01" + _length_prefix(len(digits)) + digits
+    runs[::2] = ["\x02" + text if text else "" for text in runs[::2]]
+    runs.append("\x00" + s)
+    return "".join(runs)
 
 
 def _arrow_line(a):
@@ -218,7 +234,11 @@ class Quiver:
 
 
 def _path_sort_key(arrows):
-    return (len(arrows), *map(natural_key, arrows))
+    r"""The path's length (`_length_prefix`), then its arrows' `natural_key`s
+    joined by "\x00", as one string: where one key is a prefix of another
+    (a0 and a00), the "\x00" after it sorts below the other's next
+    character, as the shorter key sorts first on its own."""
+    return _length_prefix(len(arrows)) + "\x00".join(map(natural_key, arrows))
 
 
 def _fmt_coef(c):

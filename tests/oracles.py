@@ -11,6 +11,7 @@ plain combinatorics.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -979,6 +980,29 @@ def random_witness_texts(seed, count):
             continue
         out.append(text)
     return out
+
+
+# --- the natural order of names, as a tuple key ---------------------------------
+
+
+_DIGIT_RUNS = re.compile(r"([0-9]+)")
+
+
+def tuple_natural_key(s):
+    """The natural order of names as a flat tuple: per run, (0, length,
+    digits) for a digit run without its leading zeros, which orders the
+    runs as numbers with no int() built, or (1, 0, text) for a text run;
+    closed by (-1, s), which sorts before every run, so a name's raw
+    string breaks ties and a key that is a prefix of another sorts
+    first."""
+    parts = []
+    for p in _DIGIT_RUNS.split(s):
+        if p.isdigit():
+            p = p.lstrip("0")
+            parts.append((0, len(p), p))
+        elif p:
+            parts.append((1, 0, p))
+    return (*parts, (-1, s))
 
 
 # --- canonical-order corpus for the frozen canonical-order digest --------------

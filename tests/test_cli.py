@@ -98,6 +98,24 @@ def test_check_on_a_path_longer_than_the_recursion_limit(tmp_path, capsys, squar
     assert "admissible: true (rad^1501 = 0)" in out
 
 
+# a vertex name with a digit run beyond Python's 4,300-digit limit on
+# int() of a string: sorting it by natural_key must build no int
+_LONG_NAME = "1" + "0" * 4999
+_LONG_NAME_TEXT = f"quiver long\nvertices: {_LONG_NAME} 2\narrow a: {_LONG_NAME} -> 2\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["classify"], ["decide"], ["euler"],
+                                  ["cover", "--base", "2", "--radius", "2"]],
+                         ids=lambda argv: argv[0])
+def test_a_5000_digit_vertex_name_runs_every_subcommand(tmp_path, capsys, argv):
+    path = tmp_path / "long.qsa"
+    path.write_text(_LONG_NAME_TEXT)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    if argv[0] == "euler":
+        assert f"vertices: 2 {_LONG_NAME}" in out
+
+
 # the loop keeps every degree of this binomial ideal alive, so the graded
 # scan cannot certify it finite-dimensional
 _UNCERTIFIED = ("quiver g\nvertices: 1 2 3 4\narrow l: 1 -> 1\narrow a: 1 -> 2\n"

@@ -284,6 +284,41 @@ def test_ball_keys_and_covers_match_the_oracle():
         "62a211937cf1f2b789445273c3ee946650ab1c9afec42e1fc203dc39de753c5f")
 
 
+# names whose digit runs exceed 4,300 digits, at their ends and inside: a
+# walk name extends a digit run, a text run, or a name with leading zeros
+_LONG_A, _LONG_B = "v" + "1" * 4301, "9" * 4400 + "a"
+_LONG_X, _LONG_Y = "0005" + "5" * 4300, "b" + "2" * 4302 + "c"
+_LONG_RUNS_BASE = (f"quiver long\nvertices: {_LONG_A} {_LONG_B} 007\n"
+                   f"arrow {_LONG_X}: {_LONG_A} -> {_LONG_B}\n"
+                   f"arrow {_LONG_Y}: {_LONG_B} -> {_LONG_A}\narrow z1: {_LONG_B} -> 007\n"
+                   f"relations:\n{_LONG_X} {_LONG_Y}\n{_LONG_Y} {_LONG_X}\n{_LONG_X} z1\n")
+
+
+def test_ball_keys_are_the_natural_keys_of_its_names(monkeypatch):
+    # _ball_arrays derives a child's key from its parent's; catch the keys
+    # it sorts the ball by, and compare them with natural_key of the names,
+    # on every basepoint of the witness corpus, its renamed walks included,
+    # and of a base with long digit runs
+    caught = []
+
+    def catching(items, key=None):
+        if isinstance(getattr(key, "__self__", None), list):
+            caught.append(key.__self__)
+        return sorted(items, key=key)
+
+    monkeypatch.setattr(covering, "sorted", catching, raising=False)
+    texts = random_witness_texts(WITNESS_CORPUS_SEED, WITNESS_CORPUS_SIZE)
+    balls = 0
+    for a in map(parse_presentation, texts + [_LONG_RUNS_BASE]):
+        for base in a.quiver.vertices:
+            ball = CoverBall(a, base, 4)
+            (keys,) = caught
+            assert sorted(keys) == sorted(map(natural_key, ball._names))
+            caught.clear()
+            balls += 1
+    assert balls == 162
+
+
 
 # --- the survival tables --------------------------------------------------------
 

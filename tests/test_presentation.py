@@ -18,7 +18,7 @@ from qsa.presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, parse_presentation,
     serialize_presentation, validate, natural_key, underlying_graph, is_tree,
     path_basis, presentations_isomorphic, opposite, _GroebnerBasis,
-    _normal_word_counts, _relation_free_levels,
+    _normal_word_counts, _path_sort_key, _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra, _normal_words
 from qsa import transform
@@ -33,6 +33,7 @@ from conftest import load_fixture, all_fixture_names
 from oracles import (
     RrefAlgebra, bound_basis_products, graded_admissibility, graded_dimensions,
     presentation_text, random_canonical_texts, random_presentation_lists, relabel,
+    tuple_natural_key,
 )
 
 
@@ -282,6 +283,61 @@ def test_natural_key_breaks_ties_on_the_raw_string():
         "quiver tie\nvertices: 1 2 3\n"
         "arrow a01: 1 -> 2\narrow a1: 1 -> 2\narrow b: 2 -> 3\n"
         "relations:\na01 b\na1 b\n")
+
+
+_ID_TEXT = "AZaz09_+-~*.'@"
+
+
+def _drawn_names(rng, count):
+    """`count` distinct identifiers of one to four runs over the whole
+    identifier alphabet: digit runs of 1 to 3 digits or of more than
+    4,300, some with leading zeros; three in ten extend a cut of a name
+    drawn before, so many are prefixes of one another, or tie with one on
+    their digit runs."""
+    names = []
+    while len(names) < count:
+        if names and rng.random() < 0.3:
+            base = rng.choice(names)
+            name = base[:rng.randrange(1, len(base) + 1)] + rng.choice(
+                ("", "0", "00", "7", "a", "'", "@0", ".1"))
+        else:
+            runs = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    runs.append("0" * rng.choice((0, 0, 1, 2)) + "".join(
+                        rng.choices("0123456789", k=rng.choice((1, 2, 3, 4301, 4400)))))
+                else:
+                    runs.append("".join(rng.choices(_ID_TEXT, k=rng.randint(1, 3))))
+            name = "".join(runs)
+        if not (name[0].isalnum() or name[0] == "_"):
+            name = "_" + name
+        if name not in names:
+            names.append(name)
+    return names
+
+
+def test_natural_key_orders_as_the_tuple_oracle():
+    # the string key against the tuple key of tests/oracles.py: the same
+    # order, one key per name, and path keys ordered by length, then names
+    rng = random.Random(30)
+    for _ in range(150):
+        names = _drawn_names(rng, 12)
+        assert all(re.fullmatch(r"[A-Za-z0-9_][A-Za-z0-9_+\-~*.'@]*", n) for n in names)
+        assert sorted(names, key=natural_key) == sorted(names, key=tuple_natural_key)
+        assert len(set(map(natural_key, names))) == len(names)
+        paths = list(dict.fromkeys(tuple(rng.choices(names, k=rng.randint(1, 4)))
+                                   for _ in range(30)))
+        assert sorted(paths, key=_path_sort_key) == sorted(
+            paths, key=lambda p: (len(p), *map(tuple_natural_key, p)))
+
+
+def test_path_keys_have_no_length_bound():
+    # 1,114,111 is the largest code point: a length prefix made by chr()
+    # would fail above it
+    lengths = [1_114_112, 2, 1_114_111, 10, 9, 1]
+    keys = [_path_sort_key(("a",) * n) for n in lengths]
+    assert [lengths[i] for i in sorted(range(6), key=keys.__getitem__)] == sorted(lengths)
+    assert _path_sort_key(("b", "b")) < keys[0]
 
 
 # The canonical-order corpus, frozen as one SHA-256 over, for each text of
