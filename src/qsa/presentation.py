@@ -38,8 +38,9 @@ _DIGITS_RE = re.compile(r"([0-9]+)")
 
 
 def _length_prefix(n):
-    """n in decimal after one character giving its number of digits, so
-    prefixes compare as the numbers do, with no bound on n."""
+    """n in decimal after one character counting its digits, so prefixes
+    compare as the numbers do.  Unlike chr(n), which stops at 0x10FFFF, it
+    holds any length."""
     digits = str(n)
     return chr(len(digits)) + digits
 
