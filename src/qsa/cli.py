@@ -92,7 +92,7 @@ def _exact_text(x, what):
 
 
 def _parse_vector(text, n):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")]   # an empty field does not parse
     for p in parts:
         if _HUGE_EXPONENT_RE.search(p.replace("_", "")):
             raise QsaError(f"vector entry {p!r} is too large to print")

@@ -546,8 +546,8 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
     target.  Absence within the bounds proves nothing; a returned witness is
     a complete certificate.  A radius or size that is not an int (a bool
     is not), or is negative, is refused; a size below 2 finds nothing.
-    QSA_WITNESS_RADIUS, QSA_WITNESS_SIZE and QSA_WITNESS_BUDGET override the
-    defaults.
+    None means DEFAULT_WITNESS_RADIUS or DEFAULT_WITNESS_SIZE;
+    QSA_WITNESS_BUDGET overrides the budget.
     """
     return _witness_search(a, radius, max_size, like)[0]
 
@@ -555,10 +555,8 @@ def find_wild_witness(a, radius=None, max_size=None, like=None):
 def _witness_search(a, radius=None, max_size=None, like=None):
     """(witness or None, budget_hit): budget_hit is True when the search of
     some ball ran out of budget, so a None does not cover the bounds."""
-    if radius is None:
-        radius = _env_int("QSA_WITNESS_RADIUS", DEFAULT_WITNESS_RADIUS)
-    if max_size is None:
-        max_size = _env_int("QSA_WITNESS_SIZE", DEFAULT_WITNESS_SIZE)
+    radius = DEFAULT_WITNESS_RADIUS if radius is None else radius
+    max_size = DEFAULT_WITNESS_SIZE if max_size is None else max_size
     budget = _env_int("QSA_WITNESS_BUDGET", DEFAULT_WITNESS_BUDGET)
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("the wildness witness search needs an AlgebraPresentation")

@@ -82,7 +82,7 @@ def decide_derived_type(a, witness_radius=None, witness_size=None):
     """Decide derived tameness/wildness of a presentation, with evidence.
 
     The witness bounds only affect the best-effort certificate search on
-    wild or out-of-class inputs; None picks up the environment defaults.
+    wild or out-of-class inputs; None means the default radius 8 or size 10.
     """
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("the decision needs an AlgebraPresentation")

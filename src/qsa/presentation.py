@@ -476,22 +476,20 @@ class AlgebraPresentation:
                 f"|Q1|={len(self.quiver.arrows)}, {len(self.relations)} relations)")
 
 
-def opposite(a, name=None):
+def opposite(a):
     """The opposite presentation: arrows reversed, every path read backwards.
 
     Equal to `Quiver` and `AlgebraPresentation` built on the reversed
-    lists.  Only a new name is checked: the identifiers and relations
-    were checked when `a` was built, and the arrows keep their names and
-    so their order.
+    lists, under the same name.  Nothing is checked again: the identifiers
+    and relations were checked when `a` was built, and the arrows keep
+    their names and so their order.
     """
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("the opposite needs an AlgebraPresentation")
     q = a.quiver
-    if name and name != q.name:
-        _check_id("quiver name", name)
     arrows = {x.name: Arrow(x.name, x.target, x.source) for x in q.arrows}
     qop = Quiver._trusted(
-        name or q.name, q.vertices, arrows.values(),
+        q.name, q.vertices, arrows.values(),
         {v: [arrows[x.name] for x in at] for v, at in q._in.items()},
         {v: [arrows[x.name] for x in at] for v, at in q._out.items()})
     return AlgebraPresentation._trusted(qop, [
@@ -978,8 +976,8 @@ def is_tree(a):
     return len(q.arrows) == len(q.vertices) - 1 and q._connected
 
 
-def path_basis(a, i, j, max_len=None):
-    """Ordered basis of relation-free paths from i to j (monomial input)."""
+def path_basis(a, i, j):
+    """Ordered basis of relation-free paths from i to j (monomial, admissible input)."""
     if not isinstance(a, AlgebraPresentation):
         raise QsaError("path_basis needs an AlgebraPresentation")
     if not a.is_monomial:
@@ -987,17 +985,11 @@ def path_basis(a, i, j, max_len=None):
     q = a.quiver
     if not (q.has_vertex(i) and q.has_vertex(j)):
         raise QsaError("path_basis: unknown vertex")
-    if max_len is None:
-        rep = validate(a)
-        if not rep.admissible:
-            raise QsaError("path_basis needs an admissible ideal (or an explicit max_len)")
-        max_len = rep.nilpotency_bound - 1
-    elif type(max_len) is not int:
-        raise QsaError(f"path_basis: max_len must be an integer, not {max_len!r}")
-    elif max_len < 0:
-        raise QsaError("path_basis: max_len must be >= 0")
+    rep = validate(a)
+    if not rep.admissible:
+        raise QsaError("path_basis needs an admissible ideal")
     out = [Path(i, j, path)
-           for level in islice(_relation_free_levels(a, (i,)), max_len + 1)
+           for level in islice(_relation_free_levels(a, (i,)), rep.nilpotency_bound)
            for _, tgt, path in level if tgt == j]
     out.sort(key=lambda p: _path_sort_key(p.arrows))
     return tuple(out)
@@ -1018,7 +1010,7 @@ def _parallel_counts(q):
     return counts
 
 
-def presentations_isomorphic(a, b, max_vertices=14):
+def presentations_isomorphic(a, b):
     """Search for an isomorphism of presentations; returns the maps or None.
 
     An isomorphism is a vertex bijection plus an arrow bijection carrying the
@@ -1028,15 +1020,14 @@ def presentations_isomorphic(a, b, max_vertices=14):
     generators of each reduce to zero modulo the Gröbner basis of the other,
     truncated above the longest generator: the relations must be
     length-homogeneous, so both ideals are generated below that length.
+    The vertex bijections are tried one by one, so a presentation of more
+    than 14 vertices is refused.
     """
     if not (isinstance(a, AlgebraPresentation) and isinstance(b, AlgebraPresentation)):
         raise QsaError("isomorphism check needs two AlgebraPresentations")
-    if type(max_vertices) is not int:
-        raise QsaError(f"isomorphism check: max_vertices must be an integer, "
-                       f"not {max_vertices!r}")
     qa, qb = a.quiver, b.quiver
-    if len(qa.vertices) > max_vertices or len(qb.vertices) > max_vertices:
-        raise QsaError("isomorphism search bound exceeded; raise max_vertices to override")
+    if len(qa.vertices) > 14 or len(qb.vertices) > 14:
+        raise QsaError("isomorphism search bound exceeded: more than 14 vertices")
     if len(qa.vertices) != len(qb.vertices) or len(qa.arrows) != len(qb.arrows):
         return None
     if sorted(_signature(qa, v) for v in qa.vertices) != \

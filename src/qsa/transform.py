@@ -84,7 +84,7 @@ class ReductionCertificate(NamedTuple):
 # --- blow-up ------------------------------------------------------------------
 
 
-def blow_up(a, blown, name=None):
+def blow_up(a, blown):
     """Double each vertex in `blown`, lifting arrows and relations.
 
     Every blown vertex must be special.  Requires a monomial quadratic
@@ -173,7 +173,7 @@ def blow_up(a, blown, name=None):
     if any(path in monomials for combo in combos for _, path in combo):
         raise QsaError("internal error: a fold binomial has a relation as a term")
 
-    quiver = Quiver(name or a.name, vertices, arrows)
+    quiver = Quiver(a.name, vertices, arrows)
     relations = [[(1, list(mpath))] for mpath in sorted(monomials)]
     relations += combos
     pres = AlgebraPresentation(quiver, relations)

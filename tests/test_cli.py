@@ -231,6 +231,12 @@ def test_blowup_json_maps(capsys):
     assert doc["arrow_map"]["delta"] == ["delta"]
 
 
+@pytest.mark.parametrize("vertices", [",", " , "])
+def test_blowup_refuses_an_empty_vertex_list(capsys, vertices):
+    code, out, err = run(capsys, "blowup", "--vertices", vertices, fixture_path("a5-chain"))
+    assert (code, out, err) == (1, "", "error: no vertices to blow up\n")
+
+
 def test_mutate_text(capsys):
     code, out, _ = run(capsys, "mutate", "--vertex", "5", "--sign", "minus",
                        fixture_path("a5-chain"))
@@ -281,6 +287,14 @@ def test_reduce_text_and_certificate(tmp_path, capsys):
     doc = json.loads(cert.read_text())
     assert len(doc["steps"]) == 3
     assert doc["special"] == ["1", "4", "10"]
+
+
+def test_reduce_refuses_an_unwritable_certificate_path(tmp_path, capsys):
+    cert = tmp_path / "nonexistent" / "x.json"
+    code, out, err = run(capsys, "reduce", "--certificate", str(cert),
+                         fixture_path("twelve-vertex-gqs"))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {cert}: No such file or directory\n"
 
 
 def test_reduce_json_equals_the_certificate_file(tmp_path, capsys):
@@ -338,6 +352,22 @@ def test_euler_eval_refuses_a_zero_denominator(capsys):
     assert code == 1
     assert err == "error: zero denominator in vector '1/0,1,1,1,1'\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("vector, message", [
+    ("1,,0,0,0,1", "cannot parse vector '1,,0,0,0,1'"),
+    ("1,0,0,0,1,", "cannot parse vector '1,0,0,0,1,'"),
+    (",1,0,0,0,1", "cannot parse vector ',1,0,0,0,1'"),
+    ("1, ,0,0,1", "cannot parse vector '1, ,0,0,1'"),
+    ("", "cannot parse vector ''"),
+    ("x,y", "cannot parse vector 'x,y'"),
+    ("1,2", "vector has 2 entries, expected 5"),
+])
+def test_euler_eval_refuses_malformed_vectors(capsys, vector, message):
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "euler", *json_flag, "--eval", vector,
+                             fixture_path("a5-chain"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("vector, message", [
@@ -470,12 +500,17 @@ def test_witness_reports_budget_hit(monkeypatch, capsys, budget, first_line):
     assert (json.loads(out)["witness"] is None) == (budget == "50")
 
 
-def test_witness_bounds_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("QSA_WITNESS_RADIUS", "6")
-    monkeypatch.setenv("QSA_WITNESS_SIZE", "8")
-    code, out, _ = run(capsys, "decide", fixture_path("three-vertex-wild"))
-    assert code == 0
-    assert "8-vertex cover witness" in out.splitlines()[0]
+@pytest.mark.parametrize("radius, size", [("1", "3"), ("eight", "x")])
+def test_witness_bounds_ignore_the_environment(monkeypatch, capsys, radius, size):
+    # the verdict is a property of the presentation: no search bound but
+    # the budget is read from the environment
+    argv = ("decide", "--json", fixture_path("three-vertex-wild"))
+    before = run(capsys, *argv)
+    monkeypatch.setenv("QSA_WITNESS_RADIUS", radius)
+    monkeypatch.setenv("QSA_WITNESS_SIZE", size)
+    assert run(capsys, *argv) == before
+    assert before[0] == 0
+    assert "10-vertex cover witness" in json.loads(before[1])["summary"]
 
 
 def test_witness_json_keys(capsys):

@@ -12,6 +12,7 @@ from qsa.presentation import (
     parse_presentation, presentations_isomorphic, serialize_presentation,
     underlying_graph, validate,
 )
+from qsa.cli import run_cli
 from qsa.decide import decide_derived_type
 from qsa import covering
 from qsa.covering import (
@@ -536,12 +537,12 @@ def test_search_refuses_a_quiver():
     assert str(err.value) == "the wildness witness search needs an AlgebraPresentation"
 
 
-def test_search_refuses_a_non_integer_radius_in_the_environment(monkeypatch):
-    monkeypatch.setenv("QSA_WITNESS_RADIUS", "eight")
+def test_search_refuses_a_non_integer_budget_in_the_environment(monkeypatch):
+    monkeypatch.setenv("QSA_WITNESS_BUDGET", "many")
     with pytest.raises(QsaError) as err:
         find_wild_witness(load_fixture("three-vertex-wild"))
     assert str(err.value) == (
-        "environment variable QSA_WITNESS_RADIUS must be an integer, got 'eight'")
+        "environment variable QSA_WITNESS_BUDGET must be an integer, got 'many'")
 
 
 @pytest.mark.parametrize("max_size", [0, 1])
@@ -708,3 +709,31 @@ def test_ball_cap_changes_no_search_outcome(monkeypatch):
         CoverBall(a, "a", 6)
     monkeypatch.setenv("QSA_WITNESS_BUDGET", str(n - 1))
     assert len(CoverBall(a, "a", 6)._names) == n
+
+
+_CUBIC_CYCLE6 = parse_presentation(
+    "quiver cycle6\nvertices: 1 2 3 4 5 6\n"
+    + "".join(f"arrow a{i}: {i} -> {i % 6 + 1}\n" for i in range(1, 7))
+    + "relations:\na1 a2 a3\n")
+
+
+def test_subset_enumeration_runs_out_of_budget(monkeypatch, tmp_path, capsys):
+    # on the 6-cycle with one cubic relation, each radius-8 ball's survival
+    # pass takes at most 64 steps and its enumeration of subsets up to 10
+    # vertices hundreds more, so a budget of 100 runs out in the enumeration
+    a = _CUBIC_CYCLE6
+    monkeypatch.delenv("QSA_WITNESS_BUDGET", raising=False)
+    assert covering._witness_search(a, 8, 10) == (None, False)
+    for base in a.quiver.vertices:
+        ball = CoverBall(a, base, 8)
+        assert covering._survival(ball, 100)[2] <= 64
+        with pytest.raises(covering._Budget):
+            covering._search_ball(ball, 10, 100)
+    monkeypatch.setenv("QSA_WITNESS_BUDGET", "100")
+    assert covering._witness_search(a, 8, 10) == (None, True)
+    path = tmp_path / "cycle6.qsa"
+    path.write_text(serialize_presentation(a))
+    assert run_cli(["witness", "--radius", "8", "--max-size", "10", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "none found: the search budget ran out before the bounds were covered "
+        "(QSA_WITNESS_BUDGET raises it)\n")

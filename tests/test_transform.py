@@ -23,7 +23,8 @@ from qsa.transform import (
 )
 
 from conftest import (
-    all_fixture_names, each_once, load_fixture, glued_twelve_gqs, record_automaton_work,
+    all_fixture_names, each_once, fixture_path, load_fixture, glued_twelve_gqs,
+    record_automaton_work,
 )
 from oracles import (
     chain_text, commuting_mutation_cases, glued_reduction_inputs, loose_loop_text,
@@ -72,6 +73,20 @@ def test_disjoint_blow_ups_compose():
     two = blow_up(blow_up(a5, ["1"]).presentation, ["3"]).presentation
     one = blow_up(a5, ["1", "3"]).presentation
     assert presentations_isomorphic(one, two)
+
+
+def test_blow_up_grows_the_copy_suffixes_past_taken_names():
+    # vertex 1+ is taken, so the copies of the blown vertex 1 are 1++ and 1--
+    a = parse_presentation(
+        "quiver a5\nvertices: 1 1+ 3 4 5\narrow alpha: 1 -> 1+\n"
+        "arrow beta: 1+ -> 3\narrow gamma: 3 -> 4\narrow delta: 4 -> 5\n"
+        "relations:\nalpha beta\n")
+    spec = blow_up(a, ["1"])
+    assert spec.vertex_map == {"1": ("1++", "1--")}
+    assert serialize_presentation(spec.presentation) == (
+        "quiver a5\nvertices: 1+ 1++ 1-- 3 4 5\narrow alpha+: 1++ -> 1+\n"
+        "arrow alpha-: 1-- -> 1+\narrow beta: 1+ -> 3\narrow delta: 4 -> 5\n"
+        "arrow gamma: 3 -> 4\nrelations:\nalpha+ beta\nalpha- beta\n")
 
 
 def test_blow_up_refuses_non_special_vertex():
@@ -180,6 +195,27 @@ def test_reduction_final_presentation_is_gentle():
                      ("epsilon~", "eta~")}
     sp = special_vertices(fin)
     assert set(cert.special) <= set(sp.special_not_ordinary)
+
+
+def test_rewire_grows_the_tilde_past_taken_names(tmp_path, capsys):
+    # an arrow gamma~ is taken, so the class-1 step names its copy of
+    # gamma gamma~~; the verdict is unchanged
+    with open(fixture_path("twelve-vertex-gqs"), encoding="utf-8") as fh:
+        text = fh.read().replace(" 12\n", " 12 13\n", 1).replace(
+            "relations:\n", "arrow gamma~: 13 -> 8\nrelations:\n")
+    path = tmp_path / "gqs13.qsa"
+    path.write_text(text)
+    cert = reduce_to_skewed_gentle(parse_presentation(text))
+    fin = cert.final
+    assert {(ar.name, ar.source, ar.target) for ar in fin.quiver.arrows} == {
+        ("alpha", "1", "3"), ("gamma~", "13", "8"), ("gamma~~", "3", "6"),
+        ("lambda~", "6", "4"), ("rho~", "4", "7"), ("mu", "8", "7"),
+        ("kappa", "7", "9"), ("eta~", "9", "12"), ("tau~", "12", "10"),
+        ("epsilon~", "10", "9")}
+    assert {r.terms[0][1] for r in fin.relations} == {
+        ("alpha", "gamma~~"), ("rho~", "kappa"), ("epsilon~", "eta~")}
+    assert run_cli(["decide", str(path)]) == 0
+    assert capsys.readouterr().out == "TAME (gqs; 3 exceptional vertices reduced)\n"
 
 
 def test_certificate_json_shape():
