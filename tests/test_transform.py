@@ -805,11 +805,17 @@ def _cli_edit_vertices(k):
 
 
 # Outputs on the glued families, where most pairs of summands are two
-# stalks: per k, one SHA-256 over both signs at the cli_edit sink and source.
+# stalks, over the whole cli_edit range k = 1..8: per k, one SHA-256 over
+# both signs at the cli_edit sink and source.
 GLUED_MUTATION_SHA256 = {
     1: "74c332f6f9292120d768bc0676fc14dab21e5a58de6d84d91c739306b963df01",
     2: "020f9f1ef18247b9e9d68c0eb6aebbc3d3a554ab22ef65b730a657a43b91a12a",
     3: "3eef74bf658af220f3f5bac98375e8c801e1892114595e5c7e124a1113511cb8",
+    4: "a455487b060ec79b0fcbab157cdc9a5a8b28a9365be29ebbb619a935ea7d08fe",
+    5: "6c4d2a969096738099de843ed570de352a9ca5099651df294f13840d131ce2e3",
+    6: "c2e367db33d450dfb14a04718c12341ccfb790eed73782355dd04353a6593466",
+    7: "311918d47df8dc397536a487183fa95c2032a4f4fadcb1dac41ccf01f6a7e4b7",
+    8: "34934d723ad47c804b69dd5fa2ae7b0ef66e17d0bf3d348a0ab8f6483f4eaf4e",
 }
 
 
