@@ -54,13 +54,15 @@ automaton, which `validate` made unless the basis is new.  Coordinates
 are plain ints throughout; only relation coefficients become Fractions.
 """
 
+from bisect import insort
 from fractions import Fraction
+from operator import attrgetter
 
 from ._linalg import identity, nullspace, reduce_vec, rref, transpose
 from ._algebra import TruncatedAlgebra, _normal_words
 from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, natural_key,
-    _normal_word_counts,
+    _ONE, _OppositeQuiver, _arrow_key, _normal_word_total, _relation_key,
 )
 
 
@@ -152,28 +154,25 @@ class _Engine:
     """Hom spaces and compositions for the mutated tilting complex.
 
     A pair of two stalks is read off the algebra block; a pair with x as
-    an end has a `_HomSpace` when its ambient space is nonzero.
+    an end has a `_HomSpace` when its ambient space is nonzero.  With
+    `opposite`, the complex is the one of the opposite of `a` at its sink
+    x, on the opposite algebra (`TruncatedAlgebra(a, opposite=True)`).
     """
 
-    def __init__(self, a, x):
-        self.alg = alg = TruncatedAlgebra(a)
-        q = a.quiver
+    def __init__(self, a, x, opposite=False):
+        self.alg = alg = TruncatedAlgebra(a, opposite)
         self.x = x
-        ins = q.in_arrows(x)
+        ins = alg.quiver.in_arrows(x)
         self.sources = [ar.source for ar in ins]
         # differential components: left multiplication by each in-arrow
         self.diff = [alg.path_vec(ar.source, x, (ar.name,)) for ar in ins]
-        # the nonzero blocks by source and by target
-        self.succ, self.pred = {}, {}
-        for bu, bv in alg.nonzero_blocks():
-            self.succ.setdefault(bu, []).append(bv)
-            self.pred.setdefault(bv, []).append(bu)
         # (u, x) is live when some block (u, s_i) is nonzero, (x, v) when
         # some (s_i, v) is; (x, x) always is.  Built in vertex-pair order.
-        into = {u for s in self.sources for u in self.pred[s]} - {x}
-        self.from_x = sorted({v for s in self.sources for v in self.succ[s]} - {x},
+        self.into = sorted({u for s in self.sources for u in alg.ends(s, False)} - {x},
+                           key=natural_key)
+        self.from_x = sorted({v for s in self.sources for v in alg.ends(s, True)} - {x},
                              key=natural_key)
-        pairs = [(x, x)] + [(u, x) for u in into] + [(x, v) for v in self.from_x]
+        pairs = [(x, x)] + [(u, x) for u in self.into] + [(x, v) for v in self.from_x]
         pairs.sort(key=lambda p: (natural_key(p[0]), natural_key(p[1])))
         self.homs = {(u, v): _HomSpace(self, u, v) for u, v in pairs}
 
@@ -261,31 +260,126 @@ def _region_blocks(q, hot):
             if key in touched}
 
 
-def mutate_minus(a, x):
+def _arrow_names(counts, taken=lambda name: False):
+    """{(u, v): names} for {(u, v): number of arrows u -> v}: u~v for one
+    arrow, u~v.1, u~v.2, ... for more.  A vertex name holding `~` or `.`
+    can make two pairs propose one name (a and b~c, a~b and c), and a
+    proposed name can be `taken` already.  Then the pairs are taken in
+    (natural_key(u), natural_key(v)) order: the first to propose a name
+    that is not taken keeps it, and every other grows its name by `~`
+    until no pair proposes it and it is not taken.  Without such a
+    collision no name is changed."""
+    names = {(u, v): [f"{u}~{v}"] if n == 1 else [f"{u}~{v}.{i}" for i in range(1, n + 1)]
+             for (u, v), n in counts.items()}
+    proposed = [name for group in names.values() for name in group]
+    busy = set(proposed)
+    if len(busy) < len(proposed) or any(map(taken, busy)):
+        seen = set()
+        for pair in sorted(names, key=lambda p: (natural_key(p[0]), natural_key(p[1]))):
+            group = names[pair]
+            for i, name in enumerate(group):
+                if name in seen or taken(name):
+                    while name in busy or taken(name):
+                        name += "~"
+                    busy.add(name)
+                    group[i] = name
+                seen.add(name)
+    return names
+
+
+class _Renaming:
+    """The tables of `a` that a mutation edits, in the engine's orientation
+    (the opposite one for a plus mutation), built once for each and kept
+    on `a`: outside the region the result is `a` renamed, whatever the
+    vertex mutated at.
+
+    Every arrow is renamed by its ends u -> v in that orientation
+    (`_arrow_names`, the parallel ones in the order of their old names);
+    `arrow` maps the old name to the renamed Arrow, in `a`'s orientation,
+    and `old` the new name back.  `arrows` is the renamed arrows in arrow
+    order, `out` and `in_` the renamed arrows at each vertex, as `Quiver`
+    keeps them.  `relations` is the renamed relations that can pass
+    through a mutation, in canonical order: the monomial ones shorter
+    than four with no relation of length two inside.  `paths` holds each
+    one's renamed path in the engine's orientation, `block` indexes them
+    by (length, u, v) there, and `through` by old arrow name.  `hot` is
+    the vertices on the terms of the other relations, M in the module
+    docstring.
+    """
+
+    def __init__(self, a, opposite):
+        q = a.quiver
+        groups = {}
+        for ar in q.arrows:
+            groups.setdefault((ar.target, ar.source) if opposite else (ar.source, ar.target),
+                              []).append(ar)
+        names = _arrow_names({pair: len(group) for pair, group in groups.items()})
+        self.arrow, self.old = {}, {}
+        for pair, group in groups.items():
+            group.sort(key=attrgetter("name"))
+            for name, ar in zip(names[pair], group):
+                self.arrow[ar.name] = Arrow(name, ar.source, ar.target)
+                self.old[name] = ar.name
+        self.arrows = sorted(self.arrow.values(), key=_arrow_key)
+        self.out, self.in_ = {v: [] for v in q.vertices}, {v: [] for v in q.vertices}
+        for ar in self.arrows:
+            self.out[ar.source].append(ar)
+            self.in_[ar.target].append(ar)
+
+        passing, self.hot = [], set()
+        for r in a.relations:
+            p = r.terms[0][1]
+            if not r.is_monomial:
+                self.hot.update(v for n in r.arrow_names for v in q.arrow(n)[1:])
+            elif len(p) < 4 and not (
+                    len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
+                new = tuple(self.arrow[n].name for n in p)
+                passing.append((RelationTerm._trusted(r.source, r.target, {new: _ONE}), p))
+        passing.sort(key=lambda rp: rp[0].sort_key)
+        self.relations = [r for r, _ in passing]
+        self.paths, self.block, self.through = [], {}, {}
+        for i, (r, p) in enumerate(passing):
+            path = r.terms[0][1]
+            self.paths.append(path[::-1] if opposite else path)
+            key = (len(p), r.target, r.source) if opposite else (len(p), r.source, r.target)
+            self.block.setdefault(key, []).append(i)
+            for n in p:
+                self.through.setdefault(n, []).append(i)
+
+
+def mutate_minus(a, x, opposite=False):
     """Mutate the presentation at the sink x.
 
     Builds the two-term complex at x, computes the morphism spaces of
     the tilt that differ from A's, and reads a quiver with relations (of
     length two or three) off its radical filtration; everything outside
-    the neighbourhood of x is A's own, renamed.
+    the neighbourhood of x is A's own, renamed.  With `opposite`, x is a
+    source of `a` and this is its plus mutation: the minus mutation of the
+    opposite of `a` at x, turned round.  The opposite is never built: the
+    engine runs on the opposite algebra, the extraction reads a view of
+    the result's quiver that turns its arrows round, and what it finds is
+    turned round into `a`'s orientation, where the rest of `a` is renamed.
     """
     q = a.quiver
     if not q.has_vertex(x):
         raise QsaError(f"unknown vertex {x!r}")
-    if q.out_arrows(x):
+    if q.out_arrows(x) and not opposite:
         raise QsaError(f"minus mutation needs a sink, {x!r} has out-arrows")
-    if not q.in_arrows(x):
+    if not q.in_arrows(x) and not opposite:
         raise QsaError(f"minus mutation needs at least one arrow into {x!r}")
 
-    eng = _Engine(a, x)
+    def turned(u, v):   # the ends of u -> v of the engine in a's orientation
+        return (v, u) if opposite else (u, v)
+
+    eng = _Engine(a, x, opposite)
     alg = eng.alg
     near = {x, *eng.sources}
 
     # the live pairs with an end in N
     region = list(eng.homs)
     for s in dict.fromkeys(eng.sources):
-        region += [(s, v) for v in eng.succ[s] if v != x]
-        region += [(u, s) for u in eng.pred[s] if u not in near]
+        region += [(s, v) for v in alg.ends(s, True) if v != x]
+        region += [(u, s) for u in alg.ends(s, False) if u not in near]
 
     rad = {}
 
@@ -314,12 +408,12 @@ def mutate_minus(a, x):
 
     # arrows: a complement of rad^2 inside rad.  Between stalks rad^2 is
     # rad^2_A, the coordinates at basis paths of length >= 2, plus the
-    # composites through R_x; at x it is summed over the middle summand.
-    arrows = []
-    arrow_reps = {}
+    # composites through R_x; at x it is summed over the middle summand,
+    # one with a live pair to x when x is the target.
+    complements = {}
     for u, v in region:
         if x in (u, v):
-            middle = dict.fromkeys([x] + (eng.from_x if u == x else eng.succ[u]))
+            middle = [x] + (eng.from_x if u == x else eng.into)
             rad2 = [c for k in middle if eng.live(u, k) and eng.live(k, v)
                     for c in products(u, k, v)]
         else:
@@ -334,64 +428,73 @@ def mutate_minus(a, x):
             if any(red):
                 kept.append(red)
         basis, _ = rref(kept)
-        base = f"{u}~{v}"
-        for idx, coords in enumerate(basis):
-            name = base if len(basis) == 1 else f"{base}.{idx + 1}"
-            arrows.append(Arrow(name, u, v))
-            arrow_reps[name] = eng.rep(u, v, coords)
+        if basis:
+            complements[(u, v)] = [eng.rep(u, v, coords) for coords in basis]
 
-    # A's arrows between stalks outside N, in coordinate order
-    between = {}
-    for ar in q.arrows:
-        if ar.source not in near and ar.target not in near:
-            between.setdefault((ar.source, ar.target), []).append(ar.name)
-    renamed, origin = {}, {}
-    for (u, v), names in between.items():
-        names.sort()
-        for idx, old in enumerate(names):
-            name = f"{u}~{v}" if len(names) == 1 else f"{u}~{v}.{idx + 1}"
-            arrows.append(Arrow(name, u, v))
-            renamed[old], origin[name] = name, old
-
-    new_q = Quiver(a.name, q.vertices, arrows)
+    # the result's arrows: A's renamed ones with no end in N, and the
+    # region's, named after them; its tables are A's, edited at the ends
+    # of the arrows dropped and added
+    ren = a._renamings.get(opposite)
+    if ren is None:
+        ren = a._renamings[opposite] = _Renaming(a, opposite)
+    dropped = {ar.name for v in near for ar in (*q._out[v], *q._in[v])}
+    gone = {ren.arrow[name].name for name in dropped}
+    names = _arrow_names({pair: len(reps) for pair, reps in complements.items()},
+                         lambda name: name in ren.old and name not in gone)
+    added, arrow_reps = [], {}
+    for pair, reps in complements.items():
+        for name, rep in zip(names[pair], reps):
+            added.append(Arrow(name, *turned(*pair)))
+            arrow_reps[name] = rep
+    arrows = [ar for ar in ren.arrows if ar.name not in gone]
+    for ar in added:
+        insort(arrows, ar, key=_arrow_key)
+    out, in_ = ren.out.copy(), ren.in_.copy()
+    for table, at, end in ((out, ren.out, 1), (in_, ren.in_, 2)):
+        edited = {ar[end] for ar in added}
+        edited.update(ren.arrow[name][end] for name in dropped)
+        for v in edited:
+            table[v] = sorted([ar for ar in at[v] if ar.name not in gone]
+                              + [ar for ar in added if ar[end] == v], key=_arrow_key)
+    new_q = Quiver._trusted(a.name, q.vertices, arrows, out, in_)
+    tilted = _OppositeQuiver(new_q) if opposite else new_q
 
     def arrow_rep(name):
         if name not in arrow_reps:  # one of A's arrows, a basis path
-            ar = q.arrow(origin[name])
+            ar = alg.quiver.arrow(ren.old[name])
             arrow_reps[name] = alg.path_vec(ar.source, ar.target, (ar.name,))
         return arrow_reps[name]
 
     def eval_path(path):
-        u = new_q.arrow(path[0]).source
+        u = tilted.arrow(path[0]).source
         amb = arrow_rep(path[0])
-        cur = new_q.arrow(path[0]).target
+        cur = tilted.arrow(path[0]).target
         for nm in path[1:]:
-            ar = new_q.arrow(nm)
+            ar = tilted.arrow(nm)
             amb = eng.compose(u, cur, ar.target, amb, arrow_rep(nm))
             cur = ar.target
         return eng.nf(u, cur, amb)
 
     # relations: A's outside the region, renamed, then the kernels of path
-    # evaluation on the blocks with a path through N or M
+    # evaluation on the blocks with a path through N or M; kernels are
+    # keyed by block in the engine's orientation
+    cut = {i for name in dropped for i in ren.through.get(name, ())}
     kernels = {}
-    for r in a.relations:
-        p = r.terms[0][1]
-        if r.is_monomial and len(p) < 4 and all(n in renamed for n in p) and not (
-                len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
-            key = (len(p), r.source, r.target)
-            kernels.setdefault(key, []).append([(1, tuple(renamed[n] for n in p))])
-    hot = set(near)
-    for r in a.relations:
-        if not r.is_monomial:
-            hot.update(v for n in r.arrow_names for v in q.arrow(n)[1:])
 
-    for (d, u, v), paths in _region_blocks(new_q, hot).items():
+    def passing(key):
+        """The combinations of A's renamed relations in a block outside the region."""
+        if key not in kernels:
+            kernels[key] = [[(1, ren.paths[i])] for i in ren.block.get(key, ()) if i not in cut]
+        return kernels[key]
+
+    solved, touched = [], set()
+    for (d, u, v), paths in _region_blocks(tilted, ren.hot | near).items():
         # shifts of the shorter relations by one arrow at either end
         index = {p: i for i, p in enumerate(paths)}
-        sides = [(kernels.get((d - 1, u, ar.source), ()), (), (ar.name,))
-                 for ar in new_q.in_arrows(v)]
-        sides += [(kernels.get((d - 1, ar.target, v), ()), (ar.name,), ())
-                  for ar in new_q.out_arrows(u)]
+        sides = [(passing((d - 1, u, ar.source)), (), (ar.name,))
+                 for ar in tilted.in_arrows(v)]
+        sides += [(passing((d - 1, ar.target, v)), (ar.name,), ())
+                  for ar in tilted.out_arrows(u)]
         shifts = []
         for combos, left, right in sides:
             for combo in combos:
@@ -408,16 +511,23 @@ def mutate_minus(a, x):
                 kept.append([(c, p) for c, p in zip(red, paths) if c])
                 if d > 2:
                     srows, spiv = rref(srows + [red])
+        solved += [(*turned(u, v), combo) for combo in kept]
+        touched.add((d, u, v))
 
     # coefficients stay Fractions: `_canonical` divides by the first one
-    result = AlgebraPresentation._trusted(new_q, [
-        RelationTerm._trusted(u, v, {p: Fraction(c) for c, p in combo})
-        for (_, u, v), combos in kernels.items() for combo in combos])
+    cut.update(i for key in touched for i in ren.block.get(key, ()))
+    relations = [r for i, r in enumerate(ren.relations) if i not in cut]
+    for u, v, combo in solved:
+        insort(relations, RelationTerm._trusted(
+            u, v, {p[::-1] if opposite else p: Fraction(c) for c, p in combo}), key=_relation_key)
+    # distinct: A's are renamed one to one, and the kernels are bases of
+    # blocks that A's renamed relations no longer meet
+    result = AlgebraPresentation.__new__(AlgebraPresentation)
+    result._fill(new_q, relations)
     # the stalk pairs are A's blocks; the pairs at x are the solved spaces
-    expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in eng.pred[x])
+    expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in alg.ends(x, False))
                 + sum(h.dim for h in eng.homs.values()))
-    words = _normal_words(result)[1]
-    found = sum(sum(ends.values()) for ends in _normal_word_counts(words).values())
+    found = _normal_word_total(_normal_words(result)[1])
     if found != expected:
         raise QsaError(
             f"relation search exceeds length bound: presentation has "

@@ -157,10 +157,15 @@ class Quiver:
         """The quiver of checked tables: `vertices` and `arrows` in
         canonical order, and `out` and `in_`, {vertex: list of its arrows
         out or in, in arrow order}, which the quiver takes as they are.
-        Equal to the constructor on the same lists, without its checks."""
+        Equal to the constructor on the same lists, without its checks but
+        one: two arrows of one name are refused, as the constructor
+        refuses them (in canonical order they are neighbours)."""
         q = cls.__new__(cls)
         q.name, q.vertices, q.arrows = name, tuple(vertices), tuple(arrows)
         q._by_name = {a.name: a for a in q.arrows}
+        if len(q._by_name) != len(q.arrows):
+            twice = next(a.name for a, b in zip(q.arrows, q.arrows[1:]) if a.name == b.name)
+            raise QsaError(f"duplicate arrow identifier {twice!r}")
         q._out, q._in = out, in_
         return q
 
@@ -429,6 +434,9 @@ class AlgebraPresentation:
         self._report = None  # the ValidationReport, set by the first validate()
         self._walk = None    # the admissibility walk, set by _monomial_admissibility
         self._basis = None   # the _GroebnerBasis of a non-monomial ideal, once completed
+        self._counts = None  # the normal-word counts, set by _normal_word_counts
+        self._total = None   # the number of normal words, set by _normal_word_total
+        self._renamings = {}  # the tables a mutation edits, by orientation (_endo._Renaming)
 
     @cached_property
     def _relation_lines(self):
@@ -464,6 +472,17 @@ class AlgebraPresentation:
                 return True
         return False
 
+    def starts_in_relation(self, arrows):
+        """True when some monomial relation is a prefix of `arrows`: the
+        test of `ends_in_relation` for a path extended at its start."""
+        n = len(arrows)
+        for k in self._monomial_lengths:
+            if k > n:
+                break
+            if arrows[:k] in self.monomials:
+                return True
+        return False
+
     def __eq__(self, other):
         return (isinstance(other, AlgebraPresentation)
                 and self.quiver == other.quiver and self.relations == other.relations)
@@ -495,6 +514,39 @@ def opposite(a):
     return AlgebraPresentation._trusted(qop, [
         RelationTerm._trusted(r.target, r.source, {p[::-1]: c for c, p in r.terms})
         for r in a.relations])
+
+
+class _Turned(dict):
+    """{vertex: its arrows in `table`, turned round}, each list built when
+    its vertex is first read."""
+
+    def __init__(self, table):
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, v):
+        turned = self[v] = [Arrow(a.name, a.target, a.source) for a in self._table[v]]
+        return turned
+
+
+class _OppositeQuiver:
+    """The opposite of the quiver `q` as a view that copies nothing: the
+    arrows at a vertex are turned round when the vertex is first read, in
+    arrow order, as `opposite` lists them.  It answers the reads of the
+    tilting engine and of its algebra (`out_arrows`, `in_arrows`, `arrow`
+    and the tables `_out` and `_in`)."""
+
+    def __init__(self, q):
+        self._q = q
+        self.vertices = q.vertices
+        self._out, self._in = _Turned(q._in), _Turned(q._out)
+
+    out_arrows = Quiver.out_arrows
+    in_arrows = Quiver.in_arrows
+
+    def arrow(self, name):
+        a = self._q.arrow(name)
+        return Arrow(a.name, a.target, a.source)
 
 
 # --- parsing and serialization --------------------------------------------
@@ -761,19 +813,37 @@ def _normal_word_counts(a):
     successor's, copied, plus the others', plus one for its own empty
     walk.  A walk that found a cycle is refused; every basis that
     `validate` certifies, or that `_algebra._normal_words` completes on an
-    acyclic quiver, has none.
+    acyclic quiver, has none.  Computed once and kept on `a`; callers
+    read the table and do not change it.
     """
-    if not _monomial_admissibility(a)[0]:
-        raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
-    counts = {}
-    for state, _, _, after in a._walk[2]:
-        mine = dict(counts[after[0]]) if after else {}
-        for t in after[1:]:
-            for w, n in counts[t].items():
-                mine[w] = mine.get(w, 0) + n
-        mine[state[0]] = mine.get(state[0], 0) + 1
-        counts[state] = mine
-    return {v: counts[(v, ())] for v in a.quiver.vertices}
+    if a._counts is None:
+        if not _monomial_admissibility(a)[0]:
+            raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
+        counts = {}
+        for state, _, _, after in a._walk[2]:
+            mine = dict(counts[after[0]]) if after else {}
+            for t in after[1:]:
+                for w, n in counts[t].items():
+                    mine[w] = mine.get(w, 0) + n
+            mine[state[0]] = mine.get(state[0], 0) + 1
+            counts[state] = mine
+        a._counts = {v: counts[(v, ())] for v in a.quiver.vertices}
+    return a._counts
+
+
+def _normal_word_total(a):
+    """The number of normal words of `a`, as `_normal_word_counts`
+    defines them: the same fold over the post-order of the admissibility
+    walk, with one int for each state instead of a count by end vertex.
+    Computed once and kept on `a`."""
+    if a._total is None:
+        if not _monomial_admissibility(a)[0]:
+            raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
+        total = {}
+        for state, _, _, after in a._walk[2]:
+            total[state] = 1 + sum(map(total.__getitem__, after))
+        a._total = sum(total[(v, ())] for v in a.quiver.vertices)
+    return a._total
 
 
 def _relation_free_levels(a, starts=None):
@@ -820,8 +890,9 @@ class _GroebnerBasis:
     its factor, so the normal words, the paths below the limit with no
     leading word as a factor, are a basis of KQ/I modulo the longer paths.
     The basis reads as the monomial presentation of its leading words
-    (`monomials`, `ends_in_relation`) for `_relation_free_levels`,
-    `_monomial_admissibility` and `_normal_word_counts`.  `validate` keeps
+    (`monomials`, `ends_in_relation`, `starts_in_relation`) for
+    `_relation_free_levels`, `_monomial_admissibility`, the normal-word
+    counts and the blocks of `_algebra.TruncatedAlgebra`.  `validate` keeps
     the basis it completes for a cyclic ideal, truncated above its
     cutoff, on the presentation; for a homogeneous ideal whose normal
     words end below the cutoff, its normal words and normal forms below
@@ -829,10 +900,11 @@ class _GroebnerBasis:
     """
 
     ends_in_relation = AlgebraPresentation.ends_in_relation
+    starts_in_relation = AlgebraPresentation.starts_in_relation
 
     def __init__(self, quiver, relations, limit):
         self.quiver, self.limit = quiver, limit
-        self._walk = None
+        self._walk = self._counts = self._total = None
         self.rules = self.monomials = {}
         self._monomial_lengths = ()
         self._words = {}   # the normal forms of single paths, once complete

@@ -39,7 +39,7 @@ from bisect import bisect_left
 
 from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm,
-    opposite, serialize_presentation, natural_key, validate,
+    serialize_presentation, natural_key, validate,
     _ONE, _arrow_line, _as_arrow, _check_id, _relation_key, _relation_line,
 )
 from .classify import (
@@ -121,25 +121,27 @@ def blow_up(a, blown):
     def end_signs(v):
         return ("+", "-") if v in bset else ("",)
 
-    def lift_name(arrow, ssign, tsign):
-        return arrow.name + ssign + tsign
-
     def lift_end(v, sign):
         if v in bset:
             return vertex_map[v][0 if sign == "+" else 1]
         return v
 
+    # an arrow with no blown end keeps its name; a lift is the name and
+    # its end signs, grown by its last sign while the name is taken
     arrows = []
     arrow_map = {}
-    names = set()
+    lift_name = {}   # (arrow, source sign, target sign) -> lifted name
+    taken = {ar.name for ar in q.arrows if ar.source not in bset and ar.target not in bset}
     for ar in q.arrows:
         lifts = []
         for ss in end_signs(ar.source):
             for ts in end_signs(ar.target):
-                nm = lift_name(ar, ss, ts)
-                if nm in names:
-                    raise QsaError(f"arrow name collision {nm!r} in blow-up")
-                names.add(nm)
+                nm = ar.name + ss + ts
+                if ss or ts:
+                    while nm in taken:
+                        nm += ts or ss
+                    taken.add(nm)
+                lift_name[(ar.name, ss, ts)] = nm
                 lifts.append(nm)
                 arrows.append(Arrow(nm, lift_end(ar.source, ss),
                                     lift_end(ar.target, ts)))
@@ -149,10 +151,9 @@ def blow_up(a, blown):
     monomials = set()
     for r in a.relations:
         p, w = r.terms[0][1]
-        pa, wa = q.arrow(p), q.arrow(w)
-        for ss in end_signs(pa.source):
-            for ts in end_signs(wa.target):
-                monomials.add((lift_name(pa, ss, ""), lift_name(wa, "", ts)))
+        for ss in end_signs(q.arrow(p).source):
+            for ts in end_signs(q.arrow(w).target):
+                monomials.add((lift_name[(p, ss, "")], lift_name[(w, "", ts)]))
 
     # fold-kernel binomials: one matched-sign difference per blown vertex
     # with both an arrow in and an arrow out, for every outer sign choice
@@ -164,8 +165,8 @@ def blow_up(a, blown):
         u, w = ins[0], outs[0]
         for ss in end_signs(u.source):
             for ts in end_signs(w.target):
-                plus = (lift_name(u, ss, "+"), lift_name(w, "+", ts))
-                minus = (lift_name(u, ss, "-"), lift_name(w, "-", ts))
+                plus = (lift_name[(u.name, ss, "+")], lift_name[(w.name, "+", ts)])
+                minus = (lift_name[(u.name, ss, "-")], lift_name[(w.name, "-", ts)])
                 combos.append([(1, plus), (-1, minus)])
 
     # a blown vertex is special, so its in-then-out composites are no
@@ -687,7 +688,7 @@ def mutate_at(a, x, direction):
 
     The result is extracted from the endomorphisms of the two-term
     tilting complex; the plus direction is computed on the opposite
-    algebra.
+    algebra, which is read off `a` and never built (`_endo.mutate_minus`).
     """
     from ._endo import mutate_minus
     if not isinstance(a, AlgebraPresentation):
@@ -701,5 +702,5 @@ def mutate_at(a, x, direction):
             raise QsaError(f"plus mutation needs a source, {x!r} has in-arrows")
         if not a.quiver.out_arrows(x):
             raise QsaError(f"plus mutation needs at least one arrow out of {x!r}")
-        return opposite(mutate_minus(opposite(a), x))
+        return mutate_minus(a, x, opposite=True)
     raise QsaError(f"unknown mutation direction {direction!r}")

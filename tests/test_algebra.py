@@ -135,9 +135,13 @@ def test_blocks_are_stored_only_for_pairs_joined_by_a_path():
     for v in q.vertices:
         walk(v, v, ())
     assert len(q.vertices) == 24 and len(joined) < 24 * 24 // 4
+    # blocks are built when their paths are read: none before, and after
+    # every pair is read only the joined ones are kept
+    assert not t._basis and not t._index
+    dims = {(u, v): len(t.free_paths(u, v)) for u in q.vertices for v in q.vertices}
     assert set(t._index) == set(t._basis) == joined
-    assert set(t.nonzero_blocks()) == {
-        (u, v) for u in q.vertices for v in q.vertices if t.dim_block(u, v)}
+    assert set(t.nonzero_blocks()) == {pair for pair, d in dims.items() if d}
+    assert all(t.dim_block(u, v) == d for (u, v), d in dims.items())
 
 
 def test_unreached_pair_is_the_zero_block():

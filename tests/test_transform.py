@@ -10,7 +10,7 @@ from qsa.presentation import (
     QsaError, AlgebraPresentation, Arrow, Quiver, opposite,
     parse_presentation, presentations_isomorphic, serialize_presentation, validate,
 )
-from qsa import _endo, classify, decide, presentation, transform
+from qsa import _algebra, _endo, classify, decide, presentation, transform
 from qsa._algebra import TruncatedAlgebra
 from qsa._linalg import identity, rref
 from qsa.classify import VertexClassification, classify_vertices, special_vertices
@@ -87,6 +87,22 @@ def test_blow_up_grows_the_copy_suffixes_past_taken_names():
         "quiver a5\nvertices: 1+ 1++ 1-- 3 4 5\narrow alpha+: 1++ -> 1+\n"
         "arrow alpha-: 1-- -> 1+\narrow beta: 1+ -> 3\narrow delta: 4 -> 5\n"
         "arrow gamma: 3 -> 4\nrelations:\nalpha+ beta\nalpha- beta\n")
+
+
+def test_blow_up_grows_a_lift_past_a_taken_arrow_name():
+    # the lift alpha+ of alpha at the blown vertex 1 is the name of an
+    # arrow whose ends are not blown, so it grows to alpha++; the result
+    # is the blow-up of the same quiver with that arrow renamed
+    text = ("quiver c\nvertices: 1 2 3 4\narrow alpha: 1 -> 2\narrow beta: 2 -> 3\n"
+            "arrow {}: 3 -> 4\nrelations:\nalpha beta\n")
+    spec = blow_up(parse_presentation(text.format("alpha+")), ["1"])
+    assert spec.arrow_map == {"alpha": ("alpha++", "alpha-"), "alpha+": ("alpha+",),
+                              "beta": ("beta",)}
+    assert serialize_presentation(spec.presentation) == (
+        "quiver c\nvertices: 1+ 1- 2 3 4\narrow alpha+: 3 -> 4\narrow alpha++: 1+ -> 2\n"
+        "arrow alpha-: 1- -> 2\narrow beta: 2 -> 3\nrelations:\nalpha++ beta\nalpha- beta\n")
+    plain = blow_up(parse_presentation(text.format("omega")), ["1"]).presentation
+    assert presentations_isomorphic(spec.presentation, plain)
 
 
 def test_blow_up_refuses_non_special_vertex():
@@ -700,6 +716,24 @@ def test_mutation_digest_is_frozen(name):
     assert h.hexdigest() == MUTATION_SHA256[name]
 
 
+def test_mutation_names_grow_past_a_collision():
+    # the pairs (a, b~c) and (a~b, c) both propose the arrow name a~b~c:
+    # the first in canonical pair order keeps it and the second grows it;
+    # the result is the mutation of the same quiver with plain vertex
+    # names, and the plus mutation of the opposite is its opposite
+    text = ("quiver collide\nvertices: a a~b b~c c x\narrow p: a -> b~c\n"
+            "arrow q: a~b -> c\narrow r: b~c -> x\narrow s: c -> x\narrow z: a~b -> a\n")
+    a = parse_presentation(text)
+    m = mutate_at(a, "x", "minus")
+    assert serialize_presentation(m) == (
+        "quiver collide\nvertices: a a~b b~c c x\narrow a~b~a: a~b -> a\n"
+        "arrow a~b~c: a -> b~c\narrow a~b~c~: a~b -> c\narrow x~b~c: x -> b~c\n"
+        "arrow x~c: x -> c\n")
+    plain = parse_presentation(text.replace("a~b", "ab").replace("b~c", "bc"))
+    assert presentations_isomorphic(m, mutate_at(plain, "x", "minus"))
+    assert mutate_at(opposite(a), "x", "plus") == opposite(m)
+
+
 def test_mutation_keeps_length_two_kernel_basis():
     # the two commutativity relations share a path; the kernel vectors of
     # length two are kept as the nullspace gives them, not reduced against
@@ -742,13 +776,27 @@ def _live_pairs_near(a, x):
                            for bv in degzero(v)))}
 
 
+def _within(a, x, radius):
+    """The vertices at most `radius` arrows from x, arrows read either way."""
+    reached, frontier = {x}, {x}
+    for _ in range(radius):
+        frontier = {v for u in frontier for ar in a.quiver.out_arrows(u) + a.quiver.in_arrows(u)
+                    for v in ar[1:]} - reached
+        reached |= frontier
+    return reached
+
+
 def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
     # hom spaces are built only for live pairs with an end in x or its
-    # in-neighbours, the hom spaces built and the relation blocks evaluated
-    # per mutation do not grow with the number of copies, and the final
-    # dimension check counts the normal words of the result once and
-    # builds no algebra of it
-    built, blocks, algebras, counted = [], [], [], []
+    # in-neighbours, and the algebra blocks whose paths are built lie
+    # within four arrows of x; a plus mutation builds no opposite of `a`
+    # and turns round only the arrows at vertices within five arrows of x;
+    # the hom spaces, algebra blocks, relation blocks and turned vertices
+    # of a mutation do not grow with the number of copies, for either sign;
+    # and the final dimension check counts the normal words of the result
+    # once, and builds no algebra of it
+    built, blocks, algebras, counted, opposites, turned = [], [], [], [], [], []
+    turn = presentation.opposite
 
     class CountingHomSpace(_endo._HomSpace):
         def __init__(self, engine, u, v):
@@ -756,9 +804,9 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
             super().__init__(engine, u, v)
 
     class CountingAlgebra(TruncatedAlgebra):
-        def __init__(self, a):
-            algebras.append(a)
-            super().__init__(a)
+        def __init__(self, a, opposite=False):
+            algebras.append((a, opposite, self))
+            super().__init__(a, opposite)
 
     region_blocks = _endo._region_blocks
 
@@ -767,35 +815,52 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
         blocks.append(len(found))
         return found
 
-    word_counts = _endo._normal_word_counts
+    word_total = _endo._normal_word_total
 
-    def counting_words(words):
+    def counting_total(words):
         counted.append(words)
-        return word_counts(words)
+        return word_total(words)
+
+    def counting_opposite(a):
+        opposites.append(a)
+        return turn(a)
+
+    missing = presentation._Turned.__missing__
+
+    def counting_turn(self, v):
+        turned.append(v)
+        return missing(self, v)
 
     monkeypatch.setattr(_endo, "_HomSpace", CountingHomSpace)
     monkeypatch.setattr(_endo, "TruncatedAlgebra", CountingAlgebra)
     monkeypatch.setattr(_endo, "_region_blocks", counting_blocks)
-    monkeypatch.setattr(_endo, "_normal_word_counts", counting_words)
+    monkeypatch.setattr(_endo, "_normal_word_total", counting_total)
+    monkeypatch.setattr(presentation, "opposite", counting_opposite)
+    monkeypatch.setattr(_algebra, "opposite_of", counting_opposite)
+    monkeypatch.setattr(presentation._Turned, "__missing__", counting_turn)
     for sign in ("minus", "plus"):
         counts = []
-        for k in range(1, 5):
+        for k in range(1, 9):
             a = glued_twelve_gqs(k)
             x = _cli_edit_vertices(k)[sign == "plus"]
-            built.clear()
-            blocks.clear()
-            algebras.clear()
-            counted.clear()
+            tilted = a if sign == "minus" else turn(a)
+            for seen in (built, blocks, algebras, counted, opposites, turned):
+                seen.clear()
             b = mutate_at(a, x, sign)
-            tilted = a if sign == "minus" else opposite(a)
             assert built and set(built) <= _live_pairs_near(tilted, x)
-            assert algebras == [tilted]
-            assert counted == [b if sign == "minus" else opposite(b)]
-            counts.append((len(built), blocks[0]))
+            assert [(c, o) for c, o, _ in algebras] == [(a, sign == "plus")]
+            assert counted == [b]
+            assert not opposites
+            paths = set(algebras[0][2]._basis)
+            assert paths and {v for pair in paths for v in pair} <= _within(a, x, 4)
+            assert (sign == "minus") == (not turned) and set(turned) <= _within(a, x, 5)
+            counts.append((len(built), blocks[0], len(paths), len(set(turned))))
         # the sink is vertex 6 of a copy for odd k, vertex 12 for even k
-        # (the source 5 or 11)
-        assert counts[2] == counts[0] and counts[3] == counts[1], (sign, counts)
-        assert max(n for n, _ in counts) < len(glued_twelve_gqs(1).quiver.vertices)
+        # (the source 5 or 11); for k = 1 the copy has no arrow l in, so
+        # one vertex fewer is near x
+        assert len(set(counts[2::2])) == len(set(counts[1::2])) == 1, (sign, counts)
+        assert counts[0][:3] == counts[2][:3], (sign, counts)
+        assert max(n for n, *_ in counts) < len(glued_twelve_gqs(1).quiver.vertices)
 
 
 def _cli_edit_vertices(k):
