@@ -48,9 +48,6 @@ class _OppositeWords:
     def ends_in_relation(self, arrows):
         return self.a.starts_in_relation(arrows[::-1])
 
-    def starts_in_relation(self, arrows):
-        return self.a.ends_in_relation(arrows[::-1])
-
 
 def _normal_words(a, opposite=False):
     """(bound, words) for a presentation `validate` certifies admissible:

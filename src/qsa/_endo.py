@@ -1,4 +1,4 @@
-"""Sink mutation via endomorphisms of a two-term tilting complex.
+"""Sink and source mutation via endomorphisms of a two-term tilting complex.
 
 At a sink x the complex T is the direct sum of the stalks P_u (u != x)
 and R_x = [P_x in degree -1 mapped into the sum of P_{s(a)} over the
@@ -49,9 +49,30 @@ endomorphism algebra, reports it rather than papering over it.  That
 count builds no algebra of the result: its dimension is the number of
 its normal words, walks on the prefix automaton of its relations (or of
 the leading words of its Gröbner basis), counted by
-`presentation._normal_word_counts` as a fold over the one walk of that
+`presentation._normal_word_total` as a fold over the one walk of that
 automaton, which `validate` made unless the basis is new.  Coordinates
 are plain ints throughout; only relation coefficients become Fractions.
+
+The cost.  A mutation reads only the algebra blocks it needs: the
+algebra builds a block's basis paths when they are first read, by a walk
+from u that keeps to the vertices from which v is reached, and reads the
+block dimensions off the normal-word counts of A (`_algebra`).  Outside
+the region the result is A renamed, whatever the vertex: A's arrows
+renamed u~v and its relations that pass, renamed with them, are kept on
+A for each orientation (`_Renaming`), and a mutation edits a copy of
+those tables at the arrows with an end in N and at the relation blocks
+it evaluates.  So a mutation costs what the neighbourhood of x costs,
+plus `validate` on the result and its dimension count, which stay whole,
+and list copies of A's renamed tables.  A name proposed twice, when a
+vertex name holds `~` or `.`, grows a `~` (`_arrow_names`).
+
+The source.  The plus mutation at a source x is the minus mutation of
+the opposite algebra at its sink x, turned round.  The opposite is not
+built: the engine runs on the opposite algebra (`TruncatedAlgebra` with
+`opposite`), the relation blocks are read on a view of the result's
+quiver that turns its arrows round (`presentation._OppositeQuiver`), the
+region's arrows and relations are turned round into A's orientation, and
+A's arrows keep their ends, renamed by their ends in the opposite one.
 """
 
 from bisect import insort
@@ -62,7 +83,7 @@ from ._linalg import identity, nullspace, reduce_vec, rref, transpose
 from ._algebra import TruncatedAlgebra, _normal_words
 from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, natural_key,
-    _ONE, _OppositeQuiver, _arrow_key, _normal_word_total, _relation_key,
+    _OppositeQuiver, _arrow_key, _normal_word_total, _relation_key,
 )
 
 
@@ -300,10 +321,11 @@ class _Renaming:
     order, `out` and `in_` the renamed arrows at each vertex, as `Quiver`
     keeps them.  `relations` is the renamed relations that can pass
     through a mutation, in canonical order: the monomial ones shorter
-    than four with no relation of length two inside.  `paths` holds each
-    one's renamed path in the engine's orientation, `block` indexes them
-    by (length, u, v) there, and `through` by old arrow name.  `hot` is
-    the vertices on the terms of the other relations, M in the module
+    than four with no relation of length two inside; `paths` and
+    `monomials` are their paths, `long` the positions of those of length
+    three.  `block` indexes them by (length, u, v) in the engine's
+    orientation, and `through` by the new names of their arrows.  `hot`
+    is the vertices on the terms of the other relations, M in the module
     docstring.
     """
 
@@ -311,40 +333,42 @@ class _Renaming:
         q = a.quiver
         groups = {}
         for ar in q.arrows:
-            groups.setdefault((ar.target, ar.source) if opposite else (ar.source, ar.target),
-                              []).append(ar)
+            groups.setdefault((ar.target, ar.source) if opposite else ar[1:], []).append(ar)
         names = _arrow_names({pair: len(group) for pair, group in groups.items()})
-        self.arrow, self.old = {}, {}
+        self.arrow = {}
         for pair, group in groups.items():
-            group.sort(key=attrgetter("name"))
+            if len(group) > 1:
+                group.sort(key=attrgetter("name"))
             for name, ar in zip(names[pair], group):
                 self.arrow[ar.name] = Arrow(name, ar.source, ar.target)
-                self.old[name] = ar.name
+        self.old = {ar.name: old for old, ar in self.arrow.items()}
         self.arrows = sorted(self.arrow.values(), key=_arrow_key)
         self.out, self.in_ = {v: [] for v in q.vertices}, {v: [] for v in q.vertices}
         for ar in self.arrows:
             self.out[ar.source].append(ar)
             self.in_[ar.target].append(ar)
 
-        passing, self.hot = [], set()
+        new = {old: ar.name for old, ar in self.arrow.items()}.__getitem__
+        self.relations, self.hot = [], set()
         for r in a.relations:
             p = r.terms[0][1]
             if not r.is_monomial:
                 self.hot.update(v for n in r.arrow_names for v in q.arrow(n)[1:])
             elif len(p) < 4 and not (
                     len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
-                new = tuple(self.arrow[n].name for n in p)
-                passing.append((RelationTerm._trusted(r.source, r.target, {new: _ONE}), p))
-        passing.sort(key=lambda rp: rp[0].sort_key)
-        self.relations = [r for r, _ in passing]
-        self.paths, self.block, self.through = [], {}, {}
-        for i, (r, p) in enumerate(passing):
+                self.relations.append(
+                    RelationTerm._monomial(r.source, r.target, tuple(map(new, p))))
+        self.relations.sort(key=_relation_key)
+        self.paths = [r.terms[0][1] for r in self.relations]
+        self.monomials = frozenset(self.paths)
+        self.long = {i for i, path in enumerate(self.paths) if len(path) > 2}
+        self.block, self.through = {}, {}
+        for i, r in enumerate(self.relations):
             path = r.terms[0][1]
-            self.paths.append(path[::-1] if opposite else path)
-            key = (len(p), r.target, r.source) if opposite else (len(p), r.source, r.target)
-            self.block.setdefault(key, []).append(i)
-            for n in p:
-                self.through.setdefault(n, []).append(i)
+            ends = (r.target, r.source) if opposite else (r.source, r.target)
+            self.block.setdefault((len(path), *ends), []).append(i)
+            for name in path:
+                self.through.setdefault(name, []).append(i)
 
 
 def mutate_minus(a, x, opposite=False):
@@ -363,13 +387,20 @@ def mutate_minus(a, x, opposite=False):
     q = a.quiver
     if not q.has_vertex(x):
         raise QsaError(f"unknown vertex {x!r}")
-    if q.out_arrows(x) and not opposite:
+    if opposite:
+        if q.in_arrows(x):
+            raise QsaError(f"plus mutation needs a source, {x!r} has in-arrows")
+        if not q.out_arrows(x):
+            raise QsaError(f"plus mutation needs at least one arrow out of {x!r}")
+    elif q.out_arrows(x):
         raise QsaError(f"minus mutation needs a sink, {x!r} has out-arrows")
-    if not q.in_arrows(x) and not opposite:
+    elif not q.in_arrows(x):
         raise QsaError(f"minus mutation needs at least one arrow into {x!r}")
 
-    def turned(u, v):   # the ends of u -> v of the engine in a's orientation
+    # the ends of u -> v, and a path, of the engine in a's orientation
+    def turned(u, v):
         return (v, u) if opposite else (u, v)
+    step = -1 if opposite else 1
 
     eng = _Engine(a, x, opposite)
     alg = eng.alg
@@ -450,11 +481,9 @@ def mutate_minus(a, x, opposite=False):
     for ar in added:
         insort(arrows, ar, key=_arrow_key)
     out, in_ = ren.out.copy(), ren.in_.copy()
-    for table, at, end in ((out, ren.out, 1), (in_, ren.in_, 2)):
-        edited = {ar[end] for ar in added}
-        edited.update(ren.arrow[name][end] for name in dropped)
-        for v in edited:
-            table[v] = sorted([ar for ar in at[v] if ar.name not in gone]
+    for table, end in ((out, 1), (in_, 2)):
+        for v in {ar[end] for ar in added} | {ren.arrow[name][end] for name in dropped}:
+            table[v] = sorted([ar for ar in table[v] if ar.name not in gone]
                               + [ar for ar in added if ar[end] == v], key=_arrow_key)
     new_q = Quiver._trusted(a.name, q.vertices, arrows, out, in_)
     tilted = _OppositeQuiver(new_q) if opposite else new_q
@@ -478,13 +507,14 @@ def mutate_minus(a, x, opposite=False):
     # relations: A's outside the region, renamed, then the kernels of path
     # evaluation on the blocks with a path through N or M; kernels are
     # keyed by block in the engine's orientation
-    cut = {i for name in dropped for i in ren.through.get(name, ())}
+    cut = {i for name in gone for i in ren.through.get(name, ())}
     kernels = {}
 
     def passing(key):
         """The combinations of A's renamed relations in a block outside the region."""
         if key not in kernels:
-            kernels[key] = [[(1, ren.paths[i])] for i in ren.block.get(key, ()) if i not in cut]
+            kernels[key] = [[(1, ren.paths[i][::step])]
+                            for i in ren.block.get(key, ()) if i not in cut]
         return kernels[key]
 
     solved, touched = [], set()
@@ -517,19 +547,23 @@ def mutate_minus(a, x, opposite=False):
     # coefficients stay Fractions: `_canonical` divides by the first one
     cut.update(i for key in touched for i in ren.block.get(key, ()))
     relations = [r for i, r in enumerate(ren.relations) if i not in cut]
-    for u, v, combo in solved:
-        insort(relations, RelationTerm._trusted(
-            u, v, {p[::-1] if opposite else p: Fraction(c) for c, p in combo}), key=_relation_key)
+    found = [RelationTerm._trusted(u, v, {p[::step]: Fraction(c) for c, p in combo})
+             for u, v, combo in solved]
+    for r in found:
+        insort(relations, r, key=_relation_key)
+    monomials = ren.monomials.difference([ren.paths[i] for i in cut]).union(
+        r.terms[0][1] for r in found if r.is_monomial)
+    quadratic = ren.long <= cut and all(len(p) == 2 for r in found for _, p in r.terms)
     # distinct: A's are renamed one to one, and the kernels are bases of
     # blocks that A's renamed relations no longer meet
     result = AlgebraPresentation.__new__(AlgebraPresentation)
-    result._fill(new_q, relations)
+    result._fill(new_q, relations, monomials, quadratic)
     # the stalk pairs are A's blocks; the pairs at x are the solved spaces
     expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in alg.ends(x, False))
                 + sum(h.dim for h in eng.homs.values()))
-    found = _normal_word_total(_normal_words(result)[1])
-    if found != expected:
+    counted = _normal_word_total(_normal_words(result)[1])
+    if counted != expected:
         raise QsaError(
             f"relation search exceeds length bound: presentation has "
-            f"dimension {found}, endomorphism algebra {expected}")
+            f"dimension {counted}, endomorphism algebra {expected}")
     return result

@@ -319,6 +319,15 @@ class RelationTerm:
         r._canonical(merged, source, target)
         return r
 
+    @classmethod
+    def _monomial(cls, source, target, path):
+        """The monomial relation of `path`, known to run from source to
+        target: `_trusted` on {path: 1}, without the merge."""
+        r = cls.__new__(cls)
+        r.source, r.target, r.terms = source, target, ((_ONE, path),)
+        r.sort_key = ((_path_sort_key(path), _ONE),)
+        return r
+
     def _canonical(self, merged, source, target):
         """Set the terms from {path: coefficient}: zero terms dropped, the
         rest sorted and scaled so the first coefficient is 1."""
@@ -474,7 +483,7 @@ class AlgebraPresentation:
 
     def starts_in_relation(self, arrows):
         """True when some monomial relation is a prefix of `arrows`: the
-        test of `ends_in_relation` for a path extended at its start."""
+        test of `ends_in_relation` on the opposite presentation."""
         n = len(arrows)
         for k in self._monomial_lengths:
             if k > n:
@@ -670,7 +679,7 @@ def parse_presentation(text):
                 raise QsaError("relation paths must have length >= 2")
             else:
                 p = quiver.path(tokens)
-                r = RelationTerm._trusted(p.source, p.target, {p.arrows: _ONE})
+                r = RelationTerm._monomial(p.source, p.target, p.arrows)
         except QsaError as e:
             raise QsaError(f"line {num}: {e}") from None
         relations.append(r)
@@ -818,7 +827,8 @@ def _normal_word_counts(a):
     """
     if a._counts is None:
         if not _monomial_admissibility(a)[0]:
-            raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
+            raise QsaError("internal error: normal words counted on a prefix "
+                           "automaton with a cycle")
         counts = {}
         for state, _, _, after in a._walk[2]:
             mine = dict(counts[after[0]]) if after else {}
@@ -838,10 +848,14 @@ def _normal_word_total(a):
     Computed once and kept on `a`."""
     if a._total is None:
         if not _monomial_admissibility(a)[0]:
-            raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
+            raise QsaError("internal error: normal words counted on a prefix "
+                           "automaton with a cycle")
         total = {}
         for state, _, _, after in a._walk[2]:
-            total[state] = 1 + sum(map(total.__getitem__, after))
+            n = 1
+            for t in after:
+                n += total[t]
+            total[state] = n
         a._total = sum(total[(v, ())] for v in a.quiver.vertices)
     return a._total
 
@@ -890,9 +904,9 @@ class _GroebnerBasis:
     its factor, so the normal words, the paths below the limit with no
     leading word as a factor, are a basis of KQ/I modulo the longer paths.
     The basis reads as the monomial presentation of its leading words
-    (`monomials`, `ends_in_relation`, `starts_in_relation`) for
-    `_relation_free_levels`, `_monomial_admissibility`, the normal-word
-    counts and the blocks of `_algebra.TruncatedAlgebra`.  `validate` keeps
+    (`monomials`, `ends_in_relation`) for `_relation_free_levels`,
+    `_monomial_admissibility`, `_normal_word_counts` and the blocks of
+    `_algebra.TruncatedAlgebra`.  `validate` keeps
     the basis it completes for a cyclic ideal, truncated above its
     cutoff, on the presentation; for a homogeneous ideal whose normal
     words end below the cutoff, its normal words and normal forms below
@@ -900,7 +914,6 @@ class _GroebnerBasis:
     """
 
     ends_in_relation = AlgebraPresentation.ends_in_relation
-    starts_in_relation = AlgebraPresentation.starts_in_relation
 
     def __init__(self, quiver, relations, limit):
         self.quiver, self.limit = quiver, limit

@@ -40,7 +40,7 @@ from bisect import bisect_left
 from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm,
     serialize_presentation, natural_key, validate,
-    _ONE, _arrow_line, _as_arrow, _check_id, _relation_key, _relation_line,
+    _arrow_line, _as_arrow, _check_id, _relation_key, _relation_line,
 )
 from .classify import (
     VertexClassification, classify_vertices, OTHER, _is_special, _ordinary_in,
@@ -356,8 +356,7 @@ class _WorkingState:
             self._add_arrow(ar)
         for x, y in pairs:
             if (x.name, y.name) not in self.monomials:
-                self._add_relation(RelationTerm._trusted(
-                    x.source, y.target, {(x.name, y.name): _ONE}))
+                self._add_relation(RelationTerm._monomial(x.source, y.target, (x.name, y.name)))
         return _dirty_vertices(self, lone)
 
     def _drop_arrow(self, name):
@@ -696,11 +695,5 @@ def mutate_at(a, x, direction):
     if direction in ("minus", "-"):
         return mutate_minus(a, x)
     if direction in ("plus", "+"):
-        if not a.quiver.has_vertex(x):
-            raise QsaError(f"unknown vertex {x!r}")
-        if a.quiver.in_arrows(x):
-            raise QsaError(f"plus mutation needs a source, {x!r} has in-arrows")
-        if not a.quiver.out_arrows(x):
-            raise QsaError(f"plus mutation needs at least one arrow out of {x!r}")
         return mutate_minus(a, x, opposite=True)
     raise QsaError(f"unknown mutation direction {direction!r}")
