@@ -811,6 +811,15 @@ def _monomial_admissibility(a):
     return True, height[None]
 
 
+def _acyclic_walk(a):
+    """The post-order of the admissibility walk of `a`, refusing a walk
+    that found a cycle."""
+    if not _monomial_admissibility(a)[0]:
+        raise QsaError("internal error: normal words counted on a prefix "
+                       "automaton with a cycle")
+    return a._walk[2]
+
+
 def _normal_word_counts(a):
     """{v: {w: number of normal words from v to w}} for the relations of
     `a`, or the leading words of a `_GroebnerBasis`, whose prefix
@@ -826,11 +835,8 @@ def _normal_word_counts(a):
     read the table and do not change it.
     """
     if a._counts is None:
-        if not _monomial_admissibility(a)[0]:
-            raise QsaError("internal error: normal words counted on a prefix "
-                           "automaton with a cycle")
         counts = {}
-        for state, _, _, after in a._walk[2]:
+        for state, _, _, after in _acyclic_walk(a):
             mine = dict(counts[after[0]]) if after else {}
             for t in after[1:]:
                 for w, n in counts[t].items():
@@ -847,11 +853,8 @@ def _normal_word_total(a):
     walk, with one int for each state instead of a count by end vertex.
     Computed once and kept on `a`."""
     if a._total is None:
-        if not _monomial_admissibility(a)[0]:
-            raise QsaError("internal error: normal words counted on a prefix "
-                           "automaton with a cycle")
         total = {}
-        for state, _, _, after in a._walk[2]:
+        for state, _, _, after in _acyclic_walk(a):
             n = 1
             for t in after:
                 n += total[t]

@@ -961,9 +961,9 @@ def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
     solved = []
     solve = _endo._HomSpace._solve
 
-    def counting_solve(self):
+    def counting_solve(self, engine):
         solved.append((self.u, self.v))
-        solve(self)
+        solve(self, engine)
 
     monkeypatch.setattr(_endo._HomSpace, "_solve", counting_solve)
     counts = []
