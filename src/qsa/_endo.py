@@ -63,8 +63,9 @@ A for each orientation (`_Renaming`), and a mutation edits a copy of
 those tables at the arrows with an end in N and at the relation blocks
 it evaluates.  So a mutation costs what the neighbourhood of x costs,
 plus `validate` on the result and its dimension count, which stay whole,
-and list copies of A's renamed tables.  A name proposed twice, when a
-vertex name holds `~` or `.`, grows a `~` (`_arrow_names`).
+and list copies of A's renamed tables.  A name proposed by two of the
+result's arrows, when a vertex name holds `~` or `.`, grows a `~`
+(`_arrow_names`); the renamed tables are then made for that result alone.
 
 The source.  The plus mutation at a source x is the minus mutation of
 the opposite algebra at its sink x, turned round.  The opposite is not
@@ -282,31 +283,31 @@ def _region_blocks(q, hot):
             if key in touched}
 
 
-def _arrow_names(counts, taken=lambda name: False):
-    """{(u, v): names} for {(u, v): number of arrows u -> v}: u~v for one
-    arrow, u~v.1, u~v.2, ... for more.  A vertex name holding `~` or `.`
-    can make two pairs propose one name (a and b~c, a~b and c), and a
-    proposed name can be `taken` already.  Then the pairs are taken in
+def _arrow_names(counts):
+    """({(u, v): names}, clash) for {(u, v): number of arrows u -> v}: u~v
+    for one arrow, u~v.1, u~v.2, ... for more.  A vertex name holding `~`
+    or `.` can make two pairs propose one name (a and b~c, a~b and c);
+    `clash` says whether any did.  Then the pairs are taken in
     (natural_key(u), natural_key(v)) order: the first to propose a name
-    that is not taken keeps it, and every other grows its name by `~`
-    until no pair proposes it and it is not taken.  Without such a
-    collision no name is changed."""
+    keeps it, and every other grows its name by `~` until no pair proposes
+    it.  Without a clash no name is changed."""
     names = {(u, v): [f"{u}~{v}"] if n == 1 else [f"{u}~{v}.{i}" for i in range(1, n + 1)]
              for (u, v), n in counts.items()}
     proposed = [name for group in names.values() for name in group]
     busy = set(proposed)
-    if len(busy) < len(proposed) or any(map(taken, busy)):
+    clash = len(busy) < len(proposed)
+    if clash:
         seen = set()
         for pair in sorted(names, key=lambda p: (natural_key(p[0]), natural_key(p[1]))):
             group = names[pair]
             for i, name in enumerate(group):
-                if name in seen or taken(name):
-                    while name in busy or taken(name):
+                if name in seen:
+                    while name in busy:
                         name += "~"
                     busy.add(name)
                     group[i] = name
                 seen.add(name)
-    return names
+    return names, clash
 
 
 class _Renaming:
@@ -318,7 +319,13 @@ class _Renaming:
     Every arrow is renamed by its ends u -> v in that orientation
     (`_arrow_names`, the parallel ones in the order of their old names);
     `arrow` maps the old name to the renamed Arrow, in `a`'s orientation,
-    and `old` the new name back.  `arrows` is the renamed arrows in arrow
+    and `old` the new name back.  Those names are the result's only when
+    no two of the result's arrows propose one name.  Otherwise the tables
+    are made for that one result: given the region N (`near`) and its
+    arrows' pairs (`region`), only the arrows with no end in N and the
+    relations on them are renamed, together with the region's arrows,
+    whose names are `added`.  `clash` says whether two arrows proposed
+    one name.  `arrows` is the renamed arrows in arrow
     order, `out` and `in_` the renamed arrows at each vertex, as `Quiver`
     keeps them.  `relations` is the renamed relations that can pass
     through a mutation, in canonical order: the monomial ones shorter
@@ -330,12 +337,15 @@ class _Renaming:
     docstring.
     """
 
-    def __init__(self, a, opposite):
+    def __init__(self, a, opposite, near=(), region=None):
         q = a.quiver
         groups = {}
         for ar in q.arrows:
-            groups.setdefault((ar.target, ar.source) if opposite else ar[1:], []).append(ar)
-        names = _arrow_names({pair: len(group) for pair, group in groups.items()})
+            if ar.source not in near and ar.target not in near:
+                groups.setdefault((ar.target, ar.source) if opposite else ar[1:], []).append(ar)
+        names, self.clash = _arrow_names(
+            {**{pair: len(group) for pair, group in groups.items()}, **(region or {})})
+        self.added = {pair: names[pair] for pair in region or ()}
         self.arrow = {}
         for pair, group in groups.items():
             if len(group) > 1:
@@ -349,16 +359,16 @@ class _Renaming:
             self.out[ar.source].append(ar)
             self.in_[ar.target].append(ar)
 
-        new = {old: ar.name for old, ar in self.arrow.items()}.__getitem__
+        new = {old: ar.name for old, ar in self.arrow.items()}
         self.relations, self.hot = [], set()
         for r in a.relations:
             p = r.terms[0][1]
             if not r.is_monomial:
                 self.hot.update(v for n in r.arrow_names for v in q.arrow(n)[1:])
-            elif len(p) < 4 and not (
+            elif len(p) < 4 and all(n in new for n in p) and not (
                     len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
                 self.relations.append(
-                    RelationTerm._monomial(r.source, r.target, tuple(map(new, p))))
+                    RelationTerm._monomial(r.source, r.target, tuple(map(new.__getitem__, p))))
         self.relations.sort(key=_relation_key)
         self.paths = [r.terms[0][1] for r in self.relations]
         self.monomials = frozenset(self.paths)
@@ -471,8 +481,14 @@ def mutate_minus(a, x, opposite=False):
         ren = a._renamings[opposite] = _Renaming(a, opposite)
     dropped = {ar.name for v in near for ar in (*q._out[v], *q._in[v])}
     gone = {ren.arrow[name].name for name in dropped}
-    names = _arrow_names({pair: len(reps) for pair, reps in complements.items()},
-                         lambda name: name in ren.old and name not in gone)
+    region = {pair: len(reps) for pair, reps in complements.items()}
+    names, clash = _arrow_names(region)
+    if ren.clash or clash or any(name in ren.old and name not in gone
+                                 for group in names.values() for name in group):
+        # two of the result's arrows propose one name: rename the arrows
+        # that stay and the region's together, for this result alone
+        ren = _Renaming(a, opposite, near, region)
+        names, dropped, gone = ren.added, (), set()
     added, arrow_reps = [], {}
     for pair, reps in complements.items():
         for name, rep in zip(names[pair], reps):

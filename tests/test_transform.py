@@ -717,10 +717,10 @@ def test_mutation_digest_is_frozen(name):
 
 
 def test_mutation_names_grow_past_a_collision():
-    # the pairs (a, b~c) and (a~b, c) both propose the arrow name a~b~c:
-    # the first in canonical pair order keeps it and the second grows it;
-    # the result is the mutation of the same quiver with plain vertex
-    # names, and the plus mutation of the opposite is its opposite
+    # the pairs (a, b~c) and (a~b, c) of the result both propose the arrow
+    # name a~b~c: the first in canonical pair order keeps it and the second
+    # grows it; the result is the mutation of the same quiver with plain
+    # vertex names, and the plus mutation of the opposite is its opposite
     text = ("quiver collide\nvertices: a a~b b~c c x\narrow p: a -> b~c\n"
             "arrow q: a~b -> c\narrow r: b~c -> x\narrow s: c -> x\narrow z: a~b -> a\n")
     a = parse_presentation(text)
@@ -732,6 +732,16 @@ def test_mutation_names_grow_past_a_collision():
     plain = parse_presentation(text.replace("a~b", "ab").replace("b~c", "bc"))
     assert presentations_isomorphic(m, mutate_at(plain, "x", "minus"))
     assert mutate_at(opposite(a), "x", "plus") == opposite(m)
+    # b -> c~x~a and b~c -> x~a both propose b~c~x~a, but the first has an
+    # end in the region and is not in the result: the second keeps its name
+    kept = parse_presentation(
+        "quiver kept\nvertices: b~c b c~x~a x~a\narrow p: b~c -> b\n"
+        "arrow q: b -> c~x~a\narrow r: b~c -> x~a\nrelations:\np q\n")
+    m = mutate_at(kept, "c~x~a", "minus")
+    assert serialize_presentation(m) == (
+        "quiver kept\nvertices: b b~c c~x~a x~a\narrow b~c~c~x~a: b~c -> c~x~a\n"
+        "arrow b~c~x~a: b~c -> x~a\narrow c~x~a~b: c~x~a -> b\n")
+    assert mutate_at(opposite(kept), "c~x~a", "plus") == opposite(m)
 
 
 def test_mutation_keeps_length_two_kernel_basis():
