@@ -11,11 +11,12 @@ path or zero; for any other ideal a path that is not a normal word is
 rewritten by the normal form of a Gröbner basis truncated at or above
 the bound (`presentation._GroebnerBasis`).  A block is built when it is
 first read, so an algebra costs what its reader reads: the normal words
-from u, or into v, are listed one length at a time, both listings in
-turn, and the block is read off whichever ends first (a long path at one
-end does not cost the other).  The dimension is a count on the
-admissibility walk (`presentation._normal_word_total`), and a pair joined
-by no normal word has the empty block.  The constructor accepts what
+from u are listed one length at a time, keeping to the vertices from
+which v is reached.  Block dimensions and which vertices a vertex reaches
+are read off the normal-word counts (`presentation._normal_word_counts`),
+the dimension off their total (`presentation._normal_word_total`), both
+folds over the admissibility walk; a pair joined by no normal word has
+the empty block.  The constructor accepts what
 `validate` certifies finite-dimensional and admissible: monomial ideals,
 length-homogeneous ideals with a vanishing graded component, and any
 relations on an acyclic quiver, non-homogeneous ones such as

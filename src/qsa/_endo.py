@@ -101,14 +101,12 @@ class _HomSpace:
     """
 
     def __init__(self, engine, u, v):
+        self.engine = engine
         self.u = u
         self.v = v
         alg = engine.alg
         # End(R_x) has the degree -1 block P_x -> P_x ahead of the degree-0 ones
         self.lead = int(u == v == engine.x)
-        # no reference to the engine, whose `homs` holds this space: the
-        # engine is freed when the mutation returns, not by the collector
-        self.width = len(engine.degzero(v))
         self.blocks = [(u, v)] * self.lead + [
             (z_u, z_v) for z_u in engine.degzero(u) for z_v in engine.degzero(v)]
         self.offsets = []
@@ -117,7 +115,7 @@ class _HomSpace:
             self.offsets.append(total)
             total += alg.dim_block(bu, bv)
         self.ambient_dim = total
-        self._solve(engine)
+        self._solve()
 
     def split(self, flat):
         """The per-block elements of an ambient vector."""
@@ -126,9 +124,10 @@ class _HomSpace:
 
     def pos_index(self, i, j):
         """The block of the degree-0 components P_{zv[j]} -> P_{zu[i]}."""
-        return self.lead + i * self.width + j
+        return self.lead + i * len(self.engine.degzero(self.v)) + j
 
-    def _solve(self, eng):
+    def _solve(self):
+        eng = self.engine
         alg, x = eng.alg, eng.x
         zu, zv = eng.degzero(self.u), eng.degzero(self.v)
 

@@ -971,9 +971,9 @@ def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
     solved = []
     solve = _endo._HomSpace._solve
 
-    def counting_solve(self, engine):
+    def counting_solve(self):
         solved.append((self.u, self.v))
-        solve(self, engine)
+        solve(self)
 
     monkeypatch.setattr(_endo._HomSpace, "_solve", counting_solve)
     counts = []
