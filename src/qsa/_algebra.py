@@ -14,13 +14,12 @@ first read, so an algebra costs what its reader reads: the normal words
 from u are listed one length at a time, keeping to the vertices from
 which v is reached.  Block dimensions and which vertices a vertex reaches
 are read off the normal-word counts (`presentation._normal_word_counts`),
-the dimension off their total (`presentation._normal_word_total`), both
-folds over the admissibility walk; a pair joined by no normal word has
-the empty block.  The constructor accepts what
-`validate` certifies finite-dimensional and admissible: monomial ideals,
-length-homogeneous ideals with a vanishing graded component, and any
-relations on an acyclic quiver, non-homogeneous ones such as
-( d e ) - ( a b c ) included.
+a fold over the admissibility walk, and the dimension off their sum; a
+pair joined by no normal word has the empty block.  The constructor
+accepts what `validate` certifies finite-dimensional and admissible:
+monomial ideals, length-homogeneous ideals with a vanishing graded
+component, and any relations on an acyclic quiver, non-homogeneous ones
+such as ( d e ) - ( a b c ) included.
 
 The opposite algebra of a monomial presentation is read off the
 presentation itself: its quiver is a view that turns the arrows of a
@@ -35,7 +34,7 @@ symmetric.
 
 from .presentation import (
     QsaError, validate, opposite as opposite_of, _GroebnerBasis, _OppositeQuiver,
-    _normal_word_counts, _normal_word_total,
+    _normal_word_counts,
 )
 
 
@@ -88,8 +87,7 @@ class TruncatedAlgebra:
         self._normal = words if isinstance(words, _GroebnerBasis) else None
         # the counts of `a` for its opposite: their rows are its columns
         self._turned = isinstance(words, _OppositeWords)
-        self._counted = words.a if self._turned else words
-        self._counts = _normal_word_counts(self._counted)
+        self._counts = _normal_word_counts(words.a if self._turned else words)
         self._basis, self._index = {}, {}   # the blocks whose paths were read
 
     def _reaches(self, u, v):
@@ -125,7 +123,7 @@ class TruncatedAlgebra:
         return self._counts[u].get(v, 0)
 
     def dimension(self):
-        return _normal_word_total(self._counted)
+        return sum(sum(row.values()) for row in self._counts.values())
 
     def ends(self, v, forward):
         """The vertices w with a normal word from v to w (`forward`), or
@@ -133,10 +131,6 @@ class TruncatedAlgebra:
         if forward != self._turned:
             return list(self._counts[v])
         return [w for w, row in self._counts.items() if v in row]
-
-    def nonzero_blocks(self):
-        """The pairs (u, v) with dim_block(u, v) > 0."""
-        return [(u, v) for u in self.quiver.vertices for v in self.ends(u, True)]
 
     def free_paths(self, u, v):
         """The basis paths of e_u A e_v, in coordinate order."""

@@ -49,7 +49,7 @@ endomorphism algebra, reports it rather than papering over it.  That
 count builds no algebra of the result: its dimension is the number of
 its normal words, walks on the prefix automaton of its relations (or of
 the leading words of its Gröbner basis), counted by
-`presentation._normal_word_total` as a fold over the one walk of that
+`presentation._normal_word_counts` as a fold over the one walk of that
 automaton, which `validate` made unless the basis is new.  Coordinates
 are plain ints throughout; only relation coefficients become Fractions.
 
@@ -57,15 +57,14 @@ The cost.  A mutation reads only the algebra blocks it needs: the
 algebra builds a block's basis paths when they are first read, by a walk
 from u that keeps to the vertices from which v is reached, and reads the
 block dimensions off the normal-word counts of A (`_algebra`).  Outside
-the region the result is A renamed, whatever the vertex: A's arrows
-renamed u~v and its relations that pass, renamed with them, are kept on
-A for each orientation (`_Renaming`), and a mutation edits a copy of
-those tables at the arrows with an end in N and at the relation blocks
-it evaluates.  So a mutation costs what the neighbourhood of x costs,
-plus `validate` on the result and its dimension count, which stay whole,
-and list copies of A's renamed tables.  A name proposed by two of the
-result's arrows, when a vertex name holds `~` or `.`, grows a `~`
-(`_arrow_names`); the renamed tables are then made for that result alone.
+the region the result is A renamed (`_Renaming`): one pass over A's
+arrows and relations renames the arrows with no end in N and the
+monomial relations on them that pass, with no check or merge, and the
+tables of the result's quiver are built from those arrows and the
+region's.  So a mutation costs what the neighbourhood of x costs, plus
+that pass, `validate` on the result and its dimension count, which stay
+whole.  A name proposed by two of the result's arrows, when a vertex
+name holds `~` or `.`, grows a `~` (`_arrow_names`).
 
 The source.  The plus mutation at a source x is the minus mutation of
 the opposite algebra at its sink x, turned round.  The opposite is not
@@ -79,12 +78,13 @@ A's arrows keep their ends, renamed by their ends in the opposite one.
 from bisect import insort
 from fractions import Fraction
 from operator import attrgetter
+from weakref import proxy
 
 from ._linalg import identity, nullspace, reduce_vec, rref, transpose
 from ._algebra import TruncatedAlgebra, _normal_words
 from .presentation import (
     QsaError, Arrow, Quiver, AlgebraPresentation, RelationTerm, natural_key,
-    _OppositeQuiver, _arrow_key, _normal_word_total, _relation_key,
+    _OppositeQuiver, _arrow_key, _normal_word_counts, _relation_key,
 )
 
 
@@ -101,7 +101,9 @@ class _HomSpace:
     """
 
     def __init__(self, engine, u, v):
-        self.engine = engine
+        # a weak reference: the engine's `homs` holds this space, and the
+        # engine and its algebra are freed when the mutation returns
+        self.engine = proxy(engine)
         self.u = u
         self.v = v
         alg = engine.alg
@@ -283,19 +285,17 @@ def _region_blocks(q, hot):
 
 
 def _arrow_names(counts):
-    """({(u, v): names}, clash) for {(u, v): number of arrows u -> v}: u~v
-    for one arrow, u~v.1, u~v.2, ... for more.  A vertex name holding `~`
-    or `.` can make two pairs propose one name (a and b~c, a~b and c);
-    `clash` says whether any did.  Then the pairs are taken in
-    (natural_key(u), natural_key(v)) order: the first to propose a name
-    keeps it, and every other grows its name by `~` until no pair proposes
-    it.  Without a clash no name is changed."""
+    """{(u, v): names} for {(u, v): number of arrows u -> v}: u~v for one
+    arrow, u~v.1, u~v.2, ... for more.  A vertex name holding `~` or `.`
+    can make two pairs propose one name (a and b~c, a~b and c).  Then the
+    pairs are taken in (natural_key(u), natural_key(v)) order: the first
+    to propose a name keeps it, and every other grows its name by `~`
+    until no pair proposes it.  Without a clash no name is changed."""
     names = {(u, v): [f"{u}~{v}"] if n == 1 else [f"{u}~{v}.{i}" for i in range(1, n + 1)]
              for (u, v), n in counts.items()}
     proposed = [name for group in names.values() for name in group]
     busy = set(proposed)
-    clash = len(busy) < len(proposed)
-    if clash:
+    if len(busy) < len(proposed):
         seen = set()
         for pair in sorted(names, key=lambda p: (natural_key(p[0]), natural_key(p[1]))):
             group = names[pair]
@@ -306,65 +306,61 @@ def _arrow_names(counts):
                     busy.add(name)
                     group[i] = name
                 seen.add(name)
-    return names, clash
+    return names
 
 
 class _Renaming:
-    """The tables of `a` that a mutation edits, in the engine's orientation
-    (the opposite one for a plus mutation), built once for each and kept
-    on `a`: outside the region the result is `a` renamed, whatever the
-    vertex mutated at.
+    """The result's arrows, and the relations of `a` that pass through the
+    mutation, in the engine's orientation (the opposite one for a plus
+    mutation): outside the region N (`near`) the result is `a` renamed.
 
-    Every arrow is renamed by its ends u -> v in that orientation
-    (`_arrow_names`, the parallel ones in the order of their old names);
-    `arrow` maps the old name to the renamed Arrow, in `a`'s orientation,
-    and `old` the new name back.  Those names are the result's only when
-    no two of the result's arrows propose one name.  Otherwise the tables
-    are made for that one result: given the region N (`near`) and its
-    arrows' pairs (`region`), only the arrows with no end in N and the
-    relations on them are renamed, together with the region's arrows,
-    whose names are `added`.  `clash` says whether two arrows proposed
-    one name.  `arrows` is the renamed arrows in arrow
-    order, `out` and `in_` the renamed arrows at each vertex, as `Quiver`
-    keeps them.  `relations` is the renamed relations that can pass
-    through a mutation, in canonical order: the monomial ones shorter
-    than four with no relation of length two inside; `paths` and
+    The arrows of `a` with no end in N are renamed by their ends u -> v in
+    that orientation, together with the region's arrows, given as
+    {(u, v): number} (`region`), by `_arrow_names` (parallel arrows of `a`
+    in the order of their old names).  `arrow` maps an old name to the
+    renamed Arrow, in `a`'s orientation, `old` the new name back, and
+    `added` a pair of the region to its names.  `arrows` is the result's
+    arrows in arrow order, `out` and `in_` its arrows at each vertex, as
+    `Quiver` keeps them.  `relations` is the renamed relations that can
+    pass, in canonical order: the monomial ones on the renamed arrows,
+    shorter than four, with no relation of length two inside; `paths` and
     `monomials` are their paths, `long` the positions of those of length
-    three.  `block` indexes them by (length, u, v) in the engine's
-    orientation, and `through` by the new names of their arrows.  `hot`
-    is the vertices on the terms of the other relations, M in the module
-    docstring.
+    three, and `block` indexes them by (length, u, v) in the engine's
+    orientation.  `hot` is the vertices on the terms of the other
+    relations, M in the module docstring.
     """
 
-    def __init__(self, a, opposite, near=(), region=None):
+    def __init__(self, a, opposite, near, region):
         q = a.quiver
+        dropped = {ar.name for v in near for ar in (*q._out[v], *q._in[v])}
         groups = {}
         for ar in q.arrows:
-            if ar.source not in near and ar.target not in near:
+            if ar.name not in dropped:
                 groups.setdefault((ar.target, ar.source) if opposite else ar[1:], []).append(ar)
-        names, self.clash = _arrow_names(
-            {**{pair: len(group) for pair, group in groups.items()}, **(region or {})})
-        self.added = {pair: names[pair] for pair in region or ()}
-        self.arrow = {}
+        names = _arrow_names({**{pair: len(group) for pair, group in groups.items()}, **region})
+        self.added = {pair: names[pair] for pair in region}
+        new, arrows = {}, []
         for pair, group in groups.items():
             if len(group) > 1:
                 group.sort(key=attrgetter("name"))
             for name, ar in zip(names[pair], group):
-                self.arrow[ar.name] = Arrow(name, ar.source, ar.target)
-        self.old = {ar.name: old for old, ar in self.arrow.items()}
-        self.arrows = sorted(self.arrow.values(), key=_arrow_key)
+                new[ar.name] = name
+                arrows.append(Arrow(name, ar.source, ar.target))
+        self.old = dict(zip(new.values(), new))
+        arrows += [Arrow(name, v, u) if opposite else Arrow(name, u, v)
+                   for (u, v), group in self.added.items() for name in group]
+        self.arrows = sorted(arrows, key=_arrow_key)
         self.out, self.in_ = {v: [] for v in q.vertices}, {v: [] for v in q.vertices}
         for ar in self.arrows:
             self.out[ar.source].append(ar)
             self.in_[ar.target].append(ar)
 
-        new = {old: ar.name for old, ar in self.arrow.items()}
         self.relations, self.hot = [], set()
         for r in a.relations:
             p = r.terms[0][1]
-            if not r.is_monomial:
+            if len(r.terms) > 1:
                 self.hot.update(v for n in r.arrow_names for v in q.arrow(n)[1:])
-            elif len(p) < 4 and all(n in new for n in p) and not (
+            elif len(p) < 4 and dropped.isdisjoint(p) and not (
                     len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
                 self.relations.append(
                     RelationTerm._monomial(r.source, r.target, tuple(map(new.__getitem__, p))))
@@ -372,13 +368,10 @@ class _Renaming:
         self.paths = [r.terms[0][1] for r in self.relations]
         self.monomials = frozenset(self.paths)
         self.long = {i for i, path in enumerate(self.paths) if len(path) > 2}
-        self.block, self.through = {}, {}
+        self.block = {}
         for i, r in enumerate(self.relations):
-            path = r.terms[0][1]
             ends = (r.target, r.source) if opposite else (r.source, r.target)
-            self.block.setdefault((len(path), *ends), []).append(i)
-            for name in path:
-                self.through.setdefault(name, []).append(i)
+            self.block.setdefault((len(self.paths[i]), *ends), []).append(i)
 
 
 def mutate_minus(a, x, opposite=False):
@@ -472,36 +465,12 @@ def mutate_minus(a, x, opposite=False):
         if basis:
             complements[(u, v)] = [eng.rep(u, v, coords) for coords in basis]
 
-    # the result's arrows: A's renamed ones with no end in N, and the
-    # region's, named after them; its tables are A's, edited at the ends
-    # of the arrows dropped and added
-    ren = a._renamings.get(opposite)
-    if ren is None:
-        ren = a._renamings[opposite] = _Renaming(a, opposite)
-    dropped = {ar.name for v in near for ar in (*q._out[v], *q._in[v])}
-    gone = {ren.arrow[name].name for name in dropped}
-    region = {pair: len(reps) for pair, reps in complements.items()}
-    names, clash = _arrow_names(region)
-    if ren.clash or clash or any(name in ren.old and name not in gone
-                                 for group in names.values() for name in group):
-        # two of the result's arrows propose one name: rename the arrows
-        # that stay and the region's together, for this result alone
-        ren = _Renaming(a, opposite, near, region)
-        names, dropped, gone = ren.added, (), set()
-    added, arrow_reps = [], {}
-    for pair, reps in complements.items():
-        for name, rep in zip(names[pair], reps):
-            added.append(Arrow(name, *turned(*pair)))
-            arrow_reps[name] = rep
-    arrows = [ar for ar in ren.arrows if ar.name not in gone]
-    for ar in added:
-        insort(arrows, ar, key=_arrow_key)
-    out, in_ = ren.out.copy(), ren.in_.copy()
-    for table, end in ((out, 1), (in_, 2)):
-        for v in {ar[end] for ar in added} | {ren.arrow[name][end] for name in dropped}:
-            table[v] = sorted([ar for ar in table[v] if ar.name not in gone]
-                              + [ar for ar in added if ar[end] == v], key=_arrow_key)
-    new_q = Quiver._trusted(a.name, q.vertices, arrows, out, in_)
+    # the result's arrows: A's with no end in N, renamed, and the region's,
+    # named with them
+    ren = _Renaming(a, opposite, near, {pair: len(reps) for pair, reps in complements.items()})
+    arrow_reps = {name: rep for pair, reps in complements.items()
+                  for name, rep in zip(ren.added[pair], reps)}
+    new_q = Quiver._trusted(a.name, q.vertices, ren.arrows, ren.out, ren.in_)
     tilted = _OppositeQuiver(new_q) if opposite else new_q
 
     def arrow_rep(name):
@@ -523,14 +492,12 @@ def mutate_minus(a, x, opposite=False):
     # relations: A's outside the region, renamed, then the kernels of path
     # evaluation on the blocks with a path through N or M; kernels are
     # keyed by block in the engine's orientation
-    cut = {i for name in gone for i in ren.through.get(name, ())}
     kernels = {}
 
     def passing(key):
         """The combinations of A's renamed relations in a block outside the region."""
         if key not in kernels:
-            kernels[key] = [[(1, ren.paths[i][::step])]
-                            for i in ren.block.get(key, ()) if i not in cut]
+            kernels[key] = [[(1, ren.paths[i][::step])] for i in ren.block.get(key, ())]
         return kernels[key]
 
     solved, touched = [], set()
@@ -561,7 +528,7 @@ def mutate_minus(a, x, opposite=False):
         touched.add((d, u, v))
 
     # coefficients stay Fractions: `_canonical` divides by the first one
-    cut.update(i for key in touched for i in ren.block.get(key, ()))
+    cut = {i for key in touched for i in ren.block.get(key, ())}
     relations = [r for i, r in enumerate(ren.relations) if i not in cut]
     found = [RelationTerm._trusted(u, v, {p[::step]: Fraction(c) for c, p in combo})
              for u, v, combo in solved]
@@ -577,7 +544,8 @@ def mutate_minus(a, x, opposite=False):
     # the stalk pairs are A's blocks; the pairs at x are the solved spaces
     expected = (alg.dimension() - sum(alg.dim_block(u, x) for u in alg.ends(x, False))
                 + sum(h.dim for h in eng.homs.values()))
-    counted = _normal_word_total(_normal_words(result)[1])
+    counts = _normal_word_counts(_normal_words(result)[1])
+    counted = sum(sum(row.values()) for row in counts.values())
     if counted != expected:
         raise QsaError(
             f"relation search exceeds length bound: presentation has "

@@ -443,9 +443,6 @@ class AlgebraPresentation:
         self._report = None  # the ValidationReport, set by the first validate()
         self._walk = None    # the admissibility walk, set by _monomial_admissibility
         self._basis = None   # the _GroebnerBasis of a non-monomial ideal, once completed
-        self._counts = None  # the normal-word counts, set by _normal_word_counts
-        self._total = None   # the number of normal words, set by _normal_word_total
-        self._renamings = {}  # the tables a mutation edits, by orientation (_endo._Renaming)
 
     @cached_property
     def _relation_lines(self):
@@ -811,15 +808,6 @@ def _monomial_admissibility(a):
     return True, height[None]
 
 
-def _acyclic_walk(a):
-    """The post-order of the admissibility walk of `a`, refusing a walk
-    that found a cycle."""
-    if not _monomial_admissibility(a)[0]:
-        raise QsaError("internal error: normal words counted on a prefix "
-                       "automaton with a cycle")
-    return a._walk[2]
-
-
 def _normal_word_counts(a):
     """{v: {w: number of normal words from v to w}} for the relations of
     `a`, or the leading words of a `_GroebnerBasis`, whose prefix
@@ -831,36 +819,19 @@ def _normal_word_counts(a):
     successor's, copied, plus the others', plus one for its own empty
     walk.  A walk that found a cycle is refused; every basis that
     `validate` certifies, or that `_algebra._normal_words` completes on an
-    acyclic quiver, has none.  Computed once and kept on `a`; callers
-    read the table and do not change it.
+    acyclic quiver, has none.
     """
-    if a._counts is None:
-        counts = {}
-        for state, _, _, after in _acyclic_walk(a):
-            mine = dict(counts[after[0]]) if after else {}
-            for t in after[1:]:
-                for w, n in counts[t].items():
-                    mine[w] = mine.get(w, 0) + n
-            mine[state[0]] = mine.get(state[0], 0) + 1
-            counts[state] = mine
-        a._counts = {v: counts[(v, ())] for v in a.quiver.vertices}
-    return a._counts
-
-
-def _normal_word_total(a):
-    """The number of normal words of `a`, as `_normal_word_counts`
-    defines them: the same fold over the post-order of the admissibility
-    walk, with one int for each state instead of a count by end vertex.
-    Computed once and kept on `a`."""
-    if a._total is None:
-        total = {}
-        for state, _, _, after in _acyclic_walk(a):
-            n = 1
-            for t in after:
-                n += total[t]
-            total[state] = n
-        a._total = sum(total[(v, ())] for v in a.quiver.vertices)
-    return a._total
+    if not _monomial_admissibility(a)[0]:
+        raise QsaError("internal error: normal words counted on a prefix automaton with a cycle")
+    counts = {}
+    for state, _, _, after in a._walk[2]:
+        mine = dict(counts[after[0]]) if after else {}
+        for t in after[1:]:
+            for w, n in counts[t].items():
+                mine[w] = mine.get(w, 0) + n
+        mine[state[0]] = mine.get(state[0], 0) + 1
+        counts[state] = mine
+    return {v: counts[(v, ())] for v in a.quiver.vertices}
 
 
 def _relation_free_levels(a, starts=None):
@@ -920,7 +891,7 @@ class _GroebnerBasis:
 
     def __init__(self, quiver, relations, limit):
         self.quiver, self.limit = quiver, limit
-        self._walk = self._counts = self._total = None
+        self._walk = None
         self.rules = self.monomials = {}
         self._monomial_lengths = ()
         self._words = {}   # the normal forms of single paths, once complete

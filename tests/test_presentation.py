@@ -681,7 +681,8 @@ def _assert_products_match(a):
     one read off a basis completed afresh at the bound."""
     t = TruncatedAlgebra(a)
     want = bound_basis_products(a)
-    assert {(u, v, p) for u, v in t.nonzero_blocks() for p in t.free_paths(u, v)} \
+    assert {(u, v, p) for u in t.quiver.vertices for v in t.ends(u, True)
+            for p in t.free_paths(u, v)} \
         == {(v, w, q) for _, v, w, _, q in want}
     for (u, v, w, p, q), form in want.items():
         got = t.mult(u, v, w, t.path_vec(u, v, p), t.path_vec(v, w, q))

@@ -825,11 +825,11 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
         blocks.append(len(found))
         return found
 
-    word_total = _endo._normal_word_total
+    word_counts = _endo._normal_word_counts
 
-    def counting_total(words):
+    def counting_words(words):
         counted.append(words)
-        return word_total(words)
+        return word_counts(words)
 
     def counting_opposite(a):
         opposites.append(a)
@@ -844,7 +844,7 @@ def test_mutation_work_stays_in_the_neighbourhood_of_x(monkeypatch):
     monkeypatch.setattr(_endo, "_HomSpace", CountingHomSpace)
     monkeypatch.setattr(_endo, "TruncatedAlgebra", CountingAlgebra)
     monkeypatch.setattr(_endo, "_region_blocks", counting_blocks)
-    monkeypatch.setattr(_endo, "_normal_word_total", counting_total)
+    monkeypatch.setattr(_endo, "_normal_word_counts", counting_words)
     monkeypatch.setattr(presentation, "opposite", counting_opposite)
     monkeypatch.setattr(_algebra, "opposite_of", counting_opposite)
     monkeypatch.setattr(presentation._Turned, "__missing__", counting_turn)
