@@ -310,24 +310,24 @@ def _arrow_names(counts):
 
 
 class _Renaming:
-    """The result's arrows, and the relations of `a` that pass through the
-    mutation, in the engine's orientation (the opposite one for a plus
-    mutation): outside the region N (`near`) the result is `a` renamed.
+    """The result's quiver tables, in `a`'s orientation, and the relations
+    of `a` that pass through the mutation: outside the region N (`near`)
+    the result is `a` renamed.
 
     The arrows of `a` with no end in N are renamed by their ends u -> v in
-    that orientation, together with the region's arrows, given as
-    {(u, v): number} (`region`), by `_arrow_names` (parallel arrows of `a`
-    in the order of their old names).  `arrow` maps an old name to the
-    renamed Arrow, in `a`'s orientation, `old` the new name back, and
-    `added` a pair of the region to its names.  `arrows` is the result's
-    arrows in arrow order, `out` and `in_` its arrows at each vertex, as
-    `Quiver` keeps them.  `relations` is the renamed relations that can
-    pass, in canonical order: the monomial ones on the renamed arrows,
-    shorter than four, with no relation of length two inside; `paths` and
-    `monomials` are their paths, `long` the positions of those of length
-    three, and `block` indexes them by (length, u, v) in the engine's
-    orientation.  `hot` is the vertices on the terms of the other
-    relations, M in the module docstring.
+    the engine's orientation (the opposite one for a plus mutation),
+    together with the region's arrows, given as {(u, v): number}
+    (`region`), by `_arrow_names` (parallel arrows of `a` in the order of
+    their old names).  `old` maps the new name of an arrow of `a` back to
+    its old name, and `added` a pair of the region to its names.  `arrows`
+    is the result's arrows in arrow order, `out` and `in_` its arrows at
+    each vertex, as `Quiver` keeps them.  `relations` is the renamed
+    relations that can pass, in canonical order: the monomial ones on the
+    renamed arrows, shorter than four, with no relation of length two
+    inside; `paths` and `monomials` are their paths, `long` the positions
+    of those of length three, and `block` indexes them by (length, u, v) in
+    the engine's orientation.  `hot` is the vertices on the terms of the
+    other relations, M in the module docstring.
     """
 
     def __init__(self, a, opposite, near, region):
@@ -358,7 +358,7 @@ class _Renaming:
         self.relations, self.hot = [], set()
         for r in a.relations:
             p = r.terms[0][1]
-            if len(r.terms) > 1:
+            if not r.is_monomial:
                 self.hot.update(v for n in r.arrow_names for v in q.arrow(n)[1:])
             elif len(p) < 4 and dropped.isdisjoint(p) and not (
                     len(p) == 3 and (p[:2] in a.monomials or p[1:] in a.monomials)):
