@@ -23,13 +23,14 @@ such as ( d e ) - ( a b c ) included.
 
 The opposite algebra of a monomial presentation is read off the
 presentation itself: its quiver is a view that turns the arrows of a
-vertex round when they are first read (`presentation._OppositeQuiver`),
-and a path ends in one of its relations when the reverse path starts in
-one of `a`'s.  Its report is `a`'s, since a path is relation-free exactly
-when its reverse is.  Any other ideal is turned round whole, and
-validated again: the normal words of its opposite come from the opposite's
-own Gröbner basis, and the truncated certificate of a cyclic ideal is not
-symmetric.
+vertex round when they are first read (`presentation._OppositeQuiver`).
+A path of the opposite is relation-free exactly when its reverse is
+relation-free in `a`, so its block (u, v) is `a`'s normal words from v
+to u, listed by the same walk on `a`, turned round and put in (length,
+path) order, and its counts are `a`'s read by columns.  Any other ideal
+is turned round whole, and validated again: the normal words of its
+opposite come from the opposite's own Gröbner basis, and the truncated
+certificate of a cyclic ideal is not symmetric.
 """
 
 from .presentation import (
@@ -38,29 +39,15 @@ from .presentation import (
 )
 
 
-class _OppositeWords:
-    """The monomial relations of `a`, read on the opposite quiver."""
-
-    def __init__(self, a):
-        self.a = a
-        self.quiver = _OppositeQuiver(a.quiver)
-
-    def ends_in_relation(self, arrows):
-        return self.a.starts_in_relation(arrows[::-1])
-
-
-def _normal_words(a, opposite=False):
+def _normal_words(a):
     """(bound, words) for a presentation `validate` certifies admissible:
     its nilpotency bound, and the monomial relations whose relation-free
     paths below the bound are its normal words.  A monomial presentation
     is the basis of its own ideal; any other gives the leading words of
     its Gröbner basis, completed once and kept on `a`: by `validate`
-    above its cutoff on a cyclic quiver, else here at the bound.  With
-    `opposite`, the same for the opposite presentation (see the module
-    docstring).  A presentation that is not certified admissible is
-    refused with the QsaError that `TruncatedAlgebra` raises."""
-    if opposite and not a.is_monomial:
-        a, opposite = opposite_of(a), False
+    above its cutoff on a cyclic quiver, else here at the bound.  A
+    presentation that is not certified admissible is refused with the
+    QsaError that `TruncatedAlgebra` raises."""
     rep = validate(a)
     if not rep.certified:
         raise QsaError(
@@ -70,7 +57,7 @@ def _normal_words(a, opposite=False):
         raise QsaError("relation ideal is not admissible")
     bound = rep.nilpotency_bound
     if a.is_monomial:
-        return bound, _OppositeWords(a) if opposite else a
+        return bound, a
     if a._basis is None:
         a._basis = _GroebnerBasis(a.quiver, [r.terms for r in a.relations], bound)
     return bound, a._basis
@@ -81,39 +68,16 @@ class TruncatedAlgebra:
     algebra, or for its opposite; blocks are built when first read."""
 
     def __init__(self, a, opposite=False):
-        self.bound, words = _normal_words(a, opposite)
+        if opposite and not a.is_monomial:
+            a, opposite = opposite_of(a), False
+        self.bound, words = _normal_words(a)
         self._words = words
-        self.quiver = words.quiver
+        self._turned = opposite
+        self.quiver = _OppositeQuiver(words.quiver) if opposite else words.quiver
         self._normal = words if isinstance(words, _GroebnerBasis) else None
-        # the counts of `a` for its opposite: their rows are its columns
-        self._turned = isinstance(words, _OppositeWords)
-        self._counts = _normal_word_counts(words.a if self._turned else words)
+        # the counts of `a`; for its opposite their rows are the columns
+        self._counts = _normal_word_counts(words)
         self._basis, self._index = {}, {}   # the blocks whose paths were read
-
-    def _reaches(self, u, v):
-        """Whether some normal word runs from u to v."""
-        if self._turned:
-            u, v = v, u
-        return v in self._counts[u]
-
-    def _block(self, u, v):
-        """The basis paths of e_u A e_v, built on first read: the normal
-        words from u, one length at a time, that stay on vertices from
-        which v is reached."""
-        block = self._basis.get((u, v))
-        if block is None:
-            if not self._reaches(u, v):
-                return ()
-            at, blocked, reaches = self.quiver._out, self._words.ends_in_relation, self._reaches
-            found, level = [], [((), u)]
-            while level:
-                level.sort()
-                found += [path for path, end in level if end == v]
-                level = [(path + (ar.name,), ar.target) for path, end in level for ar in at[end]
-                         if reaches(ar.target, v) and not blocked(path + (ar.name,))]
-            block = self._basis[(u, v)] = tuple(found)
-            self._index[(u, v)] = {p: i for i, p in enumerate(block)}
-        return block
 
     # --- inspection -------------------------------------------------------
 
@@ -133,14 +97,33 @@ class TruncatedAlgebra:
         return [w for w, row in self._counts.items() if v in row]
 
     def free_paths(self, u, v):
-        """The basis paths of e_u A e_v, in coordinate order."""
-        return self._block(u, v)
+        """The basis paths of e_u A e_v, in (length, path) order, built on
+        first read: the normal words of `a` from u to v, one length at a
+        time, that stay on vertices from which v is reached.  For the
+        opposite, the normal words of `a` from v to u, turned round."""
+        block = self._basis.get((u, v))
+        if block is None:
+            s, t = (v, u) if self._turned else (u, v)
+            counts = self._counts
+            if t not in counts[s]:
+                return ()
+            at, blocked = self._words.quiver._out, self._words.ends_in_relation
+            found, level = [], [((), s)]
+            while level:
+                found += [path for path, end in level if end == t]
+                level = [(path + (ar.name,), ar.target) for path, end in level for ar in at[end]
+                         if t in counts[ar.target] and not blocked(path + (ar.name,))]
+            if self._turned:
+                found = [path[::-1] for path in found]
+            block = self._basis[(u, v)] = tuple(sorted(found, key=lambda p: (len(p), p)))
+            self._index[(u, v)] = {p: i for i, p in enumerate(block)}
+        return block
 
     # --- elements ---------------------------------------------------------
 
     def path_vec(self, u, v, arrows):
         """Coordinates of a single path given as a tuple of arrow names."""
-        self._block(u, v)
+        self.free_paths(u, v)
         index = self._index.get((u, v), {})
         vec = [0] * len(index)
         arrows = tuple(arrows)
@@ -154,9 +137,9 @@ class TruncatedAlgebra:
 
     def mult(self, u, v, w, p, q):
         """Coordinates of the product of p in e_u A e_v with q in e_v A e_w."""
-        pu = self._block(u, v)
-        pw = self._block(v, w)
-        self._block(u, w)
+        pu = self.free_paths(u, v)
+        pw = self.free_paths(v, w)
+        self.free_paths(u, w)
         idx = self._index.get((u, w), {})
         out = [0] * len(idx)
         for i, ci in enumerate(p):

@@ -64,21 +64,22 @@ tables of the result's quiver are built from those arrows and the
 region's.  So a mutation costs what the neighbourhood of x costs, plus
 that pass, `validate` on the result and its dimension count, which stay
 whole.  A name proposed by two of the result's arrows, when a vertex
-name holds `~` or `.`, grows a `~` (`_arrow_names`).
+name holds `~` or `.`, grows a `~` (`_arrow_names`).  A hom space keeps
+no reference to its engine, so a mutation leaves no reference cycle.
 
 The source.  The plus mutation at a source x is the minus mutation of
 the opposite algebra at its sink x, turned round.  The opposite is not
 built: the engine runs on the opposite algebra (`TruncatedAlgebra` with
-`opposite`), the relation blocks are read on a view of the result's
-quiver that turns its arrows round (`presentation._OppositeQuiver`), the
-region's arrows and relations are turned round into A's orientation, and
-A's arrows keep their ends, renamed by their ends in the opposite one.
+`opposite`), whose blocks are A's normal words turned round, the relation
+blocks are read on a view of the result's quiver that turns its arrows
+round (`presentation._OppositeQuiver`), the region's arrows and relations
+are turned round into A's orientation, and A's arrows keep their ends,
+renamed by their ends in the opposite one.
 """
 
 from bisect import insort
 from fractions import Fraction
 from operator import attrgetter
-from weakref import proxy
 
 from ._linalg import identity, nullspace, reduce_vec, rref, transpose
 from ._algebra import TruncatedAlgebra, _normal_words
@@ -101,14 +102,12 @@ class _HomSpace:
     """
 
     def __init__(self, engine, u, v):
-        # a weak reference: the engine's `homs` holds this space, and the
-        # engine and its algebra are freed when the mutation returns
-        self.engine = proxy(engine)
         self.u = u
         self.v = v
         alg = engine.alg
         # End(R_x) has the degree -1 block P_x -> P_x ahead of the degree-0 ones
         self.lead = int(u == v == engine.x)
+        self.width = len(engine.degzero(v))
         self.blocks = [(u, v)] * self.lead + [
             (z_u, z_v) for z_u in engine.degzero(u) for z_v in engine.degzero(v)]
         self.offsets = []
@@ -117,7 +116,7 @@ class _HomSpace:
             self.offsets.append(total)
             total += alg.dim_block(bu, bv)
         self.ambient_dim = total
-        self._solve()
+        self._solve(engine)
 
     def split(self, flat):
         """The per-block elements of an ambient vector."""
@@ -126,10 +125,9 @@ class _HomSpace:
 
     def pos_index(self, i, j):
         """The block of the degree-0 components P_{zv[j]} -> P_{zu[i]}."""
-        return self.lead + i * len(self.engine.degzero(self.v)) + j
+        return self.lead + i * self.width + j
 
-    def _solve(self):
-        eng = self.engine
+    def _solve(self, eng):
         alg, x = eng.alg, eng.x
         zu, zv = eng.degzero(self.u), eng.degzero(self.v)
 

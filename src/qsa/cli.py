@@ -321,8 +321,6 @@ def _form_polynomial(e):
         mono = f"x{i + 1}^2" if i == j else f"x{i + 1}*x{j + 1}"
         mag = -coef if coef < 0 else coef
         terms.append((" - " if coef < 0 else " + ") + (mono if mag == 1 else f"{mag}*{mono}"))
-    if not terms:
-        return "0"
     text = "".join(terms)
     return ("-" if text.startswith(" - ") else "") + text[3:]
 
@@ -351,7 +349,7 @@ def _cmd_witness(args):
     wit, budget_hit = _witness_search(a, args.radius, args.max_size)
     if wit is None:
         if args.json:
-            _emit_json({"witness": None})
+            _emit_json({"witness": None, "budget_hit": True} if budget_hit else {"witness": None})
         elif budget_hit:
             print("none found: the search budget ran out before the bounds "
                   "were covered (QSA_WITNESS_BUDGET raises it)")

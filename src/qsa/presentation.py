@@ -478,17 +478,6 @@ class AlgebraPresentation:
                 return True
         return False
 
-    def starts_in_relation(self, arrows):
-        """True when some monomial relation is a prefix of `arrows`: the
-        test of `ends_in_relation` on the opposite presentation."""
-        n = len(arrows)
-        for k in self._monomial_lengths:
-            if k > n:
-                break
-            if arrows[:k] in self.monomials:
-                return True
-        return False
-
     def __eq__(self, other):
         return (isinstance(other, AlgebraPresentation)
                 and self.quiver == other.quiver and self.relations == other.relations)
@@ -539,8 +528,7 @@ class _OppositeQuiver:
     """The opposite of the quiver `q` as a view that copies nothing: the
     arrows at a vertex are turned round when the vertex is first read, in
     arrow order, as `opposite` lists them.  It answers the reads of the
-    tilting engine and of its algebra (`out_arrows`, `in_arrows`, `arrow`
-    and the tables `_out` and `_in`)."""
+    tilting engine (`out_arrows`, `in_arrows` and `arrow`)."""
 
     def __init__(self, q):
         self._q = q
@@ -708,7 +696,6 @@ class ValidationReport(NamedTuple):
     admissible: bool          # meaningful only when certified
     certified: bool
     nilpotency_bound: int     # m with rad^m = 0, when certified; else 0
-    loop_free_vertices: tuple
     problems: tuple
 
     @property
@@ -984,8 +971,6 @@ def validate(a):
         problems.append("quiver is not connected")
     monomial = a.is_monomial
     quadratic_monomial = monomial and a.is_quadratic
-    loops = {ar.source for ar in q.arrows if ar.source == ar.target}
-    loop_free = tuple(v for v in q.vertices if v not in loops)
 
     certified = True
     if monomial:
@@ -1008,7 +993,7 @@ def validate(a):
                 a._basis = None
                 problems.append("admissibility not certified for this cyclic non-monomial ideal")
     a._report = ValidationReport(connected, monomial, quadratic_monomial, admissible,
-                                 certified, bound, loop_free, tuple(problems))
+                                 certified, bound, tuple(problems))
     return a._report
 
 

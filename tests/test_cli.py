@@ -316,6 +316,17 @@ def test_euler_text(capsys):
     assert "nonnegative: true (positive definite)" in out
 
 
+def test_euler_form_drops_a_cancelled_term(tmp_path, capsys):
+    # row 1 of E sums -1 for the arrow c and +1 for the relation a b at
+    # vertex 3, and the form has no x1*x3 term
+    path = tmp_path / "t.qsa"
+    path.write_text("quiver t\nvertices: 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+                    "arrow c: 1 -> 3\nrelations:\na b\n")
+    code, out, _ = run(capsys, "euler", str(path))
+    assert code == 0
+    assert "form: x1^2 - x1*x2 + x2^2 - x2*x3 + x3^2\n" in out
+
+
 def test_euler_walks_the_bare_quiver_once(capsys, monkeypatch):
     # validate walks the presentation's automaton, and the Cartan and Euler
     # matrices share one walk of the quiver with no relations, kept on it
@@ -480,6 +491,10 @@ def test_witness_none_within_bounds(capsys):
     code, out, _ = run(capsys, "witness", fixture_path("kronecker"))
     assert code == 0
     assert out.strip() == "none within bounds"
+    # a search that covered its bounds prints a bare null
+    code, out, _ = run(capsys, "witness", "--json", fixture_path("kronecker"))
+    assert code == 0
+    assert out == '{\n  "witness": null\n}\n'
 
 
 @pytest.mark.parametrize("budget,first_line", [
@@ -494,10 +509,13 @@ def test_witness_reports_budget_hit(monkeypatch, capsys, budget, first_line):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[0] == first_line
-    # the JSON document keeps its shape: no witness is just null
+    # no witness is null, and a search that ran out of budget says so
+    # beside it; a search that found one has no budget_hit key
     code, out, _ = run(capsys, *argv[:-1], "--json", argv[-1])
     assert code == 0
-    assert (json.loads(out)["witness"] is None) == (budget == "50")
+    doc = json.loads(out)
+    assert (doc["witness"] is None) == (budget == "50")
+    assert doc.get("budget_hit") is (True if budget == "50" else None)
 
 
 @pytest.mark.parametrize("radius, size", [("1", "3"), ("eight", "x")])

@@ -122,6 +122,7 @@ def test_graph_type_is_read_only():
     ([["a"], "b"], [("b", "b")]),
     (["a", "b"], [(["a"], "b")]),
     (["a", "b"], [("a", "z")]),
+    ([], []),
 ])
 def test_graph_type_rejects_malformed_input(verts, edges):
     with pytest.raises(QsaError):

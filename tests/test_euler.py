@@ -101,6 +101,15 @@ def test_cyclic_input_refused():
         cartan_matrix(cyc)
 
 
+def test_non_monomial_input_refused():
+    square = parse_presentation(
+        "quiver sq\nvertices: 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 4\n"
+        "arrow c: 1 -> 3\narrow d: 3 -> 4\nrelations:\n( a b ) - ( c d )\n")
+    with pytest.raises(QsaError) as err:
+        cartan_matrix(square)
+    assert str(err.value) == "Cartan matrix requires a monomial presentation"
+
+
 @pytest.mark.parametrize("build", [cartan_matrix, euler_matrix])
 def test_matrices_refuse_a_quiver(build):
     with pytest.raises(QsaError) as err:

@@ -851,6 +851,14 @@ def test_isomorphism_search_is_bounded_at_14_vertices(n):
     assert str(err.value) == "isomorphism search bound exceeded: more than 14 vertices"
 
 
+def test_isomorphism_refuses_five_parallel_arrows():
+    a = parse_presentation("quiver k5\nvertices: 1 2\n"
+                           + "".join(f"arrow a{i}: 1 -> 2\n" for i in range(5)))
+    with pytest.raises(QsaError) as err:
+        presentations_isomorphic(a, a)
+    assert str(err.value) == "too many parallel arrows for isomorphism search"
+
+
 def test_isomorphism_refuses_non_homogeneous_relation():
     a = parse_presentation(
         "quiver nh\nvertices: 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 5\n"
@@ -1181,6 +1189,12 @@ def test_library_entry_points_refuse_a_quiver(call, args, message):
 _CHAIN = Quiver("chain", ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
 
 _CONSTRUCTOR_REFUSALS = [
+    (lambda: Quiver("q", [], []), "quiver needs at least one vertex"),
+    (lambda: RelationTerm(_CHAIN, [(1, ["a"])]), "relation paths must have length >= 2"),
+    # the one check `Quiver._trusted` keeps, which guards every mutation result
+    (lambda: Quiver._trusted("q", ["1", "2"], [Arrow("a", "1", "2")] * 2,
+                             {"1": [], "2": []}, {"1": [], "2": []}),
+     "duplicate arrow identifier 'a'"),
     (lambda: Quiver("x", ["1"], [("a", "1")]),
      "an arrow is a (name, source, target) triple of strings, not ('a', '1')"),
     (lambda: Quiver("x", ["1"], [5]),

@@ -1,5 +1,6 @@
 """Blow-ups, sink/source mutations, and the reduction to a gentle form."""
 
+import gc
 import hashlib
 import json
 import sys
@@ -111,6 +112,19 @@ def test_blow_up_refuses_non_special_vertex():
         blow_up(load_fixture("a5-chain"), ["2"])
 
 
+@pytest.mark.parametrize("text, blown, message", [
+    ("quiver sq\nvertices: 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\n"
+     "arrow d: 3 -> 4\nrelations:\n( a b ) - ( c d )\n", ["2"],
+     "blow-up requires a monomial quadratic presentation"),
+    (None, ["9"], "unknown vertex '9'"),
+])
+def test_blow_up_refuses_a_bad_input(text, blown, message):
+    a = load_fixture("a5-chain") if text is None else parse_presentation(text)
+    with pytest.raises(QsaError) as err:
+        blow_up(a, blown)
+    assert str(err.value) == message
+
+
 # --- single reduction steps ---------------------------------------------------
 
 
@@ -142,6 +156,7 @@ def test_reduce_step_class_four_rewrites():
     ("case4-local", ["3"], "vertex '3' is not special"),
     ("case4-local", ["1"], "vertex '1' is special but ordinary"),
     ("twelve-vertex-gqs", ["4"], "vertex '4' is not special"),
+    ("twelve-vertex-gqs", ["zz"], "vertex 'zz' is not special"),
     ("twelve-vertex-gqs", ["1"], "vertex '1' is special but ordinary"),
     # not gqs: refused before the special set is read
     ("two-cycle", [], "vertices neither gentle nor exceptional: 2"),
@@ -971,9 +986,9 @@ def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
     solved = []
     solve = _endo._HomSpace._solve
 
-    def counting_solve(self):
+    def counting_solve(self, engine):
         solved.append((self.u, self.v))
-        solve(self)
+        solve(self, engine)
 
     monkeypatch.setattr(_endo._HomSpace, "_solve", counting_solve)
     counts = []
@@ -997,6 +1012,25 @@ def test_mutation_solves_chain_maps_only_at_the_mutated_vertex(monkeypatch):
     # the sink is vertex 6 of a copy for odd k, vertex 12 for even k
     assert counts[2] == counts[0] and counts[3] == counts[1]
     assert max(counts) < len(glued_twelve_gqs(1).quiver.vertices)
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_mutation_leaves_no_garbage_cycle(k):
+    # a hom space keeps no reference to its engine, so the engine, its
+    # algebra and its hom spaces are freed by reference counting when the
+    # mutation returns, and the collector finds nothing to free
+    text = serialize_presentation(glued_twelve_gqs(k))
+    inputs = [(parse_presentation(text), x, sign)
+              for x, sign in zip(_cli_edit_vertices(k), ("minus", "plus"))]
+    gc.collect()
+    gc.disable()
+    try:
+        for a, x, sign in inputs:
+            mutate_at(a, x, sign)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_radical_at_the_sink_is_every_chain_map_basis_vector_but_the_first():
