@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from qsa.presentation import (
-    AlgebraPresentation, Arrow, Quiver, parse_presentation, validate, _normal_word_counts,
-    _relation_free_levels,
+    AlgebraPresentation, Arrow, Quiver, opposite, parse_presentation, validate,
+    _normal_word_counts, _relation_free_levels,
 )
 from qsa._algebra import TruncatedAlgebra, _normal_words
 from qsa._linalg import identity
@@ -16,7 +16,7 @@ from qsa._linalg import identity
 from conftest import (
     load_fixture, glued_twelve_gqs, all_fixture_names, each_once, record_automaton_work,
 )
-from oracles import RrefAlgebra, graded_admissibility
+from oracles import RrefAlgebra, graded_admissibility, random_mutation_texts
 
 SQUARE = (
     "quiver square\nvertices: 1 2 3 4\n"
@@ -153,6 +153,31 @@ def test_unreached_pair_is_the_zero_block():
     assert t5.path_vec("5", "1", ()) == []
     assert t5.mult("5", "1", "2", [], t5.path_vec("1", "2", ("alpha",))) == []
     assert "1" not in t5.ends("5", True) and "5" not in t5.ends("1", False)
+
+
+def test_opposite_has_the_blocks_and_products_of_the_opposite_presentation():
+    # read off `a`, the opposite lists every block's basis paths in the
+    # coordinate order of the algebra of opposite(a), and multiplies alike;
+    # a non-monomial `a` is turned round whole
+    inputs = [load_fixture(n) for n in all_fixture_names()] + [glued_twelve_gqs(2)]
+    inputs += [parse_presentation(t) for t in random_mutation_texts(count=20)]
+    for a in inputs:
+        rep = validate(a)
+        if not (rep.certified and rep.admissible):
+            continue
+        t, ref = TruncatedAlgebra(a, opposite=True), TruncatedAlgebra(opposite(a))
+        verts = a.quiver.vertices
+        assert t.dimension() == ref.dimension()
+        for u, v in product(verts, repeat=2):
+            assert t.free_paths(u, v) == ref.free_paths(u, v), (a.name, u, v)
+            assert t.dim_block(u, v) == ref.dim_block(u, v)
+        for v in verts:
+            for forward in (True, False):
+                assert sorted(t.ends(v, forward)) == sorted(ref.ends(v, forward))
+        for u, v, w in product(verts, repeat=3):
+            for x in identity(t.dim_block(u, v)):
+                for y in identity(t.dim_block(v, w)):
+                    assert t.mult(u, v, w, x, y) == ref.mult(u, v, w, x, y), (a.name, u, v, w)
 
 
 def _paths(q, bound):
